@@ -233,10 +233,10 @@ func BenchmarkReorder(b *testing.B) {
 
 // BenchmarkReorderWorkers runs every ordering serial (workers=1) and
 // parallel (workers=4) on a matrix above the parallel engagement thresholds
-// (6400 vertices clears amdMultiMinVerts and the ND/GP/HP fork minimums),
-// so the CI benchmark smoke compiles and exercises each parallel ordering
-// path. The BENCH_reorder.json speedups are measured at study scale by
-// `study -exp benchreorder`, not here.
+// (6400 vertices clears the ND/GP/HP fork minimums), so the CI benchmark
+// smoke compiles and exercises each parallel ordering path; AMD is serial
+// at every worker count. The BENCH_reorder.json speedups are measured at
+// study scale by `study -exp benchreorder`, not here.
 func BenchmarkReorderWorkers(b *testing.B) {
 	a := gen.Scramble(gen.Grid2D(80, 80), 3)
 	for _, alg := range reorder.Algorithms {

@@ -70,11 +70,10 @@ const reorderBenchSeed = 42
 // ReorderBenchMatrices returns the generated inputs for RunReorderBench:
 // a scrambled 3D grid (structurally symmetric) and a dense-row-contaminated
 // unsymmetric matrix that exercises the A+Aᵀ union path. At ScaleTest the
-// matrices shrink to CI-smoke sizes — still above every parallel engagement
-// threshold (amdMultiMinVerts and the fork minimums) so the smoke exercises
-// the parallel paths, but seconds instead of minutes to measure. Any other
-// scale returns the ≥1M-nonzero pair the committed acceptance numbers are
-// quoted at.
+// matrices shrink to CI-smoke sizes — still above the ND/GP/HP fork
+// minimums so the smoke exercises the parallel paths, but seconds instead
+// of minutes to measure. Any other scale returns the ≥1M-nonzero pair the
+// committed acceptance numbers are quoted at.
 func ReorderBenchMatrices(seed int64, scale gen.Scale) []gen.Matrix {
 	if scale == gen.ScaleTest {
 		return []gen.Matrix{

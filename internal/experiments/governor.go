@@ -39,8 +39,10 @@ func graphBytes(n, nnz int64) int64 { return 8*(n+1) + 4*2*nnz }
 // factors are the per-ordering blow-ups of the implementations:
 //
 //   - RCM: the A+Aᵀ graph plus O(n) BFS level/queue state (~24 B/row).
-//   - AMD: the graph plus a quotient-graph workspace of the same order
-//     (≈2× graph).
+//   - AMD: the graph, 136 B/row of per-variable arrays (three list
+//     headers, eleven int32 arrays, the degree lists and the output
+//     permutation) and up to 16 B/nnz of quotient-graph lists (the
+//     adjacency copy plus element lists of the same order).
 //   - ND and GP: the graph plus the coarsening/recursion hierarchy; level
 //     sizes decay roughly geometrically, summing to ≈2× the finest graph
 //     (≈3× graph total).
@@ -53,7 +55,7 @@ func estimateOrderingBytes(alg reorder.Algorithm, n, nnz int64) int64 {
 	case reorder.RCM:
 		return g + 24*n
 	case reorder.AMD:
-		return 2 * g
+		return g + 136*n + 16*nnz
 	case reorder.ND, reorder.GP:
 		return 3 * g
 	case reorder.HP:

@@ -29,7 +29,7 @@ func TestEstimateMatrixBytes(t *testing.T) {
 		{nil, 2 * csr},
 		{[]reorder.Algorithm{reorder.Original}, 2 * csr},
 		{[]reorder.Algorithm{reorder.RCM}, 2*csr + g + 24*n},
-		{[]reorder.Algorithm{reorder.AMD}, 2*csr + 2*g},
+		{[]reorder.Algorithm{reorder.AMD}, 2*csr + g + 136*n + 16*nnz},
 		{[]reorder.Algorithm{reorder.ND}, 2*csr + 3*g},
 		{[]reorder.Algorithm{reorder.HP}, 2*csr + 2*(4*nnz+16*n)},
 		{[]reorder.Algorithm{reorder.Gray}, 2*csr + 16*n},

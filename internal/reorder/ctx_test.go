@@ -12,18 +12,20 @@ import (
 )
 
 // TestComputeCtxAlreadyCancelled checks every algorithm refuses to start
-// under a dead context and never leaks a partial permutation.
+// under a dead context and never leaks a partial permutation, on a small
+// grid and on the scrambled 32³ mesh.
 func TestComputeCtxAlreadyCancelled(t *testing.T) {
-	a := gen.Grid2D(12, 12)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, alg := range AllOrderings {
-		p, err := ComputeCtx(ctx, alg, a, Options{Parts: 4})
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: err = %v, want context.Canceled", alg, err)
-		}
-		if p != nil {
-			t.Errorf("%s returned a partial permutation after cancellation", alg)
+	for _, a := range []*sparse.CSR{gen.Grid2D(12, 12), gen.Scramble(gen.Grid3D(32, 32, 32), 42)} {
+		for _, alg := range AllOrderings {
+			p, err := ComputeCtx(ctx, alg, a, Options{Parts: 4})
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s on %d rows: err = %v, want context.Canceled", alg, a.Rows, err)
+			}
+			if p != nil {
+				t.Errorf("%s on %d rows returned a partial permutation after cancellation", alg, a.Rows)
+			}
 		}
 	}
 }

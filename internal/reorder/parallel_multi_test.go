@@ -4,18 +4,16 @@ import (
 	"context"
 	"testing"
 
-	"sparseorder/internal/cholesky"
 	"sparseorder/internal/gen"
-	"sparseorder/internal/graph"
-	"sparseorder/internal/sparse"
 )
 
 // TestWorkersByteIdenticalLargeMatrix is the tentpole's determinism check
 // above the parallel size thresholds, where the small-matrix identity test
 // never leaves the serial paths: 6400 vertices engages ND's fork-join
-// dissection (>1024), AMD's multiple elimination (≥4096) and the forked
-// recursive bisections of GP and HP (>4096). Run under -race in CI this
-// doubles as the race check for every new parallel path.
+// dissection (>1024) and the forked recursive bisections of GP and HP
+// (>4096). AMD has no parallel path; it stays in the list to pin that its
+// single serial engine ignores Workers. Run under -race in CI this
+// doubles as the race check for every parallel path.
 func TestWorkersByteIdenticalLargeMatrix(t *testing.T) {
 	a := gen.Scramble(gen.Grid2D(80, 80), 7)
 	for _, alg := range []Algorithm{AMD, ND, GP, HP} {
@@ -39,63 +37,6 @@ func TestWorkersByteIdenticalLargeMatrix(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestAMDWorkersMatchesClassicBelowThreshold pins the dispatch rule: below
-// amdMultiMinVerts the Workers entry point must run the classic serial
-// elimination unchanged, whatever the worker count.
-func TestAMDWorkersMatchesClassicBelowThreshold(t *testing.T) {
-	a := gen.Scramble(gen.Grid2D(20, 20), 5) // 400 < amdMultiMinVerts
-	g, err := graph.FromMatrixSymmetrized(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := approxMinimumDegree(g, nil)
-	for _, w := range []int{1, 4, 0} {
-		got := ApproxMinimumDegreeWorkers(g, w)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: differs from classic AMD at %d", w, i)
-			}
-		}
-	}
-}
-
-// TestAMDMultiEliminationQuality checks that the multiple-elimination AMD
-// is a real minimum-degree ordering, not merely a valid permutation: on a
-// scrambled mesh its Cholesky fill must land well below the unordered
-// fill and within a modest factor of the classic serial elimination.
-func TestAMDMultiEliminationQuality(t *testing.T) {
-	a := gen.Scramble(gen.Grid2D(80, 80), 11) // 6400 ≥ amdMultiMinVerts
-	g, err := graph.FromMatrixSymmetrized(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill := func(p sparse.Perm) int64 {
-		t.Helper()
-		b, err := sparse.PermuteSymmetric(a, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nnz, err := cholesky.FactorNNZ(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nnz
-	}
-	multi := ApproxMinimumDegreeWorkers(g, 4)
-	if len(multi) != g.N || !multi.IsValid() {
-		t.Fatal("multi-elimination AMD produced an invalid permutation")
-	}
-	multiFill := fill(multi)
-	classicFill := fill(approxMinimumDegree(g, nil))
-	origFill := fill(sparse.Identity(a.Rows))
-	if multiFill >= origFill {
-		t.Errorf("multi-elimination fill %d not below unordered fill %d", multiFill, origFill)
-	}
-	if float64(multiFill) > 1.5*float64(classicFill) {
-		t.Errorf("multi-elimination fill %d vs classic %d: more than 1.5x worse", multiFill, classicFill)
 	}
 }
 
