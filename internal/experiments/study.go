@@ -165,8 +165,8 @@ type MatrixResult struct {
 
 	// ReorderPhases[ordering] splits ReorderSeconds into graph
 	// construction, ordering and permutation application — the Table 5
-	// reordering-time breakdown. For GP the graph/order phases accumulate
-	// over the distinct per-machine part counts.
+	// reordering-time breakdown. For GP the graph/order phases cover the
+	// distinct per-machine part counts together (reorder.ComputeGPTimedCtx).
 	ReorderPhases map[reorder.Algorithm]reorder.PhaseTimings
 
 	// FillRatio[ordering] is nnz(L)/nnz(A); only set for SPD matrices and
@@ -231,9 +231,6 @@ func EvaluateMatrixContext(ctx context.Context, m gen.Matrix, cfg Config) (*Matr
 		}
 	}
 
-	// Distinct GP part counts (one ordering per machine core count).
-	gpParts := map[int]sparse.Perm{}
-
 	o := obs.FromContext(ctx)
 	estimatePh := o.Phase("study/estimate")
 	featuresPh := o.Phase("study/features")
@@ -293,7 +290,7 @@ func EvaluateMatrixContext(ctx context.Context, m gen.Matrix, cfg Config) (*Matr
 		octx, sp := obs.Start(ctx, "study/ordering")
 		sp.SetAttr("alg", string(alg))
 		sp.SetAttr("matrix", m.Name)
-		res2, err := evalOneOrdering(octx, alg, m, cfg, res, gpParts, evalOrdering, featuresPh, fillPh)
+		res2, err := evalOneOrdering(octx, alg, m, cfg, res, evalOrdering, featuresPh, fillPh)
 		sp.End()
 		if err != nil {
 			return nil, err
@@ -306,31 +303,34 @@ func EvaluateMatrixContext(ctx context.Context, m gen.Matrix, cfg Config) (*Matr
 // evalOneOrdering evaluates one ordering of one matrix into res; split out
 // of EvaluateMatrixContext so each ordering runs under its own span.
 func evalOneOrdering(ctx context.Context, alg reorder.Algorithm, m gen.Matrix, cfg Config,
-	res *MatrixResult, gpParts map[int]sparse.Perm,
+	res *MatrixResult,
 	evalOrdering func(reorder.Algorithm, *sparse.CSR, []machine.Machine),
 	featuresPh, fillPh obs.Phase) (*MatrixResult, error) {
 	switch alg {
 	case reorder.GP:
-		// One GP ordering per distinct machine core count.
-		var phases reorder.PhaseTimings
+		// One GP ordering per distinct machine core count, computed
+		// together so they share the graph and common bisections.
+		var parts []int
+		gpParts := map[int]sparse.Perm{}
+		for _, mc := range cfg.Machines {
+			if _, ok := gpParts[mc.Cores]; !ok {
+				gpParts[mc.Cores] = nil
+				parts = append(parts, mc.Cores)
+			}
+		}
+		perms, phases, err := reorder.ComputeGPTimedCtx(ctx, m.A, parts,
+			reorder.Options{Seed: cfg.Seed, Workers: cfg.ReorderWorkers})
+		if err != nil {
+			return nil, &MatrixError{Name: m.Name, Ordering: alg, Err: err}
+		}
+		for i, k := range parts {
+			gpParts[k] = perms[i]
+		}
 		for _, mc := range cfg.Machines {
 			if err := ctx.Err(); err != nil {
 				return nil, &MatrixError{Name: m.Name, Ordering: alg, Err: err}
 			}
-			p, ok := gpParts[mc.Cores]
-			if !ok {
-				var ph reorder.PhaseTimings
-				var err error
-				p, ph, err = reorder.ComputeTimedCtx(ctx, reorder.GP, m.A,
-					reorder.Options{Seed: cfg.Seed, Parts: mc.Cores, Workers: cfg.ReorderWorkers})
-				if err != nil {
-					return nil, &MatrixError{Name: m.Name, Ordering: alg, Err: err}
-				}
-				phases.GraphSeconds += ph.GraphSeconds
-				phases.OrderSeconds += ph.OrderSeconds
-				gpParts[mc.Cores] = p
-			}
-			b, err := sparse.PermuteSymmetricWorkers(m.A, p, cfg.ReorderWorkers)
+			b, err := sparse.PermuteSymmetricWorkers(m.A, gpParts[mc.Cores], cfg.ReorderWorkers)
 			if err != nil {
 				return nil, &MatrixError{Name: m.Name, Ordering: alg, Err: err}
 			}

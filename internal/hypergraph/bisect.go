@@ -3,6 +3,7 @@ package hypergraph
 import (
 	"math/rand"
 
+	"sparseorder/internal/fmheap"
 	"sparseorder/internal/obs"
 	"sparseorder/internal/par"
 )
@@ -149,66 +150,6 @@ func initialBisection(h *Hypergraph, frac float64, opts Options, rng *rand.Rand)
 	return best
 }
 
-type hEntry struct {
-	v    int32
-	gain int
-}
-
-type hHeap []hEntry
-
-func (h hHeap) Len() int           { return len(h) }
-func (h hHeap) Less(i, j int) bool { return h[i].gain > h[j].gain }
-func (h hHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-
-func hHeapInit(h *hHeap) {
-	n := h.Len()
-	for i := n/2 - 1; i >= 0; i-- {
-		hHeapDown(h, i, n)
-	}
-}
-
-func hHeapPush(h *hHeap, e hEntry) {
-	*h = append(*h, e)
-	j := h.Len() - 1
-	for {
-		i := (j - 1) / 2
-		if i == j || !h.Less(j, i) {
-			break
-		}
-		h.Swap(i, j)
-		j = i
-	}
-}
-
-func hHeapPop(h *hHeap) hEntry {
-	n := h.Len() - 1
-	h.Swap(0, n)
-	hHeapDown(h, 0, n)
-	old := *h
-	e := old[n]
-	*h = old[:n]
-	return e
-}
-
-func hHeapDown(h *hHeap, i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h.Less(j2, j1) {
-			j = j2
-		}
-		if !h.Less(j, i) {
-			break
-		}
-		h.Swap(i, j)
-		i = j
-	}
-}
-
 // fmRefine runs FM passes on the bisection under the cut-net objective.
 // The gain of moving v is (nets that become internal) - (nets that become
 // cut), maintained from per-net side pin counts.
@@ -224,119 +165,162 @@ func fmRefine(h *Hypergraph, side []uint8, frac float64, opts Options) {
 	if maxW[1] <= 0 {
 		maxW[1] = 1
 	}
+	st := newFMState(h)
 	for pass := 0; pass < opts.RefinePasses; pass++ {
 		if par.Canceled(opts.Cancel) {
 			return
 		}
-		if !fmPass(h, side, maxW) {
+		if !fmPassFast(h, side, maxW, st) {
 			break
 		}
 	}
 }
 
-func fmPass(h *Hypergraph, side []uint8, maxW [2]int) bool {
-	// count[n][s] = pins of net n currently on side s.
-	count := make([][2]int32, h.Nets)
+// maxUpdateNetSize bounds the nets whose pins are re-queued after a move.
+// A move rarely flips the cut state of a larger net, so its pins keep
+// their queued entries; an entry that went stale is discarded when popped.
+const maxUpdateNetSize = 128
+
+// fmState carries fmPassFast's buffers across the passes on one
+// hypergraph so their backing arrays stay out of the allocator.
+type fmState struct {
+	count  [][2]int32 // count[n][s]: pins of net n on side s
+	tg     []int32    // true gain of every unlocked vertex
+	gain   []int32    // gain each vertex was last queued with
+	locked []bool
+	heap   []fmheap.Entry
+	moves  []int32
+}
+
+func newFMState(h *Hypergraph) *fmState {
+	return &fmState{
+		count:  make([][2]int32, h.Nets),
+		tg:     make([]int32, h.V),
+		gain:   make([]int32, h.V),
+		locked: make([]bool, h.V),
+	}
+}
+
+// netGain is the contribution of one net to the gain of a pin that has
+// own pins (itself included) on its side and other pins on the other:
+// moving the pin cuts an internal net and uncuts a net it is the last
+// pin of on its side. Nets with fewer than two pins contribute nothing.
+func netGain(own, other int32) int32 {
+	switch {
+	case own+other < 2:
+		return 0
+	case other == 0:
+		return -1
+	case own == 1:
+		return 1
+	}
+	return 0
+}
+
+// fmPassFast is one FM pass with incremental gains. tg[v] holds v's true
+// gain throughout: it is built at pass start from the side counts, and
+// when v moves, each of its nets changes every other pin's gain by the
+// same delta per side, which the pass adds to the unlocked pins. Pins of
+// nets up to maxUpdateNetSize are then re-queued at their true gain, one
+// net at a time in v's net order, so the heap receives exactly the
+// entries of a pass that recomputes each pin's gain from the counts after
+// every net. That recomputing pass is kept in the tests as the oracle
+// (TestLeanFMMatchesReference); the packed heap makes the same
+// comparisons as its swap-based heap, so the move sequence, and with it
+// the bisection, is byte-identical to it. Gains fit int32: |gain| is at
+// most a vertex's net count, and coarsening de-duplicates pins.
+func fmPassFast(h *Hypergraph, side []uint8, maxW [2]int, st *fmState) bool {
+	count, tg, gain, locked := st.count, st.tg, st.gain, st.locked
 	for n := 0; n < h.Nets; n++ {
+		c := [2]int32{}
 		for _, v := range h.Pins(n) {
-			count[n][side[v]]++
+			c[side[v]]++
 		}
+		count[n] = c
 	}
 	w := [2]int{}
+	// Only boundary vertices (pins of cut nets) can have positive gain, so
+	// the pass queues only them, as PaToH's boundary FM does.
+	pq := st.heap[:0]
 	for v := 0; v < h.V; v++ {
-		w[side[v]] += h.VertexWeight(v)
-	}
-
-	gainOf := func(v int) int {
-		g := 0
 		s := side[v]
+		w[s] += h.VertexWeight(v)
+		locked[v] = false
+		g, boundary := int32(0), false
 		for _, n := range h.NetsOf(v) {
 			c := count[n]
-			size := c[0] + c[1]
-			if size < 2 {
-				continue
-			}
-			if c[1-s] == 0 {
-				g-- // currently internal; the move cuts it
-			} else if c[s] == 1 {
-				g++ // v is the last pin on s; the move uncuts it
-			}
+			boundary = boundary || (c[0] > 0 && c[1] > 0)
+			g += netGain(c[s], c[1-s])
 		}
-		return g
+		tg[v] = g
+		if boundary {
+			gain[v] = g
+			pq = append(pq, fmheap.Entry{V: int32(v), Gain: g})
+		}
 	}
+	fmheap.Init(pq)
 
-	// Only boundary vertices (pins of cut nets) can have positive gain, so
-	// the pass restricts attention to them, as PaToH's boundary FM does.
-	isBoundary := make([]bool, h.V)
-	for n := 0; n < h.Nets; n++ {
-		if count[n][0] > 0 && count[n][1] > 0 {
-			for _, v := range h.Pins(n) {
-				isBoundary[v] = true
-			}
-		}
-	}
-	gain := make([]int, h.V)
-	locked := make([]bool, h.V)
-	pq := &hHeap{}
-	for v := 0; v < h.V; v++ {
-		if !isBoundary[v] {
-			continue
-		}
-		gain[v] = gainOf(v)
-		*pq = append(*pq, hEntry{int32(v), gain[v]})
-	}
-	hHeapInit(pq)
-
-	type move struct{ v int32 }
-	var moves []move
+	moves := st.moves[:0]
 	cumGain, bestGain, bestIdx := 0, 0, -1
-
-	for pq.Len() > 0 {
-		e := hHeapPop(pq)
-		v := int(e.v)
-		if locked[v] || e.gain != gain[v] {
-			continue
+	for len(pq) > 0 {
+		var e fmheap.Entry
+		e, pq = fmheap.Pop(pq)
+		v := int(e.V)
+		if locked[v] || e.Gain != gain[v] {
+			continue // stale entry
 		}
-		to := 1 - side[v]
+		from := side[v]
+		to := 1 - from
 		if w[to]+h.VertexWeight(v) > maxW[to] {
-			continue
+			continue // move would violate balance
 		}
 		locked[v] = true
-		w[side[v]] -= h.VertexWeight(v)
-		// Update net counts, then refresh gains of the affected pins. Very
-		// large nets are skipped in the gain refresh (their cut state almost
-		// never flips from one move); stale heap entries are discarded on pop.
-		const maxUpdateNetSize = 128
+		w[from] -= h.VertexWeight(v)
 		for _, n := range h.NetsOf(v) {
-			count[n][side[v]]--
-			count[n][to]++
+			c := count[n]
+			var d [2]int32 // gain change of the other pins, by side
+			d[from] = netGain(c[from]-1, c[to]+1) - netGain(c[from], c[to])
+			d[to] = netGain(c[to]+1, c[from]-1) - netGain(c[to], c[from])
+			c[from]--
+			c[to]++
+			count[n] = c
 			pins := h.Pins(int(n))
 			if len(pins) > maxUpdateNetSize {
+				if d != [2]int32{} {
+					for _, u := range pins {
+						if !locked[u] {
+							tg[u] += d[side[u]]
+						}
+					}
+				}
 				continue
 			}
 			for _, u := range pins {
 				if !locked[u] {
-					gain[u] = gainOf(int(u))
-					hHeapPush(pq, hEntry{u, gain[u]})
+					tg[u] += d[side[u]]
+					gain[u] = tg[u]
+					pq = fmheap.Push(pq, fmheap.Entry{V: u, Gain: tg[u]})
 				}
 			}
 		}
 		side[v] = to
 		w[to] += h.VertexWeight(v)
-		cumGain += e.gain
-		moves = append(moves, move{int32(v)})
+		cumGain += int(e.Gain)
+		moves = append(moves, int32(v))
 		if cumGain > bestGain {
 			bestGain = cumGain
 			bestIdx = len(moves) - 1
 		}
 	}
 
+	// Roll back moves past the best prefix.
 	for i := len(moves) - 1; i > bestIdx; i-- {
-		v := moves[i].v
+		v := moves[i]
 		s := side[v]
 		w[s] -= h.VertexWeight(int(v))
 		side[v] = 1 - s
 		w[side[v]] += h.VertexWeight(int(v))
 	}
+	st.heap, st.moves = pq, moves
 	return bestGain > 0
 }

@@ -1,9 +1,11 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
+	"sparseorder/internal/fmheap"
 	"sparseorder/internal/graph"
 	"sparseorder/internal/par"
 )
@@ -12,7 +14,8 @@ import (
 // the total vertex weight, using the full multilevel scheme. It returns
 // side[v] ∈ {0, 1} for every vertex. With Options.Obs set, the three
 // multilevel phases of this bisection land in the partition/coarsen,
-// partition/initial and partition/refine duration histograms.
+// partition/initial and partition/refine duration histograms. g, or the
+// graph it was induced from, must pass CheckEdgeWeights.
 func Bisect(g *graph.Graph, frac float64, opts Options, rng *rand.Rand) []uint8 {
 	opts = opts.withDefaults()
 	if g.N == 0 {
@@ -135,24 +138,14 @@ func cutOf(g *graph.Graph, side []uint8) int {
 	return cut / 2
 }
 
-// fmEntry is a heap element for Fiduccia-Mattheyses refinement; stale
-// entries (whose recorded gain no longer matches the current gain) are
-// discarded lazily on pop.
-type fmEntry struct {
-	v    int32
-	gain int
-}
-
-type fmHeap []fmEntry
-
-func (h fmHeap) Len() int           { return len(h) }
-func (h fmHeap) Less(i, j int) bool { return h[i].gain > h[j].gain }
-func (h fmHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-
 // fmRefine performs boundary Fiduccia-Mattheyses passes on the bisection:
 // each pass tentatively moves every vertex at most once in best-gain-first
 // order subject to the balance constraint, then rolls back to the best
-// prefix observed. Passes repeat until no pass improves the cut.
+// prefix observed. Passes repeat until no pass improves the cut. Every
+// worker count runs the same lean pass (fmPassFast); its gains travel in
+// int32 heap entries, which holds because KWay and nested dissection
+// check CheckEdgeWeights once on their input graph and coarsening never
+// raises the total edge weight.
 func fmRefine(g *graph.Graph, side []uint8, frac float64, opts Options) {
 	total := g.TotalVertexWeight()
 	max0 := int(float64(total) * frac * (1 + opts.Imbalance))
@@ -170,70 +163,52 @@ func fmRefine(g *graph.Graph, side []uint8, frac float64, opts Options) {
 
 	gain := make([]int, g.N)
 	locked := make([]bool, g.N)
-	// The parallel engine (Workers resolving above 1) swaps in the lean FM
-	// pass: identical move sequence and output (see fmPassFast), but with
-	// O(1) incremental gain maintenance instead of per-neighbour rescans
-	// and a packed heap, keeping the per-branch hot loops short while
-	// branches run concurrently. Workers<=1 keeps the straightforward
-	// reference pass, the same reference/lean split the graph-build and
-	// permute paths use. The packed heap holds gains in int32; gains are
-	// bounded by the total edge weight, so graphs beyond that bound (none
-	// the generators produce) stay on the reference pass.
-	fast := par.Resolve(opts.Workers) > 1 && totalEdgeWeight(g) <= math.MaxInt32
 	var st fmFastState
 	for pass := 0; pass < opts.RefinePasses; pass++ {
 		if par.Canceled(opts.Cancel) {
 			return
 		}
-		var improved bool
-		if fast {
-			improved = fmPassFast(g, side, gain, locked, &w, max0, max1, &st)
-		} else {
-			improved = fmPass(g, side, gain, locked, &w, max0, max1)
-		}
-		if !improved {
+		if !fmPassFast(g, side, gain, locked, &w, max0, max1, &st) {
 			break
 		}
 	}
 }
 
-// totalEdgeWeight sums the graph's edge weights (1 per edge slot when
-// unweighted); it bounds every FM gain's magnitude.
-func totalEdgeWeight(g *graph.Graph) int64 {
-	if g.EWgt == nil {
-		return int64(len(g.Adj))
+// CheckEdgeWeights reports whether g's total edge weight fits the int32
+// gains of the FM refinement. Every FM gain is bounded by that total, and
+// coarsening and induced subgraphs never raise it, so one check on the
+// input graph covers every level of the recursion. KWay runs it itself;
+// callers that drive VertexSeparator or Bisect directly run it once first.
+func CheckEdgeWeights(g *graph.Graph) error {
+	t := int64(len(g.Adj)) // 1 per edge slot when unweighted
+	if g.EWgt != nil {
+		t = 0
+		for _, w := range g.EWgt {
+			t += int64(w)
+		}
 	}
-	var t int64
-	for _, w := range g.EWgt {
-		t += int64(w)
+	if t > math.MaxInt32 {
+		return fmt.Errorf("partition: total edge weight %d exceeds the int32 gain range", t)
 	}
-	return t
-}
-
-// fmEntry32 is the packed heap entry of the lean FM pass: half the bytes
-// of fmEntry, halving the heap's memory traffic. Gains fit int32 because
-// fmRefine only selects the packed pass below that bound.
-type fmEntry32 struct {
-	v    int32
-	gain int32
+	return nil
 }
 
 // fmFastState carries fmPassFast's buffers across passes so their backing
 // arrays stay out of the allocator.
 type fmFastState struct {
-	heap  []fmEntry32
-	moves []fmEntry32
+	heap  []fmheap.Entry
+	moves []fmheap.Entry
 }
 
-// fmPassFast is fmPass with the bookkeeping of the classic FM
+// fmPassFast is one FM pass with the bookkeeping of the classic FM
 // implementation: when v moves off side s, a neighbour u's gain changes by
 // exactly +2·w(u,v) if u sits on s and -2·w(u,v) otherwise, so the
-// maintained gains equal the recomputed ones and the heap receives the
-// same entries in the same order. The packed hole-sifting heap performs
-// the same strict comparisons on the same values as the reference heap
-// and therefore reproduces its array layout and pop order exactly: the
-// move sequence, and with it the bisection, is byte-identical to the
-// reference pass at every worker count.
+// maintained gains equal recomputed ones and the heap receives the same
+// entries in the same order as a pass that rescans every neighbour's
+// edges after each move. That rescanning pass is kept in the tests as the
+// oracle (TestLeanFMMatchesReference); the packed heap makes the same
+// comparisons as its swap-based heap, so the move sequence, and with it
+// the bisection, is byte-identical to it.
 func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]int, max0, max1 int, st *fmFastState) bool {
 	ew := g.EWgt
 	edgeWeight := func(k int) int {
@@ -257,28 +232,22 @@ func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]i
 			}
 		}
 		gain[v] = ext - inn
+		// Only boundary (or positive-gain) vertices are worth queueing.
 		if gain[v] > 0 || boundary {
-			h = append(h, fmEntry32{int32(v), int32(gain[v])})
+			h = append(h, fmheap.Entry{V: int32(v), Gain: int32(gain[v])})
 		}
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		heapDown32(h, i, h[i])
-	}
+	fmheap.Init(h)
 
 	moves := st.moves[:0]
 	cumGain, bestGain, bestIdx := 0, 0, -1
 	maxW := [2]int{max0, max1}
 
 	for len(h) > 0 {
-		// Pop: hole-sift the former last element down from the root.
-		e := h[0]
-		last := h[len(h)-1]
-		h = h[:len(h)-1]
-		if len(h) > 0 {
-			heapDown32(h, 0, last)
-		}
-		v := int(e.v)
-		if locked[v] || int(e.gain) != gain[v] {
+		var e fmheap.Entry
+		e, h = fmheap.Pop(h)
+		v := int(e.V)
+		if locked[v] || int(e.Gain) != gain[v] {
 			continue // stale entry
 		}
 		from := side[v]
@@ -290,7 +259,7 @@ func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]i
 		w[from] -= g.VertexWeight(v)
 		side[v] = to
 		w[to] += g.VertexWeight(v)
-		cumGain += int(e.gain)
+		cumGain += int(e.Gain)
 		moves = append(moves, e)
 		if cumGain > bestGain {
 			bestGain = cumGain
@@ -307,193 +276,17 @@ func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]i
 			} else {
 				gain[u] -= 2 * edgeWeight(k)
 			}
-			h = heapPush32(h, fmEntry32{u, int32(gain[u])})
+			h = fmheap.Push(h, fmheap.Entry{V: u, Gain: int32(gain[u])})
 		}
 	}
 
+	// Roll back moves past the best prefix.
 	for i := len(moves) - 1; i > bestIdx; i-- {
-		v := moves[i].v
+		v := moves[i].V
 		w[side[v]] -= g.VertexWeight(int(v))
 		side[v] = 1 - side[v]
 		w[side[v]] += g.VertexWeight(int(v))
 	}
 	st.heap, st.moves = h, moves
 	return bestGain > 0
-}
-
-// heapDown32 sifts x down from slot i, moving strictly greater children up
-// into the hole instead of swapping — the same comparisons as heapDown, so
-// the same final layout, with one write per level instead of three.
-func heapDown32(h []fmEntry32, i int, x fmEntry32) {
-	n := len(h)
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h[j2].gain > h[j1].gain {
-			j = j2
-		}
-		if h[j].gain <= x.gain {
-			break
-		}
-		h[i] = h[j]
-		i = j
-	}
-	h[i] = x
-}
-
-// heapPush32 appends e and hole-sifts it up; same comparisons and final
-// layout as heapPush.
-func heapPush32(h []fmEntry32, e fmEntry32) []fmEntry32 {
-	h = append(h, e)
-	j := len(h) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if e.gain <= h[i].gain {
-			break
-		}
-		h[j] = h[i]
-		j = i
-	}
-	h[j] = e
-	return h
-}
-
-func fmPass(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]int, max0, max1 int) bool {
-	// Gain of moving v to the other side: external - internal edge weight.
-	computeGain := func(v int) int {
-		ext, inn := 0, 0
-		for k := g.Ptr[v]; k < g.Ptr[v+1]; k++ {
-			if side[g.Adj[k]] != side[v] {
-				ext += g.EdgeWeight(k)
-			} else {
-				inn += g.EdgeWeight(k)
-			}
-		}
-		return ext - inn
-	}
-
-	h := &fmHeap{}
-	for v := 0; v < g.N; v++ {
-		locked[v] = false
-		gain[v] = computeGain(v)
-		// Only boundary (or positive-gain) vertices are worth queueing.
-		if gain[v] > 0 || isBoundary(g, side, v) {
-			*h = append(*h, fmEntry{int32(v), gain[v]})
-		}
-	}
-	heapInit(h)
-
-	type move struct {
-		v    int32
-		gain int
-	}
-	var moves []move
-	cumGain, bestGain, bestIdx := 0, 0, -1
-	maxW := [2]int{max0, max1}
-
-	for h.Len() > 0 {
-		e := heapPop(h)
-		v := int(e.v)
-		if locked[v] || e.gain != gain[v] {
-			continue // stale entry
-		}
-		to := 1 - side[v]
-		if w[to]+g.VertexWeight(v) > maxW[to] {
-			continue // move would violate balance
-		}
-		// Commit the tentative move.
-		locked[v] = true
-		w[side[v]] -= g.VertexWeight(v)
-		side[v] = to
-		w[to] += g.VertexWeight(v)
-		cumGain += e.gain
-		moves = append(moves, move{int32(v), e.gain})
-		if cumGain > bestGain {
-			bestGain = cumGain
-			bestIdx = len(moves) - 1
-		}
-		for k := g.Ptr[v]; k < g.Ptr[v+1]; k++ {
-			u := g.Adj[k]
-			if locked[u] {
-				continue
-			}
-			gain[u] = computeGain(int(u))
-			heapPush(h, fmEntry{u, gain[u]})
-		}
-	}
-
-	// Roll back moves past the best prefix.
-	for i := len(moves) - 1; i > bestIdx; i-- {
-		v := moves[i].v
-		w[side[v]] -= g.VertexWeight(int(v))
-		side[v] = 1 - side[v]
-		w[side[v]] += g.VertexWeight(int(v))
-	}
-	return bestGain > 0
-}
-
-func isBoundary(g *graph.Graph, side []uint8, v int) bool {
-	for k := g.Ptr[v]; k < g.Ptr[v+1]; k++ {
-		if side[g.Adj[k]] != side[v] {
-			return true
-		}
-	}
-	return false
-}
-
-// Minimal container/heap re-implementation specialised to fmHeap to avoid
-// interface boxing in the hot path.
-func heapInit(h *fmHeap) {
-	n := h.Len()
-	for i := n/2 - 1; i >= 0; i-- {
-		heapDown(h, i, n)
-	}
-}
-
-func heapPush(h *fmHeap, e fmEntry) {
-	*h = append(*h, e)
-	heapUp(h, h.Len()-1)
-}
-
-func heapPop(h *fmHeap) fmEntry {
-	n := h.Len() - 1
-	h.Swap(0, n)
-	heapDown(h, 0, n)
-	old := *h
-	e := old[n]
-	*h = old[:n]
-	return e
-}
-
-func heapUp(h *fmHeap, j int) {
-	for {
-		i := (j - 1) / 2
-		if i == j || !h.Less(j, i) {
-			break
-		}
-		h.Swap(i, j)
-		j = i
-	}
-}
-
-func heapDown(h *fmHeap, i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h.Less(j2, j1) {
-			j = j2
-		}
-		if !h.Less(j, i) {
-			break
-		}
-		h.Swap(i, j)
-		i = j
-	}
 }

@@ -1,0 +1,277 @@
+package partition
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"sparseorder/internal/gen"
+	"sparseorder/internal/graph"
+)
+
+// This file keeps the reference FM pass as the oracle of the lean pass
+// that production runs (fmPassFast): after every move it recomputes each
+// unlocked neighbour's gain from scratch, and it queues entries in a
+// plain swap-based binary heap.
+
+// fmEntry is a heap element of the reference pass; stale entries (whose
+// recorded gain no longer matches the current gain) are discarded lazily
+// on pop.
+type fmEntry struct {
+	v    int32
+	gain int
+}
+
+type fmHeap []fmEntry
+
+func (h fmHeap) Len() int           { return len(h) }
+func (h fmHeap) Less(i, j int) bool { return h[i].gain > h[j].gain }
+func (h fmHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+
+// fmPass is one reference FM pass, with fmPassFast's contract.
+func fmPass(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]int, max0, max1 int) bool {
+	// Gain of moving v to the other side: external - internal edge weight.
+	computeGain := func(v int) int {
+		ext, inn := 0, 0
+		for k := g.Ptr[v]; k < g.Ptr[v+1]; k++ {
+			if side[g.Adj[k]] != side[v] {
+				ext += g.EdgeWeight(k)
+			} else {
+				inn += g.EdgeWeight(k)
+			}
+		}
+		return ext - inn
+	}
+
+	h := &fmHeap{}
+	for v := 0; v < g.N; v++ {
+		locked[v] = false
+		gain[v] = computeGain(v)
+		// Only boundary (or positive-gain) vertices are worth queueing.
+		if gain[v] > 0 || isBoundary(g, side, v) {
+			*h = append(*h, fmEntry{int32(v), gain[v]})
+		}
+	}
+	heapInit(h)
+
+	type move struct {
+		v    int32
+		gain int
+	}
+	var moves []move
+	cumGain, bestGain, bestIdx := 0, 0, -1
+	maxW := [2]int{max0, max1}
+
+	for h.Len() > 0 {
+		e := heapPop(h)
+		v := int(e.v)
+		if locked[v] || e.gain != gain[v] {
+			continue // stale entry
+		}
+		to := 1 - side[v]
+		if w[to]+g.VertexWeight(v) > maxW[to] {
+			continue // move would violate balance
+		}
+		// Commit the tentative move.
+		locked[v] = true
+		w[side[v]] -= g.VertexWeight(v)
+		side[v] = to
+		w[to] += g.VertexWeight(v)
+		cumGain += e.gain
+		moves = append(moves, move{int32(v), e.gain})
+		if cumGain > bestGain {
+			bestGain = cumGain
+			bestIdx = len(moves) - 1
+		}
+		for k := g.Ptr[v]; k < g.Ptr[v+1]; k++ {
+			u := g.Adj[k]
+			if locked[u] {
+				continue
+			}
+			gain[u] = computeGain(int(u))
+			heapPush(h, fmEntry{u, gain[u]})
+		}
+	}
+
+	// Roll back moves past the best prefix.
+	for i := len(moves) - 1; i > bestIdx; i-- {
+		v := moves[i].v
+		w[side[v]] -= g.VertexWeight(int(v))
+		side[v] = 1 - side[v]
+		w[side[v]] += g.VertexWeight(int(v))
+	}
+	return bestGain > 0
+}
+
+func isBoundary(g *graph.Graph, side []uint8, v int) bool {
+	for k := g.Ptr[v]; k < g.Ptr[v+1]; k++ {
+		if side[g.Adj[k]] != side[v] {
+			return true
+		}
+	}
+	return false
+}
+
+// Minimal container/heap re-implementation specialised to fmHeap to avoid
+// interface boxing in the hot path.
+func heapInit(h *fmHeap) {
+	n := h.Len()
+	for i := n/2 - 1; i >= 0; i-- {
+		heapDown(h, i, n)
+	}
+}
+
+func heapPush(h *fmHeap, e fmEntry) {
+	*h = append(*h, e)
+	heapUp(h, h.Len()-1)
+}
+
+func heapPop(h *fmHeap) fmEntry {
+	n := h.Len() - 1
+	h.Swap(0, n)
+	heapDown(h, 0, n)
+	old := *h
+	e := old[n]
+	*h = old[:n]
+	return e
+}
+
+func heapUp(h *fmHeap, j int) {
+	for {
+		i := (j - 1) / 2
+		if i == j || !h.Less(j, i) {
+			break
+		}
+		h.Swap(i, j)
+		j = i
+	}
+}
+
+func heapDown(h *fmHeap, i0, n int) {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n {
+			break
+		}
+		j := j1
+		if j2 := j1 + 1; j2 < n && h.Less(j2, j1) {
+			j = j2
+		}
+		if !h.Less(j, i) {
+			break
+		}
+		h.Swap(i, j)
+		i = j
+	}
+}
+
+// fmOracleCase runs the reference and the lean pass pass by pass on g from
+// the same starting sides, with fmRefine's balance caps, and fails on the
+// first pass whose side arrays, side weights or return values differ. It
+// returns the number of passes that improved the cut.
+func fmOracleCase(t *testing.T, name string, g *graph.Graph, start []uint8, frac float64) int {
+	t.Helper()
+	opts := Options{}.withDefaults()
+	total := g.TotalVertexWeight()
+	max0 := max(int(float64(total)*frac*(1+opts.Imbalance)), 1)
+	max1 := max(int(float64(total)*(1-frac)*(1+opts.Imbalance)), 1)
+	refSide := append([]uint8(nil), start...)
+	leanSide := append([]uint8(nil), start...)
+	var wRef [2]int
+	for v := 0; v < g.N; v++ {
+		wRef[start[v]] += g.VertexWeight(v)
+	}
+	wLean := wRef
+	gainRef, lockedRef := make([]int, g.N), make([]bool, g.N)
+	gainLean, lockedLean := make([]int, g.N), make([]bool, g.N)
+	var st fmFastState
+	improved := 0
+	for pass := 0; pass < 2*opts.RefinePasses; pass++ {
+		ref := fmPass(g, refSide, gainRef, lockedRef, &wRef, max0, max1)
+		lean := fmPassFast(g, leanSide, gainLean, lockedLean, &wLean, max0, max1, &st)
+		if ref != lean || wRef != wLean || !bytes.Equal(refSide, leanSide) {
+			t.Fatalf("%s frac=%.2f pass %d: lean pass (improved=%v, w=%v) diverges from the reference (improved=%v, w=%v)",
+				name, frac, pass, lean, wLean, ref, wRef)
+		}
+		if !ref {
+			break
+		}
+		improved++
+	}
+	return improved
+}
+
+// TestLeanFMMatchesReference checks the lean FM pass against the reference
+// pass on every coarsening level of a scrambled grid (coarse levels carry
+// vertex and edge weights), on an irregular power-law graph and on two
+// cliques joined by a bridge, from both initial bisections and random
+// sides, for an even and an uneven split.
+func TestLeanFMMatchesReference(t *testing.T) {
+	grid, err := graph.FromMatrix(gen.Scramble(gen.Grid2D(48, 48), 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kron, err := graph.FromMatrixSymmetrized(gen.RMAT(9, 8, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*graph.Graph{"kron": kron, "cliques": twoCliquesBridge(t, 12)}
+	rng := rand.New(rand.NewSource(11))
+	levels := coarsen(grid, Options{CoarsenTo: 16}.withDefaults(), rng)
+	graphs["grid"] = grid
+	weighted := false
+	for i, lv := range levels {
+		graphs[fmt.Sprintf("grid/level%d", i+1)] = lv.coarse
+		weighted = weighted || (lv.coarse.VWgt != nil && lv.coarse.EWgt != nil)
+	}
+	if len(levels) < 3 || !weighted {
+		t.Fatalf("coarsening gave %d levels (weighted=%v); want at least 3 weighted levels", len(levels), weighted)
+	}
+	improved := 0
+	names := make([]string, 0, len(graphs))
+	for name := range graphs {
+		names = append(names, name)
+	}
+	sort.Strings(names) // a fixed order keeps the random sides reproducible
+	for _, name := range names {
+		g := graphs[name]
+		for _, frac := range []float64{0.5, 0.6} {
+			opts := Options{}.withDefaults()
+			improved += fmOracleCase(t, name+"/initial", g, initialBisection(g, frac, opts, rng), frac)
+			random := make([]uint8, g.N)
+			for v := range random {
+				random[v] = uint8(rng.Intn(2))
+			}
+			improved += fmOracleCase(t, name+"/random", g, random, frac)
+		}
+	}
+	if improved == 0 {
+		t.Fatal("no pass improved a cut: the comparison exercised no moves")
+	}
+}
+
+// TestKWayRejectsOversizedEdgeWeights builds a path whose total edge
+// weight exceeds the int32 range of the FM gains: KWay must refuse it
+// with an error rather than refine with overflowing gains.
+func TestKWayRejectsOversizedEdgeWeights(t *testing.T) {
+	g := &graph.Graph{
+		N:    3,
+		Ptr:  []int{0, 1, 3, 4},
+		Adj:  []int32{1, 0, 2, 1},
+		EWgt: []int32{math.MaxInt32, math.MaxInt32, 1, 1},
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := KWay(g, 2, Options{Seed: 1}); err == nil {
+		t.Fatal("KWay accepted a graph whose total edge weight exceeds int32")
+	}
+	g.EWgt = []int32{1, 1, 1, 1}
+	if _, _, err := KWay(g, 2, Options{Seed: 1}); err != nil {
+		t.Fatalf("KWay rejected a small graph: %v", err)
+	}
+}

@@ -94,25 +94,55 @@ func (o Options) withDefaults() Options {
 // KWay partitions g into k parts by recursive bisection, minimising edge
 // cut subject to the balance tolerance. It returns the part id of every
 // vertex and the achieved edge cut (sum of weights of edges whose
-// endpoints land in different parts).
+// endpoints land in different parts). A graph whose total edge weight
+// fails CheckEdgeWeights is rejected with an error.
 func KWay(g *graph.Graph, k int, opts Options) ([]int32, int, error) {
-	if k < 1 {
-		return nil, 0, fmt.Errorf("partition: k must be >= 1, got %d", k)
+	parts, cuts, err := KWayMulti(g, []int{k}, opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	return parts[0], cuts[0], nil
+}
+
+// KWayMulti partitions g once for every part count in ks, returning the
+// part assignments and edge cuts in ks order. Each result is
+// byte-identical to KWay(g, ks[i], opts), but the part counts share the
+// recursion nodes they have in common: a node's bisection depends only on
+// its vertex set, its seed and its split fraction, so it runs once for
+// every part count that reaches it with the same fraction (64 and 128
+// parts agree on every node of the 64-part recursion, 48 and 64 parts on
+// the first four levels).
+func KWayMulti(g *graph.Graph, ks []int, opts Options) ([][]int32, []int, error) {
+	for _, k := range ks {
+		if k < 1 {
+			return nil, nil, fmt.Errorf("partition: k must be >= 1, got %d", k)
+		}
+	}
+	if err := CheckEdgeWeights(g); err != nil {
+		return nil, nil, err
 	}
 	opts = opts.withDefaults()
-	part := make([]int32, g.N)
-	if k == 1 {
-		return part, 0, nil
+	parts := make([][]int32, len(ks))
+	var jobs []kwayJob
+	for i, k := range ks {
+		parts[i] = make([]int32, g.N)
+		jobs = append(jobs, kwayJob{part: parts[i], k: k})
 	}
 	verts := make([]int32, g.N)
 	for i := range verts {
 		verts[i] = int32(i)
 	}
-	recursiveBisect(g, verts, 0, k, part, opts, opts.Seed, par.NewLimiter(opts.Workers))
+	recursiveBisect(g, verts, jobs, opts, opts.Seed, par.NewLimiter(opts.Workers))
 	if par.Canceled(opts.Cancel) {
-		return nil, 0, context.Canceled
+		return nil, nil, context.Canceled
 	}
-	return part, EdgeCut(g, part), nil
+	cuts := make([]int, len(ks))
+	for i, k := range ks {
+		if k > 1 {
+			cuts[i] = EdgeCut(g, parts[i])
+		}
+	}
+	return parts, cuts, nil
 }
 
 // KWayCtx is KWay driven by a context: the context's done channel is
@@ -137,46 +167,90 @@ func KWayCtx(ctx context.Context, g *graph.Graph, k int, opts Options) ([]int32,
 // costs more than it recovers.
 const parallelMinVerts = 4096
 
-// recursiveBisect partitions the subgraph induced by verts into parts
-// firstPart … firstPart+k-1, writing assignments into part. Each branch
-// derives its own RNG from seed, so the serial and parallel executions
-// produce identical partitions. The two sub-branches write to disjoint
-// entries of part, making the parallel recursion race-free; lim bounds
-// the live goroutines to the configured worker count (a nil lim recurses
-// serially).
-func recursiveBisect(g *graph.Graph, verts []int32, firstPart, k int, part []int32, opts Options, seed int64, lim *par.Limiter) {
+// kwayJob is one part count's share of a recursion node: the node's
+// vertices go to parts firstPart … firstPart+k-1 of part.
+type kwayJob struct {
+	part      []int32
+	firstPart int
+	k         int
+}
+
+// recursiveBisect partitions the subgraph induced by verts for every job.
+// Jobs that split with the same fraction share one bisection, and each
+// bisection derives its RNG from seed alone, so a job's result does not
+// depend on which other jobs ran beside it, nor on scheduling. The two
+// branches of a bisection write disjoint entries of each job's part, and
+// different jobs write different part arrays, which keeps the parallel
+// recursion race-free; lim bounds the live goroutines to the configured
+// worker count (a nil lim recurses serially).
+func recursiveBisect(g *graph.Graph, verts []int32, jobs []kwayJob, opts Options, seed int64, lim *par.Limiter) {
 	if par.Canceled(opts.Cancel) {
 		return
 	}
-	if k == 1 {
-		for _, v := range verts {
-			part[v] = int32(firstPart)
+	var live []kwayJob
+	for _, j := range jobs {
+		if j.k > 1 {
+			live = append(live, j)
+			continue
 		}
+		for _, v := range verts {
+			j.part[v] = int32(j.firstPart)
+		}
+	}
+	if len(live) == 0 {
 		return
 	}
-	rng := rand.New(rand.NewSource(seed))
 	sub, orig := graph.InducedSubgraph(g, verts)
-	kLeft := (k + 1) / 2
-	frac := float64(kLeft) / float64(k)
-	side := Bisect(sub, frac, opts, rng)
-	var left, right []int32
-	for i, s := range side {
-		if s == 0 {
-			left = append(left, orig[i])
-		} else {
-			right = append(right, orig[i])
-		}
-	}
 	leftSeed := seed*2654435761 + 1
 	rightSeed := seed*2654435761 + 2
-	if lim != nil && len(verts) > parallelMinVerts {
-		lim.Fork(
-			func() { recursiveBisect(g, left, firstPart, kLeft, part, opts, leftSeed, lim) },
-			func() { recursiveBisect(g, right, firstPart+kLeft, k-kLeft, part, opts, rightSeed, lim) })
+	var branches []func()
+	for len(live) > 0 {
+		frac := splitFraction(live[0].k)
+		var leftJobs, rightJobs, rest []kwayJob
+		for _, j := range live {
+			if splitFraction(j.k) != frac {
+				rest = append(rest, j)
+				continue
+			}
+			kLeft := (j.k + 1) / 2
+			leftJobs = append(leftJobs, kwayJob{j.part, j.firstPart, kLeft})
+			rightJobs = append(rightJobs, kwayJob{j.part, j.firstPart + kLeft, j.k - kLeft})
+		}
+		live = rest
+		side := Bisect(sub, frac, opts, rand.New(rand.NewSource(seed)))
+		var left, right []int32
+		for i, s := range side {
+			if s == 0 {
+				left = append(left, orig[i])
+			} else {
+				right = append(right, orig[i])
+			}
+		}
+		branches = append(branches,
+			func() { recursiveBisect(g, left, leftJobs, opts, leftSeed, lim) },
+			func() { recursiveBisect(g, right, rightJobs, opts, rightSeed, lim) })
+	}
+	fork := lim
+	if len(verts) <= parallelMinVerts {
+		fork = nil
+	}
+	forkAll(fork, branches)
+}
+
+// splitFraction is the share of the vertex weight that a k-part
+// recursion node sends to its left branch.
+func splitFraction(k int) float64 {
+	return float64((k+1)/2) / float64(k)
+}
+
+// forkAll runs every branch and returns when all are done, forking
+// through lim (nil runs them in order).
+func forkAll(lim *par.Limiter, branches []func()) {
+	if len(branches) == 1 {
+		branches[0]()
 		return
 	}
-	recursiveBisect(g, left, firstPart, kLeft, part, opts, leftSeed, lim)
-	recursiveBisect(g, right, firstPart+kLeft, k-kLeft, part, opts, rightSeed, lim)
+	lim.Fork(branches[0], func() { forkAll(lim, branches[1:]) })
 }
 
 // EdgeCut returns the total weight of edges crossing between different

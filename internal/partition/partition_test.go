@@ -337,3 +337,38 @@ func TestRandomMatchIsMatching(t *testing.T) {
 		}
 	}
 }
+
+// TestKWayMultiMatchesKWay checks that partitioning for several part
+// counts at once, sharing the bisections they have in common, returns for
+// each part count exactly what KWay returns for it alone, at every worker
+// count (the grid is above the 4096-vertex fork threshold).
+func TestKWayMultiMatchesKWay(t *testing.T) {
+	g := gridGraph(t, 90, 90)
+	ks := []int{32, 72, 64, 16, 48, 128, 1, 3, 64}
+	opts := Options{Seed: 6}
+	for _, workers := range []int{1, 2, 0} {
+		opts.Workers = workers
+		parts, cuts, err := KWayMulti(g, ks, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range ks {
+			want, wantCut, err := KWay(g, k, Options{Seed: 6, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cuts[i] != wantCut {
+				t.Fatalf("workers=%d k=%d: cut %d, KWay alone %d", workers, k, cuts[i], wantCut)
+			}
+			for v := range want {
+				if parts[i][v] != want[v] {
+					t.Fatalf("workers=%d k=%d: part of vertex %d is %d, KWay alone gives %d",
+						workers, k, v, parts[i][v], want[v])
+				}
+			}
+		}
+	}
+	if _, _, err := KWayMulti(g, []int{4, 0}, opts); err == nil {
+		t.Fatal("KWayMulti accepted k = 0")
+	}
+}

@@ -3,6 +3,7 @@ package partition
 import (
 	"math/rand"
 
+	"sparseorder/internal/fmheap"
 	"sparseorder/internal/graph"
 )
 
@@ -11,7 +12,8 @@ import (
 // vertex cover of that bipartite graph separates the remaining vertices.
 // The cover is found greedily, repeatedly taking the boundary vertex
 // incident to the most uncovered cut edges. It returns per-vertex labels:
-// 0 and 1 for the two sides, 2 for the separator.
+// 0 and 1 for the two sides, 2 for the separator. g, or the graph it was
+// induced from, must pass CheckEdgeWeights.
 func VertexSeparator(g *graph.Graph, opts Options, rng *rand.Rand) []uint8 {
 	if g.N == 0 {
 		return nil
@@ -32,17 +34,18 @@ func VertexSeparator(g *graph.Graph, opts Options, rng *rand.Rand) []uint8 {
 			}
 		}
 	}
-	h := &fmHeap{}
+	var h []fmheap.Entry
 	for v := 0; v < g.N; v++ {
 		if cutDeg[v] > 0 {
-			*h = append(*h, fmEntry{int32(v), cutDeg[v]})
+			h = append(h, fmheap.Entry{V: int32(v), Gain: int32(cutDeg[v])})
 		}
 	}
-	heapInit(h)
-	for h.Len() > 0 {
-		e := heapPop(h)
-		v := int(e.v)
-		if label[v] == 2 || e.gain != cutDeg[v] || cutDeg[v] == 0 {
+	fmheap.Init(h)
+	for len(h) > 0 {
+		var e fmheap.Entry
+		e, h = fmheap.Pop(h)
+		v := int(e.V)
+		if label[v] == 2 || int(e.Gain) != cutDeg[v] || cutDeg[v] == 0 {
 			continue
 		}
 		label[v] = 2
@@ -51,7 +54,7 @@ func VertexSeparator(g *graph.Graph, opts Options, rng *rand.Rand) []uint8 {
 			if label[u] != 2 && side[u] != side[v] {
 				cutDeg[u]--
 				if cutDeg[u] > 0 {
-					heapPush(h, fmEntry{u, cutDeg[u]})
+					h = fmheap.Push(h, fmheap.Entry{V: u, Gain: int32(cutDeg[u])})
 				}
 			}
 		}

@@ -24,8 +24,17 @@ func GraphPartitionOrder(g *graph.Graph, opts Options) (sparse.Perm, error) {
 // partitioner's coarsening, initial-bisection and refinement loops; a
 // cancellation surfaces as a partitioner error (context.Canceled).
 func graphPartitionOrder(g *graph.Graph, opts Options, done <-chan struct{}) (sparse.Perm, error) {
-	opts = opts.withDefaults()
-	part, _, err := partition.KWay(g, opts.Parts, partition.Options{
+	perms, err := graphPartitionOrders(g, []int{opts.withDefaults().Parts}, opts, done)
+	if err != nil {
+		return nil, err
+	}
+	return perms[0], nil
+}
+
+// graphPartitionOrders is graphPartitionOrder for several part counts,
+// which share their common bisections.
+func graphPartitionOrders(g *graph.Graph, parts []int, opts Options, done <-chan struct{}) ([]sparse.Perm, error) {
+	assign, _, err := partition.KWayMulti(g, parts, partition.Options{
 		Seed:    opts.Seed,
 		Workers: opts.Workers,
 		Cancel:  done,
@@ -34,7 +43,11 @@ func graphPartitionOrder(g *graph.Graph, opts Options, done <-chan struct{}) (sp
 	if err != nil {
 		return nil, err
 	}
-	return orderByPart(part), nil
+	perms := make([]sparse.Perm, len(assign))
+	for i, part := range assign {
+		perms[i] = orderByPart(part)
+	}
+	return perms, nil
 }
 
 // HypergraphPartitionOrder computes the HP ordering of the study: the

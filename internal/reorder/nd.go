@@ -24,16 +24,22 @@ const ndForkMinVerts = 1024
 // opts.Workers: each branch derives its own deterministic RNG seed and
 // writes a disjoint segment of the permutation (left half first, right
 // half next, separator last), so the ordering is byte-identical at every
-// worker count.
-func NestedDissection(g *graph.Graph, opts Options) sparse.Perm {
+// worker count. A graph whose total edge weight fails
+// partition.CheckEdgeWeights is rejected with an error.
+func NestedDissection(g *graph.Graph, opts Options) (sparse.Perm, error) {
 	return nestedDissection(g, opts, nil)
 }
 
 // nestedDissection is the cancellable ND core: done is polled at every
 // dissection branch and threaded into the separator's multilevel machinery
 // and the small-subproblem AMD (nil never cancels). A cancelled call
-// returns a partial permutation the caller must discard.
-func nestedDissection(g *graph.Graph, opts Options, done <-chan struct{}) sparse.Perm {
+// returns a partial permutation the caller must discard. The edge-weight
+// check runs once here, on the top-level graph: every dissected subgraph
+// is induced from it and weighs no more.
+func nestedDissection(g *graph.Graph, opts Options, done <-chan struct{}) (sparse.Perm, error) {
+	if err := partition.CheckEdgeWeights(g); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	perm := make(sparse.Perm, g.N)
 	verts := make([]int32, g.N)
@@ -42,7 +48,7 @@ func nestedDissection(g *graph.Graph, opts Options, done <-chan struct{}) sparse
 	}
 	popts := partition.Options{Workers: opts.Workers, Cancel: done, Obs: opts.obs}
 	dissect(g, verts, perm, opts, popts, opts.Seed, par.NewLimiter(opts.Workers))
-	return perm
+	return perm, nil
 }
 
 // dissect orders the subgraph induced by verts into out (len(out) ==

@@ -1,6 +1,7 @@
 package reorder
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -219,5 +220,30 @@ func BenchmarkReorderPipeline(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestComputeGPTimedCtxMatchesCompute checks that the GP orderings
+// computed together for several part counts equal the ones computed one
+// part count at a time, at every worker count.
+func TestComputeGPTimedCtxMatchesCompute(t *testing.T) {
+	a := gen.Scramble(gen.Grid2D(40, 40), 8)
+	parts := []int{16, 48, 32, 72, 128, 64}
+	for _, w := range identityWorkerCounts() {
+		perms, _, err := ComputeGPTimedCtx(context.Background(), a, parts, Options{Seed: 5, Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range parts {
+			want, err := Compute(GP, a, Options{Seed: 5, Parts: k, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range want {
+				if perms[i][j] != want[j] {
+					t.Fatalf("workers=%d parts=%d: permutation differs at %d", w, k, j)
+				}
+			}
+		}
 	}
 }

@@ -69,8 +69,9 @@ type Options struct {
 	// A+Aᵀ adjacency construction, the permutation application in Apply,
 	// and the graph/matrix orderings: component-parallel Cuthill-McKee,
 	// fork-join nested dissection, and the parallel recursive bisections
-	// behind GP and HP. AMD runs one serial engine at every worker count.
-	// 0 means GOMAXPROCS, 1 runs the exact serial code path. Permutations
+	// behind GP and HP. AMD, and the FM refinement inside GP, HP and ND,
+	// run one engine at every worker count. 0 means GOMAXPROCS, 1 runs
+	// everything serially on the calling goroutine. Permutations
 	// and reordered matrices are byte-identical at every worker count (see
 	// DESIGN.md, "Parallel reordering determinism contract").
 	Workers int
@@ -168,75 +169,55 @@ func ComputeTimed(alg Algorithm, a *sparse.CSR, opts Options) (sparse.Perm, Phas
 // PhaseTimings return into the run-wide tracing/metrics view. Without an
 // Obs the instrumentation is a nil check per phase and allocates nothing.
 func ComputeTimedCtx(ctx context.Context, alg Algorithm, a *sparse.CSR, opts Options) (sparse.Perm, PhaseTimings, error) {
-	var t PhaseTimings
-	if err := ctx.Err(); err != nil {
+	opts, g, t, err := prepareOrdering(ctx, alg, a, opts)
+	if err != nil {
 		return nil, t, err
 	}
-	if a.Rows != a.Cols {
-		return nil, t, fmt.Errorf("reorder: matrix must be square, got %dx%d", a.Rows, a.Cols)
-	}
-	opts = opts.withDefaults()
-	if opts.obs == nil {
-		opts.obs = obs.FromContext(ctx)
-	}
-	o := opts.obs
-	done := ctx.Done()
-	// Fault hooks fire at the phase boundaries, keyed by (alg, shape) so an
-	// injected schedule hits the same (matrix, ordering) pairs in every run
-	// and resume. Enabled() guards the key construction: with no plan armed
-	// the hook is one atomic load and allocates nothing.
-	if faultinject.Enabled() {
-		if err := faultinject.Check(faultPoint(alg), faultKey(alg, a)); err != nil {
-			return nil, t, err
-		}
-	}
-	if alg.NeedsGraph() {
-		sp := o.Span("reorder/graph")
-		sp.SetAttr("alg", string(alg))
-		start := time.Now()
-		g, err := graph.FromMatrixSymmetrizedWorkers(a, opts.Workers)
-		t.GraphSeconds = time.Since(start).Seconds()
-		sp.End()
-		if err != nil {
-			return nil, t, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, t, err
-		}
-		if faultinject.Enabled() {
-			if err := faultinject.Check(faultinject.ReorderOrder, faultKey(alg, a)); err != nil {
-				return nil, t, err
-			}
-		}
-		sp = o.Span("reorder/order")
-		sp.SetAttr("alg", string(alg))
-		start = time.Now()
-		p, err := orderGraph(alg, g, opts, done)
-		t.OrderSeconds = time.Since(start).Seconds()
-		sp.End()
-		if cerr := ctx.Err(); cerr != nil {
-			// The ordering bailed out early; its partial result must not
-			// escape to callers.
-			return nil, t, cerr
-		}
-		return p, t, err
-	}
-	sp := o.Span("reorder/order")
+	sp := opts.obs.Span("reorder/order")
 	sp.SetAttr("alg", string(alg))
 	start := time.Now()
 	var p sparse.Perm
-	var err error
-	switch alg {
-	case Original:
+	done := ctx.Done()
+	switch {
+	case g != nil:
+		p, err = orderGraph(alg, g, opts, done)
+	case alg == Original:
 		p = sparse.Identity(a.Rows)
-	case HP:
+	case alg == HP:
 		p, err = hypergraphPartitionOrder(a, opts, done)
-	case Gray:
+	case alg == Gray:
 		p = GrayOrder(a, opts)
 	default:
-		sp.End()
-		return nil, t, fmt.Errorf("reorder: unknown algorithm %q", alg)
+		err = fmt.Errorf("reorder: unknown algorithm %q", alg)
 	}
+	t.OrderSeconds = time.Since(start).Seconds()
+	sp.End()
+	if cerr := ctx.Err(); cerr != nil {
+		// The ordering bailed out early; its partial result must not
+		// escape to callers.
+		return nil, t, cerr
+	}
+	if err != nil {
+		return nil, t, err
+	}
+	return p, t, nil
+}
+
+// ComputeGPTimedCtx is ComputeTimedCtx for GP at every part count in
+// parts at once; opts.Parts is ignored. perms[i] is byte-identical to the
+// GP ordering with Parts = parts[i], but the A+Aᵀ graph is built once and
+// the part counts share the bisections they have in common
+// (partition.KWayMulti), so the phase times cover all part counts
+// together.
+func ComputeGPTimedCtx(ctx context.Context, a *sparse.CSR, parts []int, opts Options) ([]sparse.Perm, PhaseTimings, error) {
+	opts, g, t, err := prepareOrdering(ctx, GP, a, opts)
+	if err != nil {
+		return nil, t, err
+	}
+	sp := opts.obs.Span("reorder/order")
+	sp.SetAttr("alg", string(GP))
+	start := time.Now()
+	perms, err := graphPartitionOrders(g, parts, opts, ctx.Done())
 	t.OrderSeconds = time.Since(start).Seconds()
 	sp.End()
 	if cerr := ctx.Err(); cerr != nil {
@@ -245,7 +226,55 @@ func ComputeTimedCtx(ctx context.Context, alg Algorithm, a *sparse.CSR, opts Opt
 	if err != nil {
 		return nil, t, err
 	}
-	return p, t, nil
+	return perms, t, nil
+}
+
+// prepareOrdering runs the checks and phases that precede every
+// ordering: context and shape checks, option defaults, the fault hooks
+// and, for the graph-based algorithms, the A+Aᵀ graph construction
+// (returned as g, nil otherwise) with its timing.
+func prepareOrdering(ctx context.Context, alg Algorithm, a *sparse.CSR, opts Options) (Options, *graph.Graph, PhaseTimings, error) {
+	var t PhaseTimings
+	if err := ctx.Err(); err != nil {
+		return opts, nil, t, err
+	}
+	if a.Rows != a.Cols {
+		return opts, nil, t, fmt.Errorf("reorder: matrix must be square, got %dx%d", a.Rows, a.Cols)
+	}
+	opts = opts.withDefaults()
+	if opts.obs == nil {
+		opts.obs = obs.FromContext(ctx)
+	}
+	// Fault hooks fire at the phase boundaries, keyed by (alg, shape) so an
+	// injected schedule hits the same (matrix, ordering) pairs in every run
+	// and resume. Enabled() guards the key construction: with no plan armed
+	// the hook is one atomic load and allocates nothing.
+	if faultinject.Enabled() {
+		if err := faultinject.Check(faultPoint(alg), faultKey(alg, a)); err != nil {
+			return opts, nil, t, err
+		}
+	}
+	if !alg.NeedsGraph() {
+		return opts, nil, t, nil
+	}
+	sp := opts.obs.Span("reorder/graph")
+	sp.SetAttr("alg", string(alg))
+	start := time.Now()
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, opts.Workers)
+	t.GraphSeconds = time.Since(start).Seconds()
+	sp.End()
+	if err != nil {
+		return opts, nil, t, err
+	}
+	if err := ctx.Err(); err != nil {
+		return opts, nil, t, err
+	}
+	if faultinject.Enabled() {
+		if err := faultinject.Check(faultinject.ReorderOrder, faultKey(alg, a)); err != nil {
+			return opts, nil, t, err
+		}
+	}
+	return opts, g, t, nil
 }
 
 // faultPoint maps the algorithm's first phase to its fault point: graph
@@ -275,7 +304,7 @@ func orderGraph(alg Algorithm, g *graph.Graph, opts Options, done <-chan struct{
 	case AMD:
 		return approxMinimumDegree(g, done), nil
 	case ND:
-		return nestedDissection(g, opts, done), nil
+		return nestedDissection(g, opts, done)
 	case GP:
 		return graphPartitionOrder(g, opts, done)
 	default:

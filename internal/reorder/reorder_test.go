@@ -1,6 +1,7 @@
 package reorder
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -199,9 +200,30 @@ func TestNDSeparatorStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NestedDissection(g, Options{Seed: 1}.withDefaults())
+	p, err := NestedDissection(g, Options{Seed: 1}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(p) != 256 || !p.IsValid() {
 		t.Fatalf("ND invalid on grid")
+	}
+}
+
+// TestNDRejectsOversizedEdgeWeights checks that nested dissection runs
+// the partitioner's edge-weight check on its top-level graph: a total
+// beyond the int32 range of the FM gains is an error, not a permutation
+// refined with overflowing gains.
+func TestNDRejectsOversizedEdgeWeights(t *testing.T) {
+	g, err := graph.FromMatrix(gen.Grid2D(16, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.EWgt = make([]int32, len(g.Adj))
+	for k := range g.EWgt {
+		g.EWgt[k] = math.MaxInt32 / 64
+	}
+	if _, err := NestedDissection(g, Options{Seed: 1, NDSmall: 16}); err == nil {
+		t.Fatal("ND accepted a graph whose total edge weight exceeds int32")
 	}
 }
 
