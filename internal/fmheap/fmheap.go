@@ -6,7 +6,8 @@
 // the same strict comparisons, in the same order, as the textbook
 // swap-based binary heap (container/heap's algorithm), so for any
 // sequence of operations it reaches the same array layout and pops the
-// same entries in the same order, ties included.
+// same entries in the same order, ties included. PassLimit is the early
+// stop rule both FM passes share.
 package fmheap
 
 // Entry is one heap element: a vertex and the gain it was pushed with.
@@ -15,6 +16,16 @@ package fmheap
 type Entry struct {
 	V    int32
 	Gain int32
+}
+
+// PassLimit is the number of moves past its best prefix after which an
+// FM pass on an n-vertex level stops: max(15, n/10). Like the passes of
+// PaToH and METIS, a pass ends once it stops improving instead of moving
+// every reachable vertex and rolling most of the moves back. METIS caps
+// the run at a constant; a limit that grows with n keeps the cut of
+// large meshes closer to the full pass's.
+func PassLimit(n int) int {
+	return max(15, n/10)
 }
 
 // Init orders h into a heap in place.

@@ -300,9 +300,10 @@ func PseudoPeripheralCancel(g *Graph, start int, scratch []int32, done <-chan st
 // with the mapping from subgraph vertex index to original vertex. Vertex
 // and edge weights are carried over when present.
 func InducedSubgraph(g *Graph, verts []int32) (*Graph, []int32) {
-	local := make(map[int32]int32, len(verts))
+	// local[v] is v's subgraph index plus one; 0 marks a vertex outside.
+	local := make([]int32, g.N)
 	for i, v := range verts {
-		local[v] = int32(i)
+		local[v] = int32(i) + 1
 	}
 	sub := &Graph{N: len(verts), Ptr: make([]int, len(verts)+1)}
 	if g.VWgt != nil {
@@ -315,8 +316,8 @@ func InducedSubgraph(g *Graph, verts []int32) (*Graph, []int32) {
 			sub.VWgt[i] = g.VWgt[v]
 		}
 		for k := g.Ptr[v]; k < g.Ptr[v+1]; k++ {
-			if lu, ok := local[g.Adj[k]]; ok {
-				adj = append(adj, lu)
+			if lu := local[g.Adj[k]]; lu > 0 {
+				adj = append(adj, lu-1)
 				if g.EWgt != nil {
 					ewgt = append(ewgt, g.EWgt[k])
 				}

@@ -150,7 +150,8 @@ func initialBisection(h *Hypergraph, frac float64, opts Options, rng *rand.Rand)
 	return best
 }
 
-// fmRefine runs FM passes on the bisection under the cut-net objective.
+// fmRefine runs FM passes on the bisection under the cut-net objective;
+// each pass stops early once it stops improving (fmheap.PassLimit).
 // The gain of moving v is (nets that become internal) - (nets that become
 // cut), maintained from per-net side pin counts.
 func fmRefine(h *Hypergraph, side []uint8, frac float64, opts Options) {
@@ -227,8 +228,11 @@ func netGain(own, other int32) int32 {
 // every net. That recomputing pass is kept in the tests as the oracle
 // (TestLeanFMMatchesReference); the packed heap makes the same
 // comparisons as its swap-based heap, so the move sequence, and with it
-// the bisection, is byte-identical to it. Gains fit int32: |gain| is at
-// most a vertex's net count, and coarsening de-duplicates pins.
+// the bisection, is byte-identical to it. The pass stops once more than
+// fmheap.PassLimit(h.V) moves have gone by without improving on the best
+// prefix.
+// Gains fit int32: |gain| is at most a vertex's net count, and
+// coarsening de-duplicates pins.
 func fmPassFast(h *Hypergraph, side []uint8, maxW [2]int, st *fmState) bool {
 	count, tg, gain, locked := st.count, st.tg, st.gain, st.locked
 	for n := 0; n < h.Nets; n++ {
@@ -262,6 +266,7 @@ func fmPassFast(h *Hypergraph, side []uint8, maxW [2]int, st *fmState) bool {
 
 	moves := st.moves[:0]
 	cumGain, bestGain, bestIdx := 0, 0, -1
+	limit := fmheap.PassLimit(h.V)
 	for len(pq) > 0 {
 		var e fmheap.Entry
 		e, pq = fmheap.Pop(pq)
@@ -310,6 +315,9 @@ func fmPassFast(h *Hypergraph, side []uint8, maxW [2]int, st *fmState) bool {
 		if cumGain > bestGain {
 			bestGain = cumGain
 			bestIdx = len(moves) - 1
+		}
+		if len(moves)-1-bestIdx > limit {
+			break // the last limit moves did not improve on the best prefix
 		}
 	}
 

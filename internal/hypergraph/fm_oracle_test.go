@@ -173,6 +173,9 @@ func fmPass(h *Hypergraph, side []uint8, maxW [2]int) bool {
 			bestGain = cumGain
 			bestIdx = len(moves) - 1
 		}
+		if len(moves)-1-bestIdx > max(15, h.V/10) {
+			break // the early stop, spelled out rather than shared
+		}
 	}
 
 	for i := len(moves) - 1; i > bestIdx; i-- {
@@ -216,15 +219,17 @@ func fmOracleCase(t *testing.T, name string, h *Hypergraph, start []uint8, frac 
 	return improved
 }
 
-// TestLeanFMMatchesReference checks the lean FM pass against the reference
-// pass from initial bisections and random sides, for an even and an
-// uneven split, on: every coarsening level of a scrambled grid's
-// column-net hypergraph (coarse levels carry vertex weights); a
-// hypergraph whose dense nets exceed maxUpdateNetSize pins; one with
-// single-pin and empty nets; and the sub-hypergraphs that KWay (cut nets
-// dropped) and KWayConnectivity (cut nets split) recurse into.
-func TestLeanFMMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
+// fmFixtures are the hypergraphs both FM pass tests run on: every
+// coarsening level of a scrambled grid's column-net hypergraph (coarse
+// levels carry vertex weights); a hypergraph whose dense nets exceed
+// maxUpdateNetSize pins; one with single-pin and empty nets; and the
+// sub-hypergraphs that KWay (cut nets dropped) and KWayConnectivity (cut
+// nets split) recurse into. rng drives the coarsening and the bisection
+// the sub-hypergraphs come from. It returns them with their names in a
+// fixed order, which keeps random sides drawn while iterating
+// reproducible.
+func fmFixtures(t *testing.T, rng *rand.Rand) ([]string, map[string]*Hypergraph) {
+	t.Helper()
 	grid := ColumnNet(gen.Scramble(gen.Grid2D(48, 48), 3))
 	hs := map[string]*Hypergraph{"grid": grid}
 	levels := coarsen(grid, 16, rng, nil)
@@ -279,25 +284,104 @@ func TestLeanFMMatchesReference(t *testing.T) {
 	hs["kway/induced"], _ = induced(grid, left)
 	hs["kwayconnectivity/induced"], _ = inducedSplit(grid, left)
 
-	improved := 0
 	names := make([]string, 0, len(hs))
 	for name := range hs {
 		names = append(names, name)
 	}
-	sort.Strings(names) // a fixed order keeps the random sides reproducible
+	sort.Strings(names)
+	return names, hs
+}
+
+// fmStarts calls run with the initial bisection of h and with random
+// sides, for an even and an uneven split.
+func fmStarts(h *Hypergraph, rng *rand.Rand, run func(kind string, start []uint8, frac float64)) {
+	for _, frac := range []float64{0.5, 0.6} {
+		run("initial", initialBisection(h, frac, Options{}.withDefaults(), rng), frac)
+		random := make([]uint8, h.V)
+		for v := range random {
+			random[v] = uint8(rng.Intn(2))
+		}
+		run("random", random, frac)
+	}
+}
+
+// TestLeanFMMatchesReference checks the lean FM pass against the reference
+// pass on the fmFixtures hypergraphs from initial bisections and random
+// sides, for an even and an uneven split.
+func TestLeanFMMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	names, hs := fmFixtures(t, rng)
+	improved := 0
 	for _, name := range names {
 		h := hs[name]
-		for _, frac := range []float64{0.5, 0.6} {
-			opts := Options{}.withDefaults()
-			improved += fmOracleCase(t, name+"/initial", h, initialBisection(h, frac, opts, rng), frac)
-			random := make([]uint8, h.V)
-			for v := range random {
-				random[v] = uint8(rng.Intn(2))
-			}
-			improved += fmOracleCase(t, name+"/random", h, random, frac)
-		}
+		fmStarts(h, rng, func(kind string, start []uint8, frac float64) {
+			improved += fmOracleCase(t, name+"/"+kind, h, start, frac)
+		})
 	}
 	if improved == 0 {
 		t.Fatal("no pass improved a cut: the comparison exercised no moves")
+	}
+}
+
+// cutNets counts the nets with pins on both sides.
+func cutNets(h *Hypergraph, side []uint8) int {
+	cut := 0
+	for n := 0; n < h.Nets; n++ {
+		var on [2]bool
+		for _, v := range h.Pins(n) {
+			on[side[v]] = true
+		}
+		if on[0] && on[1] {
+			cut++
+		}
+	}
+	return cut
+}
+
+// TestFMPassNeverWorsensCut runs one lean pass on the fmFixtures
+// hypergraphs from initial bisections and random sides: rolling back to
+// the best prefix must leave the cut no higher than at the start, however
+// early the pass stopped, and a side that started within its weight cap
+// must still be within it.
+func TestFMPassNeverWorsensCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	names, hs := fmFixtures(t, rng)
+	opts := Options{}.withDefaults()
+	lowered := 0
+	for _, name := range names {
+		h := hs[name]
+		fmStarts(h, rng, func(kind string, start []uint8, frac float64) {
+			total := h.TotalVertexWeight()
+			maxW := [2]int{
+				max(int(float64(total)*frac*(1+opts.Imbalance)), 1),
+				max(int(float64(total)*(1-frac)*(1+opts.Imbalance)), 1),
+			}
+			weights := func(side []uint8) [2]int {
+				var w [2]int
+				for v, s := range side {
+					w[s] += h.VertexWeight(v)
+				}
+				return w
+			}
+			side := append([]uint8(nil), start...)
+			fmPassFast(h, side, maxW, newFMState(h))
+			before, after := cutNets(h, start), cutNets(h, side)
+			if after > before {
+				t.Errorf("%s/%s frac=%.2f: cut rose from %d to %d nets", name, kind, frac, before, after)
+			}
+			if after < before {
+				lowered++
+			}
+			w0, w := weights(start), weights(side)
+			for s := range 2 {
+				if w0[s] <= maxW[s] && w[s] > maxW[s] {
+					t.Errorf("%s/%s frac=%.2f: side %d weight %d exceeds its cap %d (started at %d)",
+						name, kind, frac, s, w[s], maxW[s], w0[s])
+				}
+			}
+		})
+	}
+	if lowered == 0 {
+		t.Fatal("no pass lowered a cut: the test exercised no moves")
 	}
 }

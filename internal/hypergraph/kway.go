@@ -119,7 +119,7 @@ func induced(root *Hypergraph, verts []int32) (*Hypergraph, []int32) {
 	for i, v := range verts {
 		sub.VWgt[i] = int32(root.VertexWeight(int(v)))
 	}
-	netSeen := make(map[int32]bool)
+	netSeen := make([]bool, root.Nets)
 	var nptr []int
 	var npins []int32
 	nptr = append(nptr, 0)

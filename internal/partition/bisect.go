@@ -139,13 +139,14 @@ func cutOf(g *graph.Graph, side []uint8) int {
 }
 
 // fmRefine performs boundary Fiduccia-Mattheyses passes on the bisection:
-// each pass tentatively moves every vertex at most once in best-gain-first
-// order subject to the balance constraint, then rolls back to the best
-// prefix observed. Passes repeat until no pass improves the cut. Every
-// worker count runs the same lean pass (fmPassFast); its gains travel in
-// int32 heap entries, which holds because KWay and nested dissection
-// check CheckEdgeWeights once on their input graph and coarsening never
-// raises the total edge weight.
+// each pass tentatively moves vertices, each at most once, in
+// best-gain-first order subject to the balance constraint, until the heap
+// empties or a bounded run of moves (fmheap.PassLimit) fails to improve
+// the cut, then rolls back to the best prefix observed. Passes repeat
+// until no pass improves the cut. Every worker count runs the same lean
+// pass (fmPassFast); its gains travel in int32 heap entries, which holds
+// because KWay and nested dissection check CheckEdgeWeights once on their
+// input graph and coarsening never raises the total edge weight.
 func fmRefine(g *graph.Graph, side []uint8, frac float64, opts Options) {
 	total := g.TotalVertexWeight()
 	max0 := int(float64(total) * frac * (1 + opts.Imbalance))
@@ -208,7 +209,9 @@ type fmFastState struct {
 // edges after each move. That rescanning pass is kept in the tests as the
 // oracle (TestLeanFMMatchesReference); the packed heap makes the same
 // comparisons as its swap-based heap, so the move sequence, and with it
-// the bisection, is byte-identical to it.
+// the bisection, is byte-identical to it. The pass stops once more than
+// fmheap.PassLimit(g.N) moves have gone by without improving on the best
+// prefix.
 func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]int, max0, max1 int, st *fmFastState) bool {
 	ew := g.EWgt
 	edgeWeight := func(k int) int {
@@ -242,6 +245,7 @@ func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]i
 	moves := st.moves[:0]
 	cumGain, bestGain, bestIdx := 0, 0, -1
 	maxW := [2]int{max0, max1}
+	limit := fmheap.PassLimit(g.N)
 
 	for len(h) > 0 {
 		var e fmheap.Entry
@@ -264,6 +268,9 @@ func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]i
 		if cumGain > bestGain {
 			bestGain = cumGain
 			bestIdx = len(moves) - 1
+		}
+		if len(moves)-1-bestIdx > limit {
+			break // the last limit moves did not improve on the best prefix
 		}
 		for k := g.Ptr[v]; k < g.Ptr[v+1]; k++ {
 			u := g.Adj[k]

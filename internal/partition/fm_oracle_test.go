@@ -86,6 +86,9 @@ func fmPass(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]int, 
 			bestGain = cumGain
 			bestIdx = len(moves) - 1
 		}
+		if len(moves)-1-bestIdx > max(15, g.N/10) {
+			break // the early stop, spelled out rather than shared
+		}
 		for k := g.Ptr[v]; k < g.Ptr[v+1]; k++ {
 			u := g.Adj[k]
 			if locked[u] {
@@ -205,12 +208,13 @@ func fmOracleCase(t *testing.T, name string, g *graph.Graph, start []uint8, frac
 	return improved
 }
 
-// TestLeanFMMatchesReference checks the lean FM pass against the reference
-// pass on every coarsening level of a scrambled grid (coarse levels carry
-// vertex and edge weights), on an irregular power-law graph and on two
-// cliques joined by a bridge, from both initial bisections and random
-// sides, for an even and an uneven split.
-func TestLeanFMMatchesReference(t *testing.T) {
+// fmFixtures are the graphs both FM pass tests run on: every coarsening
+// level of a scrambled grid (coarse levels carry vertex and edge weights,
+// and rng drives the coarsening), an irregular power-law graph and two
+// cliques joined by a bridge. It returns them with their names in a fixed
+// order, which keeps random sides drawn while iterating reproducible.
+func fmFixtures(t *testing.T, rng *rand.Rand) ([]string, map[string]*graph.Graph) {
+	t.Helper()
 	grid, err := graph.FromMatrix(gen.Scramble(gen.Grid2D(48, 48), 3))
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +224,6 @@ func TestLeanFMMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphs := map[string]*graph.Graph{"kron": kron, "cliques": twoCliquesBridge(t, 12)}
-	rng := rand.New(rand.NewSource(11))
 	levels := coarsen(grid, Options{CoarsenTo: 16}.withDefaults(), rng)
 	graphs["grid"] = grid
 	weighted := false
@@ -231,26 +234,94 @@ func TestLeanFMMatchesReference(t *testing.T) {
 	if len(levels) < 3 || !weighted {
 		t.Fatalf("coarsening gave %d levels (weighted=%v); want at least 3 weighted levels", len(levels), weighted)
 	}
-	improved := 0
 	names := make([]string, 0, len(graphs))
 	for name := range graphs {
 		names = append(names, name)
 	}
-	sort.Strings(names) // a fixed order keeps the random sides reproducible
+	sort.Strings(names)
+	return names, graphs
+}
+
+// fmStarts calls run with the initial bisection of g and with random
+// sides, for an even and an uneven split.
+func fmStarts(g *graph.Graph, rng *rand.Rand, run func(kind string, start []uint8, frac float64)) {
+	for _, frac := range []float64{0.5, 0.6} {
+		run("initial", initialBisection(g, frac, Options{}.withDefaults(), rng), frac)
+		random := make([]uint8, g.N)
+		for v := range random {
+			random[v] = uint8(rng.Intn(2))
+		}
+		run("random", random, frac)
+	}
+}
+
+// TestLeanFMMatchesReference checks the lean FM pass against the reference
+// pass on the fmFixtures graphs from both initial bisections and random
+// sides, for an even and an uneven split.
+func TestLeanFMMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	names, graphs := fmFixtures(t, rng)
+	improved := 0
 	for _, name := range names {
 		g := graphs[name]
-		for _, frac := range []float64{0.5, 0.6} {
-			opts := Options{}.withDefaults()
-			improved += fmOracleCase(t, name+"/initial", g, initialBisection(g, frac, opts, rng), frac)
-			random := make([]uint8, g.N)
-			for v := range random {
-				random[v] = uint8(rng.Intn(2))
-			}
-			improved += fmOracleCase(t, name+"/random", g, random, frac)
-		}
+		fmStarts(g, rng, func(kind string, start []uint8, frac float64) {
+			improved += fmOracleCase(t, name+"/"+kind, g, start, frac)
+		})
 	}
 	if improved == 0 {
 		t.Fatal("no pass improved a cut: the comparison exercised no moves")
+	}
+}
+
+// TestFMPassNeverWorsensCut runs one lean pass on the fmFixtures graphs
+// from initial bisections and random sides: rolling back to the best
+// prefix must leave the cut no higher than at the start, however early
+// the pass stopped, and a side that started within its weight cap must
+// still be within it.
+func TestFMPassNeverWorsensCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	names, graphs := fmFixtures(t, rng)
+	opts := Options{}.withDefaults()
+	lowered := 0
+	for _, name := range names {
+		g := graphs[name]
+		fmStarts(g, rng, func(kind string, start []uint8, frac float64) {
+			total := g.TotalVertexWeight()
+			max0 := max(int(float64(total)*frac*(1+opts.Imbalance)), 1)
+			max1 := max(int(float64(total)*(1-frac)*(1+opts.Imbalance)), 1)
+			caps := [2]int{max0, max1}
+			weights := func(side []uint8) [2]int {
+				var w [2]int
+				for v, s := range side {
+					w[s] += g.VertexWeight(v)
+				}
+				return w
+			}
+			side := append([]uint8(nil), start...)
+			w0 := weights(start)
+			w := w0
+			var st fmFastState
+			fmPassFast(g, side, make([]int, g.N), make([]bool, g.N), &w, max0, max1, &st)
+			before, after := cutOf(g, start), cutOf(g, side)
+			if after > before {
+				t.Errorf("%s/%s frac=%.2f: cut rose from %d to %d", name, kind, frac, before, after)
+			}
+			if after < before {
+				lowered++
+			}
+			if got := weights(side); got != w {
+				t.Errorf("%s/%s frac=%.2f: pass reports side weights %v, sides weigh %v", name, kind, frac, w, got)
+			}
+			for s := range 2 {
+				if w0[s] <= caps[s] && w[s] > caps[s] {
+					t.Errorf("%s/%s frac=%.2f: side %d weight %d exceeds its cap %d (started at %d)",
+						name, kind, frac, s, w[s], caps[s], w0[s])
+				}
+			}
+		})
+	}
+	if lowered == 0 {
+		t.Fatal("no pass lowered a cut: the test exercised no moves")
 	}
 }
 

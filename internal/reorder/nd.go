@@ -47,21 +47,29 @@ func nestedDissection(g *graph.Graph, opts Options, done <-chan struct{}) (spars
 		verts[i] = int32(i)
 	}
 	popts := partition.Options{Workers: opts.Workers, Cancel: done, Obs: opts.obs}
-	dissect(g, verts, perm, opts, popts, opts.Seed, par.NewLimiter(opts.Workers))
+	dissect(g, verts, verts, perm, opts, popts, opts.Seed, par.NewLimiter(opts.Workers))
 	return perm, nil
 }
 
-// dissect orders the subgraph induced by verts into out (len(out) ==
-// len(verts)): positions [0, |left|) hold the left half, [|left|,
-// |left|+|right|) the right half, and the tail the separator. seed is this
-// branch's RNG seed; children derive theirs with the same multiplicative
-// derivation recursiveBisect uses, so the ordering is a pure function of
-// (graph, opts.Seed) regardless of scheduling.
-func dissect(root *graph.Graph, verts []int32, out sparse.Perm, opts Options, popts partition.Options, seed int64, lim *par.Limiter) {
+// dissect orders the subgraph of parent induced by verts into out
+// (len(out) == len(verts)): positions [0, |left|) hold the left half,
+// [|left|, |left|+|right|) the right half, and the tail the separator.
+// parentOrig maps parent's vertices to the input graph's, and out holds
+// input graph vertices. Each branch induces its halves from its own
+// subgraph, not from the input graph, so inducing costs time in
+// proportion to the subgraphs' size. seed is this branch's RNG seed;
+// children derive theirs with the same multiplicative derivation
+// recursiveBisect uses, so the ordering is a pure function of (graph,
+// opts.Seed) regardless of scheduling.
+func dissect(parent *graph.Graph, parentOrig, verts []int32, out sparse.Perm, opts Options, popts partition.Options, seed int64, lim *par.Limiter) {
 	if len(verts) == 0 || par.Canceled(popts.Cancel) {
 		return
 	}
-	sub, orig := graph.InducedSubgraph(root, verts)
+	sub, _ := graph.InducedSubgraph(parent, verts)
+	orig := make([]int32, len(verts))
+	for i, v := range verts {
+		orig[i] = parentOrig[v]
+	}
 	if len(verts) <= opts.NDSmall {
 		dissectLeaf(sub, orig, out, popts.Cancel)
 		return
@@ -72,9 +80,9 @@ func dissect(root *graph.Graph, verts []int32, out sparse.Perm, opts Options, po
 	for i, l := range label {
 		switch l {
 		case 0:
-			left = append(left, orig[i])
+			left = append(left, int32(i))
 		case 1:
-			right = append(right, orig[i])
+			right = append(right, int32(i))
 		default:
 			sep = append(sep, orig[i])
 		}
@@ -93,11 +101,11 @@ func dissect(root *graph.Graph, verts []int32, out sparse.Perm, opts Options, po
 	rightSeed := seed*2654435761 + 2
 	if lim != nil && len(verts) > ndForkMinVerts {
 		lim.Fork(
-			func() { dissect(root, left, leftOut, opts, popts, leftSeed, lim) },
-			func() { dissect(root, right, rightOut, opts, popts, rightSeed, lim) })
+			func() { dissect(sub, orig, left, leftOut, opts, popts, leftSeed, lim) },
+			func() { dissect(sub, orig, right, rightOut, opts, popts, rightSeed, lim) })
 	} else {
-		dissect(root, left, leftOut, opts, popts, leftSeed, lim)
-		dissect(root, right, rightOut, opts, popts, rightSeed, lim)
+		dissect(sub, orig, left, leftOut, opts, popts, leftSeed, lim)
+		dissect(sub, orig, right, rightOut, opts, popts, rightSeed, lim)
 	}
 	tail := out[len(left)+len(right):]
 	for i, v := range sep {

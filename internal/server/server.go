@@ -725,8 +725,10 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 //
 // Both directions use the new-to-old permutation; the gather/scatter is
 // exact (a permutation of float64 values, no arithmetic), so responses are
-// bit-identical to an SpMV on the unordered matrix and identical between
-// cached and freshly recomputed plans.
+// identical between cached and freshly recomputed plans. They match an
+// SpMV on the unordered matrix only to rounding: a symmetric ordering
+// permutes the columns of each row, and with them the order in which the
+// row's products are summed.
 func (s *Server) multiply(rt *requestTrace, e *entry, x []float64) ([]float64, error) {
 	t0 := rt.clock()
 	plan, err := e.getPlan(s.cfg.Threads)
