@@ -9,6 +9,7 @@ package sparseorder_test
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -21,6 +22,7 @@ import (
 	"sparseorder/internal/metrics"
 	"sparseorder/internal/partition"
 	"sparseorder/internal/reorder"
+	"sparseorder/internal/solver"
 	"sparseorder/internal/sparse"
 	"sparseorder/internal/spmv"
 	"sparseorder/internal/stats"
@@ -171,49 +173,99 @@ func BenchmarkDenseCSRRef(b *testing.B) {
 
 // --- Kernel micro-benchmarks -------------------------------------------
 
+type spmvCase struct {
+	name string
+	a    *sparse.CSR
+}
+
+// spmvCases are the kernel benchmarks' inputs: a scrambled 2D grid and
+// the scrambled 32³ mesh the mesh-solve workload solves.
+func spmvCases() []spmvCase {
+	return []spmvCase{
+		{"grid2d-120", gen.Scramble(gen.Grid2D(120, 120), 1)},
+		{"mesh3d-32", gen.Scramble(gen.Grid3D(32, 32, 32), 42)},
+	}
+}
+
+// benchSpMV runs mul on every spmvCases input with a nonzero x.
+func benchSpMV(b *testing.B, mul func(a *sparse.CSR, x, y []float64) func()) {
+	for _, c := range spmvCases() {
+		b.Run(c.name, func(b *testing.B) {
+			x := make([]float64, c.a.Cols)
+			y := make([]float64, c.a.Rows)
+			for i := range x {
+				x[i] = 1 / float64(i+1)
+			}
+			run := mul(c.a, x, y)
+			b.SetBytes(int64(12 * c.a.NNZ()))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
+}
+
 func BenchmarkSpMV1D(b *testing.B) {
 	threads := runtime.GOMAXPROCS(0)
-	a := gen.Scramble(gen.Grid2D(120, 120), 1)
-	x := make([]float64, a.Cols)
-	y := make([]float64, a.Rows)
-	for i := range x {
-		x[i] = 1
-	}
-	b.SetBytes(int64(12 * a.NNZ()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		spmv.Mul1D(a, x, y, threads)
-	}
+	benchSpMV(b, func(a *sparse.CSR, x, y []float64) func() {
+		return func() { spmv.Mul1D(a, x, y, threads) }
+	})
 }
 
 func BenchmarkSpMV2D(b *testing.B) {
 	threads := runtime.GOMAXPROCS(0)
-	a := gen.Scramble(gen.Grid2D(120, 120), 1)
-	x := make([]float64, a.Cols)
-	y := make([]float64, a.Rows)
-	for i := range x {
-		x[i] = 1
-	}
-	plan, err := spmv.NewPlan2D(a, threads)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(12 * a.NNZ()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		spmv.Mul2D(a, x, y, plan)
-	}
+	benchSpMV(b, func(a *sparse.CSR, x, y []float64) func() {
+		plan, err := spmv.NewPlan2D(a, threads)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return func() { spmv.Mul2D(a, x, y, plan) }
+	})
 }
 
 func BenchmarkSpMVSerial(b *testing.B) {
-	a := gen.Scramble(gen.Grid2D(120, 120), 1)
-	x := make([]float64, a.Cols)
-	y := make([]float64, a.Rows)
-	b.SetBytes(int64(12 * a.NNZ()))
+	benchSpMV(b, func(a *sparse.CSR, x, y []float64) func() {
+		return func() { spmv.Serial(a, x, y) }
+	})
+}
+
+func BenchmarkSpMVMerge(b *testing.B) {
+	threads := runtime.GOMAXPROCS(0)
+	benchSpMV(b, func(a *sparse.CSR, x, y []float64) func() {
+		plan, err := spmv.NewPlanMerge(a, threads)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return func() { spmv.MulMerge(a, x, y, plan) }
+	})
+}
+
+// BenchmarkCGMesh runs the mesh-solve workload's solve: CG on the
+// scrambled 32³ mesh with the 2D kernel on one thread, to tolerance 1e-8.
+func BenchmarkCGMesh(b *testing.B) {
+	a := gen.Scramble(gen.Grid3D(32, 32, 32), 42)
+	rng := rand.New(rand.NewSource(1))
+	xTrue := make([]float64, a.Rows)
+	for i := range xTrue {
+		xTrue[i] = rng.Float64()*2 - 1
+	}
+	rhs := make([]float64, a.Rows)
+	spmv.Serial(a, xTrue, rhs)
+	opts := solver.Options{Tol: 1e-8, Threads: 1, Kernel: solver.Kernel2D}
+	var iters int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		spmv.Serial(a, x, y)
+		res, err := solver.CG(a, rhs, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Converged {
+			b.Fatalf("CG did not converge in %d iterations", res.Iterations)
+		}
+		iters = res.Iterations
 	}
+	b.ReportMetric(float64(iters), "iterations")
 }
 
 // BenchmarkReorder times each reordering algorithm on the same scrambled
@@ -385,25 +437,6 @@ func benchName(thr int) string {
 
 func permuteSym(a *sparse.CSR, p sparse.Perm) (*sparse.CSR, error) {
 	return sparse.PermuteSymmetric(a, p)
-}
-
-func BenchmarkSpMVMerge(b *testing.B) {
-	threads := runtime.GOMAXPROCS(0)
-	a := gen.Scramble(gen.Grid2D(120, 120), 1)
-	x := make([]float64, a.Cols)
-	y := make([]float64, a.Rows)
-	for i := range x {
-		x[i] = 1
-	}
-	plan, err := spmv.NewPlanMerge(a, threads)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(12 * a.NNZ()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		spmv.MulMerge(a, x, y, plan)
-	}
 }
 
 // BenchmarkCholeskyFactorize times the numeric factorisation under the two

@@ -134,7 +134,12 @@ func CG(a *sparse.CSR, b []float64, opts Options) (*Result, error) {
 	res := &Result{}
 
 	for res.Iterations = 0; res.Iterations < opts.MaxIter; res.Iterations++ {
-		if math.Sqrt(dot(r, r)) < opts.Tol {
+		// Without Jacobi z aliases r, so rz = r·z is already r·r.
+		rr := rz
+		if opts.Jacobi {
+			rr = dot(r, r)
+		}
+		if math.Sqrt(rr) < opts.Tol {
 			res.Converged = true
 			break
 		}
@@ -143,8 +148,10 @@ func CG(a *sparse.CSR, b []float64, opts Options) (*Result, error) {
 		}
 		res.SpMVCount++
 		pap := dot(p, ap)
-		if pap <= 0 {
-			return nil, fmt.Errorf("solver: matrix not positive definite (pᵀAp = %g at iteration %d)", pap, res.Iterations)
+		// Negated so a NaN from a non-finite entry of A or b stops the
+		// solve here instead of running all MaxIter iterations.
+		if !(pap > 0) {
+			return nil, fmt.Errorf("solver: matrix not positive definite, or A or b not finite (pᵀAp = %g at iteration %d)", pap, res.Iterations)
 		}
 		alpha := rz / pap
 		for i := range x {
@@ -179,6 +186,11 @@ func SolveReordered(pa *sparse.CSR, perm sparse.Perm, b []float64, opts Options)
 	n := pa.Rows
 	if len(perm) != n || len(b) != n {
 		return nil, fmt.Errorf("solver: inconsistent sizes (n=%d, perm=%d, b=%d)", n, len(perm), len(b))
+	}
+	// A duplicate entry would silently solve the wrong system, and an
+	// out-of-range one would panic in the gather below.
+	if err := perm.Validate(); err != nil {
+		return nil, fmt.Errorf("solver: %w", err)
 	}
 	pb := make([]float64, n)
 	for newI, oldI := range perm {

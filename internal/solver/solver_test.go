@@ -1,8 +1,11 @@
 package solver
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"regexp"
+	"strconv"
 	"testing"
 
 	"sparseorder/internal/gen"
@@ -196,5 +199,172 @@ func TestCGZeroRHS(t *testing.T) {
 	}
 	if !res.Converged || res.Iterations != 0 {
 		t.Errorf("zero rhs should converge immediately, got %d iterations", res.Iterations)
+	}
+}
+
+// refSpMV is the plain serial row loop, independent of internal/spmv.
+func refSpMV(a *sparse.CSR, x, y []float64) {
+	for i := 0; i < a.Rows; i++ {
+		sum := 0.0
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			sum += a.Val[k] * x[a.ColIdx[k]]
+		}
+		y[i] = sum
+	}
+}
+
+// refCG is the textbook CG loop, computing r·r afresh at the top of every
+// iteration and multiplying with refSpMV. CG must reproduce its X bits
+// and iteration count at one thread with every kernel.
+func refCG(a *sparse.CSR, b []float64, tol float64, maxIter int, jacobi bool) ([]float64, int) {
+	n := a.Rows
+	var diagInv []float64
+	if jacobi {
+		diagInv = make([]float64, n)
+		for i := 0; i < n; i++ {
+			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+				if int(a.ColIdx[k]) == i {
+					diagInv[i] = 1 / a.Val[k]
+				}
+			}
+		}
+	}
+	x := make([]float64, n)
+	r := append([]float64(nil), b...)
+	z := r
+	if jacobi {
+		z = make([]float64, n)
+		for i := range z {
+			z[i] = diagInv[i] * r[i]
+		}
+	}
+	p := append([]float64(nil), z...)
+	ap := make([]float64, n)
+	rz := dot(r, z)
+	it := 0
+	for ; it < maxIter; it++ {
+		if math.Sqrt(dot(r, r)) < tol {
+			break
+		}
+		refSpMV(a, p, ap)
+		alpha := rz / dot(p, ap)
+		for i := range x {
+			x[i] += alpha * p[i]
+			r[i] -= alpha * ap[i]
+		}
+		if jacobi {
+			for i := range z {
+				z[i] = diagInv[i] * r[i]
+			}
+		}
+		rzNew := dot(r, z)
+		beta := rzNew / rz
+		for i := range p {
+			p[i] = z[i] + beta*p[i]
+		}
+		rz = rzNew
+	}
+	return x, it
+}
+
+// TestCGMatchesReference checks that CG is bit-identical to the reference
+// loop: reusing r·z as r·r without Jacobi and the shared row kernel must
+// not change a single bit of X or the iteration count.
+func TestCGMatchesReference(t *testing.T) {
+	scrambled := gen.Scramble(gen.Grid2D(24, 24), 8)
+	rcm, _, err := reorder.Apply(reorder.RCM, scrambled, reorder.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, a := range map[string]*sparse.CSR{"scrambled": scrambled, "rcm": rcm} {
+		_, b := systemFor(t, a, 8)
+		for _, jacobi := range []bool{false, true} {
+			wantX, wantIters := refCG(a, b, 1e-10, 10*a.Rows, jacobi)
+			for _, k := range []Kernel{Kernel1D, Kernel2D, KernelMerge} {
+				res, err := CG(a, b, Options{Tol: 1e-10, Threads: 1, Kernel: k, Jacobi: jacobi})
+				if err != nil {
+					t.Fatalf("%s jacobi=%v kernel=%s: %v", name, jacobi, k, err)
+				}
+				if res.Iterations != wantIters {
+					t.Errorf("%s jacobi=%v kernel=%s: %d iterations, reference %d", name, jacobi, k, res.Iterations, wantIters)
+				}
+				for i := range wantX {
+					if math.Float64bits(res.X[i]) != math.Float64bits(wantX[i]) {
+						t.Errorf("%s jacobi=%v kernel=%s: X[%d] = %v, reference %v", name, jacobi, k, i, res.X[i], wantX[i])
+						break
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCGStopsOnNonFinite checks that a NaN or Inf in b or A fails the
+// solve within a few iterations instead of running all 10·n of them.
+func TestCGStopsOnNonFinite(t *testing.T) {
+	a := gen.Grid2D(60, 60)
+	_, b := systemFor(t, a, 9)
+	withB := func(v float64) (*sparse.CSR, []float64) {
+		bb := append([]float64(nil), b...)
+		bb[1234] = v
+		return a, bb
+	}
+	withA := func(k int) (*sparse.CSR, []float64) {
+		aa := a.Clone()
+		aa.Val[k] = math.NaN()
+		return aa, b
+	}
+	// Row 700's first entry is off-diagonal; find its diagonal entry.
+	diag := -1
+	for k := a.RowPtr[700]; k < a.RowPtr[701]; k++ {
+		if a.ColIdx[k] == 700 {
+			diag = k
+		}
+	}
+	iterRE := regexp.MustCompile(`at iteration (\d+)`)
+	cases := map[string]func() (*sparse.CSR, []float64){
+		"NaN in b":              func() (*sparse.CSR, []float64) { return withB(math.NaN()) },
+		"+Inf in b":             func() (*sparse.CSR, []float64) { return withB(math.Inf(1)) },
+		"NaN in A off-diagonal": func() (*sparse.CSR, []float64) { return withA(a.RowPtr[700]) },
+		"NaN in A diagonal":     func() (*sparse.CSR, []float64) { return withA(diag) },
+	}
+	for name, mk := range cases {
+		for _, jacobi := range []bool{false, true} {
+			m, rhs := mk()
+			res, err := CG(m, rhs, Options{Jacobi: jacobi})
+			if err == nil {
+				t.Errorf("%s jacobi=%v: no error after %d iterations (residual %g)", name, jacobi, res.Iterations, res.Residual)
+				continue
+			}
+			sub := iterRE.FindStringSubmatch(err.Error())
+			if sub == nil {
+				t.Errorf("%s jacobi=%v: error %q does not name the iteration", name, jacobi, err)
+				continue
+			}
+			if it, _ := strconv.Atoi(sub[1]); it > 2 {
+				t.Errorf("%s jacobi=%v: failed only at iteration %d: %v", name, jacobi, it, err)
+			}
+		}
+	}
+}
+
+// TestSolveReorderedRejectsBadPerm checks that SolveReordered validates
+// its permutation: a duplicate entry used to solve the wrong system
+// silently, and an out-of-range entry used to panic.
+func TestSolveReorderedRejectsBadPerm(t *testing.T) {
+	a := gen.Grid2D(5, 5)
+	_, b := systemFor(t, a, 10)
+	dup := sparse.Identity(a.Rows)
+	dup[3] = 4
+	high := sparse.Identity(a.Rows)
+	high[3] = a.Rows
+	neg := sparse.Identity(a.Rows)
+	neg[0] = -1
+	for name, perm := range map[string]sparse.Perm{"duplicate": dup, "out of range": high, "negative": neg} {
+		res, err := SolveReordered(a, perm, b, Options{})
+		var pe *sparse.PermError
+		if !errors.As(err, &pe) {
+			t.Errorf("%s: got result %v, error %v; want a *sparse.PermError", name, res, err)
+		}
 	}
 }

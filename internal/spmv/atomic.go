@@ -49,29 +49,12 @@ func Mul2DAtomic(a *sparse.CSR, x, y []float64, p *Plan2D) error {
 			continue
 		}
 		wg.Add(1)
-		go func(t, kLo, kHi int) {
+		go func(t int) {
 			defer wg.Done()
-			r := p.RowStart[t]
-			for k := kLo; k < kHi; {
-				rowEnd := a.RowPtr[r+1]
-				hi := rowEnd
-				if kHi < hi {
-					hi = kHi
-				}
-				sum := 0.0
-				for ; k < hi; k++ {
-					sum += a.Val[k] * x[a.ColIdx[k]]
-				}
-				if a.RowPtr[r] >= kLo && rowEnd <= kHi {
-					y[r] = sum
-				} else {
-					atomicAdd(&y[r], sum)
-				}
-				if k == rowEnd {
-					r++
-				}
-			}
-		}(t, kLo, kHi)
+			p.mulThread(a, x, y, t, func(r int, sum float64) {
+				atomicAdd(&y[r], sum)
+			})
+		}(t)
 	}
 	wg.Wait()
 	return nil

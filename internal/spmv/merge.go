@@ -106,26 +106,18 @@ func MulMerge(a *sparse.CSR, x, y []float64, p *PlanMerge) error {
 		rowLo, nzLo := p.StartRow[t], p.StartNZ[t]
 		rowHi, nzHi := p.StartRow[t+1], p.StartNZ[t+1]
 		wg.Add(1)
-		go func(t, row, k, rowHi, kHi int) {
+		go func(t, rowLo, kLo, rowHi, kHi int) {
 			defer wg.Done()
-			sum := 0.0
-			for row < rowHi {
-				// Consume nonzeros up to the end of the current row, then
-				// the row-end itself.
-				end := a.RowPtr[row+1]
-				for ; k < end; k++ {
-					sum += a.Val[k] * x[a.ColIdx[k]]
-				}
-				y[row] = sum // prefix from earlier threads added in fix-up
-				sum = 0
-				row++
+			if rowLo < rowHi {
+				// The leading row may have begun in an earlier thread,
+				// whose carry-out the fix-up adds.
+				y[rowLo] = rangeSum(a, x, kLo, a.RowPtr[rowLo+1])
+				mulRows(a.RowPtr[rowLo+1:rowHi+1], a.ColIdx, a.Val, x, y[rowLo+1:rowHi])
+				kLo = a.RowPtr[rowHi]
 			}
 			// Trailing partial row (if the thread's range ends mid-row).
-			for ; k < kHi; k++ {
-				sum += a.Val[k] * x[a.ColIdx[k]]
-			}
-			p.carryRow[t] = int32(row)
-			p.carryVal[t] = sum
+			p.carryRow[t] = int32(rowHi)
+			p.carryVal[t] = rangeSum(a, x, kLo, kHi)
 		}(t, rowLo, nzLo, rowHi, nzHi)
 	}
 	wg.Wait()

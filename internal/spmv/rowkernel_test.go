@@ -1,0 +1,199 @@
+package spmv
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"sparseorder/internal/sparse"
+)
+
+// refMul is the plain one-row loop: one accumulator per row, products
+// summed in CSR order. Every kernel must reproduce its bits on every row
+// a single thread owns.
+func refMul(a *sparse.CSR, x, y []float64) {
+	for i := 0; i < a.Rows; i++ {
+		sum := 0.0
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			sum += a.Val[k] * x[a.ColIdx[k]]
+		}
+		y[i] = sum
+	}
+}
+
+// csrWithRowLens builds a cols-column matrix whose row i holds lens[i]
+// random nonzeros in ascending column order.
+func csrWithRowLens(rng *rand.Rand, cols int, lens []int) *sparse.CSR {
+	a := &sparse.CSR{Rows: len(lens), Cols: cols, RowPtr: make([]int, len(lens)+1)}
+	for i, n := range lens {
+		cs := rng.Perm(cols)[:n]
+		sort.Ints(cs)
+		for _, c := range cs {
+			a.ColIdx = append(a.ColIdx, int32(c))
+			a.Val = append(a.Val, rng.NormFloat64())
+		}
+		a.RowPtr[i+1] = a.RowPtr[i] + n
+	}
+	return a
+}
+
+// rowKernelCorpus holds the shapes a two-row step can get wrong: no rows,
+// an odd row count (a lone last row), empty rows at pair and 1D thread
+// boundaries, pairs of unequal length in both orders, and one giant row
+// that every nonzero split cuts.
+func rowKernelCorpus(t *testing.T) map[string]*sparse.CSR {
+	rng := rand.New(rand.NewSource(17))
+	giant := make([]int, 9)
+	for i := range giant {
+		giant[i] = 1 + i%3
+	}
+	giant[4] = 600
+	corpus := map[string]*sparse.CSR{
+		"no-rows":  {Rows: 0, Cols: 5, RowPtr: []int{0}},
+		"odd-rows": csrWithRowLens(rng, 40, []int{5, 7, 6, 7, 5, 6, 7}),
+		// 12 rows split 4/4/4 at 3 threads and 6/6 at 2: empty rows sit
+		// on both sides of every thread boundary and in both pair slots.
+		"empty-at-boundaries": csrWithRowLens(rng, 40, []int{3, 0, 0, 5, 0, 4, 0, 0, 6, 2, 0, 0}),
+		"unequal-pairs":       csrWithRowLens(rng, 40, []int{1, 9, 9, 1, 0, 5, 5, 0, 13, 2, 2, 13, 7}),
+		"giant-row":           csrWithRowLens(rng, 700, giant),
+		"random":              randomCSR(rng, 97, 80, 900),
+	}
+	for name, a := range corpus {
+		if err := a.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	return corpus
+}
+
+func bitsEqual(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// straddled marks the rows whose nonzeros a split point cuts: split[t]
+// (0 < t < threads) lies strictly inside the row's nonzero range.
+func straddled(a *sparse.CSR, split []int) []bool {
+	cut := make([]bool, a.Rows)
+	for _, k := range split[1 : len(split)-1] {
+		for r := 0; r < a.Rows; r++ {
+			if a.RowPtr[r] < k && k < a.RowPtr[r+1] {
+				cut[r] = true
+			}
+		}
+	}
+	return cut
+}
+
+func poisoned(n int) []float64 {
+	y := make([]float64, n)
+	for i := range y {
+		y[i] = math.NaN()
+	}
+	return y
+}
+
+// TestKernelsBitIdenticalEdgeCorpus checks the row kernel's contract on
+// the edge corpus: Serial and Mul1D equal the plain loop bitwise on every
+// row, and the 2D, atomic 2D and merge kernels equal it bitwise on every
+// row a single thread owns. Rows cut by a split point sum their parts in
+// a different order, so they only have to agree within tolerance.
+func TestKernelsBitIdenticalEdgeCorpus(t *testing.T) {
+	for name, a := range rowKernelCorpus(t) {
+		x := randomVec(rand.New(rand.NewSource(int64(a.NNZ()))), a.Cols)
+		want := make([]float64, a.Rows)
+		refMul(a, x, want)
+		check := func(kernel string, threads int, got []float64, cut []bool) {
+			t.Helper()
+			for r := range want {
+				if cut != nil && cut[r] {
+					continue
+				}
+				if !bitsEqual(got[r], want[r]) {
+					t.Errorf("%s: %s threads=%d row %d = %v (bits %x), want %v (bits %x)",
+						name, kernel, threads, r, got[r], math.Float64bits(got[r]), want[r], math.Float64bits(want[r]))
+					return
+				}
+			}
+			if !vecsClose(want, got) {
+				t.Errorf("%s: %s threads=%d straddled rows outside tolerance: got %v want %v", name, kernel, threads, got, want)
+			}
+		}
+
+		got := poisoned(a.Rows)
+		if err := Serial(a, x, got); err != nil {
+			t.Fatal(err)
+		}
+		check("Serial", 1, got, nil)
+		for threads := 1; threads <= 4; threads++ {
+			got := poisoned(a.Rows)
+			if err := Mul1D(a, x, got, threads); err != nil {
+				t.Fatal(err)
+			}
+			check("Mul1D", threads, got, nil)
+
+			p2, err := NewPlan2D(a, threads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut2 := straddled(a, p2.KSplit)
+			got = poisoned(a.Rows)
+			if err := Mul2D(a, x, got, p2); err != nil {
+				t.Fatal(err)
+			}
+			check("Mul2D", threads, got, cut2)
+			got = poisoned(a.Rows)
+			if err := Mul2DAtomic(a, x, got, p2); err != nil {
+				t.Fatal(err)
+			}
+			check("Mul2DAtomic", threads, got, cut2)
+
+			pm, err := NewPlanMerge(a, threads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = poisoned(a.Rows)
+			if err := MulMerge(a, x, got, pm); err != nil {
+				t.Fatal(err)
+			}
+			check("MulMerge", threads, got, straddled(a, pm.StartNZ))
+		}
+	}
+}
+
+// TestMulRowsMatchesPlainLoop drives the row kernel directly on every
+// sub-range [lo, hi) of each corpus matrix, so pairs start on odd rows as
+// well as even ones.
+func TestMulRowsMatchesPlainLoop(t *testing.T) {
+	for name, a := range rowKernelCorpus(t) {
+		x := randomVec(rand.New(rand.NewSource(int64(a.Rows))), a.Cols)
+		want := make([]float64, a.Rows)
+		refMul(a, x, want)
+		for lo := 0; lo <= a.Rows; lo++ {
+			for hi := lo; hi <= a.Rows; hi++ {
+				got := poisoned(hi - lo)
+				mulRows(a.RowPtr[lo:hi+1], a.ColIdx, a.Val, x, got)
+				for i, v := range got {
+					if !bitsEqual(v, want[lo+i]) {
+						t.Fatalf("%s: rows [%d,%d): row %d = %v, want %v", name, lo, hi, lo+i, v, want[lo+i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRangeSumMatchesPlainLoop checks the partial-row sum the 2D and merge
+// kernels use at split points against the plain loop over the same range.
+func TestRangeSumMatchesPlainLoop(t *testing.T) {
+	a := rowKernelCorpus(t)["giant-row"]
+	x := randomVec(rand.New(rand.NewSource(3)), a.Cols)
+	lo, hi := a.RowPtr[4], a.RowPtr[5]
+	for _, r := range [][2]int{{lo, hi}, {lo, lo}, {lo + 1, hi - 1}, {lo + 250, lo + 251}, {lo + 7, hi}} {
+		want := 0.0
+		for k := r[0]; k < r[1]; k++ {
+			want += a.Val[k] * x[a.ColIdx[k]]
+		}
+		if got := rangeSum(a, x, r[0], r[1]); !bitsEqual(got, want) {
+			t.Errorf("rangeSum%v = %v, want %v", r, got, want)
+		}
+	}
+}

@@ -45,13 +45,61 @@ func Serial(a *sparse.CSR, x, y []float64) error {
 }
 
 func serialUnchecked(a *sparse.CSR, x, y []float64) {
-	for i := 0; i < a.Rows; i++ {
-		sum := 0.0
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			sum += a.Val[k] * x[a.ColIdx[k]]
+	mulRows(a.RowPtr, a.ColIdx, a.Val, x, y[:a.Rows])
+}
+
+// mulRows is the one row kernel every multiply runs: it sets
+// y[i] = Σ val[k]·x[colIdx[k]] over k in [rowPtr[i], rowPtr[i+1]) for each
+// i < len(y), so rowPtr needs len(y)+1 entries (absolute offsets into colIdx
+// and val; pass a.RowPtr[lo:hi+1] and y[lo:hi] for rows [lo, hi)).
+//
+// It computes two rows per step, one accumulator each, so one row's add
+// chain overlaps the other's instead of every product waiting on the
+// previous add. Each row still sums its products in CSR order starting
+// from zero, so every output is bitwise equal to the plain one-row loop's.
+// Each row's columns and values are subslices of equal length, which lets
+// the compiler drop their bounds checks in the paired loop; x[c] keeps its
+// check.
+func mulRows(rowPtr []int, colIdx []int32, val []float64, x, y []float64) {
+	rowPtr = rowPtr[:len(y)+1]
+	i := 0
+	for ; i+1 < len(y); i += 2 {
+		k0, k1, k2 := rowPtr[i], rowPtr[i+1], rowPtr[i+2]
+		c0, v0 := colIdx[k0:k1], val[k0:k1]
+		c1, v1 := colIdx[k1:k2], val[k1:k2]
+		s0, s1 := 0.0, 0.0
+		j := 0
+		for ; j < len(c0) && j < len(c1); j++ {
+			s0 += v0[j] * x[c0[j]]
+			s1 += v1[j] * x[c1[j]]
 		}
-		y[i] = sum
+		// At most one of the two rows has products left.
+		for ; j < len(c0); j++ {
+			s0 += v0[j] * x[c0[j]]
+		}
+		for ; j < len(c1); j++ {
+			s1 += v1[j] * x[c1[j]]
+		}
+		y[i], y[i+1] = s0, s1
 	}
+	if i < len(y) {
+		k0, k1 := rowPtr[i], rowPtr[i+1]
+		c0, v0 := colIdx[k0:k1], val[k0:k1]
+		s0 := 0.0
+		for j, c := range c0 {
+			s0 += v0[j] * x[c]
+		}
+		y[i] = s0
+	}
+}
+
+// rangeSum returns the CSR-order sum of val[k]·x[colIdx[k]] over the
+// nonzeros [k0, k1) of a single row: the partial row a thread owns when
+// its range starts or ends inside that row.
+func rangeSum(a *sparse.CSR, x []float64, k0, k1 int) float64 {
+	var s [1]float64
+	mulRows([]int{k0, k1}, a.ColIdx, a.Val, x, s[:])
+	return s[0]
 }
 
 // RowBlocks1D returns the row ranges of the 1D algorithm's static even row
@@ -95,13 +143,7 @@ func Mul1D(a *sparse.CSR, x, y []float64, threads int) error {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				sum := 0.0
-				for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-					sum += a.Val[k] * x[a.ColIdx[k]]
-				}
-				y[i] = sum
-			}
+			mulRows(a.RowPtr[lo:hi+1], a.ColIdx, a.Val, x, y[lo:hi])
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -232,31 +274,14 @@ func Mul2D(a *sparse.CSR, x, y []float64, p *Plan2D) error {
 			continue
 		}
 		wg.Add(1)
-		go func(t, kLo, kHi int) {
+		go func(t int) {
 			defer wg.Done()
 			parts := p.partials[t][:0]
-			r := p.RowStart[t]
-			for k := kLo; k < kHi; {
-				rowEnd := a.RowPtr[r+1]
-				hi := rowEnd
-				if kHi < hi {
-					hi = kHi
-				}
-				sum := 0.0
-				for ; k < hi; k++ {
-					sum += a.Val[k] * x[a.ColIdx[k]]
-				}
-				if a.RowPtr[r] >= kLo && rowEnd <= kHi {
-					y[r] = sum // full row: exactly one owner
-				} else {
-					parts = append(parts, partial{r, sum})
-				}
-				if k == rowEnd {
-					r++
-				}
-			}
+			p.mulThread(a, x, y, t, func(r int, sum float64) {
+				parts = append(parts, partial{r, sum})
+			})
 			p.partials[t] = parts
-		}(t, kLo, kHi)
+		}(t)
 	}
 	wg.Wait()
 
@@ -267,6 +292,28 @@ func Mul2D(a *sparse.CSR, x, y []float64, p *Plan2D) error {
 		}
 	}
 	return nil
+}
+
+// mulThread runs thread t's share of a 2D multiply. The rows wholly inside
+// the thread's nonzero range [KSplit[t], KSplit[t+1]) go through mulRows
+// straight into y, each with exactly one owner; the at most two rows
+// straddling a split point — the leading one first — are summed over the
+// thread's part of them and handed to straddled.
+func (p *Plan2D) mulThread(a *sparse.CSR, x, y []float64, t int, straddled func(r int, sum float64)) {
+	kLo, kHi := p.KSplit[t], p.KSplit[t+1]
+	// lo is the row holding nonzero kLo and hi the first row ending after
+	// kHi, so every row in [lo, hi) ends by kHi.
+	lo, hi := p.RowStart[t], p.RowStart[t+1]
+	if a.RowPtr[lo] < kLo {
+		straddled(lo, rangeSum(a, x, kLo, min(a.RowPtr[lo+1], kHi)))
+		lo++
+	}
+	if lo < hi {
+		mulRows(a.RowPtr[lo:hi+1], a.ColIdx, a.Val, x, y[lo:hi])
+	}
+	if lo <= hi && hi < a.Rows && a.RowPtr[hi] < kHi {
+		straddled(hi, rangeSum(a, x, a.RowPtr[hi], kHi))
+	}
 }
 
 // Mul2DFresh is a convenience wrapper building a throwaway plan; prefer
