@@ -14,7 +14,6 @@ import (
 	"os"
 
 	"sparseorder/internal/gen"
-	"sparseorder/internal/graph"
 	"sparseorder/internal/metrics"
 	"sparseorder/internal/reorder"
 	"sparseorder/internal/sparse"
@@ -56,33 +55,12 @@ func main() {
 
 	fmt.Printf("matrix: %dx%d, %d nonzeros\n", a.Rows, a.Cols, a.NNZ())
 	fmt.Printf("%-10s %12s %14s %14s %10s\n", "order", "bandwidth", "profile", "offdiag-nnz", "imb-1D")
-	show := func(name string, b *sparse.CSR) {
-		f := metrics.Compute(b, *blocks, *threads)
-		fmt.Printf("%-10s %12d %14d %14d %10.3f\n", name, f.Bandwidth, f.Profile, f.OffDiagNNZ, f.Imbalance1D)
-	}
 	for _, alg := range reorder.AllOrderings {
 		b, _, err := reorder.Apply(alg, a, reorder.Options{Seed: *seed})
 		if err != nil {
 			log.Fatal(err)
 		}
-		show(string(alg), b)
-	}
-	// Extension orderings (not part of the study's six).
-	g, err := graph.FromMatrixSymmetrized(a)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, ext := range []struct {
-		name string
-		p    sparse.Perm
-	}{
-		{"GPS", reorder.GibbsPooleStockmeyer(g)},
-		{"Sloan", reorder.Sloan(g, 0, 0)},
-	} {
-		b, err := sparse.PermuteSymmetric(a, ext.p)
-		if err != nil {
-			log.Fatal(err)
-		}
-		show(ext.name, b)
+		f := metrics.Compute(b, *blocks, *threads)
+		fmt.Printf("%-10s %12d %14d %14d %10.3f\n", alg, f.Bandwidth, f.Profile, f.OffDiagNNZ, f.Imbalance1D)
 	}
 }

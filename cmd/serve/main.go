@@ -60,7 +60,7 @@ import (
 	"syscall"
 	"time"
 
-	"sparseorder/internal/experiments"
+	"sparseorder/internal/admit"
 	"sparseorder/internal/faultinject"
 	"sparseorder/internal/obs"
 	"sparseorder/internal/server"
@@ -150,22 +150,13 @@ func run() int {
 		Obs:            o,
 		Logf:           lg.Infof,
 	}
-	if cfg.MaxBody, err = experiments.ParseByteSize(*maxBody); err != nil {
+	if cfg.MaxBody, err = admit.ParseByteSize(*maxBody); err != nil {
 		lg.Errorf("-max-body: %v", err)
 		return exitFatal
 	}
-	switch *memBudget {
-	case "auto", "":
-		cfg.MemBudget = 0
-	case "off":
-		cfg.MemBudget = -1
-	default:
-		b, err := experiments.ParseByteSize(*memBudget)
-		if err != nil {
-			lg.Errorf("-membudget: %v", err)
-			return exitFatal
-		}
-		cfg.MemBudget = b
+	if cfg.MemBudget, err = admit.ParseBudget(*memBudget); err != nil {
+		lg.Errorf("-membudget: %v", err)
+		return exitFatal
 	}
 
 	srv, err := server.New(cfg)
@@ -175,7 +166,7 @@ func run() int {
 	}
 	defer srv.Close()
 	if g := srv.Governor(); g != nil {
-		lg.Printf("memory governor: %s budget", experiments.FormatBytes(g.Budget()))
+		lg.Printf("memory governor: %s budget", admit.FormatBytes(g.Budget()))
 	} else {
 		lg.Printf("memory governor off (cache bounded to %d entries)", *cacheEntries)
 	}

@@ -96,13 +96,13 @@ import (
 	"syscall"
 	"time"
 
+	"sparseorder/internal/admit"
 	"sparseorder/internal/experiments"
 	"sparseorder/internal/faultinject"
 	"sparseorder/internal/fsutil"
 	"sparseorder/internal/gen"
 	"sparseorder/internal/machine"
 	"sparseorder/internal/obs"
-	"sparseorder/internal/server"
 )
 
 // Exit codes; distinct values let scripts tell partial results from an
@@ -211,18 +211,9 @@ func run() (code int) {
 		Retries:        *retries,
 		Logf:           lg.Infof, // level-gated: silent unless -v
 	}
-	switch *memBudget {
-	case "auto", "":
-		cfg.MemBudget = 0
-	case "off":
-		cfg.MemBudget = -1
-	default:
-		b, err := experiments.ParseByteSize(*memBudget)
-		if err != nil {
-			lg.Errorf("-membudget: %v", err)
-			return exitFatal
-		}
-		cfg.MemBudget = b
+	if cfg.MemBudget, err = admit.ParseBudget(*memBudget); err != nil {
+		lg.Errorf("-membudget: %v", err)
+		return exitFatal
 	}
 
 	// Fault injection is armed before any instrumented code can run, so
@@ -448,7 +439,7 @@ func run() (code int) {
 			lg.Errorf("%v", err)
 			return exitFatal
 		}
-		if bench.Serving, err = server.RunServingBench(); err != nil {
+		if bench.Serving, err = RunServingBench(); err != nil {
 			lg.Errorf("%v", err)
 			return exitFatal
 		}

@@ -1,4 +1,4 @@
-package server
+package main
 
 import (
 	"bytes"
@@ -11,6 +11,7 @@ import (
 	"sparseorder/internal/experiments"
 	"sparseorder/internal/gen"
 	"sparseorder/internal/obs"
+	"sparseorder/internal/server"
 	"sparseorder/internal/sparse"
 )
 
@@ -19,7 +20,7 @@ import (
 // the handler, in three telemetry modes:
 //
 //	serve_spmv_nilobs   cfg.Obs nil — instrumentation compiled in but
-//	                    resolving to nil recorders (the PR 4 contract
+//	                    resolving to nil recorders (the disabled-telemetry contract
 //	                    extended to the request path)
 //	serve_spmv_metrics  live registry: per-route latency, phase
 //	                    histograms and status counters on pre-resolved
@@ -29,21 +30,23 @@ import (
 //
 // The numbers include the HTTP mux, JSON decode/encode and the multiply
 // itself, so the telemetry cost reads as the delta between modes, not the
-// absolute. Returned in experiments.ObsMicroResult form so cmd/study can
-// merge them into BENCH_obs.json next to the primitive micro-benchmarks
-// (experiments cannot import this package — it would cycle through the
-// governor — hence the glue lives in cmd/study).
+// absolute. Returned in experiments.ObsMicroResult form so -exp benchobs
+// can merge them into BENCH_obs.json next to the primitive
+// micro-benchmarks. It lives here, not in package server, so the daemon
+// links neither the study harness nor the testing package.
 func RunServingBench() ([]experiments.ObsMicroResult, error) {
 	a := gen.Banded(300, 4, 0.9, 1)
 	var mm bytes.Buffer
 	if err := sparse.WriteMatrixMarket(&mm, a); err != nil {
-		return nil, fmt.Errorf("server: bench corpus: %v", err)
+		return nil, fmt.Errorf("serving bench corpus: %v", err)
 	}
 	x := make([]float64, a.Rows)
 	for i := range x {
 		x[i] = float64(i%7) - 3
 	}
-	body, err := json.Marshal(spmvRequest{X: x})
+	body, err := json.Marshal(struct {
+		X []float64 `json:"x"`
+	}{x})
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +66,7 @@ func RunServingBench() ([]experiments.ObsMicroResult, error) {
 
 	var out []experiments.ObsMicroResult
 	for _, mode := range modes {
-		srv, err := New(Config{Threads: 1, Obs: mode.obs()})
+		srv, err := server.New(server.Config{Threads: 1, Obs: mode.obs()})
 		if err != nil {
 			return nil, err
 		}
@@ -73,9 +76,11 @@ func RunServingBench() ([]experiments.ObsMicroResult, error) {
 		up := httptest.NewRecorder()
 		h.ServeHTTP(up, httptest.NewRequest(http.MethodPost, "/matrices", bytes.NewReader(mm.Bytes())))
 		if up.Code != http.StatusOK {
-			return nil, fmt.Errorf("server: bench upload (%s): status %d: %s", mode.name, up.Code, up.Body.String())
+			return nil, fmt.Errorf("serving bench upload (%s): status %d: %s", mode.name, up.Code, up.Body.String())
 		}
-		var ur uploadResponse
+		var ur struct {
+			Key string `json:"key"`
+		}
 		if err := json.Unmarshal(up.Body.Bytes(), &ur); err != nil {
 			return nil, err
 		}

@@ -1,4 +1,7 @@
-package experiments
+// Package admit decides whether work fits the memory budget: the
+// byte-weighted admission governor shared by the study runner and the
+// serving daemon, and the working-set estimates it admits by.
+package admit
 
 import (
 	"context"
@@ -18,8 +21,8 @@ import (
 // estimated working set exceeds what the memory budget can ever grant
 // (more than soloOvercommit times the budget, i.e. not even a drained-pool
 // solo run could stay near the limit). The failure classifies as
-// FailResource, journals as a terminal failure, and resumes cleanly.
-var ErrResourceBudget = errors.New("experiments: matrix working set exceeds the memory budget")
+// failure.FailResource, journals as a terminal failure, and resumes cleanly.
+var ErrResourceBudget = errors.New("admit: matrix working set exceeds the memory budget")
 
 // soloOvercommit is how far past the budget a single matrix may go when it
 // runs alone with the pool drained (degradation ladder step 2). Matrices
@@ -110,7 +113,7 @@ func EstimateIngestBytes(rows, nnz int) int64 {
 	return text + shards + scratch + csrBytes(n, z)
 }
 
-// resolveMemBudget turns Config.MemBudget into an effective byte budget:
+// resolveMemBudget turns a NewGovernor budget into an effective byte budget:
 // positive values are taken as-is, negative disables the governor, and 0
 // auto-detects from the Go runtime's soft memory limit (GOMEMLIMIT /
 // debug.SetMemoryLimit): when a limit is set the budget is 90% of it,
@@ -136,15 +139,15 @@ func resolveMemBudget(v int64) int64 {
 //
 //  1. Matrices whose estimate fits the budget acquire their bytes before
 //     evaluating and release them after; under pressure this narrows the
-//     effective concurrency below Config.Workers without any explicit
-//     worker throttling.
+//     effective concurrency below the pool's worker count without any
+//     explicit worker throttling.
 //  2. A matrix estimated over the budget (but within soloOvercommit×) is
 //     admitted solo: admission waits for the pool to drain and holds it
 //     exclusively, so the oversized matrix is the only allocation source
 //     while it runs. Retries of retryable failures are promoted to solo
 //     admission the same way.
 //  3. A matrix beyond soloOvercommit× the budget is rejected with
-//     ErrResourceBudget and recorded with failure class FailResource.
+//     ErrResourceBudget and recorded with failure class resource.
 //
 // A nil *Governor (no budget configured) admits everything immediately;
 // the nil path performs no allocation and no locking.
@@ -163,11 +166,6 @@ type Governor struct {
 	admittedC *obs.Counter // sparseorder_governor_admitted_bytes_total
 	degradedC *obs.Counter // sparseorder_governor_degradations_total
 	rejectedC *obs.Counter // sparseorder_governor_rejected_total
-}
-
-// newGovernor builds the run's governor, or nil when no budget applies.
-func newGovernor(cfg Config) *Governor {
-	return NewGovernor(cfg.MemBudget, cfg.Obs)
 }
 
 // NewGovernor builds a byte-weighted admission governor over memBudget
@@ -269,6 +267,10 @@ func (g *Governor) Acquire(ctx context.Context, name string, est int64, wantSolo
 	return &Admission{g: g, bytes: est, solo: solo}, nil
 }
 
+// Solo reports whether the grant holds the whole pool (degradation ladder
+// step 2); false for a nil admission.
+func (a *Admission) Solo() bool { return a != nil && a.solo }
+
 // Release returns the grant; safe on a nil admission (the nil-governor
 // path).
 func (a *Admission) Release() {
@@ -294,7 +296,7 @@ func (a *Admission) Release() {
 // holds, or is waiting for, the pool). It is the load-shedding signal —
 // callers that cannot queue (the serving daemon) translate it into a
 // 429/Retry-After instead of blocking unboundedly.
-var ErrGovernorSaturated = errors.New("experiments: memory governor saturated")
+var ErrGovernorSaturated = errors.New("admit: memory governor saturated")
 
 // TryAcquire is the non-blocking Acquire: it grants est bytes immediately
 // or reports why it cannot. It returns (nil, nil) from a nil governor,
@@ -353,6 +355,15 @@ func (g *Governor) Budget() int64 {
 	return g.budget
 }
 
+// SoloCap returns the largest estimate a blocking Acquire can ever admit
+// (0 for a nil governor).
+func (g *Governor) SoloCap() int64 {
+	if g == nil {
+		return 0
+	}
+	return g.soloCap
+}
+
 // byteUnits are the suffixes ParseByteSize accepts; both IEC (KiB) and SI
 // (KB) spellings denote the 1024-based unit — artifact sizing here has no
 // use for the 2.4% distinction.
@@ -372,7 +383,7 @@ var byteUnits = []struct {
 func ParseByteSize(s string) (int64, error) {
 	t := strings.ToLower(strings.TrimSpace(s))
 	if t == "" {
-		return 0, fmt.Errorf("experiments: empty byte size")
+		return 0, fmt.Errorf("admit: empty byte size")
 	}
 	shift := uint(0)
 	for _, u := range byteUnits {
@@ -384,13 +395,36 @@ func ParseByteSize(s string) (int64, error) {
 	}
 	v, err := strconv.ParseFloat(t, 64)
 	if err != nil || v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
-		return 0, fmt.Errorf("experiments: bad byte size %q", s)
+		return 0, fmt.Errorf("admit: bad byte size %q", s)
 	}
+	// math.MaxInt64 rounds up to the float64 1<<63, which does not fit an
+	// int64, so 1<<63 is the exclusive bound.
 	b := v * float64(int64(1)<<shift)
-	if b > math.MaxInt64 {
-		return 0, fmt.Errorf("experiments: byte size %q overflows", s)
+	if b >= 1<<63 {
+		return 0, fmt.Errorf("admit: byte size %q overflows", s)
 	}
 	return int64(b), nil
+}
+
+// ParseBudget parses a memory-budget flag into NewGovernor's argument:
+// "auto" or "" gives 0 (derive the budget from GOMEMLIMIT), "off" gives -1
+// (no governor), and anything else is a byte size of at least one byte. A
+// size that rounds to 0 bytes is an error rather than a silent "auto".
+func ParseBudget(s string) (int64, error) {
+	switch s {
+	case "auto", "":
+		return 0, nil
+	case "off":
+		return -1, nil
+	}
+	b, err := ParseByteSize(s)
+	if err == nil && b == 0 {
+		err = fmt.Errorf("admit: budget %q is 0 bytes", s)
+	}
+	if err != nil {
+		return 0, fmt.Errorf(`%w; want "auto", "off" or a size like 512MiB`, err)
+	}
+	return b, nil
 }
 
 // FormatBytes renders bytes with a binary-unit suffix for logs and errors.

@@ -28,11 +28,10 @@ import (
 //     1% of the uninstrumented pipeline, which the micro numbers bound
 //     (a handful of nanoseconds per span against milliseconds of work).
 //   - Serving: one warm SpMV request through the daemon's handler with
-//     telemetry nil / metrics-only / metrics+tracing, measured by
-//     server.RunServingBench and merged in by cmd/study (the server
-//     package imports this one, so the dependency cannot point the other
-//     way). The nilobs row is the request-path equivalent of the no-sink
-//     pipeline budget.
+//     telemetry nil / metrics-only / metrics+tracing, measured and merged
+//     in by cmd/study (RunServingBench there), so the study harness does
+//     not import the daemon. The nilobs row is the request-path
+//     equivalent of the no-sink pipeline budget.
 type ObsBench struct {
 	HostCPUs   int              `json:"host_cpus"`
 	GoMaxProcs int              `json:"gomaxprocs"`

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"sparseorder/internal/admit"
 	"sparseorder/internal/gen"
 	"sparseorder/internal/obs"
 	"sparseorder/internal/sparse"
@@ -41,7 +42,7 @@ func LoadMatrixFiles(ctx context.Context, cfg Config, paths []string) ([]gen.Mat
 		}
 		name := strings.TrimSuffix(filepath.Base(path), ".mtx")
 		cfg.Logf("ingested %s: %dx%d, %d nonzeros (est. working set %s)",
-			name, a.Rows, a.Cols, a.NNZ(), FormatBytes(EstimateIngestBytes(a.Rows, a.NNZ())))
+			name, a.Rows, a.Cols, a.NNZ(), admit.FormatBytes(admit.EstimateIngestBytes(a.Rows, a.NNZ())))
 		ms = append(ms, gen.Matrix{Name: name, Group: "file", Kind: "matrix-market", A: a})
 	}
 	return ms, nil
@@ -73,7 +74,7 @@ type IngestBenchMatrix struct {
 	NNZ       int    `json:"nnz"`
 	FileBytes int    `json:"file_bytes"`
 	// EstIngestBytes is the governor's transient working-set model for
-	// ingesting this matrix (EstimateIngestBytes).
+	// ingesting this matrix (admit.EstimateIngestBytes).
 	EstIngestBytes int64            `json:"est_ingest_bytes"`
 	Runs           []IngestBenchRun `json:"runs"`
 }
@@ -119,7 +120,7 @@ func RunIngestBench(matrices []gen.Matrix, workerCounts []int, repeats int) (*In
 		bm := IngestBenchMatrix{
 			Name: m.Name, Rows: m.A.Rows, NNZ: m.A.NNZ(),
 			FileBytes:      len(data),
-			EstIngestBytes: EstimateIngestBytes(m.A.Rows, m.A.NNZ()),
+			EstIngestBytes: admit.EstimateIngestBytes(m.A.Rows, m.A.NNZ()),
 		}
 		mb := float64(len(data)) / (1 << 20)
 

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"sparseorder/internal/admit"
+	"sparseorder/internal/failure"
 	"sparseorder/internal/faultinject"
 	"sparseorder/internal/gen"
 	"sparseorder/internal/machine"
@@ -56,7 +58,7 @@ func TestChaosSoakJournalFaultResumeByteIdentical(t *testing.T) {
 			len(base.Matrices), len(base.Failures))
 	}
 	for i := range base.Failures {
-		if c := base.Failures[i].Class; c != FailError {
+		if c := base.Failures[i].Class; c != failure.FailError {
 			t.Errorf("%s: injected failure classed %s, want error", base.Failures[i].Name, c)
 		}
 	}
@@ -183,7 +185,7 @@ func TestChaosGovernedStudyUnderFaults(t *testing.T) {
 	}
 	for i := range s.Failures {
 		f := &s.Failures[i]
-		if f.Class != FailResource || f.Attempts != 1 {
+		if f.Class != failure.FailResource || f.Attempts != 1 {
 			t.Errorf("%s: class %s attempts %d, want resource/1", f.Name, f.Class, f.Attempts)
 		}
 	}
@@ -210,7 +212,7 @@ func TestChaosRetryPromotesToSolo(t *testing.T) {
 	cfg.Retries = 1
 	cfg.RetryBackoff = time.Millisecond
 	cfg.RetryBackoffMax = time.Millisecond
-	gov := newGovernor(Config{MemBudget: 1 << 20}) // the matrix fits; only the retry degrades
+	gov := admit.NewGovernor(1<<20, nil) // the matrix fits; only the retry degrades
 	var calls int
 	var soloLogged bool
 	logf := func(format string, args ...any) {

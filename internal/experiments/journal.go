@@ -8,6 +8,7 @@ import (
 	"os"
 	"sync"
 
+	"sparseorder/internal/failure"
 	"sparseorder/internal/faultinject"
 	"sparseorder/internal/fsutil"
 	"sparseorder/internal/gen"
@@ -77,11 +78,11 @@ func (h journalHeader) matches(o journalHeader) bool {
 
 // journalFailure is the serialisable form of a MatrixError.
 type journalFailure struct {
-	Name     string            `json:"name"`
-	Ordering reorder.Algorithm `json:"ordering,omitempty"`
-	Class    FailureClass      `json:"class"`
-	Attempts int               `json:"attempts"`
-	Message  string            `json:"message"`
+	Name     string               `json:"name"`
+	Ordering reorder.Algorithm    `json:"ordering,omitempty"`
+	Class    failure.FailureClass `json:"class"`
+	Attempts int                  `json:"attempts"`
+	Message  string               `json:"message"`
 }
 
 // journalRecord is one JSONL line after the header: a completed matrix

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"sparseorder/internal/failure"
 	"sparseorder/internal/gen"
 	"sparseorder/internal/machine"
 )
@@ -41,7 +42,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		}
 	}
 	fail := &MatrixError{Name: "gX", Ordering: "RCM", Err: errors.New("boom"),
-		Class: FailError, Attempts: 1}
+		Class: failure.FailError, Attempts: 1}
 	if err := j.RecordFailure(fail); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if !ok || gotFail == nil {
 		t.Fatal("journal lost the failure record")
 	}
-	if gotFail.Class != FailError || gotFail.Attempts != 1 ||
+	if gotFail.Class != failure.FailError || gotFail.Attempts != 1 ||
 		gotFail.Ordering != "RCM" || gotFail.Err.Error() != "boom" {
 		t.Errorf("failure round-trip = %+v", gotFail)
 	}
@@ -117,7 +118,7 @@ func TestJournalTruncatesPartialTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := j.RecordFailure(&MatrixError{Name: "ok", Err: errors.New("x"),
-		Class: FailError, Attempts: 1}); err != nil {
+		Class: failure.FailError, Attempts: 1}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -142,7 +143,7 @@ func TestJournalTruncatesPartialTail(t *testing.T) {
 		t.Error("the torn record was resurrected")
 	}
 	if err := j2.RecordFailure(&MatrixError{Name: "after", Err: errors.New("y"),
-		Class: FailError, Attempts: 1}); err != nil {
+		Class: failure.FailError, Attempts: 1}); err != nil {
 		t.Fatal(err)
 	}
 	j2.Close()
@@ -308,7 +309,7 @@ func TestRunStudyResumeSkipsJournaledFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s1.Failures) != 1 || s1.Failures[0].Class != FailError {
+	if len(s1.Failures) != 1 || s1.Failures[0].Class != failure.FailError {
 		t.Fatalf("run1 failures = %+v", s1.Failures)
 	}
 	j.Close()
@@ -334,7 +335,7 @@ func TestRunStudyResumeSkipsJournaledFailures(t *testing.T) {
 	if len(s2.Matrices) != 3 || len(s2.Failures) != 1 {
 		t.Fatalf("resume: %d results, %d failures", len(s2.Matrices), len(s2.Failures))
 	}
-	if f := s2.Failures[0]; f.Name != "g1" || f.Class != FailError || f.Err.Error() != s1.Failures[0].Err.Error() {
+	if f := s2.Failures[0]; f.Name != "g1" || f.Class != failure.FailError || f.Err.Error() != s1.Failures[0].Err.Error() {
 		t.Errorf("resumed failure = %+v", f)
 	}
 }
@@ -372,7 +373,7 @@ func TestRunStudyRetriesRetryableFailures(t *testing.T) {
 	if len(s.Matrices) != 3 || len(s.Failures) != 1 {
 		t.Fatalf("%d results, %d failures", len(s.Matrices), len(s.Failures))
 	}
-	if f := s.Failures[0]; f.Name != "g1" || f.Class != FailError || f.Attempts != 1 {
+	if f := s.Failures[0]; f.Name != "g1" || f.Class != failure.FailError || f.Attempts != 1 {
 		t.Errorf("failure = %+v", f)
 	}
 
@@ -395,7 +396,7 @@ func TestRunStudyRetriesRetryableFailures(t *testing.T) {
 	if len(s2.Failures) != 1 {
 		t.Fatalf("%d failures, want 1", len(s2.Failures))
 	}
-	if f := s2.Failures[0]; f.Class != FailPanic || f.Attempts != 3 {
+	if f := s2.Failures[0]; f.Class != failure.FailPanic || f.Attempts != 3 {
 		t.Errorf("failure = class %s attempts %d, want panic/3", f.Class, f.Attempts)
 	}
 }
@@ -425,7 +426,7 @@ func TestRunStudyTimeoutInterruptsRealOrdering(t *testing.T) {
 		t.Fatalf("%d results, %d failures, want the matrix to time out",
 			len(s.Matrices), len(s.Failures))
 	}
-	if f := s.Failures[0]; f.Name != "slow" || f.Class != FailTimeout {
+	if f := s.Failures[0]; f.Name != "slow" || f.Class != failure.FailTimeout {
 		t.Errorf("failure = name %s class %s, want slow/timeout", f.Name, f.Class)
 	}
 }
@@ -434,24 +435,24 @@ func TestRunStudyTimeoutInterruptsRealOrdering(t *testing.T) {
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		err  error
-		want FailureClass
+		want failure.FailureClass
 	}{
-		{errors.New("x"), FailError},
-		{context.DeadlineExceeded, FailTimeout},
-		{context.Canceled, FailCanceled},
-		{&PanicError{Value: "v", Stack: "s"}, FailPanic},
-		{&MatrixError{Name: "m", Err: context.DeadlineExceeded}, FailTimeout},
-		{&MatrixError{Name: "m", Err: &PanicError{Value: "v"}}, FailPanic},
+		{errors.New("x"), failure.FailError},
+		{context.DeadlineExceeded, failure.FailTimeout},
+		{context.Canceled, failure.FailCanceled},
+		{&failure.PanicError{Value: "v", Stack: "s"}, failure.FailPanic},
+		{&MatrixError{Name: "m", Err: context.DeadlineExceeded}, failure.FailTimeout},
+		{&MatrixError{Name: "m", Err: &failure.PanicError{Value: "v"}}, failure.FailPanic},
 	}
 	for _, c := range cases {
-		if got := Classify(c.err); got != c.want {
-			t.Errorf("Classify(%v) = %s, want %s", c.err, got, c.want)
+		if got := failure.Classify(c.err); got != c.want {
+			t.Errorf("failure.Classify(%v) = %s, want %s", c.err, got, c.want)
 		}
 	}
-	if FailError.Retryable() || FailCanceled.Retryable() {
+	if failure.FailError.Retryable() || failure.FailCanceled.Retryable() {
 		t.Error("error/canceled must not be retryable")
 	}
-	if !FailTimeout.Retryable() || !FailPanic.Retryable() {
+	if !failure.FailTimeout.Retryable() || !failure.FailPanic.Retryable() {
 		t.Error("timeout/panic must be retryable")
 	}
 }
@@ -467,8 +468,8 @@ func TestWriteFailureReport(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	err := WriteFailureReport(&buf, []MatrixError{
-		{Name: "m1", Ordering: "ND", Class: FailTimeout, Attempts: 2, Err: context.DeadlineExceeded},
-		{Name: "m2", Class: FailPanic, Attempts: 1, Err: &PanicError{Value: "boom", Stack: "goroutine 1\nmain.go:1"}},
+		{Name: "m1", Ordering: "ND", Class: failure.FailTimeout, Attempts: 2, Err: context.DeadlineExceeded},
+		{Name: "m2", Class: failure.FailPanic, Attempts: 1, Err: &failure.PanicError{Value: "boom", Stack: "goroutine 1\nmain.go:1"}},
 	})
 	if err != nil {
 		t.Fatal(err)

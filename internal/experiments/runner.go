@@ -8,62 +8,13 @@ import (
 	"sync"
 	"time"
 
+	"sparseorder/internal/admit"
+	"sparseorder/internal/failure"
 	"sparseorder/internal/gen"
 	"sparseorder/internal/machine"
 	"sparseorder/internal/obs"
 	"sparseorder/internal/reorder"
 )
-
-// FailureClass categorises why a matrix evaluation failed; it drives the
-// retry policy and the failure report.
-type FailureClass string
-
-// The failure classes. Timeouts and panics are considered transient (a
-// retry under less memory pressure or scheduler noise can succeed);
-// cancellation means the whole run is stopping and is never retried or
-// journaled; resource means the governor refused the matrix because its
-// estimated working set can never fit the memory budget — deterministic
-// for a given budget, so never retried, but journaled so resume skips it;
-// everything else is a deterministic evaluation error that a retry would
-// only repeat.
-const (
-	FailError    FailureClass = "error"
-	FailTimeout  FailureClass = "timeout"
-	FailCanceled FailureClass = "canceled"
-	FailPanic    FailureClass = "panic"
-	FailResource FailureClass = "resource"
-)
-
-// Retryable reports whether a bounded retry may be attempted for this
-// class of failure.
-func (c FailureClass) Retryable() bool { return c == FailTimeout || c == FailPanic }
-
-// Classify maps an evaluation error to its failure class.
-func Classify(err error) FailureClass {
-	var pe *PanicError
-	switch {
-	case errors.As(err, &pe):
-		return FailPanic
-	case errors.Is(err, ErrResourceBudget):
-		return FailResource
-	case errors.Is(err, context.DeadlineExceeded):
-		return FailTimeout
-	case errors.Is(err, context.Canceled):
-		return FailCanceled
-	default:
-		return FailError
-	}
-}
-
-// PanicError is a recovered evaluation panic with its stack, preserved as
-// a typed error so Classify can distinguish panics from ordinary errors.
-type PanicError struct {
-	Value string
-	Stack string
-}
-
-// Error keeps the historical "panic: value\nstack" format.
-func (e *PanicError) Error() string { return "panic: " + e.Value + "\n" + e.Stack }
 
 // MatrixError records the failure of one matrix's evaluation. Ordering is
 // the algorithm whose computation or application failed when the failure
@@ -74,7 +25,7 @@ type MatrixError struct {
 	Ordering reorder.Algorithm
 	Err      error
 	// Class is the failure class Classify assigned to Err.
-	Class FailureClass
+	Class failure.FailureClass
 	// Attempts is how many evaluation attempts were made (≥1); values
 	// above one mean retries were exhausted without success.
 	Attempts int
@@ -139,10 +90,10 @@ func runStudy(ctx context.Context, cfg Config, coll []gen.Matrix, eval evalFunc)
 
 	// The governor admits matrices against the memory budget; nil (no
 	// budget configured or detected) admits everything with no locking.
-	gov := newGovernor(cfg)
+	gov := admit.NewGovernor(cfg.MemBudget, cfg.Obs)
 	if gov != nil {
 		cfg.Logf("memory governor: budget %s, solo ceiling %s",
-			FormatBytes(gov.budget), FormatBytes(gov.soloCap))
+			admit.FormatBytes(gov.Budget()), admit.FormatBytes(gov.SoloCap()))
 	}
 
 	// Journal append failures are run-fatal — a silently failing disk must
@@ -214,7 +165,7 @@ func runStudy(ctx context.Context, cfg Config, coll []gen.Matrix, eval evalFunc)
 				m := coll[idx]
 				var est int64
 				if gov != nil && m.A != nil {
-					est = EstimateMatrixBytes(m.A.Rows, m.A.NNZ(), cfg.Orderings)
+					est = admit.EstimateMatrixBytes(m.A.Rows, m.A.NNZ(), cfg.Orderings)
 				}
 				tel.startMatrix(w, m.Name)
 				mctx, sp := obs.Start(runCtx, "study/matrix")
@@ -237,7 +188,7 @@ func runStudy(ctx context.Context, cfg Config, coll []gen.Matrix, eval evalFunc)
 					var jerr error
 					if me == nil {
 						jerr = cfg.Journal.RecordResult(r)
-					} else if me.Class != FailCanceled {
+					} else if me.Class != failure.FailCanceled {
 						jerr = cfg.Journal.RecordFailure(me)
 					}
 					tm.Stop()
@@ -312,7 +263,7 @@ feed:
 // next attempt is promoted to a solo admission (pool drained), the middle
 // rung of the degradation ladder. It returns the attempt count alongside
 // the final outcome.
-func evaluateWithRetry(ctx context.Context, m gen.Matrix, cfg Config, gov *Governor, est int64, eval evalFunc, logf func(string, ...any)) (*MatrixResult, int, error) {
+func evaluateWithRetry(ctx context.Context, m gen.Matrix, cfg Config, gov *admit.Governor, est int64, eval evalFunc, logf func(string, ...any)) (*MatrixResult, int, error) {
 	solo := false
 	for attempt := 1; ; attempt++ {
 		adm, aerr := gov.Acquire(ctx, m.Name, est, solo)
@@ -322,16 +273,16 @@ func evaluateWithRetry(ctx context.Context, m gen.Matrix, cfg Config, gov *Gover
 			// resource): both are terminal for this matrix, neither retried.
 			return nil, attempt, &MatrixError{Name: m.Name, Err: aerr}
 		}
-		if adm != nil && adm.solo {
+		if adm.Solo() {
 			logf("%s admitted solo (est %s, budget %s): pool drained while it runs",
-				m.Name, FormatBytes(est), FormatBytes(gov.budget))
+				m.Name, admit.FormatBytes(est), admit.FormatBytes(gov.Budget()))
 		}
 		r, err := evaluateIsolated(ctx, m, cfg, eval, logf)
 		adm.Release()
 		if err == nil {
 			return r, attempt, nil
 		}
-		class := Classify(err)
+		class := failure.Classify(err)
 		if !class.Retryable() || attempt > cfg.Retries {
 			return nil, attempt, err
 		}
@@ -393,7 +344,7 @@ func evaluateIsolated(ctx context.Context, m gen.Matrix, cfg Config, eval evalFu
 	defer func() {
 		if r := recover(); r != nil {
 			res = nil
-			err = &PanicError{Value: fmt.Sprint(r), Stack: string(debug.Stack())}
+			err = &failure.PanicError{Value: fmt.Sprint(r), Stack: string(debug.Stack())}
 		}
 	}()
 	logf("evaluating %s (%d rows, %d nnz)", m.Name, m.A.Rows, m.A.NNZ())
@@ -412,7 +363,7 @@ func asMatrixError(name string, err error, attempts int) *MatrixError {
 	if !errors.As(err, &me) {
 		me = &MatrixError{Name: name, Err: err}
 	}
-	me.Class = Classify(err)
+	me.Class = failure.Classify(err)
 	me.Attempts = attempts
 	return me
 }

@@ -114,14 +114,14 @@ func (c *Config) fill() {
 
 // Report is the run's SLO summary, JSON-encodable for CI assertions.
 type Report struct {
-	Target     string   `json:"target"`
-	Matrices   int      `json:"matrices"`
-	RateRPS    float64  `json:"rate_rps"`
-	DurationS  float64  `json:"duration_s"`
-	ZipfS      float64  `json:"zipf_s"`
-	Seed       int64    `json:"seed"`
-	OfferedRPS float64  `json:"offered_rps"` // arrivals fired / duration
-	Dropped    int64    `json:"dropped"`     // arrivals shed by MaxInFlight
+	Target     string  `json:"target"`
+	Matrices   int     `json:"matrices"`
+	RateRPS    float64 `json:"rate_rps"`
+	DurationS  float64 `json:"duration_s"`
+	ZipfS      float64 `json:"zipf_s"`
+	Seed       int64   `json:"seed"`
+	OfferedRPS float64 `json:"offered_rps"` // arrivals fired / duration
+	Dropped    int64   `json:"dropped"`     // arrivals shed by MaxInFlight
 	// RetriesTotal is the count of extra attempts issued after 429/503
 	// responses across all routes.
 	RetriesTotal int64    `json:"retries_total"`
@@ -589,7 +589,7 @@ func (st *runState) spmv(ctx context.Context, spec *matrixSpec) {
 }
 
 // scrape fetches and parses /metrics.
-func scrape(ctx context.Context, cfg Config) ([]promSample, error) {
+func scrape(ctx context.Context, cfg Config) ([]obs.Sample, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cfg.BaseURL+"/metrics", nil)
 	if err != nil {
 		return nil, err
@@ -606,12 +606,12 @@ func scrape(ctx context.Context, cfg Config) ([]promSample, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parsePromText(string(text))
+	return obs.ParseText(string(text))
 }
 
 // summarize folds client samples and the scrape delta into the report and
 // runs the cross-check.
-func (st *runState) summarize(rep *Report, before, after []promSample) {
+func (st *runState) summarize(rep *Report, before, after []obs.Sample) {
 	byRoute := map[string][]sample{}
 	logicalByRoute := map[string][]logicalSample{}
 	st.mu.Lock()
@@ -691,7 +691,7 @@ const (
 
 // serverView reconstructs one route's server-side latency view from the
 // scrape delta.
-func serverView(before, after []promSample, route string) (*ServerView, bool) {
+func serverView(before, after []obs.Sample, route string) (*ServerView, bool) {
 	want := map[string]string{"route": route}
 	h1, ok := extractHist(after, metricRequestSeconds, want)
 	if !ok {
@@ -728,7 +728,7 @@ func serverView(before, after []promSample, route string) (*ServerView, bool) {
 // must be at least the lower edge of the server bucket holding the same
 // quantile — the client pays the network on top of server time, so being
 // below that bracket means the histograms and samples disagree.
-func (st *runState) checkRoute(rep *Report, rr *RouteReport, before, after []promSample) {
+func (st *runState) checkRoute(rep *Report, rr *RouteReport, before, after []obs.Sample) {
 	responded := rr.Requests - rr.Failures
 	if int64(rr.Server.Requests) != responded {
 		rep.CrossCheck = false

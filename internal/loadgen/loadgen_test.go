@@ -12,41 +12,6 @@ import (
 	"sparseorder/internal/server"
 )
 
-func TestParsePromLine(t *testing.T) {
-	cases := []struct {
-		line   string
-		name   string
-		labels map[string]string
-		value  float64
-	}{
-		{`foo 42`, "foo", map[string]string{}, 42},
-		{`foo{a="b"} 1.5`, "foo", map[string]string{"a": "b"}, 1.5},
-		{`h_bucket{route="spmv",le="+Inf"} 7`, "h_bucket",
-			map[string]string{"route": "spmv", "le": "+Inf"}, 7},
-		{`e{k="a\"b\\c\nd"} 0`, "e", map[string]string{"k": "a\"b\\c\nd"}, 0},
-	}
-	for _, tc := range cases {
-		s, err := parsePromLine(tc.line)
-		if err != nil {
-			t.Fatalf("parse %q: %v", tc.line, err)
-		}
-		if s.name != tc.name || s.value != tc.value {
-			t.Errorf("%q: got (%q, %v), want (%q, %v)", tc.line, s.name, s.value, tc.name, tc.value)
-		}
-		for k, v := range tc.labels {
-			if s.labels[k] != v {
-				t.Errorf("%q: label %s = %q, want %q", tc.line, k, s.labels[k], v)
-			}
-		}
-	}
-	if _, err := parsePromLine("garbage"); err == nil {
-		t.Error("expected error for line without value")
-	}
-	if _, err := parsePromLine(`x{a="unterminated 3`); err == nil {
-		t.Error("expected error for unterminated label value")
-	}
-}
-
 func TestExtractHistAndQuantile(t *testing.T) {
 	text := `
 # HELP h request latency
@@ -61,7 +26,7 @@ h_bucket{route="upload",le="+Inf"} 1
 h_sum{route="upload"} 0.05
 h_count{route="upload"} 1
 `
-	samples, err := parsePromText(text)
+	samples, err := obs.ParseText(text)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,131 +1,12 @@
 package loadgen
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strconv"
-	"strings"
+
+	"sparseorder/internal/obs"
 )
-
-// promSample is one parsed Prometheus text-exposition line:
-// name{labels} value.
-type promSample struct {
-	name   string
-	labels map[string]string
-	value  float64
-}
-
-// parsePromText parses the subset of the Prometheus text format the
-// sparseorder registry emits (no timestamps, no exemplars). Comment and
-// blank lines are skipped; a malformed line is an error so a cross-check
-// never silently reads garbage.
-func parsePromText(text string) ([]promSample, error) {
-	var out []promSample
-	for ln, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		s, err := parsePromLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: /metrics line %d: %w", ln+1, err)
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-func parsePromLine(line string) (promSample, error) {
-	s := promSample{labels: map[string]string{}}
-	rest := line
-	if i := strings.IndexAny(rest, "{ "); i < 0 {
-		return s, fmt.Errorf("no value in %q", line)
-	} else {
-		s.name = rest[:i]
-		rest = rest[i:]
-	}
-	if rest[0] == '{' {
-		end, labels, err := parseLabels(rest)
-		if err != nil {
-			return s, err
-		}
-		s.labels = labels
-		rest = rest[end:]
-	}
-	rest = strings.TrimSpace(rest)
-	v, err := parsePromValue(rest)
-	if err != nil {
-		return s, fmt.Errorf("bad value %q: %v", rest, err)
-	}
-	s.value = v
-	return s, nil
-}
-
-// parseLabels parses a {k="v",…} block starting at text[0] == '{',
-// returning the index just past the closing brace. Values may contain the
-// exposition escapes \\, \" and \n.
-func parseLabels(text string) (int, map[string]string, error) {
-	labels := map[string]string{}
-	i := 1
-	for {
-		if i >= len(text) {
-			return 0, nil, fmt.Errorf("unterminated label block")
-		}
-		if text[i] == '}' {
-			return i + 1, labels, nil
-		}
-		eq := strings.IndexByte(text[i:], '=')
-		if eq < 0 || i+eq+1 >= len(text) || text[i+eq+1] != '"' {
-			return 0, nil, fmt.Errorf("malformed label in %q", text)
-		}
-		key := text[i : i+eq]
-		j := i + eq + 2 // first byte of the value
-		var b strings.Builder
-		for {
-			if j >= len(text) {
-				return 0, nil, fmt.Errorf("unterminated label value in %q", text)
-			}
-			c := text[j]
-			if c == '\\' && j+1 < len(text) {
-				switch text[j+1] {
-				case '\\':
-					b.WriteByte('\\')
-				case '"':
-					b.WriteByte('"')
-				case 'n':
-					b.WriteByte('\n')
-				default:
-					b.WriteByte(c)
-					b.WriteByte(text[j+1])
-				}
-				j += 2
-				continue
-			}
-			if c == '"' {
-				break
-			}
-			b.WriteByte(c)
-			j++
-		}
-		labels[key] = b.String()
-		j++ // past the closing quote
-		if j < len(text) && text[j] == ',' {
-			j++
-		}
-		i = j
-	}
-}
-
-func parsePromValue(s string) (float64, error) {
-	switch s {
-	case "+Inf":
-		return math.Inf(1), nil
-	case "-Inf":
-		return math.Inf(-1), nil
-	}
-	return strconv.ParseFloat(s, 64)
-}
 
 // histSnapshot is one histogram series reconstructed from a scrape:
 // cumulative bucket counts by upper bound, plus count and sum.
@@ -149,7 +30,7 @@ func matches(labels, want map[string]string) bool {
 
 // extractHist reconstructs the histogram series of family with the given
 // labels from parsed samples. Missing series yield ok=false.
-func extractHist(samples []promSample, family string, want map[string]string) (histSnapshot, bool) {
+func extractHist(samples []obs.Sample, family string, want map[string]string) (histSnapshot, bool) {
 	var h histSnapshot
 	type bkt struct {
 		le  float64
@@ -158,25 +39,25 @@ func extractHist(samples []promSample, family string, want map[string]string) (h
 	var buckets []bkt
 	seen := false
 	for _, s := range samples {
-		switch s.name {
+		switch s.Name {
 		case family + "_bucket":
-			if !matches(s.labels, want) {
+			if !matches(s.Labels, want) {
 				continue
 			}
-			le, err := parsePromValue(s.labels["le"])
+			le, err := strconv.ParseFloat(s.Labels["le"], 64)
 			if err != nil {
 				continue
 			}
-			buckets = append(buckets, bkt{le: le, cum: uint64(s.value)})
+			buckets = append(buckets, bkt{le: le, cum: uint64(s.Value)})
 			seen = true
 		case family + "_count":
-			if matches(s.labels, want) {
-				h.count = uint64(s.value)
+			if matches(s.Labels, want) {
+				h.count = uint64(s.Value)
 				seen = true
 			}
 		case family + "_sum":
-			if matches(s.labels, want) {
-				h.sum = s.value
+			if matches(s.Labels, want) {
+				h.sum = s.Value
 				seen = true
 			}
 		}

@@ -454,121 +454,6 @@ func TestGPWeightedBalancesNonzeros(t *testing.T) {
 	}
 }
 
-func TestSeparatedBlockDiagonal(t *testing.T) {
-	a := gen.Scramble(gen.Grid2D(20, 20), 6)
-	res := SeparatedBlockDiagonal(a, Options{Seed: 1, NDSmall: 16})
-	if !res.RowPerm.IsValid() || len(res.RowPerm) != a.Rows {
-		t.Fatal("SBD row permutation invalid")
-	}
-	if !res.ColPerm.IsValid() || len(res.ColPerm) != a.Cols {
-		t.Fatal("SBD column permutation invalid")
-	}
-	// Apply both permutations; the result must keep all nonzeros and
-	// reduce the off-diagonal block count versus the scrambled input.
-	b, err := sparse.PermuteRows(a, res.RowPerm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err = sparse.PermuteCols(b, res.ColPerm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.NNZ() != a.NNZ() {
-		t.Fatal("SBD changed nnz")
-	}
-	before := metrics.OffDiagonalNNZ(a, 8)
-	after := metrics.OffDiagonalNNZ(b, 8)
-	if after >= before {
-		t.Errorf("SBD off-diagonal nnz %d not below scrambled %d", after, before)
-	}
-}
-
-func TestSeparatedBlockDiagonalTiny(t *testing.T) {
-	a := gen.Grid2D(3, 3)
-	res := SeparatedBlockDiagonal(a, Options{NDSmall: 100})
-	// Below the recursion threshold the ordering is the identity.
-	for i, v := range res.RowPerm {
-		if v != i {
-			t.Fatal("tiny SBD should be identity rows")
-		}
-	}
-}
-
-func TestGPSValidAndReducesBandwidth(t *testing.T) {
-	a := gen.Scramble(gen.Grid2D(20, 20), 8)
-	g, err := graph.FromMatrix(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := GibbsPooleStockmeyer(g)
-	if len(p) != g.N || !p.IsValid() {
-		t.Fatal("GPS invalid permutation")
-	}
-	b, err := sparse.PermuteSymmetric(a, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := metrics.Bandwidth(a)
-	after := metrics.Bandwidth(b)
-	if after >= before/2 {
-		t.Errorf("GPS bandwidth %d not well below scrambled %d", after, before)
-	}
-	// GPS should be in the same ballpark as RCM on a mesh.
-	rcm := ReverseCuthillMcKee(g)
-	br, err := sparse.PermuteSymmetric(a, rcm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after > 3*metrics.Bandwidth(br) {
-		t.Errorf("GPS bandwidth %d far worse than RCM %d", after, metrics.Bandwidth(br))
-	}
-}
-
-func TestGPSOnPath(t *testing.T) {
-	n := 40
-	coo := sparse.NewCOO(n, n, 3*n)
-	for i := 0; i < n; i++ {
-		coo.Append(i, i, 2)
-		if i+1 < n {
-			coo.Append(i, i+1, -1)
-			coo.Append(i+1, i, -1)
-		}
-	}
-	path, _ := coo.ToCSR()
-	a := gen.Scramble(path, 21)
-	g, err := graph.FromMatrix(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := GibbsPooleStockmeyer(g)
-	b, err := sparse.PermuteSymmetric(a, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bw := metrics.Bandwidth(b); bw != 1 {
-		t.Errorf("GPS bandwidth on path = %d, want 1", bw)
-	}
-}
-
-func TestGPSDisconnected(t *testing.T) {
-	coo := sparse.NewCOO(9, 9, 12)
-	for i := 0; i < 3; i++ {
-		coo.Append(i, i+1, 1)
-		coo.Append(i+1, i, 1)
-	}
-	coo.Append(6, 7, 1)
-	coo.Append(7, 6, 1)
-	a, _ := coo.ToCSR()
-	g, err := graph.FromMatrix(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := GibbsPooleStockmeyer(g)
-	if len(p) != 9 || !p.IsValid() {
-		t.Fatalf("GPS on disconnected graph: %v", p)
-	}
-}
-
 // minDegreeExact is a brute-force exact minimum-degree ordering with full
 // elimination-graph maintenance (clique insertion), used as a quality
 // oracle for AMD on small graphs.
@@ -675,74 +560,5 @@ func TestHPConnectivityObjective(t *testing.T) {
 	p2, err := Compute(HP, a, Options{Seed: 4, Parts: 8, HPObjective: Connectivity})
 	if err != nil || !p2.IsValid() {
 		t.Fatalf("Compute with connectivity objective: %v", err)
-	}
-}
-
-func TestSloanValidAndReducesProfile(t *testing.T) {
-	a := gen.Scramble(gen.Grid2D(20, 20), 15)
-	g, err := graph.FromMatrix(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Sloan(g, 0, 0)
-	if len(p) != g.N || !p.IsValid() {
-		t.Fatal("Sloan produced an invalid permutation")
-	}
-	b, err := sparse.PermuteSymmetric(a, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := metrics.Profile(a)
-	after := metrics.Profile(b)
-	if after*2 >= before {
-		t.Errorf("Sloan profile %d not well below scrambled %d", after, before)
-	}
-	// Sloan should be competitive with RCM on the profile metric.
-	rcm := ReverseCuthillMcKee(g)
-	br, err := sparse.PermuteSymmetric(a, rcm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after > 2*metrics.Profile(br) {
-		t.Errorf("Sloan profile %d far worse than RCM %d", after, metrics.Profile(br))
-	}
-}
-
-func TestSloanDisconnected(t *testing.T) {
-	coo := sparse.NewCOO(10, 10, 12)
-	for i := 0; i < 4; i++ {
-		coo.Append(i, i+1, 1)
-		coo.Append(i+1, i, 1)
-	}
-	coo.Append(7, 8, 1)
-	coo.Append(8, 7, 1)
-	a, _ := coo.ToCSR()
-	g, err := graph.FromMatrix(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Sloan(g, 1, 2)
-	if len(p) != 10 || !p.IsValid() {
-		t.Fatalf("Sloan on disconnected graph: %v", p)
-	}
-}
-
-func TestSloanWeightsChangeOrdering(t *testing.T) {
-	a := gen.Scramble(gen.Grid2D(12, 12), 16)
-	g, err := graph.FromMatrix(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1 := Sloan(g, 1, 2)
-	p2 := Sloan(g, 16, 1)
-	same := true
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("extreme weight change did not alter the ordering")
 	}
 }

@@ -22,7 +22,7 @@ import (
 	"fmt"
 	"sync"
 
-	"sparseorder/internal/experiments"
+	"sparseorder/internal/admit"
 	"sparseorder/internal/obs"
 	"sparseorder/internal/reorder"
 	"sparseorder/internal/sparse"
@@ -76,13 +76,13 @@ var ErrCacheFull = errors.New("server: plan cache full")
 // process share one budget; eviction releases the admission. With a nil
 // governor the cache is bounded by maxEntries alone.
 type Cache struct {
-	gov        *experiments.Governor
+	gov        *admit.Governor
 	maxEntries int
 
 	mu    sync.Mutex
 	lru   *list.List // front = most recently used
 	byKey map[string]*entry
-	adms  map[string]*experiments.Admission // admission per resident entry
+	adms  map[string]*admit.Admission // admission per resident entry
 	bytes int64
 
 	hitC, missC, evictC, insertC *obs.Counter
@@ -92,7 +92,7 @@ type Cache struct {
 // NewCache builds the cache. gov may be nil (no byte budget); maxEntries
 // <= 0 defaults to 256. Metric handles are resolved once so the request
 // path never touches the registry.
-func NewCache(gov *experiments.Governor, maxEntries int, o *obs.Obs) *Cache {
+func NewCache(gov *admit.Governor, maxEntries int, o *obs.Obs) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = 256
 	}
@@ -101,7 +101,7 @@ func NewCache(gov *experiments.Governor, maxEntries int, o *obs.Obs) *Cache {
 		maxEntries: maxEntries,
 		lru:        list.New(),
 		byKey:      map[string]*entry{},
-		adms:       map[string]*experiments.Admission{},
+		adms:       map[string]*admit.Admission{},
 	}
 	if o != nil && o.Metrics != nil {
 		r := o.Metrics
@@ -204,7 +204,7 @@ func (c *Cache) Unpin(e *entry) {
 
 // Insert makes e resident, evicting least-recently-used unpinned entries
 // until the governor admits its bytes (and the entry count fits). It
-// returns experiments.ErrResourceBudget when the entry alone exceeds the
+// returns admit.ErrResourceBudget when the entry alone exceeds the
 // budget (permanent: the matrix is servable but never cacheable) and
 // ErrCacheFull when eviction cannot free enough (transient saturation).
 // Inserting a key that is already resident is a no-op keeping the existing
@@ -230,7 +230,7 @@ func (c *Cache) Insert(e *entry) error {
 			}
 			break
 		}
-		if errors.Is(err, experiments.ErrResourceBudget) {
+		if errors.Is(err, admit.ErrResourceBudget) {
 			return err // can never fit; don't evict the world trying
 		}
 		if !c.evictOldestUnpinned() {
@@ -255,7 +255,7 @@ func (c *Cache) Insert(e *entry) error {
 // recency order. It reports whether the key is resident afterwards — true
 // also when a live upload won the race and inserted the key first (the
 // pre-acquired admission is released; the resident entry serves).
-func (c *Cache) insertRecovered(e *entry, adm *experiments.Admission) bool {
+func (c *Cache) insertRecovered(e *entry, adm *admit.Admission) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.byKey[e.key] != nil {

@@ -6,7 +6,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"sparseorder/internal/experiments"
+	"sparseorder/internal/admit"
 	"sparseorder/internal/gen"
 	"sparseorder/internal/reorder"
 	"sparseorder/internal/sparse"
@@ -66,7 +66,7 @@ func TestEntryBytes(t *testing.T) {
 // the hit/miss/evict/insert counters and byte gauge track it all.
 func TestCacheLRUEviction(t *testing.T) {
 	o := newTestObs()
-	gov := experiments.NewGovernor(200, o)
+	gov := admit.NewGovernor(200, o)
 	c := NewCache(gov, 100, o)
 
 	for i, key := range []string{"a", "b"} {
@@ -115,7 +115,7 @@ func TestCacheLRUEviction(t *testing.T) {
 // to evict a pinned entry fails instead — a request holding a plan can
 // never observe its matrix being reclaimed.
 func TestCachePinnedNeverEvicted(t *testing.T) {
-	gov := experiments.NewGovernor(100, nil)
+	gov := admit.NewGovernor(100, nil)
 	c := NewCache(gov, 100, newTestObs())
 	if err := c.Insert(mkEntry("held", 100)); err != nil {
 		t.Fatal(err)
@@ -167,13 +167,13 @@ func TestCacheEntryBound(t *testing.T) {
 // TestCacheOversizedEntry: an entry that can never fit is a permanent
 // resource refusal, distinct from transient fullness.
 func TestCacheOversizedEntry(t *testing.T) {
-	gov := experiments.NewGovernor(100, nil)
+	gov := admit.NewGovernor(100, nil)
 	c := NewCache(gov, 100, newTestObs())
 	if err := c.Insert(mkEntry("small", 40)); err != nil {
 		t.Fatal(err)
 	}
 	err := c.Insert(mkEntry("huge", 101))
-	if !errors.Is(err, experiments.ErrResourceBudget) {
+	if !errors.Is(err, admit.ErrResourceBudget) {
 		t.Fatalf("err = %v, want ErrResourceBudget", err)
 	}
 	// The refusal must not have evicted anything trying.
@@ -185,7 +185,7 @@ func TestCacheOversizedEntry(t *testing.T) {
 // TestCacheDuplicateInsert: re-inserting a resident key keeps the original
 // entry and does not double-count bytes or admissions.
 func TestCacheDuplicateInsert(t *testing.T) {
-	gov := experiments.NewGovernor(100, nil)
+	gov := admit.NewGovernor(100, nil)
 	c := NewCache(gov, 100, newTestObs())
 	if err := c.Insert(mkEntry("k", 60)); err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestServerPinnedEvictionEndToEnd(t *testing.T) {
 	e2 := EntryBytes(m2.Rows, m2.NNZ())
 	// The transient estimate must match what the upload path will actually
 	// request: the predicted ordering, not a worst case over all of them.
-	t2 := experiments.EstimateMatrixBytes(m2.Rows, m2.NNZ(),
+	t2 := admit.EstimateMatrixBytes(m2.Rows, m2.NNZ(),
 		[]reorder.Algorithm{Predict(m2, 1)})
 	// Enough for m1 resident plus m2's transient reorder, but not for both
 	// entries resident at once.

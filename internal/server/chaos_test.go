@@ -12,7 +12,7 @@ import (
 	"sync"
 	"testing"
 
-	"sparseorder/internal/experiments"
+	"sparseorder/internal/failure"
 	"sparseorder/internal/faultinject"
 	"sparseorder/internal/gen"
 	"sparseorder/internal/sparse"
@@ -105,10 +105,10 @@ func TestServerChaosSoak(t *testing.T) {
 		http.StatusServiceUnavailable: true, http.StatusGatewayTimeout: true,
 		http.StatusRequestEntityTooLarge: true, statusClientClosed: true,
 	}
-	classes := map[experiments.FailureClass]bool{
-		experiments.FailError: true, experiments.FailTimeout: true,
-		experiments.FailCanceled: true, experiments.FailPanic: true,
-		experiments.FailResource: true,
+	classes := map[failure.FailureClass]bool{
+		failure.FailError: true, failure.FailTimeout: true,
+		failure.FailCanceled: true, failure.FailPanic: true,
+		failure.FailResource: true,
 	}
 
 	const workers, iters = 8, 25

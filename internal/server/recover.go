@@ -5,7 +5,7 @@ import (
 	"sort"
 	"time"
 
-	"sparseorder/internal/experiments"
+	"sparseorder/internal/admit"
 	"sparseorder/internal/par"
 )
 
@@ -109,13 +109,13 @@ func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 	})
 	type admitted struct {
 		cand storeCandidate
-		adm  *experiments.Admission
+		adm  *admit.Admission
 	}
-	var admit []admitted
+	var granted []admitted
 	keepStamps := map[string]int64{} // access stamps surviving compaction
 	var keepKeys []string
 	for _, c := range cands {
-		if ctx.Err() != nil || len(admit) >= s.cfg.CacheEntries {
+		if ctx.Err() != nil || len(granted) >= s.cfg.CacheEntries {
 			st.Skipped++
 			s.recoverRemaining.Add(-1)
 			keepStamps[c.key], keepKeys = c.stamp, append(keepKeys, c.key)
@@ -129,15 +129,15 @@ func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 			keepStamps[c.key], keepKeys = c.stamp, append(keepKeys, c.key)
 			continue
 		}
-		admit = append(admit, admitted{c, adm})
+		granted = append(granted, admitted{c, adm})
 	}
 	if err := ctx.Err(); err != nil {
-		for _, a := range admit {
+		for _, a := range granted {
 			if a.adm != nil {
 				a.adm.Release()
 			}
 		}
-		st.Skipped += len(admit)
+		st.Skipped += len(granted)
 		return st, err
 	}
 
@@ -146,14 +146,14 @@ func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 		e              *entry
 		reason, detail string
 	}
-	res := make([]loaded, len(admit))
-	par.Ranges(len(admit), par.Resolve(s.cfg.RecoverWorkers), func(_, lo, hi int) {
+	res := make([]loaded, len(granted))
+	par.Ranges(len(granted), par.Resolve(s.cfg.RecoverWorkers), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if ctx.Err() != nil {
 				s.recoverRemaining.Add(-1)
 				continue // e nil, reason empty: counted skipped below
 			}
-			e, reason, detail := s.store.loadEntry(admit[i].cand)
+			e, reason, detail := s.store.loadEntry(granted[i].cand)
 			res[i] = loaded{e, reason, detail}
 			s.recoverRemaining.Add(-1)
 		}
@@ -161,8 +161,8 @@ func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 
 	// Insert oldest-first so PushFront leaves the most recently used
 	// entry at the LRU front — the order eviction needs.
-	for i := len(admit) - 1; i >= 0; i-- {
-		a, r := admit[i], res[i]
+	for i := len(granted) - 1; i >= 0; i-- {
+		a, r := granted[i], res[i]
 		if r.e == nil {
 			if a.adm != nil {
 				a.adm.Release()

@@ -16,7 +16,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sparseorder/internal/experiments"
+	"sparseorder/internal/admit"
+	"sparseorder/internal/failure"
 	"sparseorder/internal/faultinject"
 	"sparseorder/internal/obs"
 	"sparseorder/internal/reorder"
@@ -60,7 +61,7 @@ type Config struct {
 	MaxBody int64
 	// MemBudget is the byte budget of the admission governor shared by
 	// cache residency and in-flight reorder working sets: >0 literal,
-	// 0 auto from GOMEMLIMIT, <0 off (see experiments.NewGovernor).
+	// 0 auto from GOMEMLIMIT, <0 off (see admit.NewGovernor).
 	MemBudget int64
 	// CacheEntries bounds the plan cache's entry count (the only bound
 	// when the governor is off). 0 means 256.
@@ -132,7 +133,7 @@ func (c Config) withDefaults() Config {
 // WaitIdle.
 type Server struct {
 	cfg   Config
-	gov   *experiments.Governor
+	gov   *admit.Governor
 	cache *Cache
 	store *store // nil without -store; nil-safe methods
 
@@ -169,7 +170,7 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		gov:     experiments.NewGovernor(cfg.MemBudget, cfg.Obs),
+		gov:     admit.NewGovernor(cfg.MemBudget, cfg.Obs),
 		slots:   make(chan struct{}, cfg.MaxInflight),
 		drainCh: make(chan struct{}),
 	}
@@ -209,7 +210,7 @@ func (s *Server) Recovering() bool { return s.recovering.Load() }
 
 // Governor exposes the admission governor (nil when no budget applies);
 // cmd/serve reports it at startup.
-func (s *Server) Governor() *experiments.Governor { return s.gov }
+func (s *Server) Governor() *admit.Governor { return s.gov }
 
 // Cache exposes the plan cache for tests and stats.
 func (s *Server) Cache() *Cache { return s.cache }
@@ -273,8 +274,8 @@ func (s *Server) Handler() http.Handler {
 // study's failure-class taxonomy so clients can tell a retryable timeout
 // from a deterministic error or a permanent resource refusal.
 type apiError struct {
-	Error string                   `json:"error"`
-	Class experiments.FailureClass `json:"class"`
+	Error string               `json:"error"`
+	Class failure.FailureClass `json:"class"`
 }
 
 // statusClientClosed is nginx's 499: the client went away (request
@@ -288,7 +289,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-func (s *Server) writeError(w http.ResponseWriter, status int, class experiments.FailureClass, msg string) {
+func (s *Server) writeError(w http.ResponseWriter, status int, class failure.FailureClass, msg string) {
 	if sw, ok := w.(*statusWriter); ok {
 		sw.class, sw.errmsg = class, msg
 	}
@@ -303,15 +304,15 @@ func (s *Server) writeError(w http.ResponseWriter, status int, class experiments
 // errStatus is the status of the deterministic-error class, which differs
 // by site: a failing decode is the client's fault (400), a failing reorder
 // or SpMV is ours (500).
-func classStatus(class experiments.FailureClass, errStatus int) int {
+func classStatus(class failure.FailureClass, errStatus int) int {
 	switch class {
-	case experiments.FailTimeout:
+	case failure.FailTimeout:
 		return http.StatusGatewayTimeout
-	case experiments.FailCanceled:
+	case failure.FailCanceled:
 		return statusClientClosed
-	case experiments.FailResource:
+	case failure.FailResource:
 		return http.StatusRequestEntityTooLarge
-	case experiments.FailPanic:
+	case failure.FailPanic:
 		return http.StatusInternalServerError
 	default:
 		return errStatus
@@ -321,11 +322,11 @@ func classStatus(class experiments.FailureClass, errStatus int) int {
 // writeClassified classifies err through the study taxonomy and writes the
 // mapped response.
 func (s *Server) writeClassified(w http.ResponseWriter, err error, errStatus int) {
-	class := experiments.Classify(err)
+	class := failure.Classify(err)
 	msg := err.Error()
-	if class == experiments.FailPanic {
+	if class == failure.FailPanic {
 		// Stacks go to the log, not the wire.
-		if pe := (*experiments.PanicError)(nil); errors.As(err, &pe) {
+		if pe := (*failure.PanicError)(nil); errors.As(err, &pe) {
 			msg = "panic: " + pe.Value
 		}
 	}
@@ -338,7 +339,7 @@ func (s *Server) writeClassified(w http.ResponseWriter, err error, errStatus int
 type statusWriter struct {
 	http.ResponseWriter
 	status int
-	class  experiments.FailureClass
+	class  failure.FailureClass
 	errmsg string
 }
 
@@ -377,7 +378,7 @@ func (s *Server) guard(route string, h func(http.ResponseWriter, *http.Request))
 		}
 		defer func() {
 			if v := recover(); v != nil {
-				pe := &experiments.PanicError{Value: fmt.Sprint(v), Stack: string(debug.Stack())}
+				pe := &failure.PanicError{Value: fmt.Sprint(v), Stack: string(debug.Stack())}
 				if s.cfg.Logf != nil {
 					s.cfg.Logf("%s [%s]: %v\n%s", route, rt.id(), v, pe.Stack)
 				}
@@ -398,7 +399,7 @@ func (s *Server) guard(route string, h func(http.ResponseWriter, *http.Request))
 				s.drainC.Inc()
 			}
 			w.Header().Set("Connection", "close")
-			s.writeError(w, http.StatusServiceUnavailable, experiments.FailCanceled, "daemon is draining")
+			s.writeError(w, http.StatusServiceUnavailable, failure.FailCanceled, "daemon is draining")
 			return
 		}
 
@@ -423,7 +424,7 @@ func (s *Server) guard(route string, h func(http.ResponseWriter, *http.Request))
 				s.drainC.Inc()
 			}
 			w.Header().Set("Connection", "close")
-			s.writeError(w, http.StatusServiceUnavailable, experiments.FailCanceled, "daemon is draining")
+			s.writeError(w, http.StatusServiceUnavailable, failure.FailCanceled, "daemon is draining")
 			return
 		case <-r.Context().Done():
 			s.queued.Add(-1)
@@ -473,7 +474,7 @@ func (s *Server) shed(w http.ResponseWriter, rt *requestTrace, why string) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf("shed [%s]: %s", rt.id(), why)
 	}
-	s.writeError(w, http.StatusTooManyRequests, experiments.FailResource, why)
+	s.writeError(w, http.StatusTooManyRequests, failure.FailResource, why)
 }
 
 // uploadResponse answers POST /matrices.
@@ -496,7 +497,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, experiments.FailResource,
+			s.writeError(w, http.StatusRequestEntityTooLarge, failure.FailResource,
 				fmt.Sprintf("body exceeds the %d-byte upload cap", mbe.Limit))
 			return
 		}
@@ -546,13 +547,13 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 
 	// Transient working-set admission for the reorder itself; shed instead
 	// of queueing when the governor cannot grant it now.
-	est := experiments.EstimateMatrixBytes(mat.Rows, mat.NNZ(), []reorder.Algorithm{alg})
+	est := admit.EstimateMatrixBytes(mat.Rows, mat.NNZ(), []reorder.Algorithm{alg})
 	t0 = rt.clock()
 	adm, err := s.gov.TryAcquire(key, est)
 	rt.phase(phaseGovernorWait, t0)
 	if err != nil {
-		if errors.Is(err, experiments.ErrResourceBudget) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, experiments.FailResource, err.Error())
+		if errors.Is(err, admit.ErrResourceBudget) {
+			s.writeError(w, http.StatusRequestEntityTooLarge, failure.FailResource, err.Error())
 			return
 		}
 		s.shed(w, rt, err.Error())
@@ -658,7 +659,7 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	m, ok := s.cache.Peek(key)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, experiments.FailError, "unknown matrix key")
+		s.writeError(w, http.StatusNotFound, failure.FailError, "unknown matrix key")
 		return
 	}
 	writeJSON(w, http.StatusOK, m)
@@ -683,7 +684,7 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 	}
 	e := s.cache.Get(key)
 	if e == nil {
-		s.writeError(w, http.StatusNotFound, experiments.FailError,
+		s.writeError(w, http.StatusNotFound, failure.FailError,
 			"unknown matrix key (upload it first, or it was evicted)")
 		return
 	}
@@ -700,7 +701,7 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.X) != e.cols {
-		s.writeError(w, http.StatusBadRequest, experiments.FailError,
+		s.writeError(w, http.StatusBadRequest, failure.FailError,
 			fmt.Sprintf("x has %d entries, matrix has %d columns", len(req.X), e.cols))
 		return
 	}

@@ -15,7 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"sparseorder/internal/experiments"
+	"sparseorder/internal/failure"
 	"sparseorder/internal/faultinject"
 	"sparseorder/internal/gen"
 	"sparseorder/internal/obs"
@@ -122,7 +122,7 @@ func wantClose(t *testing.T, y, ref []float64) {
 }
 
 // wantClass decodes a classified error body and checks its class.
-func wantClass(t *testing.T, res *http.Response, raw []byte, status int, class experiments.FailureClass) {
+func wantClass(t *testing.T, res *http.Response, raw []byte, status int, class failure.FailureClass) {
 	t.Helper()
 	if res.StatusCode != status {
 		t.Fatalf("status = %d (%s), want %d", res.StatusCode, raw, status)
@@ -275,11 +275,11 @@ func TestClassifiedFailures(t *testing.T) {
 	res, _ := ts.Client().Post(ts.URL+"/matrices", "text/plain", strings.NewReader("not a matrix"))
 	raw, _ := io.ReadAll(res.Body)
 	res.Body.Close()
-	wantClass(t, res, raw, http.StatusBadRequest, experiments.FailError)
+	wantClass(t, res, raw, http.StatusBadRequest, failure.FailError)
 
 	// Unknown key.
 	res2, raw2 := postSpMV(t, ts, "deadbeef", []float64{1})
-	wantClass(t, res2, raw2, http.StatusNotFound, experiments.FailError)
+	wantClass(t, res2, raw2, http.StatusNotFound, failure.FailError)
 
 	// Real upload for the x-length and fault cases.
 	a := gen.Banded(50, 3, 1, 2)
@@ -289,7 +289,7 @@ func TestClassifiedFailures(t *testing.T) {
 		t.Fatalf("upload status %d", resUp.StatusCode)
 	}
 	res3, raw3 := postSpMV(t, ts, up.Key, []float64{1, 2, 3})
-	wantClass(t, res3, raw3, http.StatusBadRequest, experiments.FailError)
+	wantClass(t, res3, raw3, http.StatusBadRequest, failure.FailError)
 
 	// Injected decode fault -> classified 400, keyed by content hash.
 	other := mmBytes(t, gen.Banded(30, 2, 1, 9))
@@ -301,7 +301,7 @@ func TestClassifiedFailures(t *testing.T) {
 	raw4, _ := io.ReadAll(res4.Body)
 	res4.Body.Close()
 	faultinject.Deactivate()
-	wantClass(t, res4, raw4, http.StatusBadRequest, experiments.FailError)
+	wantClass(t, res4, raw4, http.StatusBadRequest, failure.FailError)
 	if srv.Cache().Contains(okey) {
 		t.Error("decode-faulted upload landed in the cache")
 	}
@@ -311,7 +311,7 @@ func TestClassifiedFailures(t *testing.T) {
 		faultinject.Rule{Point: faultinject.ServerSpMV, Mode: faultinject.ModePanic, Rate: 1}))
 	res5, raw5 := postSpMV(t, ts, up.Key, testVector(a.Cols, 1))
 	faultinject.Deactivate()
-	wantClass(t, res5, raw5, http.StatusInternalServerError, experiments.FailPanic)
+	wantClass(t, res5, raw5, http.StatusInternalServerError, failure.FailPanic)
 
 	// Deadline: X-Deadline-Ms of 1ms with a 150ms injected delay before
 	// the reorder -> the context expires inside the pipeline -> 504.
@@ -329,7 +329,7 @@ func TestClassifiedFailures(t *testing.T) {
 	raw6, _ := io.ReadAll(res6.Body)
 	res6.Body.Close()
 	faultinject.Deactivate()
-	wantClass(t, res6, raw6, http.StatusGatewayTimeout, experiments.FailTimeout)
+	wantClass(t, res6, raw6, http.StatusGatewayTimeout, failure.FailTimeout)
 
 	// The first upload still serves correctly after all that.
 	res7, raw7 := postSpMV(t, ts, up.Key, testVector(a.Cols, 1))
@@ -373,7 +373,7 @@ func TestShedQueueFull(t *testing.T) {
 	}
 	raw, _ := io.ReadAll(res.Body)
 	res.Body.Close()
-	wantClass(t, res, raw, http.StatusTooManyRequests, experiments.FailResource)
+	wantClass(t, res, raw, http.StatusTooManyRequests, failure.FailResource)
 	if res.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
@@ -423,7 +423,7 @@ func TestGovernorShedsUploads(t *testing.T) {
 	}
 	raw, _ := io.ReadAll(res.Body)
 	res.Body.Close()
-	wantClass(t, res, raw, http.StatusTooManyRequests, experiments.FailResource)
+	wantClass(t, res, raw, http.StatusTooManyRequests, failure.FailResource)
 	if code := readyz(); code != http.StatusServiceUnavailable {
 		t.Errorf("/readyz = %d under saturation, want 503", code)
 	}
@@ -446,7 +446,7 @@ func TestGovernorShedsUploads(t *testing.T) {
 	}
 	raw3, _ := io.ReadAll(res3.Body)
 	res3.Body.Close()
-	wantClass(t, res3, raw3, http.StatusRequestEntityTooLarge, experiments.FailResource)
+	wantClass(t, res3, raw3, http.StatusRequestEntityTooLarge, failure.FailResource)
 }
 
 // TestHealthEndpoints: healthz stays 200 through drain (liveness), readyz

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -78,41 +77,29 @@ func TestReorderDelayAttributable(t *testing.T) {
 	// Step 2: the per-phase histogram on /metrics tells the same story.
 	mw := httptest.NewRecorder()
 	h.ServeHTTP(mw, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	sum := histSum(t, mw.Body.String(), metricPhaseSeconds, `route="upload"`, `phase="reorder"`)
+	samples, err := obs.ParseText(mw.Body.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := histSum(t, samples, metricPhaseSeconds, "upload", "reorder")
 	if want := float64(delayMs) / 1e3; sum < want {
 		t.Errorf("scraped reorder phase sum %.3fs, want >= %.3fs", sum, want)
 	}
-	qsum := histSum(t, mw.Body.String(), metricPhaseSeconds, `route="upload"`, `phase="queue_wait"`)
+	qsum := histSum(t, samples, metricPhaseSeconds, "upload", "queue_wait")
 	if qsum > sum {
 		t.Errorf("queue_wait sum %.3fs exceeds reorder sum %.3fs; attribution wrong", qsum, sum)
 	}
 }
 
-// histSum extracts the _sum sample of one histogram series from a
-// Prometheus text exposition.
-func histSum(t *testing.T, text, family string, labels ...string) float64 {
+// histSum returns the _sum sample of one route/phase histogram series.
+func histSum(t *testing.T, samples []obs.Sample, family, route, phase string) float64 {
 	t.Helper()
-	for _, line := range strings.Split(text, "\n") {
-		if !strings.HasPrefix(line, family+"_sum{") {
-			continue
+	for _, s := range samples {
+		if s.Name == family+"_sum" && s.Labels["route"] == route && s.Labels["phase"] == phase {
+			return s.Value
 		}
-		ok := true
-		for _, l := range labels {
-			if !strings.Contains(line, l) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
-		if err != nil {
-			t.Fatalf("parse %q: %v", line, err)
-		}
-		return v
 	}
-	t.Fatalf("series %s{%s} not found in:\n%s", family, strings.Join(labels, ","), text)
+	t.Fatalf("series %s{route=%q,phase=%q} not scraped", family, route, phase)
 	return 0
 }
 
@@ -142,35 +129,6 @@ func TestNilObsRequestPathAllocFree(t *testing.T) {
 	var rt *requestTrace
 	if !rt.clock().IsZero() {
 		t.Fatal("nil trace sampled the wall clock")
-	}
-}
-
-// TestRunServingBench keeps the BENCH_obs serving section runnable: three
-// modes, spmv succeeding in each, and the nilobs mode not slower than
-// traced by more than the telemetry budget allows (sanity, not a perf
-// gate — CI machines are noisy).
-func TestRunServingBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark calibration is slow")
-	}
-	rows, err := RunServingBench()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d serving rows, want 3", len(rows))
-	}
-	names := map[string]bool{}
-	for _, r := range rows {
-		names[r.Name] = true
-		if r.NsPerOp <= 0 {
-			t.Errorf("%s: ns/op %v", r.Name, r.NsPerOp)
-		}
-	}
-	for _, want := range []string{"serve_spmv_nilobs", "serve_spmv_metrics", "serve_spmv_traced"} {
-		if !names[want] {
-			t.Errorf("missing serving row %s (got %v)", want, names)
-		}
 	}
 }
 

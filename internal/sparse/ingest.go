@@ -69,7 +69,7 @@ func ReadMatrixMarketCtx(ctx context.Context, r io.Reader, workers int) (*CSR, e
 	// Drain the remaining stream. The chunked scanner needs the full byte
 	// range to place line-aligned boundaries; the buffer is transient and
 	// its size is part of the governor's ingestion model
-	// (experiments.EstimateIngestBytes).
+	// (admit.EstimateIngestBytes).
 	var body bytes.Buffer
 	if est := nnz * 16; est > 0 {
 		if est > 1<<30 {

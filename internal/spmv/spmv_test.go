@@ -426,39 +426,6 @@ func TestNewPlanMergeRejectsBadThreads(t *testing.T) {
 	}
 }
 
-func TestSerialTKnown(t *testing.T) {
-	coo := sparse.NewCOO(2, 3, 3)
-	coo.Append(0, 0, 2)
-	coo.Append(0, 2, 1)
-	coo.Append(1, 1, -3)
-	a, _ := coo.ToCSR()
-	x := []float64{1, 2}
-	y := make([]float64, 3)
-	SerialT(a, x, y)
-	if y[0] != 2 || y[1] != -6 || y[2] != 1 {
-		t.Errorf("y = %v, want [2 -6 1]", y)
-	}
-}
-
-func TestMulTMatchesTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for trial := 0; trial < 30; trial++ {
-		rows := 1 + rng.Intn(90)
-		cols := 1 + rng.Intn(90)
-		a := randomCSR(rng, rows, cols, rng.Intn(400))
-		x := randomVec(rng, rows)
-		want := make([]float64, cols)
-		Serial(a.Transpose(), x, want)
-		for _, threads := range []int{1, 3, 8} {
-			got := make([]float64, cols)
-			MulT(a, x, got, threads)
-			if !vecsClose(want, got) {
-				t.Fatalf("MulT(threads=%d) mismatch on %dx%d", threads, rows, cols)
-			}
-		}
-	}
-}
-
 // TestShortVectorsRejected checks that every entry point reports a short x
 // or y as an error from the calling goroutine instead of an index
 // out-of-range panic inside a worker (which would kill the process).
@@ -474,7 +441,6 @@ func TestShortVectorsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	okX, okY := randomVec(rng, a.Cols), make([]float64, a.Rows)
-	okXT, okYT := randomVec(rng, a.Rows), make([]float64, a.Cols)
 	cases := []struct {
 		name string
 		call func(x, y []float64) error
@@ -485,8 +451,6 @@ func TestShortVectorsRejected(t *testing.T) {
 		{"Mul2D", func(x, y []float64) error { return Mul2D(a, x, y, p2) }, okX, okY},
 		{"Mul2DAtomic", func(x, y []float64) error { return Mul2DAtomic(a, x, y, p2) }, okX, okY},
 		{"MulMerge", func(x, y []float64) error { return MulMerge(a, x, y, pm) }, okX, okY},
-		{"SerialT", func(x, y []float64) error { return SerialT(a, x, y) }, okXT, okYT},
-		{"MulT", func(x, y []float64) error { return MulT(a, x, y, 4) }, okXT, okYT},
 	}
 	for _, c := range cases {
 		if err := c.call(c.x, c.y); err != nil {

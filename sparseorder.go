@@ -7,7 +7,6 @@ import (
 	"sparseorder/internal/cholesky"
 	"sparseorder/internal/experiments"
 	"sparseorder/internal/gen"
-	"sparseorder/internal/graph"
 	"sparseorder/internal/machine"
 	"sparseorder/internal/metrics"
 	"sparseorder/internal/reorder"
@@ -15,10 +14,6 @@ import (
 	"sparseorder/internal/sparse"
 	"sparseorder/internal/spmv"
 )
-
-// graphOf builds the symmetrized adjacency graph used by the graph-based
-// orderings.
-func graphOf(a *Matrix) (*graph.Graph, error) { return graph.FromMatrixSymmetrized(a) }
 
 // Core sparse-matrix types.
 type (
@@ -134,12 +129,6 @@ func NewPlanMerge(a *Matrix, threads int) (*PlanMerge, error) { return spmv.NewP
 // Like SpMV2D it rejects a plan built for a different matrix.
 func SpMVMerge(a *Matrix, x, y []float64, p *PlanMerge) error { return spmv.MulMerge(a, x, y, p) }
 
-// SpMVTranspose computes y = Aᵀ·x in parallel using thread-private
-// accumulators.
-func SpMVTranspose(a *Matrix, x, y []float64, threads int) error {
-	return spmv.MulT(a, x, y, threads)
-}
-
 // SolveOptions configure the conjugate-gradient solver, including which
 // SpMV kernel runs each iteration's A·p product (SolveOptions.Kernel).
 type SolveOptions = solver.Options
@@ -199,37 +188,6 @@ func CholeskyFactorize(a *Matrix) (*CholeskyFactor, error) { return cholesky.Fac
 // CholeskyFlops returns the factorisation flop count Σ c_j² implied by the
 // column counts — the cost fill-reducing orderings minimise.
 func CholeskyFlops(a *Matrix) (int64, error) { return cholesky.FlopCount(a) }
-
-// GPSOrdering computes the Gibbs-Poole-Stockmeyer bandwidth-reducing
-// ordering of the symmetrized matrix — an extension beyond the study's six
-// evaluated algorithms (its §2.1.1 describes the method).
-func GPSOrdering(a *Matrix) (Perm, error) {
-	g, err := graphOf(a)
-	if err != nil {
-		return nil, err
-	}
-	return reorder.GibbsPooleStockmeyer(g), nil
-}
-
-// SloanOrdering computes Sloan's profile-reducing ordering of the
-// symmetrized matrix with the given weights (non-positive weights take
-// Sloan's recommended 1 and 2) — an extension targeting the profile
-// feature of the study's Figure 5.
-func SloanOrdering(a *Matrix, w1, w2 int) (Perm, error) {
-	g, err := graphOf(a)
-	if err != nil {
-		return nil, err
-	}
-	return reorder.Sloan(g, w1, w2), nil
-}
-
-// SBDOrdering computes the separated-block-diagonal row/column ordering of
-// Yzelman and Bisseling via recursive hypergraph bisection — the other
-// hypergraph-based reordering family the paper cites (§2.1.3).
-func SBDOrdering(a *Matrix, opts OrderingOptions) (rowPerm, colPerm Perm) {
-	res := reorder.SeparatedBlockDiagonal(a, opts)
-	return res.RowPerm, res.ColPerm
-}
 
 // MachineModel describes one of the eight CPUs of the study's Table 2.
 type MachineModel = machine.Machine

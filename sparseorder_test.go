@@ -212,23 +212,3 @@ func TestFacadeCholeskyFactorize(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestFacadeExtensions(t *testing.T) {
-	a := sparseorder.Collection(sparseorder.ScaleTest, 1)[0].A
-	p, err := sparseorder.GPSOrdering(a)
-	if err != nil || !p.IsValid() {
-		t.Fatalf("GPS: %v", err)
-	}
-	rp, cp := sparseorder.SBDOrdering(a, sparseorder.OrderingOptions{Seed: 1})
-	if !rp.IsValid() || !cp.IsValid() {
-		t.Fatal("SBD permutations invalid")
-	}
-}
-
-func TestFacadeSloan(t *testing.T) {
-	a := sparseorder.Collection(sparseorder.ScaleTest, 1)[0].A
-	p, err := sparseorder.SloanOrdering(a, 0, 0)
-	if err != nil || !p.IsValid() {
-		t.Fatalf("Sloan: %v", err)
-	}
-}
