@@ -25,13 +25,21 @@
 //	                     per-phase latency decomposition (JSON and text)
 //	GET  /progress, /debug/pprof/*, /debug/vars
 //
+// The SpMV body is strict JSON of exactly one member: {"x":[n,...]} with
+// RFC 8259 numbers and whitespace, nothing after the closing brace. Other
+// members, "X", escaped keys, null and trailing bytes are 400/error, as
+// are numbers beyond the float64 range (1e400). A body over -max-body is
+// 413/resource on both POST routes. A y that overflows to ±Inf or NaN has
+// no JSON spelling and answers 400/error naming the first such row. The
+// reply is the bytes encoding/json would write, with a Content-Length.
+//
 // Every request carries a trace id: X-Request-Id is accepted from the
 // client (or generated) and echoed on the response, and the id appears in
 // /debug/requests, the request span, and the JSONL access log (-events).
 // Request latency is decomposed into queue_wait / governor_wait / decode /
-// reorder / plan_build / spmv phases, exported per route as
-// sparseorder_server_phase_seconds histograms — the "why was this request
-// slow" answer the coarse per-route latency histogram cannot give.
+// reorder / plan_build / spmv / encode / store_write phases, exported per
+// route as sparseorder_server_phase_seconds histograms — the "why was this
+// request slow" answer the coarse per-route latency histogram cannot give.
 //
 // Robustness contract (see DESIGN.md, "Serving contract"): admission is a
 // bounded queue (-max-inflight doing work, -queue waiting) plus the
@@ -85,7 +93,7 @@ func run() int {
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-request deadline; X-Deadline-Ms can shorten it (negative = none)")
 	maxInflight := flag.Int("max-inflight", 0, "requests doing work concurrently (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "requests allowed to wait for a work slot before shedding (0 = 2x max-inflight)")
-	maxBody := flag.String("max-body", "256MiB", "upload body cap")
+	maxBody := flag.String("max-body", "256MiB", "request body cap (uploads and SpMV bodies)")
 	memBudget := flag.String("membudget", "auto", `byte budget shared by cache residency and in-flight reorders: "auto" (from GOMEMLIMIT), "off", or a size like 512MiB`)
 	cacheEntries := flag.Int("cache-entries", 256, "plan cache entry bound")
 	storeDir := flag.String("store", "", "durable plan store directory: uploads persist here and a restart recovers them (empty = in-memory only)")

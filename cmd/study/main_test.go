@@ -3,9 +3,10 @@ package main
 import "testing"
 
 // TestRunServingBench keeps the BENCH_obs serving section runnable: three
-// modes, spmv succeeding in each, and the nilobs mode not slower than
-// traced by more than the telemetry budget allows (sanity, not a perf
-// gate — CI machines are noisy).
+// telemetry modes at each sweep size, spmv succeeding in each, and a
+// request's allocation count independent of the vector length (the body
+// codec sizes every buffer up front, where encoding/json grew its slices
+// with n). Timing is reported, not gated: CI machines are noisy.
 func TestRunServingBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark calibration is slow")
@@ -14,19 +15,32 @@ func TestRunServingBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d serving rows, want 3", len(rows))
+	modes := []string{"serve_spmv_nilobs", "serve_spmv_metrics", "serve_spmv_traced"}
+	if want := len(modes) * len(servingBenchRows); len(rows) != want {
+		t.Fatalf("got %d serving rows, want %d", len(rows), want)
 	}
-	names := map[string]bool{}
+	allocs := map[string]map[int]int64{}
 	for _, r := range rows {
-		names[r.Name] = true
 		if r.NsPerOp <= 0 {
-			t.Errorf("%s: ns/op %v", r.Name, r.NsPerOp)
+			t.Errorf("%s at %d rows: ns/op %v", r.Name, r.Rows, r.NsPerOp)
 		}
+		if allocs[r.Name] == nil {
+			allocs[r.Name] = map[int]int64{}
+		}
+		allocs[r.Name][r.Rows] = r.AllocsPerOp
 	}
-	for _, want := range []string{"serve_spmv_nilobs", "serve_spmv_metrics", "serve_spmv_traced"} {
-		if !names[want] {
-			t.Errorf("missing serving row %s (got %v)", want, names)
+	small, large := servingBenchRows[0], servingBenchRows[len(servingBenchRows)-1]
+	for _, mode := range modes {
+		byRows, ok := allocs[mode]
+		if !ok || len(byRows) != len(servingBenchRows) {
+			t.Errorf("serving rows for %s: %v, want one per size %v", mode, byRows, servingBenchRows)
+			continue
+		}
+		// Under the race detector a request's allocation count varies from
+		// one request to the next, so the counts are compared without it.
+		if !raceEnabled && byRows[large] != byRows[small] {
+			t.Errorf("%s: %d allocs/op at %d rows, %d at %d rows; want equal",
+				mode, byRows[large], large, byRows[small], small)
 		}
 	}
 }

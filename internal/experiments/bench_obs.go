@@ -28,10 +28,10 @@ import (
 //     1% of the uninstrumented pipeline, which the micro numbers bound
 //     (a handful of nanoseconds per span against milliseconds of work).
 //   - Serving: one warm SpMV request through the daemon's handler with
-//     telemetry nil / metrics-only / metrics+tracing, measured and merged
-//     in by cmd/study (RunServingBench there), so the study harness does
-//     not import the daemon. The nilobs row is the request-path
-//     equivalent of the no-sink pipeline budget.
+//     telemetry nil / metrics-only / metrics+tracing, at 300, 2,000 and
+//     20,000 rows, measured and merged in by cmd/study (RunServingBench
+//     there), so the study harness does not import the daemon. The nilobs
+//     rows are the request-path equivalent of the no-sink pipeline budget.
 type ObsBench struct {
 	HostCPUs   int              `json:"host_cpus"`
 	GoMaxProcs int              `json:"gomaxprocs"`
@@ -42,9 +42,12 @@ type ObsBench struct {
 }
 
 // ObsMicroResult is one primitive's per-operation cost, measured with
-// testing.Benchmark.
+// testing.Benchmark. Serving rows take AllocsPerOp from a separate count
+// of one request's allocations with the collector paused.
 type ObsMicroResult struct {
-	Name        string  `json:"name"`
+	Name string `json:"name"`
+	// Rows is the matrix size of a serving row (0 for the primitives).
+	Rows        int     `json:"rows,omitempty"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }

@@ -706,7 +706,7 @@ func serverView(before, after []obs.Sample, route string) (*ServerView, bool) {
 	if h.count > 0 {
 		sv.Mean = h.sum / float64(h.count)
 	}
-	for _, ph := range []string{"queue_wait", "governor_wait", "decode", "reorder", "plan_build", "spmv", "store_write"} {
+	for _, ph := range phaseNames(after, route) {
 		pw := map[string]string{"route": route, "phase": ph}
 		p1, ok := extractHist(after, metricPhaseSeconds, pw)
 		if !ok {
@@ -720,6 +720,24 @@ func serverView(before, after []obs.Sample, route string) (*ServerView, bool) {
 		sv.Phases[ph] = PhaseView{Count: pd.count, MeanS: pd.sum / float64(pd.count)}
 	}
 	return sv, true
+}
+
+// phaseNames lists, in first-seen order, the phase labels the daemon
+// exports for route. The daemon owns the phase list; the generator reads it
+// off the wire instead of keeping a copy.
+func phaseNames(samples []obs.Sample, route string) []string {
+	var names []string
+	seen := map[string]bool{}
+	for _, s := range samples {
+		if s.Name != metricPhaseSeconds+"_count" || s.Labels["route"] != route {
+			continue
+		}
+		if ph := s.Labels["phase"]; ph != "" && !seen[ph] {
+			seen[ph] = true
+			names = append(names, ph)
+		}
+	}
+	return names
 }
 
 // checkRoute verifies the server's account against the client's:

@@ -13,7 +13,7 @@ import (
 
 // phase indexes the serving path's latency decomposition. Every request's
 // wall time is attributed to the phases it actually passed through; the
-// remainder (routing, JSON encode, scheduling) is deliberately left
+// remainder (routing, the upload reply, scheduling) is deliberately left
 // unattributed so the phases never over-claim.
 type phase int
 
@@ -25,8 +25,8 @@ const (
 	// (TryAcquire bookkeeping; the governor never blocks, so a large value
 	// here means admission lock contention, not budget waits).
 	phaseGovernorWait
-	// phaseDecode is input decoding: Matrix Market parsing on upload, the
-	// JSON x-vector decode on spmv.
+	// phaseDecode is input decoding: Matrix Market parsing on upload; the
+	// body read and the x-vector parse on spmv.
 	phaseDecode
 	// phaseReorder is the ordering pipeline (graph build, ordering,
 	// permute) — the paper's dominant one-shot cost (Table 5).
@@ -37,6 +37,9 @@ const (
 	// phaseSpMV is the multiply itself, including the permutation
 	// gather/scatter.
 	phaseSpMV
+	// phaseEncode is the spmv reply: encoding y into one buffer and
+	// writing it.
+	phaseEncode
 	// phaseStoreWrite is the durable-store persist after a successful
 	// reorder: serialization plus the atomic write and its fsyncs.
 	phaseStoreWrite
@@ -45,7 +48,7 @@ const (
 )
 
 var phaseNames = [nPhases]string{
-	"queue_wait", "governor_wait", "decode", "reorder", "plan_build", "spmv", "store_write",
+	"queue_wait", "governor_wait", "decode", "reorder", "plan_build", "spmv", "encode", "store_write",
 }
 
 // Metric family names of the serving path.

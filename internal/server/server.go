@@ -8,9 +8,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -300,6 +302,20 @@ func (s *Server) writeError(w http.ResponseWriter, status int, class failure.Fai
 	writeJSON(w, status, apiError{Error: msg, Class: class})
 }
 
+// writeBodyError answers a failed request-body read or parse. A body over
+// the MaxBody cap is a permanent 413/resource refusal on every route;
+// anything else (a malformed or truncated body) is classified as usual,
+// 400 for the deterministic client error.
+func (s *Server) writeBodyError(w http.ResponseWriter, err error) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		s.writeError(w, http.StatusRequestEntityTooLarge, failure.FailResource,
+			fmt.Sprintf("request body exceeds the %d-byte cap", mbe.Limit))
+		return
+	}
+	s.writeClassified(w, err, http.StatusBadRequest)
+}
+
 // classStatus maps a classified evaluation failure onto an HTTP status.
 // errStatus is the status of the deterministic-error class, which differs
 // by site: a failing decode is the client's fault (400), a failing reorder
@@ -493,15 +509,9 @@ type uploadResponse struct {
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	rt := traceFrom(ctx)
-	body, err := readBody(w, r, s.cfg.MaxBody)
+	body, err := readBody(w, r, s.cfg.MaxBody, 0)
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, failure.FailResource,
-				fmt.Sprintf("body exceeds the %d-byte upload cap", mbe.Limit))
-			return
-		}
-		s.writeClassified(w, err, http.StatusBadRequest)
+		s.writeBodyError(w, err)
 		return
 	}
 	sum := sha256.Sum256(body)
@@ -618,15 +628,31 @@ func (s *Server) persistEntry(rt *requestTrace, e *entry) bool {
 	return true
 }
 
-// readBody reads the capped request body.
-func readBody(w http.ResponseWriter, r *http.Request, maxBody int64) ([]byte, error) {
+// readBody reads the request body, capped at maxBody bytes, into one
+// buffer. The buffer is presized from Content-Length, but the header is
+// trusted only up to presize bytes, so a forged length cannot make the
+// daemon allocate up to the cap; a longer body grows the buffer as it
+// arrives.
+func readBody(w http.ResponseWriter, r *http.Request, maxBody, presize int64) ([]byte, error) {
 	rd := http.MaxBytesReader(w, r.Body, maxBody)
 	defer rd.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(rd); err != nil {
-		return nil, err
+	n := min(max(r.ContentLength, 0), presize, maxBody)
+	// The spare MinRead bytes let the read that reports EOF land without
+	// growing a buffer that already holds the whole body.
+	buf := make([]byte, 0, n+bytes.MinRead)
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, len(buf))
+		}
+		k, err := rd.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+k]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	return buf.Bytes(), nil
 }
 
 // decodeUpload is the upload's decode phase: the injected fault site plus
@@ -665,15 +691,6 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, m)
 }
 
-// spmvRequest is the POST /spmv/{key} body.
-type spmvRequest struct {
-	X []float64 `json:"x"`
-}
-
-type spmvResponse struct {
-	Y []float64 `json:"y"`
-}
-
 func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	rt := traceFrom(r.Context())
@@ -691,18 +708,23 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 	defer s.cache.Unpin(e)
 	s.store.touch(key) // keep the persisted LRU order fresh
 
-	var req spmvRequest
+	// Decode phase: the body read plus the one-pass parse (wire.go). The
+	// body buffer is presized for e.cols numbers at most, whatever
+	// Content-Length claims.
 	t0 := rt.clock()
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	err := dec.Decode(&req)
+	body, err := readBody(w, r, s.cfg.MaxBody, spmvWireBytes(e.cols))
+	var x []float64
+	if err == nil {
+		x, err = decodeSpMVBody(body, make([]float64, 0, e.cols))
+	}
 	rt.phase(phaseDecode, t0)
 	if err != nil {
-		s.writeClassified(w, fmt.Errorf("bad spmv body: %w", err), http.StatusBadRequest)
+		s.writeBodyError(w, fmt.Errorf("bad spmv body: %w", err))
 		return
 	}
-	if len(req.X) != e.cols {
+	if len(x) != e.cols {
 		s.writeError(w, http.StatusBadRequest, failure.FailError,
-			fmt.Sprintf("x has %d entries, matrix has %d columns", len(req.X), e.cols))
+			fmt.Sprintf("x has %d entries, matrix has %d columns", len(x), e.cols))
 		return
 	}
 	if err := r.Context().Err(); err != nil {
@@ -710,12 +732,20 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	y, err := s.multiply(rt, e, req.X)
+	y, err := s.multiply(rt, e, x)
 	if err != nil {
 		s.writeClassified(w, err, http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, http.StatusOK, spmvResponse{Y: y})
+	// Encode phase: the reply build plus its write. A non-finite y (an
+	// overflowing product) has no JSON spelling; it is the client's input
+	// that overflowed, so it answers 400 before any byte is written.
+	t0 = rt.clock()
+	err = writeSpMVReply(w, y)
+	rt.phase(phaseEncode, t0)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, failure.FailError, err.Error())
+	}
 }
 
 // multiply computes y = A·x in the ORIGINAL index space against the cached

@@ -103,6 +103,24 @@ func decodeY(t *testing.T, raw []byte) []float64 {
 	return resp.Y
 }
 
+// rectangular builds a rows×cols pattern with four distinct columns per
+// row: a matrix the daemon serves unordered.
+func rectangular(t *testing.T, rows, cols int, seed int64) *sparse.CSR {
+	t.Helper()
+	coo := sparse.NewCOO(rows, cols, 0)
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < rows; i++ {
+		for k := 0; k < 4; k++ {
+			coo.Append(i, (i*7+k*11)%cols, rng.NormFloat64())
+		}
+	}
+	a, err := coo.ToCSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 // wantClose compares a served y against a serial multiply on the original
 // matrix. A permutation reorders each row's dot-product terms, so only
 // tolerance-level agreement is expected here; byte-identity is asserted
@@ -226,18 +244,7 @@ func TestUploadAndSpMV(t *testing.T) {
 // TestRectangularServed: non-square uploads cannot use the reordering
 // pipeline (it requires A square); they must still be served, unordered.
 func TestRectangularServed(t *testing.T) {
-	// A 60x40 rectangular pattern with distinct columns per row.
-	coo := sparse.NewCOO(60, 40, 0)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 60; i++ {
-		for k := 0; k < 4; k++ {
-			coo.Append(i, (i*7+k*11)%40, rng.NormFloat64())
-		}
-	}
-	a, err := coo.ToCSR()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := rectangular(t, 60, 40, 5)
 	srv := mustNew(t, Config{Threads: 2, Obs: newTestObs()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -336,6 +343,74 @@ func TestClassifiedFailures(t *testing.T) {
 	if res7.StatusCode != http.StatusOK {
 		t.Fatalf("post-chaos spmv status %d: %s", res7.StatusCode, raw7)
 	}
+}
+
+// TestSpMVNonFiniteReply: an x that overflows the product has no JSON
+// reply. It is answered 400/error naming the first non-finite row, not 200
+// with an empty body, and the trace records the failure.
+func TestSpMVNonFiniteReply(t *testing.T) {
+	o := newTestObs()
+	o.Requests = obs.NewTraceRing(8)
+	srv := mustNew(t, Config{Threads: 1, Obs: o})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	coo := sparse.NewCOO(2, 2, 2)
+	coo.Append(0, 0, 1e308)
+	coo.Append(1, 1, 1e308)
+	a, err := coo.ToCSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, up := postUpload(t, ts, mmBytes(t, a))
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("upload status %d", res.StatusCode)
+	}
+	res2, raw := postSpMV(t, ts, up.Key, []float64{1e308, 1})
+	wantClass(t, res2, raw, http.StatusBadRequest, failure.FailError)
+	if !strings.Contains(string(raw), "y[0]") {
+		t.Errorf("error body %s does not name row 0", raw)
+	}
+	last := o.Requests.Snapshot(obs.ViewRecent, 1)
+	if len(last) != 1 || last[0].Status != http.StatusBadRequest || last[0].Class != string(failure.FailError) {
+		t.Errorf("trace of the non-finite reply: %+v, want status 400 class error", last)
+	}
+}
+
+// TestOversizedBodyIs413: a body over MaxBody is a 413/resource refusal on
+// both routes, the upload and the SpMV.
+func TestOversizedBodyIs413(t *testing.T) {
+	const maxBody = 300
+	srv := mustNew(t, Config{Threads: 1, MaxBody: maxBody, Obs: newTestObs()})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	small := mmBytes(t, gen.Banded(2, 1, 1, 3))
+	if len(small) > maxBody {
+		t.Fatalf("the small upload is %d bytes, over the cap", len(small))
+	}
+	res, up := postUpload(t, ts, small)
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("upload status %d", res.StatusCode)
+	}
+
+	big := mmBytes(t, gen.Banded(40, 2, 1, 3))
+	resUp, err := ts.Client().Post(ts.URL+"/matrices", "text/plain", bytes.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawUp, _ := io.ReadAll(resUp.Body)
+	resUp.Body.Close()
+	wantClass(t, resUp, rawUp, http.StatusRequestEntityTooLarge, failure.FailResource)
+
+	body := `{"x":[1` + strings.Repeat(" ", maxBody) + `,2]}`
+	resX, err := ts.Client().Post(ts.URL+"/spmv/"+up.Key, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawX, _ := io.ReadAll(resX.Body)
+	resX.Body.Close()
+	wantClass(t, resX, rawX, http.StatusRequestEntityTooLarge, failure.FailResource)
 }
 
 // TestShedQueueFull: with the only work slot held and no queue, a new

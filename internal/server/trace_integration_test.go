@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -101,6 +102,67 @@ func histSum(t *testing.T, samples []obs.Sample, family, route, phase string) fl
 	}
 	t.Fatalf("series %s{route=%q,phase=%q} not scraped", family, route, phase)
 	return 0
+}
+
+// TestSpMVEncodePhase: every SpMV reply is timed as the encode phase.
+// After n requests the {route="spmv",phase="encode"} histogram counts n
+// and every spmv trace carries the phase.
+func TestSpMVEncodePhase(t *testing.T) {
+	o := newTestObs()
+	o.Requests = obs.NewTraceRing(16)
+	srv := mustNew(t, Config{Threads: 1, Obs: o})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	a := gen.Banded(120, 3, 0.9, 4)
+	res, up := postUpload(t, ts, mmBytes(t, a))
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("upload status %d", res.StatusCode)
+	}
+	const n = 5
+	for i := 0; i < n; i++ {
+		if res, raw := postSpMV(t, ts, up.Key, testVector(a.Cols, int64(i))); res.StatusCode != http.StatusOK {
+			t.Fatalf("spmv %d: status %d: %s", i, res.StatusCode, raw)
+		}
+	}
+
+	mres, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(mres.Body)
+	mres.Body.Close()
+	samples, err := obs.ParseText(string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var count float64 = -1
+	for _, s := range samples {
+		if s.Name == metricPhaseSeconds+"_count" && s.Labels["route"] == "spmv" && s.Labels["phase"] == "encode" {
+			count = s.Value
+		}
+	}
+	if count != n {
+		t.Errorf("spmv encode phase count = %v, want %d", count, n)
+	}
+
+	traces := 0
+	for _, tr := range o.Requests.Snapshot(obs.ViewRecent, 16) {
+		if tr.Route != "spmv" {
+			continue
+		}
+		traces++
+		found := false
+		for _, ph := range tr.Phases {
+			found = found || ph.Name == "encode"
+		}
+		if !found {
+			t.Errorf("spmv trace %s has phases %+v, no encode", tr.ID, tr.Phases)
+		}
+	}
+	if traces != n {
+		t.Errorf("ring holds %d spmv traces, want %d", traces, n)
+	}
 }
 
 // TestNilObsRequestPathAllocFree pins the PR 4 contract extended to the

@@ -118,7 +118,7 @@ func parseEntryFast(line []byte, pattern, skew bool, rows, cols int) (int, int, 
 			e10 += esign * ev
 		}
 		var ok bool
-		v, ok = decToFloat(mant, e10, neg)
+		v, ok = DecimalToFloat64(mant, e10, neg)
 		if !ok {
 			return 0, 0, 0, false
 		}
@@ -138,10 +138,11 @@ func parseEntryFast(line []byte, pattern, skew bool, rows, cols int) (int, int, 
 	return i - 1, j - 1, v, true
 }
 
-// decToFloat converts the decimal mant × 10^e10 (negated if neg) to the
-// correctly rounded float64, or reports ok=false when it cannot guarantee
-// correct rounding and the caller must fall back to strconv.
-func decToFloat(mant uint64, e10 int, neg bool) (float64, bool) {
+// DecimalToFloat64 converts the decimal mant × 10^e10 (negated if neg) to
+// the correctly rounded float64, or reports ok=false when it cannot
+// guarantee correct rounding and the caller must fall back to strconv.
+// The Matrix Market fast path and the daemon's SpMV body decoder share it.
+func DecimalToFloat64(mant uint64, e10 int, neg bool) (float64, bool) {
 	// Clinger's fast path: both the mantissa and the power of ten are
 	// exactly representable, so one IEEE multiply or divide rounds
 	// correctly. This is the same computation parseValueField performs.

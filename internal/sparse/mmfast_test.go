@@ -17,7 +17,7 @@ import (
 func TestDecToFloatMatchesStrconv(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	check := func(mant uint64, e10 int, neg bool) {
-		got, ok := decToFloat(mant, e10, neg)
+		got, ok := DecimalToFloat64(mant, e10, neg)
 		if !ok {
 			return // bailing to strconv is always allowed
 		}
@@ -30,7 +30,7 @@ func TestDecToFloatMatchesStrconv(t *testing.T) {
 			t.Fatalf("strconv rejected %q: %v", s, err)
 		}
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("decToFloat(%d, %d, %v) = %x, strconv = %x (%q)",
+			t.Fatalf("DecimalToFloat64(%d, %d, %v) = %x, strconv = %x (%q)",
 				mant, e10, neg, math.Float64bits(got), math.Float64bits(want), s)
 		}
 	}
@@ -49,8 +49,8 @@ func TestDecToFloatMatchesStrconv(t *testing.T) {
 			}
 		}
 	}
-	if v, ok := decToFloat(0, 0, true); !ok || math.Float64bits(v) != math.Float64bits(math.Copysign(0, -1)) {
-		t.Error("decToFloat(0, 0, neg) is not -0")
+	if v, ok := DecimalToFloat64(0, 0, true); !ok || math.Float64bits(v) != math.Float64bits(math.Copysign(0, -1)) {
+		t.Error("DecimalToFloat64(0, 0, neg) is not -0")
 	}
 }
 
