@@ -372,7 +372,7 @@ func BenchmarkAblation2DAtomics(b *testing.B) {
 // root selection, reporting the resulting bandwidth.
 func BenchmarkAblationRCMStart(b *testing.B) {
 	a := gen.Scramble(gen.Grid2D(100, 100), 5)
-	g, err := graph.FromMatrix(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func BenchmarkAblationRCMStart(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				bw = metrics.Bandwidth(bm)
+				bw = metrics.ComputeWorkers(bm, 1, 1, 1).Bandwidth
 			}
 			b.ReportMetric(float64(bw), "bandwidth")
 		})
@@ -436,7 +436,7 @@ func benchName(thr int) string {
 }
 
 func permuteSym(a *sparse.CSR, p sparse.Perm) (*sparse.CSR, error) {
-	return sparse.PermuteSymmetric(a, p)
+	return sparse.PermuteSymmetricWorkers(a, p, 1)
 }
 
 // BenchmarkCholeskyFactorize times the numeric factorisation under the two
@@ -494,7 +494,7 @@ func BenchmarkAblationNDSmall(b *testing.B) {
 // BenchmarkAblationMatching compares heavy-edge and random matching in the
 // partitioner's coarsening, reporting the resulting edge cut.
 func BenchmarkAblationMatching(b *testing.B) {
-	g, err := graph.FromMatrix(gen.Grid2D(100, 100))
+	g, err := graph.FromMatrixSymmetrizedWorkers(gen.Grid2D(100, 100), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -523,7 +523,7 @@ func BenchmarkAblationMatching(b *testing.B) {
 // bisection against the serial baseline (identical output, see the
 // partition tests).
 func BenchmarkParallelBisection(b *testing.B) {
-	g, err := graph.FromMatrix(gen.Grid2D(150, 150))
+	g, err := graph.FromMatrixSymmetrizedWorkers(gen.Grid2D(150, 150), 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		a, err = sparse.ReadMatrixMarket(f)
+		a, err = sparse.ReadMatrixMarketWorkers(f, 0)
 		f.Close()
 		if err != nil {
 			log.Fatal(err)
@@ -60,7 +60,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		f := metrics.Compute(b, *blocks, *threads)
+		f := metrics.ComputeWorkers(b, *blocks, *threads, 1)
 		fmt.Printf("%-10s %12d %14d %14d %10.3f\n", alg, f.Bandwidth, f.Profile, f.OffDiagNNZ, f.Imbalance1D)
 	}
 }

@@ -125,7 +125,7 @@ func run() int {
 	}
 
 	fmt.Printf("matrix: %dx%d, %d nonzeros, ordering %s\n", a.Rows, a.Cols, a.NNZ(), *alg)
-	f := metrics.Compute(a, *threads, *threads)
+	f := metrics.ComputeWorkers(a, *threads, *threads, 1)
 	fmt.Printf("features: bandwidth %d, profile %d, off-diagonal nnz %d (at %d blocks), 1D imbalance %.3f\n",
 		f.Bandwidth, f.Profile, f.OffDiagNNZ, *threads, f.Imbalance1D)
 

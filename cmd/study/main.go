@@ -66,8 +66,7 @@
 // BENCH_reorder.json document (also written to -out DIR when given). The
 // committed numbers are taken at -scale study; -scale test shrinks the
 // bench matrices to CI-smoke sizes. -exp benchingest measures Matrix
-// Market ingestion — the
-// serial reference reader vs the parallel streaming pipeline — and prints
+// Market ingestion at 1, 2 and 4 workers (and GOMAXPROCS) and prints
 // BENCH_ingest.json. -exp benchobs measures the observability layer's
 // disabled-path overhead and prints BENCH_obs.json.
 //

@@ -66,7 +66,7 @@ func main() {
 // RCM (cheap, preserves bands); strong imbalance or a huge off-diagonal
 // share favours GP.
 func decide(a *sparse.CSR, threads int) reorder.Algorithm {
-	f := metrics.Compute(a, threads, threads)
+	f := metrics.ComputeWorkers(a, threads, threads, 1)
 	relBandwidth := float64(f.Bandwidth) / float64(a.Rows)
 	offdiagShare := float64(f.OffDiagNNZ) / float64(a.NNZ())
 	switch {

@@ -49,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pa, err := sparse.PermuteSymmetric(a, perm)
+	pa, err := sparse.PermuteSymmetricWorkers(a, perm, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

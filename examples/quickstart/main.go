@@ -35,8 +35,8 @@ func main() {
 		time.Since(start).Round(time.Millisecond), perm.IsValid())
 
 	// The order-sensitive features explain what changed.
-	before := metrics.Compute(a, 128, 128)
-	after := metrics.Compute(b, 128, 128)
+	before := metrics.ComputeWorkers(a, 128, 128, 1)
+	after := metrics.ComputeWorkers(b, 128, 128, 1)
 	fmt.Printf("off-diagonal nnz: %d -> %d   bandwidth: %d -> %d\n",
 		before.OffDiagNNZ, after.OffDiagNNZ, before.Bandwidth, after.Bandwidth)
 

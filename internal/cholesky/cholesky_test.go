@@ -149,7 +149,7 @@ func TestColCountsArrowReversedFullFill(t *testing.T) {
 	for i := range rev {
 		rev[i] = n - 1 - i
 	}
-	b, err := sparse.PermuteSymmetric(a, rev)
+	b, err := sparse.PermuteSymmetricWorkers(a, rev, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func RunReorderBench(matrices []gen.Matrix, workerCounts []int, repeats int) (*R
 	}
 	for _, m := range matrices {
 		a := m.A
-		g, err := graph.FromMatrixSymmetrized(a)
+		g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %v", m.Name, err)
 		}

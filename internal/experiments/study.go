@@ -38,7 +38,7 @@ type Config struct {
 	Workers int
 	// ReorderWorkers is the worker count handed to the parallel reordering
 	// paths (reorder.Options.Workers) and the parallel feature computation
-	// for each matrix. The default 0 means 1 (the serial path): matrices
+	// for each matrix. The default 0 means 1 (no extra goroutines): matrices
 	// already run concurrently under Workers, so per-matrix parallelism is
 	// opt-in to avoid oversubscription. Any value produces byte-identical
 	// permutations, matrices and features.

@@ -36,9 +36,9 @@ type Point string
 
 // The wired fault points.
 const (
-	// MatrixRead fires at the top of sparse.ReadMatrixMarket and its
-	// parallel counterpart ReadMatrixMarketWorkers (keyless: streams carry
-	// no stable identity).
+	// MatrixRead fires at the top of sparse.ReadMatrixMarketCtx, which
+	// every Matrix Market read goes through (keyless: streams carry no
+	// stable identity).
 	MatrixRead Point = "matrix/read"
 	// IngestChunk fires at the start of each chunk parse in the parallel
 	// ingestion pipeline, keyed by the chunk ordinal ("chunk0", "chunk1",

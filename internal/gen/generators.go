@@ -449,7 +449,7 @@ func WithDenseRows(a *sparse.CSR, count int, density float64, seed int64) *spars
 func Scramble(a *sparse.CSR, seed int64) *sparse.CSR {
 	rng := rand.New(rand.NewSource(seed))
 	p := sparse.Perm(rng.Perm(a.Rows))
-	b, err := sparse.PermuteSymmetric(a, p)
+	b, err := sparse.PermuteSymmetricWorkers(a, p, 1)
 	if err != nil {
 		panic("gen: Scramble: " + err.Error())
 	}
@@ -461,7 +461,7 @@ func Scramble(a *sparse.CSR, seed int64) *sparse.CSR {
 func ScrambleRows(a *sparse.CSR, seed int64) *sparse.CSR {
 	rng := rand.New(rand.NewSource(seed))
 	p := sparse.Perm(rng.Perm(a.Rows))
-	b, err := sparse.PermuteRows(a, p)
+	b, err := sparse.PermuteRowsWorkers(a, p, 1)
 	if err != nil {
 		panic("gen: ScrambleRows: " + err.Error())
 	}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"sparseorder/internal/par"
-	"sparseorder/internal/sparse"
 )
 
 // Graph is an undirected graph in adjacency-list (CSR) form. Edges appear
@@ -29,11 +28,11 @@ func (g *Graph) NumEdges() int { return len(g.Adj) / 2 }
 func (g *Graph) Degree(v int) int { return g.Ptr[v+1] - g.Ptr[v] }
 
 // MaxDegree returns the largest vertex degree. Graphs built by
-// FromMatrix, FromMatrixSymmetrized (and their Workers variants) and
-// InducedSubgraph carry the value precomputed; for hand-assembled Graph
-// values the scan result is returned without being cached. Either way
-// MaxDegree never mutates the graph, so concurrent callers sharing one
-// graph — as the component-parallel Cuthill-McKee does — are safe.
+// FromMatrixSymmetrizedWorkers and InducedSubgraph carry the value
+// precomputed; for hand-assembled Graph values the scan result is
+// returned without being cached. Either way MaxDegree never mutates the
+// graph, so concurrent callers sharing one graph — as the
+// component-parallel Cuthill-McKee does — are safe.
 func (g *Graph) MaxDegree() int {
 	if g.degMax > 0 {
 		return g.degMax
@@ -108,56 +107,6 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
-}
-
-// FromMatrix builds the undirected graph of a square, structurally
-// symmetric sparse matrix: one vertex per row/column and an edge {i, j}
-// for every off-diagonal nonzero. The input must be structurally
-// symmetric; callers pass sparse.Symmetrize(a) for unsymmetric patterns.
-func FromMatrix(a *sparse.CSR) (*Graph, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("graph: matrix must be square, got %dx%d", a.Rows, a.Cols)
-	}
-	g := &Graph{N: a.Rows, Ptr: make([]int, a.Rows+1)}
-	for i := 0; i < a.Rows; i++ {
-		n := 0
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if int(a.ColIdx[k]) != i {
-				n++
-			}
-		}
-		g.Ptr[i+1] = g.Ptr[i] + n
-		if n > g.degMax {
-			g.degMax = n
-		}
-	}
-	g.Adj = make([]int32, g.Ptr[a.Rows])
-	pos := 0
-	for i := 0; i < a.Rows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if j := a.ColIdx[k]; int(j) != i {
-				g.Adj[pos] = j
-				pos++
-			}
-		}
-	}
-	return g, nil
-}
-
-// FromMatrixSymmetrized builds the undirected graph of A + Aᵀ when the
-// pattern of a is unsymmetric, and of A directly otherwise.
-func FromMatrixSymmetrized(a *sparse.CSR) (*Graph, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("graph: matrix must be square, got %dx%d", a.Rows, a.Cols)
-	}
-	if !a.IsStructurallySymmetric() {
-		s, err := sparse.Symmetrize(a)
-		if err != nil {
-			return nil, err
-		}
-		a = s
-	}
-	return FromMatrix(a)
 }
 
 // BFSResult is a breadth-first level structure rooted at Root.

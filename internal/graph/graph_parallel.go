@@ -7,104 +7,64 @@ import (
 	"sparseorder/internal/sparse"
 )
 
-// FromMatrixWorkers is FromMatrix with the counting and adjacency-fill
-// passes split across row ranges. Workers follow the package convention
-// (0 = GOMAXPROCS, 1 = the exact serial code path); the adjacency is
-// byte-identical at every worker count because each vertex's slot range
-// is fixed by the serial prefix sum before any list is written.
-func FromMatrixWorkers(a *sparse.CSR, workers int) (*Graph, error) {
-	w := par.Resolve(workers)
-	if w == 1 {
-		return FromMatrix(a)
-	}
+// FromMatrixSymmetrizedWorkers builds the undirected graph of a square
+// sparse matrix: one vertex per row/column and an edge {i, j} for every
+// off-diagonal nonzero of A + Aᵀ, which is A itself when the pattern is
+// structurally symmetric. Instead of materialising A+Aᵀ it builds a
+// pattern-only transpose once and forms each vertex's adjacency as the
+// sorted union of row i of A and row i of Aᵀ minus the diagonal. The
+// counting pass records which rows equal their transpose row (every row
+// of a structurally symmetric pattern), and the fill pass copies those
+// instead of merging. Both passes run over row ranges split across the
+// workers (0 = GOMAXPROCS; 1 runs one range inline on the caller's
+// goroutine). The adjacency is byte-identical at every worker count
+// because each vertex's slot range is fixed by the prefix sum before any
+// list is written; the tests check it against a Symmetrize-then-drop-the-
+// diagonal oracle in graph_oracle_test.go.
+func FromMatrixSymmetrizedWorkers(a *sparse.CSR, workers int) (*Graph, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("graph: matrix must be square, got %dx%d", a.Rows, a.Cols)
 	}
+	w := par.Resolve(workers)
+	t := patternTranspose(a)
 	g := &Graph{N: a.Rows, Ptr: make([]int, a.Rows+1)}
+	same := make([]bool, a.Rows)
 	chunkMax := make([]int, par.Chunks(a.Rows, w))
 	par.Ranges(a.Rows, w, func(chunk, lo, hi int) {
 		m := 0
 		for i := lo; i < hi; i++ {
+			n, eq := countRow(a, t, i)
+			g.Ptr[i+1] = n
+			same[i] = eq
+			if n > m {
+				m = n
+			}
+		}
+		chunkMax[chunk] = m
+	})
+	for i := 0; i < a.Rows; i++ {
+		g.Ptr[i+1] += g.Ptr[i]
+	}
+	for _, m := range chunkMax {
+		if m > g.degMax {
+			g.degMax = m
+		}
+	}
+	g.Adj = make([]int32, g.Ptr[a.Rows])
+	par.Ranges(a.Rows, w, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst := g.Adj[g.Ptr[i]:g.Ptr[i+1]]
+			if !same[i] {
+				mergeRow(a, t, i, dst)
+				continue
+			}
 			n := 0
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				if int(a.ColIdx[k]) != i {
+			for _, c := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
+				if int(c) != i {
+					dst[n] = c
 					n++
 				}
 			}
-			g.Ptr[i+1] = n
-			if n > m {
-				m = n
-			}
-		}
-		chunkMax[chunk] = m
-	})
-	for i := 0; i < a.Rows; i++ {
-		g.Ptr[i+1] += g.Ptr[i]
-	}
-	for _, m := range chunkMax {
-		if m > g.degMax {
-			g.degMax = m
-		}
-	}
-	g.Adj = make([]int32, g.Ptr[a.Rows])
-	par.Ranges(a.Rows, w, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			pos := g.Ptr[i]
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				if j := a.ColIdx[k]; int(j) != i {
-					g.Adj[pos] = j
-					pos++
-				}
-			}
-		}
-	})
-	return g, nil
-}
-
-// FromMatrixSymmetrizedWorkers is FromMatrixSymmetrized with a parallel
-// counting pass. Instead of materialising A+Aᵀ (the serial path's
-// value-carrying transpose + pattern check + Add), it builds a
-// pattern-only transpose once and forms each vertex's adjacency as the
-// sorted union of row i of A and row i of Aᵀ minus the diagonal, row
-// ranges in parallel; identical rows (every row of a structurally
-// symmetric pattern) skip the merge and are copied directly. For a
-// structurally symmetric pattern the union equals row i of A, and for an
-// unsymmetric one it equals row i of A+Aᵀ, so the graph is
-// byte-identical to the serial path in both cases.
-func FromMatrixSymmetrizedWorkers(a *sparse.CSR, workers int) (*Graph, error) {
-	w := par.Resolve(workers)
-	if w == 1 {
-		return FromMatrixSymmetrized(a)
-	}
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("graph: matrix must be square, got %dx%d", a.Rows, a.Cols)
-	}
-	t := patternTranspose(a)
-	g := &Graph{N: a.Rows, Ptr: make([]int, a.Rows+1)}
-	chunkMax := make([]int, par.Chunks(a.Rows, w))
-	par.Ranges(a.Rows, w, func(chunk, lo, hi int) {
-		m := 0
-		for i := lo; i < hi; i++ {
-			n := mergeRow(a, t, i, nil)
-			g.Ptr[i+1] = n
-			if n > m {
-				m = n
-			}
-		}
-		chunkMax[chunk] = m
-	})
-	for i := 0; i < a.Rows; i++ {
-		g.Ptr[i+1] += g.Ptr[i]
-	}
-	for _, m := range chunkMax {
-		if m > g.degMax {
-			g.degMax = m
-		}
-	}
-	g.Adj = make([]int32, g.Ptr[a.Rows])
-	par.Ranges(a.Rows, w, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			mergeRow(a, t, i, g.Adj[g.Ptr[i]:g.Ptr[i+1]])
 		}
 	})
 	return g, nil
@@ -138,39 +98,35 @@ func patternTranspose(a *sparse.CSR) *sparse.CSR {
 	return t
 }
 
+// countRow returns the adjacency size of vertex i — the union of row i of
+// a and row i of t minus the diagonal — and whether the two rows are
+// equal, in which case the adjacency is row i of a minus the diagonal.
+func countRow(a, t *sparse.CSR, i int) (int, bool) {
+	ra := a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]]
+	rb := t.ColIdx[t.RowPtr[i]:t.RowPtr[i+1]]
+	if len(ra) == len(rb) {
+		di, diag, k := int32(i), 0, 0
+		for ; k < len(ra) && ra[k] == rb[k]; k++ {
+			if ra[k] == di {
+				diag = 1
+			}
+		}
+		if k == len(ra) {
+			return len(ra) - diag, true
+		}
+	}
+	return mergeRow(a, t, i, nil), false
+}
+
 // mergeRow computes the sorted union of row i of a and row i of t with the
 // diagonal entry removed. With dst nil it only counts; otherwise it writes
 // the union into dst and returns the count. Both inputs have strictly
-// ascending columns per the CSR invariant. Equal rows — every row when
-// the pattern is structurally symmetric — take a compare-and-copy fast
-// path instead of the two-pointer merge.
+// ascending columns per the CSR invariant.
 func mergeRow(a, t *sparse.CSR, i int, dst []int32) int {
 	ka, kaEnd := a.RowPtr[i], a.RowPtr[i+1]
 	kb, kbEnd := t.RowPtr[i], t.RowPtr[i+1]
 	n := 0
 	di := int32(i)
-	if kaEnd-ka == kbEnd-kb {
-		ra, rb := a.ColIdx[ka:kaEnd], t.ColIdx[kb:kbEnd]
-		equal := true
-		for k := range ra {
-			if ra[k] != rb[k] {
-				equal = false
-				break
-			}
-		}
-		if equal {
-			for _, c := range ra {
-				if c == di {
-					continue
-				}
-				if dst != nil {
-					dst[n] = c
-				}
-				n++
-			}
-			return n
-		}
-	}
 	for ka < kaEnd || kb < kbEnd {
 		var c int32
 		switch {

@@ -33,22 +33,39 @@ func graphsEqual(t *testing.T, got, want *Graph, label string) {
 	}
 }
 
+// TestFromMatrixWorkersMatchesSerial checks structurally symmetric inputs
+// against the plain diagonal-dropping oracle: on them every row takes the
+// equal-row copy, and the graph is the matrix pattern itself.
 func TestFromMatrixWorkersMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	coo := sparse.NewCOO(80, 80, 300)
+	for k := 0; k < 300; k++ {
+		coo.Append(rng.Intn(80), rng.Intn(80), 1)
+	}
+	u, err := coo.ToCSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	partialDiag, err := sparse.Symmetrize(u) // symmetric, diagonal in some rows only
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, a := range []*sparse.CSR{
 		gen.Grid2D(15, 15),
 		gen.Scramble(gen.Grid3D(7, 7, 7), 3),
 		gen.Grid2D(1, 1),
+		partialDiag,
 	} {
-		want, err := FromMatrix(a)
+		want, err := fromMatrixOracle(a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []int{1, 2, 3, 4, runtime.GOMAXPROCS(0), 0} {
-			got, err := FromMatrixWorkers(a, w)
+			got, err := FromMatrixSymmetrizedWorkers(a, w)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", w, err)
 			}
-			graphsEqual(t, got, want, "FromMatrixWorkers")
+			graphsEqual(t, got, want, "FromMatrixSymmetrizedWorkers")
 		}
 	}
 }
@@ -68,7 +85,7 @@ func TestFromMatrixSymmetrizedWorkersMatchesSerial(t *testing.T) {
 		gen.Grid2D(12, 12), // already symmetric
 		gen.WithDenseRows(gen.Grid2D(10, 10), 3, 0.4, 5), // dense unsymmetric rows
 	} {
-		want, err := FromMatrixSymmetrized(a)
+		want, err := fromMatrixSymmetrizedOracle(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +114,7 @@ func TestFromMatrixSymmetrizedWorkersRejectsRectangular(t *testing.T) {
 // guards the regression where the lazy path cached its result without
 // synchronisation.
 func TestMaxDegreeConcurrent(t *testing.T) {
-	built, err := FromMatrix(gen.Grid2D(20, 20))
+	built, err := FromMatrixSymmetrizedWorkers(gen.Grid2D(20, 20), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func pathMatrix(n int) *sparse.CSR {
 
 func pathGraph(t *testing.T, n int) *Graph {
 	t.Helper()
-	g, err := FromMatrix(pathMatrix(n))
+	g, err := FromMatrixSymmetrizedWorkers(pathMatrix(n), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestFromMatrixDropsDiagonal(t *testing.T) {
 	coo.Append(0, 1, 1)
 	coo.Append(1, 0, 1)
 	a, _ := coo.ToCSR()
-	g, err := FromMatrix(a)
+	g, err := FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestFromMatrixRejectsRectangular(t *testing.T) {
 	coo := sparse.NewCOO(2, 3, 1)
 	coo.Append(0, 2, 1)
 	a, _ := coo.ToCSR()
-	if _, err := FromMatrix(a); err == nil {
+	if _, err := FromMatrixSymmetrizedWorkers(a, 1); err == nil {
 		t.Error("accepted rectangular matrix")
 	}
 }
@@ -77,7 +77,7 @@ func TestFromMatrixSymmetrized(t *testing.T) {
 	coo.Append(0, 2, 1) // only upper entry; symmetrization must add mirror
 	coo.Append(1, 1, 1)
 	a, _ := coo.ToCSR()
-	g, err := FromMatrixSymmetrized(a)
+	g, err := FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestBFSRestrictedToComponent(t *testing.T) {
 	coo.Append(2, 3, 1)
 	coo.Append(3, 2, 1)
 	a, _ := coo.ToCSR()
-	g, _ := FromMatrix(a)
+	g, _ := FromMatrixSymmetrizedWorkers(a, 1)
 	r := BFS(g, 0, nil)
 	if len(r.Order) != 2 {
 		t.Errorf("BFS escaped the component: %v", r.Order)
@@ -134,7 +134,7 @@ func TestComponents(t *testing.T) {
 	coo.Append(2, 3, 1)
 	coo.Append(3, 2, 1)
 	a, _ := coo.ToCSR()
-	g, _ := FromMatrix(a)
+	g, _ := FromMatrixSymmetrizedWorkers(a, 1)
 	comps, id := Components(g)
 	if len(comps) != 3 {
 		t.Fatalf("components = %d, want 3", len(comps))
@@ -215,7 +215,7 @@ func TestMaxDegree(t *testing.T) {
 		coo.Append(j, i, 1)
 	}
 	a, _ := coo.ToCSR()
-	g, _ := FromMatrix(a)
+	g, _ := FromMatrixSymmetrizedWorkers(a, 1)
 	want := 0
 	for v := 0; v < g.N; v++ {
 		if d := g.Degree(v); d > want {

@@ -9,40 +9,11 @@ import (
 	"sparseorder/internal/spmv"
 )
 
-// Bandwidth returns the largest distance of any nonzero from the main
-// diagonal, max |i-j| over nonzeros a_ij.
-func Bandwidth(a *sparse.CSR) int {
-	bw := 0
-	for i := 0; i < a.Rows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			d := i - int(a.ColIdx[k])
-			if d < 0 {
-				d = -d
-			}
-			if d > bw {
-				bw = d
-			}
-		}
-	}
-	return bw
-}
-
-// Profile returns the sum over rows of the distance from the leftmost
-// nonzero to the diagonal, Σ_i (i - min{j : a_ij ≠ 0}), counting only rows
-// whose leftmost nonzero lies left of the diagonal, per Gibbs et al.
-// The leftmost nonzero is found by scanning the whole row rather than
-// reading ColIdx[RowPtr[i]]: externally built CSRs can carry unsorted rows
-// (that is what sparse.CSR.SortRows exists to repair), and the first
-// stored entry of such a row need not be its minimum column.
-func Profile(a *sparse.CSR) int64 {
-	var p int64
-	for i := 0; i < a.Rows; i++ {
-		p += profileRow(a, i)
-	}
-	return p
-}
-
-// profileRow returns row i's contribution to the profile.
+// profileRow returns row i's contribution to the profile, i minus the
+// row's leftmost column when that lies left of the diagonal. The leftmost
+// nonzero is found by scanning the whole row rather than reading
+// ColIdx[RowPtr[i]]: externally built CSRs can carry unsorted rows, and
+// the first stored entry of such a row need not be its minimum column.
 func profileRow(a *sparse.CSR, i int) int64 {
 	lo, hi := a.RowPtr[i], a.RowPtr[i+1]
 	if lo == hi {
@@ -58,28 +29,6 @@ func profileRow(a *sparse.CSR, i int) int64 {
 		return int64(i - first)
 	}
 	return 0
-}
-
-// OffDiagonalNNZ counts nonzeros outside the blocks×blocks block diagonal:
-// the matrix is divided into an even blocks-way row and column grid and
-// nonzeros whose row block differs from their column block are counted.
-// With the row grid of the 1D SpMV algorithm this equals the edge-cut
-// objective of graph partitioning (paper §3.2).
-func OffDiagonalNNZ(a *sparse.CSR, blocks int) int64 {
-	if blocks <= 1 || a.Rows == 0 || a.Cols == 0 {
-		return 0
-	}
-	var count int64
-	for i := 0; i < a.Rows; i++ {
-		bi := i * blocks / a.Rows
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			bj := int(a.ColIdx[k]) * blocks / a.Cols
-			if bi != bj {
-				count++
-			}
-		}
-	}
-	return count
 }
 
 // ImbalanceFactor returns max/mean of the per-thread nonzero counts: 1.0
@@ -117,29 +66,28 @@ type Features struct {
 	Imbalance1D float64
 }
 
-// Compute evaluates all features; blocks and threads are typically both the
-// core count of the machine under study.
-func Compute(a *sparse.CSR, blocks, threads int) Features {
-	return Features{
-		Bandwidth:   Bandwidth(a),
-		Profile:     Profile(a),
-		OffDiagNNZ:  OffDiagonalNNZ(a, blocks),
-		Imbalance1D: Imbalance1D(a, threads),
-	}
-}
-
-// ComputeWorkers is Compute with the row loops run concurrently: the
-// bandwidth/profile/off-diagonal passes are fused into one loop split
-// across row ranges with per-chunk partial results, and the imbalance
-// factor is computed alongside. Workers follow the shared convention
-// (0 = GOMAXPROCS, 1 = the exact serial code path). All reductions are
-// integer max/sum in chunk order, so the result is identical to Compute
-// at every worker count.
+// ComputeWorkers evaluates all features; blocks and threads are typically
+// both the core count of the machine under study.
+//
+//   - Bandwidth is max |i-j| over nonzeros a_ij.
+//   - Profile is Σ_i (i - min{j : a_ij ≠ 0}) over rows whose leftmost
+//     nonzero lies left of the diagonal, per Gibbs et al.
+//   - OffDiagNNZ counts nonzeros outside the blocks×blocks block diagonal
+//     of an even row and column grid; with the row grid of the 1D SpMV
+//     algorithm this equals the edge-cut objective of graph partitioning
+//     (paper §3.2). It is 0 when blocks ≤ 1.
+//   - Imbalance1D is the load-imbalance factor of the 1D row split over
+//     threads.
+//
+// The bandwidth/profile/off-diagonal passes are fused into one loop over
+// row ranges split across the workers (0 = GOMAXPROCS; 1 runs one range
+// inline on the caller's goroutine) with per-chunk partial results, and
+// the imbalance factor is computed alongside. All reductions are integer
+// max/sum in chunk order, so the result is identical at every worker
+// count; the tests check it against the one-feature-per-pass oracle in
+// metrics_oracle_test.go.
 func ComputeWorkers(a *sparse.CSR, blocks, threads, workers int) Features {
 	w := par.Resolve(workers)
-	if w == 1 {
-		return Compute(a, blocks, threads)
-	}
 	var f Features
 	type partial struct {
 		bw      int

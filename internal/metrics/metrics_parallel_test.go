@@ -10,7 +10,7 @@ import (
 )
 
 // TestProfileUnsortedRows is the regression test for the leftmost-nonzero
-// bug: on a CSR whose rows are not column-sorted, Profile used to read
+// bug: on a CSR whose rows are not column-sorted, the profile used to read
 // ColIdx[RowPtr[i]] as the leftmost nonzero and undercount. The profile
 // of a matrix must not depend on the storage order within rows.
 func TestProfileUnsortedRows(t *testing.T) {
@@ -22,14 +22,13 @@ func TestProfileUnsortedRows(t *testing.T) {
 		ColIdx: []int32{0, 1, 3, 0},
 		Val:    []float64{1, 1, 1, 1},
 	}
-	if got := Profile(unsorted); got != 2 {
-		t.Errorf("Profile on unsorted rows = %d, want 2", got)
+	if got := feat(unsorted, 1).Profile; got != 2 {
+		t.Errorf("profile on unsorted rows = %d, want 2", got)
 	}
-	sorted := unsorted.Clone()
-	sorted.SortRows()
-	if Profile(unsorted) != Profile(sorted) {
-		t.Errorf("Profile depends on within-row order: unsorted %d, sorted %d",
-			Profile(unsorted), Profile(sorted))
+	sorted := sortedRows(t, unsorted)
+	if feat(unsorted, 1).Profile != feat(sorted, 1).Profile {
+		t.Errorf("profile depends on within-row order: unsorted %d, sorted %d",
+			feat(unsorted, 1).Profile, feat(sorted, 1).Profile)
 	}
 
 	// Same property on a random matrix with scrambled rows.
@@ -43,11 +42,21 @@ func TestProfileUnsortedRows(t *testing.T) {
 		}
 		a.RowPtr[i+1] = len(a.ColIdx)
 	}
-	s := a.Clone()
-	s.SortRows()
-	if Profile(a) != Profile(s) {
-		t.Errorf("random matrix: Profile unsorted %d != sorted %d", Profile(a), Profile(s))
+	s := sortedRows(t, a)
+	if feat(a, 1).Profile != feat(s, 1).Profile {
+		t.Errorf("random matrix: profile unsorted %d != sorted %d", feat(a, 1).Profile, feat(s, 1).Profile)
 	}
+}
+
+// sortedRows reassembles a through COO, which sorts every row (and sums
+// repeated columns, leaving each row's leftmost column unchanged).
+func sortedRows(t *testing.T, a *sparse.CSR) *sparse.CSR {
+	t.Helper()
+	s, err := sparse.FromCSR(a).ToCSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestComputeWorkersMatchesCompute(t *testing.T) {
@@ -72,7 +81,7 @@ func TestComputeWorkersMatchesCompute(t *testing.T) {
 		empty,
 	} {
 		for _, blocks := range []int{1, 8, 128} {
-			want := Compute(a, blocks, blocks)
+			want := computeOracle(a, blocks, blocks)
 			for _, w := range []int{1, 2, 3, 4, runtime.GOMAXPROCS(0), 0} {
 				got := ComputeWorkers(a, blocks, blocks, w)
 				if got != want {

@@ -21,17 +21,22 @@ func build(t *testing.T, rows, cols int, entries [][3]float64) *sparse.CSR {
 	return a
 }
 
+// feat runs the production feature pass at one worker.
+func feat(a *sparse.CSR, blocks int) Features {
+	return ComputeWorkers(a, blocks, 1, 1)
+}
+
 func TestBandwidthKnown(t *testing.T) {
 	a := build(t, 4, 4, [][3]float64{{0, 0, 1}, {1, 1, 1}, {2, 2, 1}, {3, 3, 1}})
-	if bw := Bandwidth(a); bw != 0 {
+	if bw := feat(a, 1).Bandwidth; bw != 0 {
 		t.Errorf("diagonal bandwidth = %d, want 0", bw)
 	}
 	a = build(t, 4, 4, [][3]float64{{0, 3, 1}, {1, 1, 1}})
-	if bw := Bandwidth(a); bw != 3 {
+	if bw := feat(a, 1).Bandwidth; bw != 3 {
 		t.Errorf("bandwidth = %d, want 3", bw)
 	}
 	a = build(t, 4, 4, [][3]float64{{3, 0, 1}})
-	if bw := Bandwidth(a); bw != 3 {
+	if bw := feat(a, 1).Bandwidth; bw != 3 {
 		t.Errorf("lower-triangle bandwidth = %d, want 3", bw)
 	}
 }
@@ -47,7 +52,7 @@ func TestBandwidthTridiagonal(t *testing.T) {
 		}
 	}
 	a, _ := coo.ToCSR()
-	if bw := Bandwidth(a); bw != 1 {
+	if bw := feat(a, 1).Bandwidth; bw != 1 {
 		t.Errorf("tridiagonal bandwidth = %d, want 1", bw)
 	}
 }
@@ -58,7 +63,7 @@ func TestProfileKnown(t *testing.T) {
 	a := build(t, 4, 4, [][3]float64{
 		{0, 0, 1}, {1, 0, 1}, {1, 1, 1}, {2, 2, 1}, {3, 1, 1}, {3, 3, 1},
 	})
-	if p := Profile(a); p != 3 {
+	if p := feat(a, 1).Profile; p != 3 {
 		t.Errorf("profile = %d, want 3", p)
 	}
 }
@@ -66,7 +71,7 @@ func TestProfileKnown(t *testing.T) {
 func TestProfileIgnoresUpperOnlyRows(t *testing.T) {
 	// Row 0's leftmost entry is right of the diagonal: contributes 0.
 	a := build(t, 2, 2, [][3]float64{{0, 1, 1}, {1, 1, 1}})
-	if p := Profile(a); p != 0 {
+	if p := feat(a, 1).Profile; p != 0 {
 		t.Errorf("profile = %d, want 0", p)
 	}
 }
@@ -76,19 +81,19 @@ func TestOffDiagonalNNZBlockDiagonal(t *testing.T) {
 	a := build(t, 4, 4, [][3]float64{
 		{0, 0, 1}, {0, 1, 1}, {1, 0, 1}, {2, 3, 1}, {3, 2, 1},
 	})
-	if c := OffDiagonalNNZ(a, 2); c != 0 {
+	if c := feat(a, 2).OffDiagNNZ; c != 0 {
 		t.Errorf("block-diagonal off-diag count = %d, want 0", c)
 	}
 	// A corner entry crosses blocks.
 	a = build(t, 4, 4, [][3]float64{{0, 3, 1}})
-	if c := OffDiagonalNNZ(a, 2); c != 1 {
+	if c := feat(a, 2).OffDiagNNZ; c != 1 {
 		t.Errorf("off-diag count = %d, want 1", c)
 	}
 }
 
 func TestOffDiagonalNNZDegenerate(t *testing.T) {
 	a := build(t, 4, 4, [][3]float64{{0, 3, 1}})
-	if c := OffDiagonalNNZ(a, 1); c != 0 {
+	if c := feat(a, 1).OffDiagNNZ; c != 0 {
 		t.Errorf("blocks=1 must count 0, got %d", c)
 	}
 }
@@ -98,7 +103,7 @@ func TestOffDiagonalEqualsEdgeCutForGrid(t *testing.T) {
 	// at blocks=k is exactly twice the edge cut of the even row split.
 	a := gen.Grid2D(8, 8)
 	blocks := 4
-	c := OffDiagonalNNZ(a, blocks)
+	c := feat(a, blocks).OffDiagNNZ
 	// Count crossing pairs by brute force.
 	var want int64
 	for i := 0; i < a.Rows; i++ {
@@ -146,10 +151,10 @@ func TestImbalance1DSkewedMatrix(t *testing.T) {
 
 func TestComputeBundlesFeatures(t *testing.T) {
 	a := gen.Grid2D(8, 8)
-	f := Compute(a, 4, 4)
-	if f.Bandwidth != Bandwidth(a) || f.Profile != Profile(a) ||
-		f.OffDiagNNZ != OffDiagonalNNZ(a, 4) || f.Imbalance1D != Imbalance1D(a, 4) {
-		t.Error("Compute disagrees with individual feature functions")
+	f := ComputeWorkers(a, 4, 4, 1)
+	if f.Bandwidth != bandwidth(a) || f.Profile != profile(a) ||
+		f.OffDiagNNZ != offDiagonalNNZ(a, 4) || f.Imbalance1D != Imbalance1D(a, 4) {
+		t.Error("ComputeWorkers disagrees with the individual feature oracles")
 	}
 }
 

@@ -215,11 +215,11 @@ func fmOracleCase(t *testing.T, name string, g *graph.Graph, start []uint8, frac
 // order, which keeps random sides drawn while iterating reproducible.
 func fmFixtures(t *testing.T, rng *rand.Rand) ([]string, map[string]*graph.Graph) {
 	t.Helper()
-	grid, err := graph.FromMatrix(gen.Scramble(gen.Grid2D(48, 48), 3))
+	grid, err := graph.FromMatrixSymmetrizedWorkers(gen.Scramble(gen.Grid2D(48, 48), 3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kron, err := graph.FromMatrixSymmetrized(gen.RMAT(9, 8, 5))
+	kron, err := graph.FromMatrixSymmetrizedWorkers(gen.RMAT(9, 8, 5), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func labelledGraph(t *testing.T, n int, edges [][2]int, label []int) (*graph.Gra
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := graph.FromMatrix(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestAMDSupervariablesEmitConsecutively(t *testing.T) {
 
 func factorNNZ(t *testing.T, a *sparse.CSR, p sparse.Perm) int64 {
 	t.Helper()
-	b, err := sparse.PermuteSymmetric(a, p)
+	b, err := sparse.PermuteSymmetricWorkers(a, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

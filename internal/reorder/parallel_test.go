@@ -70,7 +70,7 @@ func TestCuthillMcKeeWorkersMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := graph.FromMatrix(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestGrayBitmapBits64(t *testing.T) {
 func benchGraph(b *testing.B) *graph.Graph {
 	b.Helper()
 	a := gen.Scramble(gen.Grid3D(22, 22, 22), 4)
-	g, err := graph.FromMatrixSymmetrized(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func hpCutNetAt128(t *testing.T, a *sparse.CSR) int {
 // in parts.
 func gpEdgeCuts(t *testing.T, a *sparse.CSR, parts []int) []int {
 	t.Helper()
-	g, err := graph.FromMatrixSymmetrized(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

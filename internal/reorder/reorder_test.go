@@ -14,6 +14,9 @@ import (
 	"sparseorder/internal/sparse"
 )
 
+// bandwidth returns max |i-j| over a's nonzeros.
+func bandwidth(a *sparse.CSR) int { return metrics.ComputeWorkers(a, 1, 1, 1).Bandwidth }
+
 func randomSquare(rng *rand.Rand, n, nnz int) *sparse.CSR {
 	coo := sparse.NewCOO(n, n, nnz+n)
 	for i := 0; i < n; i++ {
@@ -89,26 +92,26 @@ func TestRCMOnPathRecoversBand(t *testing.T) {
 	}
 	path, _ := coo.ToCSR()
 	scrambled := gen.Scramble(path, 42)
-	if metrics.Bandwidth(scrambled) <= 1 {
+	if bandwidth(scrambled) <= 1 {
 		t.Fatal("scramble did not destroy the band")
 	}
 	b, _, err := Apply(RCM, scrambled, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bw := metrics.Bandwidth(b); bw != 1 {
+	if bw := bandwidth(b); bw != 1 {
 		t.Errorf("RCM bandwidth on path = %d, want 1", bw)
 	}
 }
 
 func TestRCMReducesBandwidthOnScrambledGrid(t *testing.T) {
 	a := gen.Scramble(gen.Grid2D(20, 20), 7)
-	before := metrics.Bandwidth(a)
+	before := bandwidth(a)
 	b, _, err := Apply(RCM, a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := metrics.Bandwidth(b)
+	after := bandwidth(b)
 	if after >= before/2 {
 		t.Errorf("RCM bandwidth %d not well below scrambled %d", after, before)
 	}
@@ -116,7 +119,7 @@ func TestRCMReducesBandwidthOnScrambledGrid(t *testing.T) {
 
 func TestCuthillMcKeeReversal(t *testing.T) {
 	a := gen.Grid2D(6, 6)
-	g, err := graph.FromMatrix(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +144,7 @@ func TestRCMHandlesDisconnected(t *testing.T) {
 		coo.Append(i+1, i, 1)
 	}
 	a, _ := coo.ToCSR()
-	g, err := graph.FromMatrix(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +171,7 @@ func TestAMDEliminatesLeavesFirstOnStar(t *testing.T) {
 		coo.Append(i, 0, 1)
 	}
 	a, _ := coo.ToCSR()
-	g, err := graph.FromMatrix(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +199,7 @@ func TestNDSeparatorStructure(t *testing.T) {
 	// On a grid, ND must produce a valid permutation and, with the separator
 	// ordered last, the final vertices should form a separator-ish band.
 	a := gen.Grid2D(16, 16)
-	g, err := graph.FromMatrix(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +217,7 @@ func TestNDSeparatorStructure(t *testing.T) {
 // beyond the int32 range of the FM gains is an error, not a permutation
 // refined with overflowing gains.
 func TestNDRejectsOversizedEdgeWeights(t *testing.T) {
-	g, err := graph.FromMatrix(gen.Grid2D(16, 16))
+	g, err := graph.FromMatrixSymmetrizedWorkers(gen.Grid2D(16, 16), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +232,7 @@ func TestNDRejectsOversizedEdgeWeights(t *testing.T) {
 
 func TestGPGroupsPartsContiguously(t *testing.T) {
 	a := gen.Grid2D(16, 16)
-	g, err := graph.FromMatrix(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,9 +362,9 @@ func TestApplySymmetricVsRows(t *testing.T) {
 		}
 		var want *sparse.CSR
 		if alg.Symmetric() {
-			want, _ = sparse.PermuteSymmetric(a, p)
+			want, _ = sparse.PermuteSymmetricWorkers(a, p, 1)
 		} else {
-			want, _ = sparse.PermuteRows(a, p)
+			want, _ = sparse.PermuteRowsWorkers(a, p, 1)
 		}
 		if !b.Equal(want) {
 			t.Errorf("%s: Apply disagrees with manual permutation", alg)
@@ -393,7 +396,7 @@ func TestOriginalIsIdentity(t *testing.T) {
 
 func TestRCMStartStrategies(t *testing.T) {
 	a := gen.Scramble(gen.Grid2D(16, 16), 9)
-	g, err := graph.FromMatrix(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,12 +405,12 @@ func TestRCMStartStrategies(t *testing.T) {
 		if len(p) != g.N || !p.IsValid() {
 			t.Fatalf("strategy %d: invalid permutation", strat)
 		}
-		b, err := sparse.PermuteSymmetric(a, p)
+		b, err := sparse.PermuteSymmetricWorkers(a, p, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bw := metrics.Bandwidth(b); bw >= metrics.Bandwidth(a) {
-			t.Errorf("strategy %d: bandwidth %d not reduced from %d", strat, bw, metrics.Bandwidth(a))
+		if bw := bandwidth(b); bw >= bandwidth(a) {
+			t.Errorf("strategy %d: bandwidth %d not reduced from %d", strat, bw, bandwidth(a))
 		}
 	}
 }
@@ -431,7 +434,7 @@ func TestGPWeightedBalancesNonzeros(t *testing.T) {
 	}
 	// Re-run the underlying weighted partition and verify the nnz balance
 	// directly (the ordering is a deterministic function of it).
-	g, err := graph.FromMatrix(s)
+	g, err := graph.FromMatrixSymmetrizedWorkers(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,18 +511,18 @@ func TestAMDQualityAgainstExactMinimumDegree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := graph.FromMatrix(s)
+		g, err := graph.FromMatrixSymmetrizedWorkers(s, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		amdPerm := ApproxMinimumDegree(g)
 		exactPerm := minDegreeExact(g)
 
-		amdM, err := sparse.PermuteSymmetric(s, amdPerm)
+		amdM, err := sparse.PermuteSymmetricWorkers(s, amdPerm, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exactM, err := sparse.PermuteSymmetric(s, exactPerm)
+		exactM, err := sparse.PermuteSymmetricWorkers(s, exactPerm, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

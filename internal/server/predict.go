@@ -26,7 +26,7 @@ func Predict(a *sparse.CSR, threads int) reorder.Algorithm {
 	if a.Rows != a.Cols {
 		return reorder.Original
 	}
-	f := metrics.Compute(a, threads, threads)
+	f := metrics.ComputeWorkers(a, threads, threads, 1)
 	relBandwidth := float64(f.Bandwidth) / float64(max(a.Rows, 1))
 	offdiagShare := float64(f.OffDiagNNZ) / float64(max(a.NNZ(), 1))
 	switch {

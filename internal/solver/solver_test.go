@@ -139,7 +139,7 @@ func TestSolveReorderedMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, err := sparse.PermuteSymmetric(a, perm)
+	pa, err := sparse.PermuteSymmetricWorkers(a, perm, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import (
 	"sparseorder/internal/par"
 )
 
-// Parallel COO→CSR assembly, following the bucket-and-merge scheme of
-// Engblom & Lukarski's parallel sparse assembly: the triplet stream is
+// COO→CSR assembly, following the bucket-and-merge scheme of Engblom &
+// Lukarski's parallel sparse assembly: the triplet stream is
 // viewed as an ordered list of contiguous segments, per-segment row
 // histograms are merged into one set of row offsets, every segment
 // scatters its entries into its precomputed slots, and the rows are
@@ -20,7 +20,9 @@ import (
 // scattered per-row sequences reproduce the global input order exactly,
 // independent of the worker count. Sorting and duplicate-summing are pure
 // functions of those sequences, so the assembled CSR is byte-identical
-// for any worker count and identical to the serial (*COO).ToCSR path.
+// for any worker count. (*COO).ToCSR is this code over one segment at 1
+// worker; mm_oracle_test.go keeps a sequential counting-sort assembly as
+// the oracle it is checked against.
 
 // cooSeg is one contiguous segment of a conceptual global triplet list.
 type cooSeg struct {
@@ -29,17 +31,23 @@ type cooSeg struct {
 	val []float64
 }
 
+// shortRowMax is the longest row sortColVal insertion-sorts. Assembly's
+// duplicate-summing order depends on it: insertion sort is stable and
+// sort.Sort is not, so changing it can change the summed values of rows
+// with duplicate columns.
+const shortRowMax = 24
+
 // sortColVal sorts a row's (column, value) pairs by column. Short rows —
 // the overwhelmingly common case for the study's matrices — use an
 // insertion sort to avoid sort.Sort's interface-call overhead; longer rows
 // fall back to it. The algorithm choice is a pure function of the input,
-// so every assembly path that feeds identical per-row sequences gets
-// identical output.
+// so identical per-row sequences get identical output at every worker
+// count.
 func sortColVal(cols []int32, vals []float64) {
 	if len(cols) <= 1 {
 		return
 	}
-	if len(cols) <= 24 {
+	if len(cols) <= shortRowMax {
 		for a := 1; a < len(cols); a++ {
 			c, v := cols[a], vals[a]
 			b := a
@@ -56,34 +64,10 @@ func sortColVal(cols []int32, vals []float64) {
 	sort.Sort(&colValSort{cols, vals})
 }
 
-// ToCSRWorkers is ToCSR with the counting, scatter, sort and dedup stages
-// split across workers (see par.Resolve for the worker convention). The
-// result is byte-identical to ToCSR at every worker count.
-func (c *COO) ToCSRWorkers(workers int) (*CSR, error) {
-	if len(c.Row) != len(c.Col) || len(c.Row) != len(c.Val) {
-		return nil, fmt.Errorf("sparse: COO slice length mismatch %d/%d/%d", len(c.Row), len(c.Col), len(c.Val))
-	}
-	w := par.Resolve(workers)
-	if w <= 1 {
-		return c.ToCSR()
-	}
-	// Split the triplet list into one contiguous segment per worker;
-	// assembleSegs re-derives the global order from segment order.
-	n := len(c.Row)
-	chunks := par.Chunks(n, w)
-	segs := make([]cooSeg, 0, chunks)
-	for k := 0; k < chunks; k++ {
-		lo, hi := k*n/chunks, (k+1)*n/chunks
-		segs = append(segs, cooSeg{row: c.Row[lo:hi], col: c.Col[lo:hi], val: c.Val[lo:hi]})
-	}
-	return assembleSegs(c.Rows, c.Cols, segs, w)
-}
-
 // assembleSegs assembles the concatenation of segs (in order) into CSR
 // form with workers-way parallelism. Entries are bounds-checked against
 // the dimensions, grouped by row, sorted by column within each row, and
-// duplicate coordinates are summed in global entry order — exactly the
-// semantics of (*COO).ToCSR.
+// duplicate coordinates are summed in global entry order.
 func assembleSegs(rows, cols int, segs []cooSeg, workers int) (*CSR, error) {
 	total := 0
 	for _, s := range segs {

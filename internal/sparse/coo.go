@@ -29,9 +29,9 @@ func NewCOO(rows, cols, nnz int) *COO {
 // Append adds the entry (i, j, v). Storage uses int32 indices; an index
 // outside the int32 range panics immediately rather than being narrowed
 // (a wrapped index could land back inside the matrix dimensions, where
-// Validate cannot tell it from a legitimate entry). Dimension bounds are
-// checked later by Validate/ToCSR; readers of untrusted input should
-// range-check before appending, as ReadMatrixMarket does.
+// ToCSR cannot tell it from a legitimate entry). Dimension bounds are
+// checked later by ToCSR; readers of untrusted input should range-check
+// before appending, as the Matrix Market reader does.
 func (c *COO) Append(i, j int, v float64) {
 	if int(int32(i)) != i || int(int32(j)) != j {
 		panic(fmt.Sprintf("sparse: COO index (%d,%d) overflows int32", i, j))
@@ -44,68 +44,15 @@ func (c *COO) Append(i, j int, v float64) {
 // NNZ returns the number of stored entries, counting duplicates.
 func (c *COO) NNZ() int { return len(c.Val) }
 
-// Validate checks that all entries are within the matrix dimensions.
-func (c *COO) Validate() error {
-	if len(c.Row) != len(c.Col) || len(c.Row) != len(c.Val) {
-		return fmt.Errorf("sparse: COO slice length mismatch %d/%d/%d", len(c.Row), len(c.Col), len(c.Val))
-	}
-	for k := range c.Row {
-		if c.Row[k] < 0 || int(c.Row[k]) >= c.Rows || c.Col[k] < 0 || int(c.Col[k]) >= c.Cols {
-			return fmt.Errorf("sparse: COO entry %d at (%d,%d) outside %dx%d", k, c.Row[k], c.Col[k], c.Rows, c.Cols)
-		}
-	}
-	return nil
-}
-
 // ToCSR converts the triplets to CSR format. Entries are grouped by row,
-// sorted by column within each row, and duplicate coordinates are summed.
+// sorted by column within each row, and duplicate coordinates are summed
+// in entry order. It is the bucket-and-merge assembly of assemble.go run
+// over one segment on the caller's goroutine.
 func (c *COO) ToCSR() (*CSR, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
+	if len(c.Row) != len(c.Col) || len(c.Row) != len(c.Val) {
+		return nil, fmt.Errorf("sparse: COO slice length mismatch %d/%d/%d", len(c.Row), len(c.Col), len(c.Val))
 	}
-	// Bucket the triplets by row (counting sort), then sort each row by
-	// column and sum duplicate coordinates.
-	nnz := len(c.Val)
-	off := make([]int, c.Rows+1)
-	for _, i := range c.Row {
-		off[i+1]++
-	}
-	for i := 0; i < c.Rows; i++ {
-		off[i+1] += off[i]
-	}
-	cols := make([]int32, nnz)
-	vals := make([]float64, nnz)
-	next := make([]int, c.Rows)
-	copy(next, off[:c.Rows])
-	for k := 0; k < nnz; k++ {
-		i := c.Row[k]
-		p := next[i]
-		next[i]++
-		cols[p] = c.Col[k]
-		vals[p] = c.Val[k]
-	}
-	a := &CSR{
-		Rows:   c.Rows,
-		Cols:   c.Cols,
-		RowPtr: make([]int, c.Rows+1),
-		ColIdx: make([]int32, 0, nnz),
-		Val:    make([]float64, 0, nnz),
-	}
-	for i := 0; i < c.Rows; i++ {
-		lo, hi := off[i], off[i+1]
-		sortColVal(cols[lo:hi], vals[lo:hi])
-		rowStart := len(a.ColIdx)
-		for k := lo; k < hi; k++ {
-			if n := len(a.ColIdx); n > rowStart && cols[k] == a.ColIdx[n-1] {
-				a.Val[n-1] += vals[k]
-				continue
-			}
-			a.ColIdx = append(a.ColIdx, cols[k])
-			a.Val = append(a.Val, vals[k])
-		}
-		a.RowPtr[i+1] = len(a.ColIdx)
-	}
-	return a, nil
+	return assembleSegs(c.Rows, c.Cols, []cooSeg{{row: c.Row, col: c.Col, val: c.Val}}, 1)
 }
 
 // FromCSR converts a CSR matrix back to coordinate format.
@@ -117,24 +64,4 @@ func FromCSR(a *CSR) *COO {
 		}
 	}
 	return c
-}
-
-// ExpandSymmetric returns a COO in which, for every off-diagonal entry
-// (i, j), the mirrored entry (j, i) with the same value is also present.
-// This implements the paper's CSR conversion rule for matrices stored as
-// one triangle of a symmetric matrix.
-func (c *COO) ExpandSymmetric() *COO {
-	e := NewCOO(c.Rows, c.Cols, 2*len(c.Val))
-	for k := range c.Val {
-		i, j, v := c.Row[k], c.Col[k], c.Val[k]
-		e.Row = append(e.Row, i)
-		e.Col = append(e.Col, j)
-		e.Val = append(e.Val, v)
-		if i != j {
-			e.Row = append(e.Row, j)
-			e.Col = append(e.Col, i)
-			e.Val = append(e.Val, v)
-		}
-	}
-	return e
 }

@@ -162,22 +162,7 @@ func (a *CSR) IsStructurallySymmetric() bool {
 	if a.Rows != a.Cols {
 		return false
 	}
-	return a.PatternEqual2(a.Transpose())
-}
-
-// PatternEqual2 is like PatternEqual but tolerates differently ordered
-// equal patterns; CSR invariants guarantee sorted columns so it reduces to
-// PatternEqual.
-func (a *CSR) PatternEqual2(b *CSR) bool { return a.PatternEqual(b) }
-
-// SortRows sorts the column indices (and the corresponding values) within
-// every row in ascending order. Construction functions in this package
-// always produce sorted rows; SortRows repairs externally built matrices.
-func (a *CSR) SortRows() {
-	for i := 0; i < a.Rows; i++ {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		sortColVal(a.ColIdx[lo:hi], a.Val[lo:hi])
-	}
+	return a.PatternEqual(a.Transpose())
 }
 
 type colValSort struct {

@@ -13,26 +13,31 @@ import (
 	"sparseorder/internal/par"
 )
 
-// Parallel streaming Matrix Market ingestion: the post-header byte stream
-// is split into one chunk per worker, aligned to line boundaries; chunks
-// are parsed concurrently into per-worker COO shards by the
-// allocation-light scanner in mmscan.go (symmetric and skew-symmetric
-// expansion happens inline, preserving the serial expansion order); and
-// the shards are assembled into CSR by the parallel bucket-and-merge path
-// in assemble.go.
+// Streaming Matrix Market ingestion: the post-header byte stream is split
+// into one chunk per worker, aligned to line boundaries; chunks are parsed
+// concurrently into per-worker COO shards by the allocation-light scanner
+// in mmscan.go (symmetric and skew-symmetric expansion happens inline,
+// entry then mirror); and the shards are assembled into CSR by the
+// bucket-and-merge path in assemble.go. At 1 worker the same code runs as
+// one chunk and one segment, inline on the caller's goroutine.
 //
 // Determinism contract: chunk boundaries depend only on the byte stream,
 // and chunks are contiguous, so the concatenated shard order equals the
 // file's entry order for every worker count. Assembly preserves that
 // order per row before its (pure-function) sort and duplicate-sum, so the
-// output is byte-identical to ReadMatrixMarket — the serial reference
-// reader — at any worker count. The two readers share every line-level
-// parse helper, so they also accept and reject exactly the same inputs.
+// output is byte-identical at any worker count. The tests check it, and
+// the accept/reject decision, against the line-at-a-time reader kept as
+// an oracle in mm_oracle_test.go.
 
-// ReadMatrixMarketWorkers parses a Matrix Market stream into CSR form
-// using the parallel ingestion pipeline. Output is byte-identical to
-// ReadMatrixMarket for every accepted stream and every worker count
-// (0 = GOMAXPROCS, following the par.Resolve convention).
+// ReadMatrixMarketWorkers parses a Matrix Market stream into CSR form.
+// Symmetric and skew-symmetric inputs are expanded to full storage
+// following the paper's conversion rule (both triangles stored
+// explicitly), and pattern matrices receive unit values. The grammar is
+// strict: size and entry lines must carry exactly the promised field
+// count, skew-symmetric inputs must not store diagonal entries, and any
+// non-comment content after the last entry is an error. Output is
+// byte-identical for every worker count (0 = GOMAXPROCS, following the
+// par.Resolve convention).
 func ReadMatrixMarketWorkers(r io.Reader, workers int) (*CSR, error) {
 	return ReadMatrixMarketCtx(context.Background(), r, workers)
 }
@@ -42,8 +47,8 @@ func ReadMatrixMarketWorkers(r io.Reader, workers int) (*CSR, error) {
 // COO→CSR merge) through any obs.Obs attached to the context. Without an
 // Obs it is exactly ReadMatrixMarketWorkers.
 func ReadMatrixMarketCtx(ctx context.Context, r io.Reader, workers int) (*CSR, error) {
-	// Same fault point as the serial reader, so chaos schedules cover
-	// both entry paths.
+	// Fault point for chaos testing of corpus loading; streams carry no
+	// stable identity, so the decision is keyed by the per-point hit count.
 	if err := faultinject.Check(faultinject.MatrixRead, ""); err != nil {
 		return nil, fmt.Errorf("sparse: reading matrix: %w", err)
 	}
@@ -54,7 +59,7 @@ func ReadMatrixMarketCtx(ctx context.Context, r io.Reader, workers int) (*CSR, e
 	defer sp.End()
 
 	_, scanSp := obs.Start(ctx, "ingest/scan")
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReader(r)
 	h, err := readMMBanner(br)
 	if err != nil {
 		scanSp.End()
@@ -69,13 +74,13 @@ func ReadMatrixMarketCtx(ctx context.Context, r io.Reader, workers int) (*CSR, e
 	// Drain the remaining stream. The chunked scanner needs the full byte
 	// range to place line-aligned boundaries; the buffer is transient and
 	// its size is part of the governor's ingestion model
-	// (admit.EstimateIngestBytes).
+	// (admit.EstimateIngestBytes). It is presized only from bytes the
+	// reader reports it holds, never from the declared nnz: a header is
+	// untrusted, and a few bytes claiming 2^26 entries must not allocate
+	// a gigabyte before the first entry is read.
 	var body bytes.Buffer
-	if est := nnz * 16; est > 0 {
-		if est > 1<<30 {
-			est = 1 << 30
-		}
-		body.Grow(est)
+	if l, ok := r.(interface{ Len() int }); ok {
+		body.Grow(br.Buffered() + l.Len())
 	}
 	if _, err := io.Copy(&body, br); err != nil {
 		return nil, fmt.Errorf("sparse: reading entries: %w", err)
@@ -152,11 +157,10 @@ func splitChunks(buf []byte, workers int) [][]byte {
 }
 
 // parseChunk scans one line-aligned chunk into a COO shard, expanding
-// symmetric/skew-symmetric entries inline in the serial reader's order
-// (entry, then mirror). It returns the number of file entries parsed —
-// pre-expansion, so the caller can check the total against the declared
-// nnz. Fields are parsed in place — no per-line strings, no
-// strings.Fields slices.
+// symmetric/skew-symmetric entries inline (entry, then mirror). It
+// returns the number of file entries parsed — pre-expansion, so the
+// caller can check the total against the declared nnz. Fields are parsed
+// in place — no per-line strings, no strings.Fields slices.
 func parseChunk(idx int, chunk []byte, h MMHeader, rows, cols int) (cooSeg, int, error) {
 	// Per-chunk fault point for chaos testing of the ingestion pipeline;
 	// keyed by the chunk ordinal so a schedule is stable across runs at a
@@ -190,8 +194,7 @@ func parseChunk(idx int, chunk []byte, h MMHeader, rows, cols int) (cooSeg, int,
 		i, j, v, ok := parseEntryFast(line, pattern, skew, rows, cols)
 		if !ok {
 			// Anything unusual — comments, blanks, exotic spellings,
-			// malformed lines — goes through the reference grammar, which
-			// classifies it exactly like the serial reader would.
+			// malformed lines — goes through the reference grammar.
 			t := trimMMSpace(line)
 			if isCommentOrBlank(t) {
 				continue

@@ -22,20 +22,6 @@ func benchMM(rows, cols, nnz int) []byte {
 
 var benchSink *CSR
 
-func BenchmarkIngestSerial(b *testing.B) {
-	data := benchMM(100000, 100000, 1200000)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a, err := ReadMatrixMarket(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = a
-	}
-}
-
 func BenchmarkIngestWorkers(b *testing.B) {
 	data := benchMM(100000, 100000, 1200000)
 	for _, workers := range []int{1, 2, 4, 8} {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 )
 
 // edgeCorpus is a set of hand-written Matrix Market streams covering the
-// format corners the ingestion pipeline must agree on with the serial
+// format corners the ingestion pipeline must agree on with the oracle
 // reader: empty rows (including a fully empty matrix), single-row and
 // single-column shapes, pattern values, symmetric expansion with and
 // without diagonal entries, skew-symmetric expansion, duplicates, and
@@ -38,35 +39,35 @@ var edgeCorpus = []struct {
 	{"exponents", "%%MatrixMarket matrix coordinate real general\n2 2 4\n1 1 1.7976931348623157e308\n1 2 -2.2250738585072014E-308\n2 1 1e-322\n2 2 123456789012345678901.5\n"},
 }
 
-// TestIngestMatchesSerialEdgeCorpus checks that the parallel pipeline is
-// byte-identical to the serial reference reader over the edge corpus at
-// several worker counts (reflect.DeepEqual covers slice contents bit for
-// bit, since Equal compares float64 with ==, which DeepEqual matches for
-// non-NaN values).
+// TestIngestMatchesSerialEdgeCorpus checks that the pipeline is
+// byte-identical to the line-at-a-time oracle over the edge corpus at
+// every worker count, 1 included (reflect.DeepEqual covers slice contents
+// bit for bit, since Equal compares float64 with ==, which DeepEqual
+// matches for non-NaN values).
 func TestIngestMatchesSerialEdgeCorpus(t *testing.T) {
 	for _, tc := range edgeCorpus {
-		want, err := ReadMatrixMarket(strings.NewReader(tc.mm))
+		want, err := readMatrixMarketOracle(strings.NewReader(tc.mm))
 		if err != nil {
-			t.Fatalf("%s: serial reader rejected corpus entry: %v", tc.name, err)
+			t.Fatalf("%s: oracle rejected corpus entry: %v", tc.name, err)
 		}
-		for _, workers := range []int{1, 2, 4, 7} {
+		for _, workers := range append(workerCounts(), 7) {
 			got, err := ReadMatrixMarketWorkers(strings.NewReader(tc.mm), workers)
 			if err != nil {
 				t.Fatalf("%s: workers=%d: %v", tc.name, workers, err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s: workers=%d diverged from serial reader", tc.name, workers)
+				t.Errorf("%s: workers=%d diverged from the oracle", tc.name, workers)
 			}
 		}
 	}
 }
 
 // TestIngestRoundTripEdgeCorpus is the Write→Read round-trip property:
-// writing any corpus matrix and reading it back — through either reader —
+// writing any corpus matrix and reading it back at any worker count
 // reproduces it exactly.
 func TestIngestRoundTripEdgeCorpus(t *testing.T) {
 	for _, tc := range edgeCorpus {
-		a, err := ReadMatrixMarket(strings.NewReader(tc.mm))
+		a, err := ReadMatrixMarketWorkers(strings.NewReader(tc.mm), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,20 +76,13 @@ func TestIngestRoundTripEdgeCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		text := buf.String()
-		b, err := ReadMatrixMarket(strings.NewReader(text))
-		if err != nil {
-			t.Fatalf("%s: serial re-read: %v", tc.name, err)
-		}
-		if !a.Equal(b) {
-			t.Errorf("%s: serial round trip changed the matrix", tc.name)
-		}
-		for _, workers := range []int{2, 4} {
+		for _, workers := range []int{1, 2, 4} {
 			c, err := ReadMatrixMarketWorkers(strings.NewReader(text), workers)
 			if err != nil {
-				t.Fatalf("%s: parallel re-read (workers=%d): %v", tc.name, workers, err)
+				t.Fatalf("%s: re-read (workers=%d): %v", tc.name, workers, err)
 			}
 			if !a.Equal(c) {
-				t.Errorf("%s: parallel round trip (workers=%d) changed the matrix", tc.name, workers)
+				t.Errorf("%s: round trip (workers=%d) changed the matrix", tc.name, workers)
 			}
 		}
 	}
@@ -104,29 +98,31 @@ func randomMM(rng *rand.Rand, rows, cols, nnz int) string {
 }
 
 // TestIngestDeterminism checks the repo-wide determinism contract on a
-// randomly generated stream with duplicates: the output is identical at
-// every worker count, including worker counts that exceed the entry count
-// per chunk.
+// randomly generated stream with duplicates: the output equals the
+// oracle's at every worker count, including worker counts that exceed the
+// entry count per chunk.
 func TestIngestDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	text := randomMM(rng, 200, 150, 3000)
-	want, err := ReadMatrixMarket(strings.NewReader(text))
+	want, err := readMatrixMarketOracle(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4, 7} {
+	for _, workers := range append(workerCounts(), 7) {
 		got, err := ReadMatrixMarketWorkers(strings.NewReader(text), workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("workers=%d diverged from serial reader", workers)
+			t.Errorf("workers=%d diverged from the oracle", workers)
 		}
 	}
 }
 
 // TestToCSRWorkersMatchesSerial checks the assembly layer directly, on a
-// COO whose duplicate entries force the compaction path.
+// COO whose duplicate entries force the compaction path: ToCSR (one
+// segment, 1 worker) and the segmented assembly at every worker count
+// match the sequential oracle.
 func TestToCSRWorkersMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -135,33 +131,63 @@ func TestToCSRWorkersMatchesSerial(t *testing.T) {
 		for k := 0; k < rng.Intn(500); k++ {
 			coo.Append(rng.Intn(rows), rng.Intn(cols), rng.NormFloat64())
 		}
-		want, err := coo.ToCSR()
+		want, err := toCSROracle(coo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2, 4, 7} {
-			got, err := coo.ToCSRWorkers(workers)
+		got, err := coo.ToCSR()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("trial %d: ToCSR diverged from the oracle", trial)
+		}
+		for _, workers := range append(workerCounts(), 7) {
+			got, err := assembleWorkers(coo, workers)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("trial %d workers=%d diverged from ToCSR", trial, workers)
+				t.Errorf("trial %d workers=%d diverged from the oracle", trial, workers)
 			}
 		}
 	}
 }
 
-// TestToCSRWorkersRejectsOutOfRange checks that the parallel assembly
-// bounds-checks entries like the serial path does.
+// TestToCSRWorkersRejectsOutOfRange checks that the segmented assembly
+// bounds-checks entries in every segment, not only the first.
 func TestToCSRWorkersRejectsOutOfRange(t *testing.T) {
 	coo := &COO{Rows: 2, Cols: 2, Row: []int32{0, 1, 5}, Col: []int32{0, 1, 0}, Val: []float64{1, 2, 3}}
-	if _, err := coo.ToCSRWorkers(4); err == nil {
-		t.Error("parallel assembly accepted an out-of-range entry")
+	if _, err := assembleWorkers(coo, 4); err == nil {
+		t.Error("segmented assembly accepted an out-of-range entry")
+	}
+}
+
+// hugeNNZHeader declares 2^26 entries in 65 bytes.
+const hugeNNZHeader = "%%MatrixMarket matrix coordinate real general\n3 3 67108864\n1 1 1\n"
+
+// TestIngestHugeDeclaredNNZ checks that the reader sizes its buffers from
+// the bytes it is given, not from the nnz a header declares: a 65-byte
+// stream claiming 2^26 entries allocates well under a megabyte before it
+// is rejected as truncated.
+func TestIngestHugeDeclaredNNZ(t *testing.T) {
+	const want = "sparse: after 1 of 67108864 entries: unexpected EOF"
+	for _, w := range []int{1, 3} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadMatrixMarketWorkers(bytes.NewReader([]byte(hugeNNZHeader)), w)
+		runtime.ReadMemStats(&after)
+		if err == nil || err.Error() != want {
+			t.Errorf("workers=%d: err = %v, want %q", w, err, want)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("workers=%d: allocated %d bytes for a %d-byte stream", w, d, len(hugeNNZHeader))
+		}
 	}
 }
 
 // Strictness sweep: inputs the historical reader silently tolerated must
-// now be rejected — by both readers identically.
+// now be rejected — by the pipeline and the oracle alike.
 func TestReadersRejectMalformedInputs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -181,42 +207,14 @@ func TestReadersRejectMalformedInputs(t *testing.T) {
 		{"negative_nnz", "%%MatrixMarket matrix coordinate real general\n2 2 -1\n"},
 	}
 	for _, tc := range cases {
-		if _, err := ReadMatrixMarket(strings.NewReader(tc.mm)); err == nil {
-			t.Errorf("%s: serial reader accepted malformed input", tc.name)
+		if _, err := readMatrixMarketOracle(strings.NewReader(tc.mm)); err == nil {
+			t.Errorf("%s: oracle accepted malformed input", tc.name)
 		}
-		if _, err := ReadMatrixMarketWorkers(strings.NewReader(tc.mm), 3); err == nil {
-			t.Errorf("%s: parallel reader accepted malformed input", tc.name)
+		for _, w := range []int{1, 3} {
+			if _, err := ReadMatrixMarketWorkers(strings.NewReader(tc.mm), w); err == nil {
+				t.Errorf("%s: workers=%d accepted malformed input", tc.name, w)
+			}
 		}
-	}
-}
-
-// TestReadPermutationStrictness mirrors the matrix reader's sweep for the
-// permutation artifact reader.
-func TestReadPermutationStrictness(t *testing.T) {
-	cases := []struct {
-		name string
-		mm   string
-	}{
-		{"size_trailing_token", "%%MatrixMarket matrix array integer general\n2 1 junk\n1\n2\n"},
-		{"not_column_vector", "%%MatrixMarket matrix array integer general\n2 2\n1\n2\n"},
-		{"entry_trailing_token", "%%MatrixMarket matrix array integer general\n2 1\n1 9\n2\n"},
-		{"trailing_content", "%%MatrixMarket matrix array integer general\n2 1\n1\n2\n3\n"},
-		{"negative_length", "%%MatrixMarket matrix array integer general\n-2 1\n"},
-		{"huge_length", "%%MatrixMarket matrix array integer general\n3000000000 1\n"},
-		{"not_a_permutation", "%%MatrixMarket matrix array integer general\n2 1\n1\n1\n"},
-	}
-	for _, tc := range cases {
-		if _, err := ReadPermutation(strings.NewReader(tc.mm)); err == nil {
-			t.Errorf("%s: ReadPermutation accepted malformed input", tc.name)
-		}
-	}
-	// The valid shape still parses.
-	p, err := ReadPermutation(strings.NewReader("%%MatrixMarket matrix array integer general\n3 1\n% comment\n2\n3\n1\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p, Perm{1, 2, 0}) {
-		t.Errorf("ReadPermutation = %v, want [1 2 0]", p)
 	}
 }
 

@@ -4,21 +4,18 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"strings"
-
-	"sparseorder/internal/faultinject"
 )
 
 // Matrix Market exchange format support (coordinate real/integer/pattern,
 // general/symmetric/skew-symmetric). This mirrors the format used by the
 // SuiteSparse collection that the paper's dataset is drawn from.
 //
-// Two readers share one grammar: ReadMatrixMarket is the serial,
-// line-at-a-time reference implementation, and ReadMatrixMarketWorkers
-// (ingest.go) is the chunked parallel pipeline whose output is
-// byte-identical to it at every worker count. Both parse each line through
-// the helpers in mmscan.go, so they accept and reject the same inputs.
+// ReadMatrixMarketWorkers (ingest.go) is the one reader: a chunked
+// pipeline that runs the same code at every worker count, one chunk
+// inline on the caller's goroutine at 1 worker. It parses each line
+// through the helpers in mmscan.go; a line-at-a-time reader in
+// mm_oracle_test.go is the oracle it is checked against.
 
 // MMHeader describes the banner line of a Matrix Market file.
 type MMHeader struct {
@@ -28,8 +25,8 @@ type MMHeader struct {
 	Symmetry string // "general", "symmetric", "skew-symmetric"
 }
 
-// readMMBanner parses and validates the banner line for the coordinate
-// readers.
+// readMMBanner parses and validates the banner line of a coordinate
+// Matrix Market stream.
 func readMMBanner(br *bufio.Reader) (MMHeader, error) {
 	// Tolerate EOF on the banner read the same way the size-line loop
 	// does: a stream holding only a banner (no trailing newline) should
@@ -75,83 +72,6 @@ func readMMSizeLine(br *bufio.Reader) (rows, cols, nnz int, err error) {
 	}
 }
 
-// ReadMatrixMarket parses a Matrix Market stream into CSR form. Symmetric
-// and skew-symmetric inputs are expanded to full storage following the
-// paper's conversion rule (both triangles stored explicitly). Pattern
-// matrices receive unit values.
-//
-// This is the serial reference reader; ReadMatrixMarketWorkers parses the
-// same grammar in parallel with byte-identical output. The grammar is
-// strict: size and entry lines must carry exactly the promised field
-// count, skew-symmetric inputs must not store diagonal entries, and any
-// non-comment content after the last entry is an error.
-func ReadMatrixMarket(r io.Reader) (*CSR, error) {
-	// Fault point for chaos testing of corpus loading; streams carry no
-	// stable identity, so the decision is keyed by the per-point hit count.
-	if err := faultinject.Check(faultinject.MatrixRead, ""); err != nil {
-		return nil, fmt.Errorf("sparse: reading matrix: %w", err)
-	}
-	br := bufio.NewReaderSize(r, 1<<20)
-	h, err := readMMBanner(br)
-	if err != nil {
-		return nil, err
-	}
-	rows, cols, nnz, err := readMMSizeLine(br)
-	if err != nil {
-		return nil, err
-	}
-
-	coo := NewCOO(rows, cols, nnz)
-	read := 0
-	for read < nnz {
-		line, err := br.ReadString('\n')
-		if err != nil && line == "" {
-			return nil, fmt.Errorf("sparse: after %d of %d entries: %w", read, nnz, err)
-		}
-		t := trimMMSpace([]byte(line))
-		if isCommentOrBlank(t) {
-			continue
-		}
-		i, j, v, err := parseEntryLine(t, h, rows, cols)
-		if err != nil {
-			return nil, fmt.Errorf("sparse: entry %d: %w", read+1, err)
-		}
-		coo.Append(i, j, v)
-		read++
-	}
-	// The historical reader stopped here and silently ignored whatever
-	// followed the last entry. A well-formed file holds exactly nnz
-	// entries, so trailing non-comment content is a corruption signal
-	// (a truncated size line, a concatenated file) and fails loudly.
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil && line == "" {
-			break
-		}
-		if t := trimMMSpace([]byte(line)); !isCommentOrBlank(t) {
-			return nil, fmt.Errorf("sparse: content after the declared %d entries: %q", nnz, t)
-		}
-	}
-
-	switch h.Symmetry {
-	case "symmetric":
-		coo = coo.ExpandSymmetric()
-	case "skew-symmetric":
-		e := NewCOO(rows, cols, 2*coo.NNZ())
-		for k := range coo.Val {
-			i, j, v := coo.Row[k], coo.Col[k], coo.Val[k]
-			e.Row = append(e.Row, i)
-			e.Col = append(e.Col, j)
-			e.Val = append(e.Val, v)
-			e.Row = append(e.Row, j)
-			e.Col = append(e.Col, i)
-			e.Val = append(e.Val, -v)
-		}
-		coo = e
-	}
-	return coo.ToCSR()
-}
-
 // WriteMatrixMarket writes a in coordinate real general format with
 // 1-based indices.
 func WriteMatrixMarket(w io.Writer, a *CSR) error {
@@ -183,93 +103,4 @@ func WritePermutation(w io.Writer, p Perm) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadPermutation parses a permutation written by WritePermutation. The
-// size line is validated the same way ReadMatrixMarket validates its own:
-// exactly two integer fields (trailing tokens are rejected), and the
-// length is capped at the int32 index range so a corrupt artifact fails
-// loudly instead of allocating whatever its header claims.
-func ReadPermutation(r io.Reader) (Perm, error) {
-	br := bufio.NewReader(r)
-	banner, err := br.ReadString('\n')
-	if err != nil && banner == "" {
-		return nil, fmt.Errorf("sparse: reading banner: %w", err)
-	}
-	if !strings.HasPrefix(strings.ToLower(banner), "%%matrixmarket matrix array integer") {
-		return nil, fmt.Errorf("sparse: not an integer array Matrix Market file")
-	}
-	var n int
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil && line == "" {
-			return nil, fmt.Errorf("sparse: missing size line: %w", err)
-		}
-		t := trimMMSpace([]byte(line))
-		if isCommentOrBlank(t) {
-			continue
-		}
-		nTok, rest := nextField(t)
-		oneTok, rest := nextField(rest)
-		if len(nTok) == 0 || len(oneTok) == 0 {
-			return nil, fmt.Errorf("sparse: malformed size line %q: want 2 fields", t)
-		}
-		if tok, _ := nextField(rest); len(tok) != 0 {
-			return nil, fmt.Errorf("sparse: malformed size line %q: trailing %q", t, tok)
-		}
-		v, ok := atoiField(nTok)
-		if !ok {
-			return nil, fmt.Errorf("sparse: malformed size line %q: bad length %q", t, nTok)
-		}
-		one, ok := atoiField(oneTok)
-		if !ok {
-			return nil, fmt.Errorf("sparse: malformed size line %q: bad column count %q", t, oneTok)
-		}
-		if one != 1 {
-			return nil, fmt.Errorf("sparse: permutation must be a column vector, got %d columns", one)
-		}
-		n = v
-		break
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("sparse: negative permutation length %d", n)
-	}
-	if int64(n) > math.MaxInt32 {
-		return nil, fmt.Errorf("sparse: permutation length %d exceeds the int32 index range", n)
-	}
-	p := make(Perm, 0, n)
-	for len(p) < n {
-		line, err := br.ReadString('\n')
-		if err != nil && line == "" {
-			return nil, fmt.Errorf("sparse: after %d of %d entries: %w", len(p), n, err)
-		}
-		t := trimMMSpace([]byte(line))
-		if isCommentOrBlank(t) {
-			continue
-		}
-		tok, rest := nextField(t)
-		if extra, _ := nextField(rest); len(extra) != 0 {
-			return nil, fmt.Errorf("sparse: malformed permutation entry %q: trailing %q", t, extra)
-		}
-		v, ok := atoiField(tok)
-		if !ok {
-			return nil, fmt.Errorf("sparse: bad permutation entry %q", t)
-		}
-		p = append(p, v-1)
-	}
-	// Mirror the matrix reader's strictness: a permutation artifact holds
-	// exactly n entries, so trailing content is corruption.
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil && line == "" {
-			break
-		}
-		if t := trimMMSpace([]byte(line)); !isCommentOrBlank(t) {
-			return nil, fmt.Errorf("sparse: content after the declared %d entries: %q", n, t)
-		}
-	}
-	if !p.IsValid() {
-		return nil, fmt.Errorf("sparse: file does not contain a permutation")
-	}
-	return p, nil
 }

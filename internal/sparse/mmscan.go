@@ -6,12 +6,11 @@ import (
 	"strconv"
 )
 
-// Allocation-light field scanning shared by the serial Matrix Market
-// reader (mm.go) and the parallel ingestion pipeline (ingest.go). Both
-// paths parse every line through the helpers here, so they accept and
-// reject exactly the same inputs; the differential fuzz target
-// (FuzzReadMatrixMarket) then only has to distinguish chunking and
-// assembly bugs, not tokenizer drift.
+// Allocation-light field scanning for the Matrix Market header readers
+// (mm.go) and the ingestion pipeline (ingest.go). The line-at-a-time
+// oracle in mm_oracle_test.go parses every line through the same helpers,
+// so the differential fuzz target (FuzzReadMatrixMarket) only has to
+// distinguish chunking and assembly bugs, not tokenizer drift.
 //
 // The scanner is deliberately stricter than the historical
 // fmt.Sscanf/strings.Fields loop: size and entry lines must carry exactly
@@ -21,7 +20,7 @@ import (
 
 // isMMSpace reports whether c separates fields on a Matrix Market line.
 // The set is the ASCII blanks strings.Fields splits on (the newline is
-// included so serial callers can hand over ReadString output unstripped);
+// included so callers can hand over ReadString output unstripped);
 // multi-byte Unicode spaces are not separators, so a field containing one
 // fails numeric parsing instead of being silently split.
 func isMMSpace(c byte) bool {

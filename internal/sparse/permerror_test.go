@@ -62,19 +62,12 @@ func TestPermuteRejectsInvalidPerm(t *testing.T) {
 	}
 	bad := Perm{0, 0, 2}
 	var pe *PermError
-	if _, err := PermuteSymmetric(a, bad); !errors.As(err, &pe) {
-		t.Errorf("PermuteSymmetric: err = %v, want *PermError", err)
-	}
-	if _, err := PermuteRows(a, bad); !errors.As(err, &pe) {
-		t.Errorf("PermuteRows: err = %v, want *PermError", err)
-	}
-	if _, err := PermuteCols(a, bad); !errors.As(err, &pe) {
-		t.Errorf("PermuteCols: err = %v, want *PermError", err)
-	}
-	if _, err := PermuteSymmetricWorkers(a, bad, 2); !errors.As(err, &pe) {
-		t.Errorf("PermuteSymmetricWorkers: err = %v, want *PermError", err)
-	}
-	if _, err := PermuteRowsWorkers(a, bad, 2); !errors.As(err, &pe) {
-		t.Errorf("PermuteRowsWorkers: err = %v, want *PermError", err)
+	for _, w := range []int{1, 2} {
+		if _, err := PermuteSymmetricWorkers(a, bad, w); !errors.As(err, &pe) {
+			t.Errorf("PermuteSymmetricWorkers(%d): err = %v, want *PermError", w, err)
+		}
+		if _, err := PermuteRowsWorkers(a, bad, w); !errors.As(err, &pe) {
+			t.Errorf("PermuteRowsWorkers(%d): err = %v, want *PermError", w, err)
+		}
 	}
 }

@@ -77,87 +77,3 @@ func (p Perm) Compose(q Perm) Perm {
 	}
 	return r
 }
-
-// PermuteSymmetric returns P·A·Pᵀ, the matrix with rows and columns
-// simultaneously reordered by p (new-to-old). All orderings in the study
-// except Gray are symmetric permutations.
-func PermuteSymmetric(a *CSR, p Perm) (*CSR, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("sparse: symmetric permutation of non-square %dx%d matrix", a.Rows, a.Cols)
-	}
-	if len(p) != a.Rows {
-		return nil, fmt.Errorf("sparse: permutation length %d, want %d", len(p), a.Rows)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	inv := p.Inverse()
-	b := &CSR{
-		Rows:   a.Rows,
-		Cols:   a.Cols,
-		RowPtr: make([]int, a.Rows+1),
-		ColIdx: make([]int32, a.NNZ()),
-		Val:    make([]float64, a.NNZ()),
-	}
-	for newI := 0; newI < a.Rows; newI++ {
-		b.RowPtr[newI+1] = b.RowPtr[newI] + a.RowNNZ(p[newI])
-	}
-	for newI := 0; newI < a.Rows; newI++ {
-		oldI := p[newI]
-		dst := b.RowPtr[newI]
-		for k := a.RowPtr[oldI]; k < a.RowPtr[oldI+1]; k++ {
-			b.ColIdx[dst] = int32(inv[a.ColIdx[k]])
-			b.Val[dst] = a.Val[k]
-			dst++
-		}
-	}
-	b.SortRows()
-	return b, nil
-}
-
-// PermuteRows returns P·A, the matrix with only its rows reordered by p
-// (new-to-old); columns are left in place. The Gray ordering is applied this
-// way because it does not preserve symmetry.
-func PermuteRows(a *CSR, p Perm) (*CSR, error) {
-	if len(p) != a.Rows {
-		return nil, fmt.Errorf("sparse: permutation length %d, want %d rows", len(p), a.Rows)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	b := &CSR{
-		Rows:   a.Rows,
-		Cols:   a.Cols,
-		RowPtr: make([]int, a.Rows+1),
-		ColIdx: make([]int32, a.NNZ()),
-		Val:    make([]float64, a.NNZ()),
-	}
-	for newI := 0; newI < a.Rows; newI++ {
-		b.RowPtr[newI+1] = b.RowPtr[newI] + a.RowNNZ(p[newI])
-	}
-	for newI := 0; newI < a.Rows; newI++ {
-		oldI := p[newI]
-		dst := b.RowPtr[newI]
-		n := copy(b.ColIdx[dst:b.RowPtr[newI+1]], a.ColIdx[a.RowPtr[oldI]:a.RowPtr[oldI+1]])
-		copy(b.Val[dst:dst+n], a.Val[a.RowPtr[oldI]:a.RowPtr[oldI+1]])
-	}
-	return b, nil
-}
-
-// PermuteCols returns A·Pᵀ, the matrix with its columns relabelled by p
-// (new-to-old): old column p[j] becomes column j.
-func PermuteCols(a *CSR, p Perm) (*CSR, error) {
-	if len(p) != a.Cols {
-		return nil, fmt.Errorf("sparse: permutation length %d, want %d cols", len(p), a.Cols)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	inv := p.Inverse()
-	b := a.Clone()
-	for k := range b.ColIdx {
-		b.ColIdx[k] = int32(inv[b.ColIdx[k]])
-	}
-	b.SortRows()
-	return b, nil
-}

@@ -7,46 +7,31 @@ import (
 	"sparseorder/internal/par"
 )
 
-// Worker-count convention shared by the parallel variants in this package
+// Worker-count convention shared by the *Workers functions in this package
 // (and mirrored by internal/graph, internal/metrics and internal/reorder):
-// 0 means GOMAXPROCS, 1 runs the exact serial code path, and any positive
-// count bounds the goroutines used. All variants produce output
-// byte-identical to their serial counterpart at every worker count: the
-// RowPtr prefix sum fixes each output row's offset up front, so row ranges
-// are filled independently, and within-row sorting is by unique column
-// indices whose sorted order does not depend on the sorting algorithm.
+// 0 means GOMAXPROCS and any positive count bounds the goroutines used; at
+// 1 the same code runs as one row range inline on the caller's goroutine.
+// Output is byte-identical at every worker count: the RowPtr prefix sum
+// fixes each output row's offset up front, so row ranges are filled
+// independently, and within-row sorting is by unique column indices whose
+// sorted order does not depend on the sorting algorithm. The tests check
+// every worker count against the sequential oracles in
+// permute_oracle_test.go.
 
-// PermuteSymmetricWorkers is PermuteSymmetric computed with a row-range-
-// parallel count/scatter/sort pipeline over the given worker count.
+// PermuteSymmetricWorkers returns P·A·Pᵀ, the matrix with rows and columns
+// simultaneously reordered by p (new-to-old). All orderings in the study
+// except Gray are symmetric permutations. Rows are counted, scattered and
+// sorted over row ranges split across the given worker count.
 func PermuteSymmetricWorkers(a *CSR, p Perm, workers int) (*CSR, error) {
-	if par.Resolve(workers) == 1 {
-		return PermuteSymmetric(a, p)
-	}
 	if a.Rows != a.Cols {
-		return nil, errNonSquareSym(a)
+		return nil, fmt.Errorf("sparse: symmetric permutation of non-square %dx%d matrix", a.Rows, a.Cols)
 	}
 	if err := checkPerm(p, a.Rows, ""); err != nil {
 		return nil, err
 	}
 	w := par.Resolve(workers)
 	inv := p.Inverse()
-	b := &CSR{
-		Rows:   a.Rows,
-		Cols:   a.Cols,
-		RowPtr: make([]int, a.Rows+1),
-		ColIdx: make([]int32, a.NNZ()),
-		Val:    make([]float64, a.NNZ()),
-	}
-	// Count in parallel, prefix-sum serially (O(rows)), scatter and sort
-	// each row range in parallel.
-	par.Ranges(a.Rows, w, func(_, lo, hi int) {
-		for newI := lo; newI < hi; newI++ {
-			b.RowPtr[newI+1] = a.RowNNZ(p[newI])
-		}
-	})
-	for newI := 0; newI < a.Rows; newI++ {
-		b.RowPtr[newI+1] += b.RowPtr[newI]
-	}
+	b := permutedRowPtr(a, p, w)
 	par.Ranges(a.Rows, w, func(_, lo, hi int) {
 		ls := longRowSorter{n: a.Cols}
 		for newI := lo; newI < hi; newI++ {
@@ -58,26 +43,41 @@ func PermuteSymmetricWorkers(a *CSR, p Perm, workers int) (*CSR, error) {
 				dst++
 			}
 			cols, vals := b.ColIdx[b.RowPtr[newI]:dst], b.Val[b.RowPtr[newI]:dst]
-			if len(cols) > longRowCutoff {
+			if len(cols) > shortRowMax {
 				ls.sort(cols, vals)
 			} else {
-				sortRow(cols, vals)
+				sortColVal(cols, vals)
 			}
 		}
 	})
 	return b, nil
 }
 
-// PermuteRowsWorkers is PermuteRows computed with row-range-parallel count
-// and copy passes over the given worker count.
+// PermuteRowsWorkers returns P·A, the matrix with only its rows reordered
+// by p (new-to-old); columns are left in place. The Gray ordering is
+// applied this way because it does not preserve symmetry. Rows are counted
+// and copied over row ranges split across the given worker count.
 func PermuteRowsWorkers(a *CSR, p Perm, workers int) (*CSR, error) {
-	if par.Resolve(workers) == 1 {
-		return PermuteRows(a, p)
-	}
 	if err := checkPerm(p, a.Rows, " rows"); err != nil {
 		return nil, err
 	}
 	w := par.Resolve(workers)
+	b := permutedRowPtr(a, p, w)
+	par.Ranges(a.Rows, w, func(_, lo, hi int) {
+		for newI := lo; newI < hi; newI++ {
+			oldI := p[newI]
+			dst := b.RowPtr[newI]
+			copy(b.ColIdx[dst:b.RowPtr[newI+1]], a.ColIdx[a.RowPtr[oldI]:a.RowPtr[oldI+1]])
+			copy(b.Val[dst:b.RowPtr[newI+1]], a.Val[a.RowPtr[oldI]:a.RowPtr[oldI+1]])
+		}
+	})
+	return b, nil
+}
+
+// permutedRowPtr allocates the result of permuting a's rows by p and fills
+// its RowPtr: row lengths are counted over parallel row ranges, then
+// prefix-summed serially (O(rows)).
+func permutedRowPtr(a *CSR, p Perm, w int) *CSR {
 	b := &CSR{
 		Rows:   a.Rows,
 		Cols:   a.Cols,
@@ -93,42 +93,11 @@ func PermuteRowsWorkers(a *CSR, p Perm, workers int) (*CSR, error) {
 	for newI := 0; newI < a.Rows; newI++ {
 		b.RowPtr[newI+1] += b.RowPtr[newI]
 	}
-	par.Ranges(a.Rows, w, func(_, lo, hi int) {
-		for newI := lo; newI < hi; newI++ {
-			oldI := p[newI]
-			dst := b.RowPtr[newI]
-			copy(b.ColIdx[dst:b.RowPtr[newI+1]], a.ColIdx[a.RowPtr[oldI]:a.RowPtr[oldI+1]])
-			copy(b.Val[dst:b.RowPtr[newI+1]], a.Val[a.RowPtr[oldI]:a.RowPtr[oldI+1]])
-		}
-	})
-	return b, nil
+	return b
 }
 
-// SortRowsWorkers sorts every row's columns (and aligned values) in
-// ascending order like SortRows, splitting the rows across workers. Rows
-// with duplicate column indices (invalid CSR, which SortRows exists to
-// repair en route to deduplication) sort their duplicates in
-// insertion-stable order at workers > 1; SortRows makes no ordering
-// promise for duplicates either.
-func (a *CSR) SortRowsWorkers(workers int) {
-	if par.Resolve(workers) == 1 {
-		a.SortRows()
-		return
-	}
-	par.Ranges(a.Rows, par.Resolve(workers), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			l, h := a.RowPtr[i], a.RowPtr[i+1]
-			sortRow(a.ColIdx[l:h], a.Val[l:h])
-		}
-	})
-}
-
-func errNonSquareSym(a *CSR) error {
-	return fmt.Errorf("sparse: symmetric permutation of non-square %dx%d matrix", a.Rows, a.Cols)
-}
-
-// checkPerm validates a permutation the same way the serial entry points
-// do, with matching error text.
+// checkPerm validates a permutation of length n; suffix names what n
+// counts in the length error.
 func checkPerm(p Perm, n int, suffix string) error {
 	if len(p) != n {
 		return fmt.Errorf("sparse: permutation length %d, want %d%s", len(p), n, suffix)
@@ -136,24 +105,16 @@ func checkPerm(p Perm, n int, suffix string) error {
 	return p.Validate()
 }
 
-func sortLongRow(cols []int32, vals []float64) {
-	sort.Sort(&colValSort{cols, vals})
-}
-
-// longRowCutoff is the row length above which insertion sort loses to the
-// alternatives; rows this long go to longRowSorter or sortLongRow.
-const longRowCutoff = 48
-
-// longRowSorter counting-sorts long rows with unique column indices (the
-// CSR invariant inside PermuteSymmetricWorkers): values are parked at
-// their column slot in a generation-stamped scratch of the matrix width,
-// then collected by an ascending scan of the row's column span. The scan
-// is sequential memory traffic, so for rows that occupy a decent fraction
-// of their span it is far cheaper than a comparison sort; sparse long
-// rows (span > ~16 slots per nonzero) fall back to sortLongRow. The
-// output — unique columns ascending — is what every sort produces, so
-// this changes nothing but time. Not safe for rows with duplicate
-// columns, which would collapse to one slot.
+// longRowSorter counting-sorts rows longer than shortRowMax with unique
+// column indices (the CSR invariant inside PermuteSymmetricWorkers):
+// values are parked at their column slot in a generation-stamped scratch
+// of the matrix width, then collected by an ascending scan of the row's
+// column span. The scan is sequential memory traffic, so for rows that
+// occupy a decent fraction of their span it is far cheaper than a
+// comparison sort; sparse long rows (span > ~16 slots per nonzero) fall
+// back to sort.Sort. The output — unique columns ascending — is what
+// every sort produces, so this changes nothing but time. Not safe for
+// rows with duplicate columns, which would collapse to one slot.
 type longRowSorter struct {
 	n     int // matrix column count (scratch width)
 	gen   int32
@@ -172,7 +133,7 @@ func (s *longRowSorter) sort(cols []int32, vals []float64) {
 		}
 	}
 	if span := int(maxC-minC) + 1; span > 16*len(cols) {
-		sortLongRow(cols, vals)
+		sort.Sort(&colValSort{cols, vals})
 		return
 	}
 	if s.stamp == nil {
@@ -192,24 +153,5 @@ func (s *longRowSorter) sort(cols []int32, vals []float64) {
 			vals[k] = s.val[c]
 			k++
 		}
-	}
-}
-
-// sortRow sorts one row's (column, value) pairs by column. Sparse rows are
-// short, so insertion sort beats the interface-based sort.Sort for the
-// common case; long rows fall back to colValSort.
-func sortRow(cols []int32, vals []float64) {
-	if len(cols) > 48 {
-		sortLongRow(cols, vals)
-		return
-	}
-	for i := 1; i < len(cols); i++ {
-		c, v := cols[i], vals[i]
-		j := i - 1
-		for j >= 0 && cols[j] > c {
-			cols[j+1], vals[j+1] = cols[j], vals[j]
-			j--
-		}
-		cols[j+1], vals[j+1] = c, v
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // workerCounts are the counts the determinism contract is tested at:
-// serial, small parallel, the benchmark's 4, GOMAXPROCS and the two
+// one worker, small parallel, the benchmark's 4, GOMAXPROCS and the two
 // "resolve to a default" inputs.
 func workerCounts() []int {
 	return []int{1, 2, 3, 4, runtime.GOMAXPROCS(0), 0, -1}
@@ -24,7 +24,7 @@ func TestPermuteSymmetricWorkersMatchesSerial(t *testing.T) {
 	for _, n := range []int{1, 2, 17, 97, 256} {
 		a := randomCSR(rng, n, n, 6*n)
 		p := randomPerm(rng, n)
-		want, err := PermuteSymmetric(a, p)
+		want, err := permuteSymmetricOracle(a, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +34,7 @@ func TestPermuteSymmetricWorkersMatchesSerial(t *testing.T) {
 				t.Fatalf("n=%d workers=%d: %v", n, w, err)
 			}
 			if !got.Equal(want) {
-				t.Fatalf("n=%d workers=%d: result differs from serial", n, w)
+				t.Fatalf("n=%d workers=%d: result differs from the oracle", n, w)
 			}
 		}
 	}
@@ -42,7 +42,8 @@ func TestPermuteSymmetricWorkersMatchesSerial(t *testing.T) {
 
 // TestPermuteSymmetricWorkersDenseRows drives rows through both long-row
 // sort paths: a dense row (counting sort over its span) and a long but
-// widely spread row (span too large, comparison-sort fallback).
+// widely spread row (span too large, comparison-sort fallback). Row 11
+// sits just past shortRowMax, the first length the long-row sorter takes.
 func TestPermuteSymmetricWorkersDenseRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	n := 3000
@@ -57,12 +58,15 @@ func TestPermuteSymmetricWorkersDenseRows(t *testing.T) {
 	for j := 0; j < 60; j++ { // long sparse row 9: span ~n >> 16*60, fallback
 		coo.Append(9, rng.Intn(n), float64(j))
 	}
+	for j := 0; j <= shortRowMax; j++ { // row 11: shortRowMax+1 columns
+		coo.Append(11, 1500+3*j, float64(j))
+	}
 	a, err := coo.ToCSR()
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := randomPerm(rng, n)
-	want, err := PermuteSymmetric(a, p)
+	want, err := permuteSymmetricOracle(a, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,17 +76,17 @@ func TestPermuteSymmetricWorkersDenseRows(t *testing.T) {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
 		if !got.Equal(want) {
-			t.Fatalf("workers=%d: result differs from serial", w)
+			t.Fatalf("workers=%d: result differs from the oracle", w)
 		}
 	}
 }
 
 func TestPermuteRowsWorkersMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	// Rectangular on purpose: PermuteRows permutes rows only.
+	// Rectangular on purpose: PermuteRowsWorkers permutes rows only.
 	a := randomCSR(rng, 120, 40, 700)
 	p := randomPerm(rng, 120)
-	want, err := PermuteRows(a, p)
+	want, err := permuteRowsOracle(a, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +96,7 @@ func TestPermuteRowsWorkersMatchesSerial(t *testing.T) {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
 		if !got.Equal(want) {
-			t.Fatalf("workers=%d: result differs from serial", w)
+			t.Fatalf("workers=%d: result differs from the oracle", w)
 		}
 	}
 }
@@ -111,59 +115,23 @@ func TestPermuteWorkersErrorsMatchSerial(t *testing.T) {
 		{"repeated entry", square, Perm{0, 1, 2, 3, 3}},
 	}
 	for _, c := range cases {
-		_, serialErr := PermuteSymmetric(c.a, c.p)
-		if serialErr == nil {
-			t.Fatalf("%s: serial accepted bad input", c.name)
+		_, oracleErr := permuteSymmetricOracle(c.a, c.p)
+		if oracleErr == nil {
+			t.Fatalf("%s: oracle accepted bad input", c.name)
 		}
-		for _, w := range []int{2, 4} {
+		for _, w := range workerCounts() {
 			_, err := PermuteSymmetricWorkers(c.a, c.p, w)
-			if err == nil || err.Error() != serialErr.Error() {
-				t.Errorf("%s workers=%d: error %v, want %v", c.name, w, err, serialErr)
+			if err == nil || err.Error() != oracleErr.Error() {
+				t.Errorf("%s workers=%d: error %v, want %v", c.name, w, err, oracleErr)
 			}
 		}
 	}
 	// Rows variant: only the permutation is checked, against Rows.
-	_, serialErr := PermuteRows(square, Identity(3))
-	for _, w := range []int{2, 4} {
-		_, err := PermuteRowsWorkers(square, Identity(3), w)
-		if err == nil || err.Error() != serialErr.Error() {
-			t.Errorf("rows workers=%d: error %v, want %v", w, err, serialErr)
-		}
-	}
-}
-
-// unsortedCSR builds a CSR whose rows are valid but deliberately out of
-// column order, including one row longer than the insertion-sort cutoff.
-func unsortedCSR(rng *rand.Rand, rows, cols int) *CSR {
-	a := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
-	for i := 0; i < rows; i++ {
-		n := 1 + rng.Intn(6)
-		if i == rows/2 {
-			n = 80 // force the long-row sort path
-		}
-		seen := map[int32]bool{}
-		for len(seen) < n && len(seen) < cols {
-			seen[int32(rng.Intn(cols))] = true
-		}
-		for c := range seen {
-			a.ColIdx = append(a.ColIdx, c)
-			a.Val = append(a.Val, rng.NormFloat64())
-		}
-		a.RowPtr[i+1] = len(a.ColIdx)
-	}
-	return a
-}
-
-func TestSortRowsWorkersMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	a := unsortedCSR(rng, 60, 200)
-	want := a.Clone()
-	want.SortRows()
+	_, oracleErr := permuteRowsOracle(square, Identity(3))
 	for _, w := range workerCounts() {
-		got := a.Clone()
-		got.SortRowsWorkers(w)
-		if !got.Equal(want) {
-			t.Fatalf("workers=%d: sorted result differs from serial SortRows", w)
+		_, err := PermuteRowsWorkers(square, Identity(3), w)
+		if err == nil || err.Error() != oracleErr.Error() {
+			t.Errorf("rows workers=%d: error %v, want %v", w, err, oracleErr)
 		}
 	}
 }

@@ -223,7 +223,7 @@ func TestPermutedSpMVConsistency(t *testing.T) {
 	a := randomCSR(rng, n, n, 700)
 	x := randomVec(rng, n)
 	p := sparse.Perm(rng.Perm(n))
-	b, err := sparse.PermuteSymmetric(a, p)
+	b, err := sparse.PermuteSymmetricWorkers(a, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
