@@ -247,7 +247,9 @@ func PseudoPeripheralCancel(g *Graph, start int, scratch []int32, done <-chan st
 
 // InducedSubgraph returns the subgraph induced by the given vertices along
 // with the mapping from subgraph vertex index to original vertex. Vertex
-// and edge weights are carried over when present.
+// and edge weights are carried over when present. A first pass counts the
+// kept adjacency entries so the subgraph's arrays are allocated once, at
+// their exact size.
 func InducedSubgraph(g *Graph, verts []int32) (*Graph, []int32) {
 	// local[v] is v's subgraph index plus one; 0 marks a vertex outside.
 	local := make([]int32, g.N)
@@ -255,31 +257,37 @@ func InducedSubgraph(g *Graph, verts []int32) (*Graph, []int32) {
 		local[v] = int32(i) + 1
 	}
 	sub := &Graph{N: len(verts), Ptr: make([]int, len(verts)+1)}
+	for i, v := range verts {
+		d := 0
+		for _, u := range g.Adj[g.Ptr[v]:g.Ptr[v+1]] {
+			if local[u] > 0 {
+				d++
+			}
+		}
+		sub.Ptr[i+1] = sub.Ptr[i] + d
+		sub.degMax = max(sub.degMax, d)
+	}
+	sub.Adj = make([]int32, sub.Ptr[len(verts)])
+	if g.EWgt != nil {
+		sub.EWgt = make([]int32, len(sub.Adj))
+	}
 	if g.VWgt != nil {
 		sub.VWgt = make([]int32, len(verts))
 	}
-	var adj []int32
-	var ewgt []int32
 	for i, v := range verts {
 		if g.VWgt != nil {
 			sub.VWgt[i] = g.VWgt[v]
 		}
+		j := sub.Ptr[i]
 		for k := g.Ptr[v]; k < g.Ptr[v+1]; k++ {
 			if lu := local[g.Adj[k]]; lu > 0 {
-				adj = append(adj, lu-1)
+				sub.Adj[j] = lu - 1
 				if g.EWgt != nil {
-					ewgt = append(ewgt, g.EWgt[k])
+					sub.EWgt[j] = g.EWgt[k]
 				}
+				j++
 			}
 		}
-		sub.Ptr[i+1] = len(adj)
-		if d := sub.Ptr[i+1] - sub.Ptr[i]; d > sub.degMax {
-			sub.degMax = d
-		}
-	}
-	sub.Adj = adj
-	if g.EWgt != nil {
-		sub.EWgt = ewgt
 	}
 	orig := make([]int32, len(verts))
 	copy(orig, verts)

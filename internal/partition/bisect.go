@@ -32,19 +32,30 @@ func Bisect(g *graph.Graph, frac float64, opts Options, rng *rand.Rand) []uint8 
 	side := initialBisection(coarsest, frac, opts, rng)
 	tm.Stop()
 	tm = opts.Obs.Phase("partition/refine").Start()
-	fmRefine(coarsest, side, frac, opts)
+	fb := newFMBuffers(g.N)
+	fmRefine(coarsest, side, frac, opts, fb)
+	// Uncoarsening projects level i's sides into buffer i%2, which never
+	// holds level i+1's, so two buffers sized by the two finest levels
+	// serve every level.
+	var sides [2][]uint8
+	if len(levels) > 0 {
+		sides[0] = make([]uint8, g.N)
+	}
+	if len(levels) > 1 {
+		sides[1] = make([]uint8, levels[1].fine.N)
+	}
 	for i := len(levels) - 1; i >= 0; i-- {
 		if par.Canceled(opts.Cancel) {
 			tm.Stop()
 			return make([]uint8, g.N)
 		}
 		lv := levels[i]
-		fineSide := make([]uint8, lv.fine.N)
-		for v := 0; v < lv.fine.N; v++ {
-			fineSide[v] = side[lv.cmap[v]]
+		fineSide := sides[i%2][:lv.fine.N]
+		for v, c := range lv.cmap {
+			fineSide[v] = side[c]
 		}
 		side = fineSide
-		fmRefine(lv.fine, side, frac, opts)
+		fmRefine(lv.fine, side, frac, opts, fb)
 	}
 	tm.Stop()
 	if len(side) != g.N {
@@ -143,36 +154,57 @@ func cutOf(g *graph.Graph, side []uint8) int {
 // best-gain-first order subject to the balance constraint, until the heap
 // empties or a bounded run of moves (fmheap.PassLimit) fails to improve
 // the cut, then rolls back to the best prefix observed. Passes repeat
-// until no pass improves the cut. Every worker count runs the same lean
-// pass (fmPassFast); its gains travel in int32 heap entries, which holds
-// because KWay and nested dissection check CheckEdgeWeights once on their
-// input graph and coarsening never raises the total edge weight.
-func fmRefine(g *graph.Graph, side []uint8, frac float64, opts Options) {
-	total := g.TotalVertexWeight()
-	max0 := int(float64(total) * frac * (1 + opts.Imbalance))
-	max1 := int(float64(total) * (1 - frac) * (1 + opts.Imbalance))
-	if max0 <= 0 {
-		max0 = 1
-	}
-	if max1 <= 0 {
-		max1 = 1
-	}
+// until no pass improves the cut, each carrying its gains to the next
+// (see fmPassFast). Every worker count runs the same lean pass; its gains
+// travel in int32 heap entries, which holds because KWay and nested
+// dissection check CheckEdgeWeights once on their input graph and
+// coarsening never raises the total edge weight.
+func fmRefine(g *graph.Graph, side []uint8, frac float64, opts Options, fb *fmBuffers) {
+	max0, max1 := fmCaps(g, frac, opts.Imbalance)
 	w := [2]int{}
 	for v := 0; v < g.N; v++ {
 		w[side[v]] += g.VertexWeight(v)
 	}
-
-	gain := make([]int, g.N)
-	locked := make([]bool, g.N)
-	var st fmFastState
+	gain, locked, st := fb.level(g.N)
 	for pass := 0; pass < opts.RefinePasses; pass++ {
 		if par.Canceled(opts.Cancel) {
 			return
 		}
-		if !fmPassFast(g, side, gain, locked, &w, max0, max1, &st) {
+		if !fmPassFast(g, side, gain, locked, &w, max0, max1, st) {
 			break
 		}
 	}
+}
+
+// fmCaps returns the weight caps of sides 0 and 1, (1+ε)·frac·total and
+// (1+ε)·(1-frac)·total, each at least 1.
+func fmCaps(g *graph.Graph, frac, imbalance float64) (max0, max1 int) {
+	total := g.TotalVertexWeight()
+	max0 = max(int(float64(total)*frac*(1+imbalance)), 1)
+	max1 = max(int(float64(total)*(1-frac)*(1+imbalance)), 1)
+	return max0, max1
+}
+
+// fmBuffers is the FM state of one Bisect: per-vertex gains, lock flags
+// and queue marks allocated once at the finest level's size and resliced
+// for every level, and the heap and move buffers every pass reuses. It
+// belongs to its Bisect alone and dies with it.
+type fmBuffers struct {
+	gain   []int
+	locked []bool
+	st     fmFastState
+}
+
+func newFMBuffers(n int) *fmBuffers {
+	return &fmBuffers{gain: make([]int, n), locked: make([]bool, n), st: fmFastState{mark: make([]uint8, n)}}
+}
+
+// level returns the buffers resliced for a level of n vertices, with
+// nothing carried over from the previous level: the level's first pass
+// computes every gain from scratch.
+func (fb *fmBuffers) level(n int) ([]int, []bool, *fmFastState) {
+	fb.st.warm = false
+	return fb.gain[:n], fb.locked[:n], &fb.st
 }
 
 // CheckEdgeWeights reports whether g's total edge weight fits the int32
@@ -194,12 +226,26 @@ func CheckEdgeWeights(g *graph.Graph) error {
 	return nil
 }
 
-// fmFastState carries fmPassFast's buffers across passes so their backing
-// arrays stay out of the allocator.
+// fmFastState carries fmPassFast's buffers, and the queue marks and moves
+// of the last pass, from one pass to the next.
 type fmFastState struct {
 	heap  []fmheap.Entry
 	moves []fmheap.Entry
+	// mark[v] says whether v goes into the next pass's heap (markQueued),
+	// or, transiently, that its gain and mark are being recomputed.
+	mark []uint8
+	// warm reports that gain and mark hold the end of the last pass on the
+	// same graph and sides, apart from the vertices in moves and their
+	// neighbours. A zero fmFastState is cold.
+	warm bool
 }
+
+// Queue marks of fmFastState.mark.
+const (
+	markIdle   uint8 = iota // interior vertex with gain ≤ 0: not queued
+	markQueued              // boundary or positive-gain vertex: queued
+	markStale               // gain and mark are being recomputed
+)
 
 // fmPassFast is one FM pass with the bookkeeping of the classic FM
 // implementation: when v moves off side s, a neighbour u's gain changes by
@@ -207,11 +253,20 @@ type fmFastState struct {
 // maintained gains equal recomputed ones and the heap receives the same
 // entries in the same order as a pass that rescans every neighbour's
 // edges after each move. That rescanning pass is kept in the tests as the
-// oracle (TestLeanFMMatchesReference); the packed heap makes the same
-// comparisons as its swap-based heap, so the move sequence, and with it
-// the bisection, is byte-identical to it. The pass stops once more than
-// fmheap.PassLimit(g.N) moves have gone by without improving on the best
-// prefix.
+// oracle (TestLeanFMMatchesReference, TestCarriedFMMatchesReference); the
+// packed heap makes the same comparisons as its swap-based heap, so the
+// move sequence, and with it the bisection, is byte-identical to it. The
+// pass stops once more than fmheap.PassLimit(g.N) moves have gone by
+// without improving on the best prefix.
+//
+// A cold st makes the pass compute every gain and queue mark from the
+// edges. A warm one, left by the previous pass over the same g, side,
+// gain and locked, carries them: a vertex's gain or boundary status can
+// change only if it or a neighbour changed side, so only the previous
+// pass's moved vertices (kept or rolled back) and their neighbours are
+// recomputed. The heap is then filled by scanning the marks in ascending
+// v, which queues exactly the entries, in exactly the order, of a full
+// rescan.
 func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]int, max0, max1 int, st *fmFastState) bool {
 	ew := g.EWgt
 	edgeWeight := func(k int) int {
@@ -220,10 +275,11 @@ func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]i
 		}
 		return int(ew[k])
 	}
-
-	h := st.heap[:0]
-	for v := 0; v < g.N; v++ {
-		locked[v] = false
+	if len(st.mark) < g.N {
+		st.mark, st.warm = make([]uint8, g.N), false
+	}
+	mark := st.mark[:g.N]
+	refresh := func(v int) {
 		ext, inn := 0, 0
 		boundary := false
 		for k := g.Ptr[v]; k < g.Ptr[v+1]; k++ {
@@ -236,7 +292,41 @@ func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]i
 		}
 		gain[v] = ext - inn
 		// Only boundary (or positive-gain) vertices are worth queueing.
+		mark[v] = markIdle
 		if gain[v] > 0 || boundary {
+			mark[v] = markQueued
+		}
+	}
+
+	if st.warm {
+		for _, e := range st.moves {
+			v := e.V
+			locked[v] = false
+			mark[v] = markStale
+			for _, u := range g.Adj[g.Ptr[v]:g.Ptr[v+1]] {
+				mark[u] = markStale
+			}
+		}
+		for _, e := range st.moves {
+			v := e.V
+			if mark[v] == markStale {
+				refresh(int(v))
+			}
+			for _, u := range g.Adj[g.Ptr[v]:g.Ptr[v+1]] {
+				if mark[u] == markStale {
+					refresh(int(u))
+				}
+			}
+		}
+	} else {
+		for v := 0; v < g.N; v++ {
+			locked[v] = false
+			refresh(v)
+		}
+	}
+	h := st.heap[:0]
+	for v, m := range mark {
+		if m == markQueued {
 			h = append(h, fmheap.Entry{V: int32(v), Gain: int32(gain[v])})
 		}
 	}
@@ -294,6 +384,6 @@ func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]i
 		side[v] = 1 - side[v]
 		w[side[v]] += g.VertexWeight(int(v))
 	}
-	st.heap, st.moves = h, moves
+	st.heap, st.moves, st.warm = h, moves, true
 	return bestGain > 0
 }

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 
 	"sparseorder/internal/graph"
 	"sparseorder/internal/par"
@@ -15,20 +16,11 @@ type level struct {
 	cmap   []int32
 }
 
-// heavyEdgeMatch computes a matching that prefers heavy edges: vertices are
-// visited in random order and matched to the unmatched neighbour connected
-// by the heaviest edge. Returns match[v] = partner (or v itself when
-// unmatched) and the number of coarse vertices.
-func heavyEdgeMatch(g *graph.Graph, rng *rand.Rand) ([]int32, int) {
-	return matchVertices(g, rng, HeavyEdgeMatching)
-}
-
-// randomMatch pairs each vertex with an arbitrary unmatched neighbour —
-// the ablation baseline for heavy-edge matching.
-func randomMatch(g *graph.Graph, rng *rand.Rand) ([]int32, int) {
-	return matchVertices(g, rng, RandomMatching)
-}
-
+// matchVertices computes a matching: vertices are visited in random order
+// and each unmatched one is paired with an unmatched neighbour, the one
+// joined by the heaviest edge under HeavyEdgeMatching, the first one under
+// RandomMatching (the ablation baseline). It returns match[v] = partner
+// (or v itself when unmatched) and the number of coarse vertices.
 func matchVertices(g *graph.Graph, rng *rand.Rand, strategy MatchingStrategy) ([]int32, int) {
 	match := make([]int32, g.N)
 	for i := range match {
@@ -67,80 +59,76 @@ func matchVertices(g *graph.Graph, rng *rand.Rand, strategy MatchingStrategy) ([
 	return match, nCoarse
 }
 
+// contractRows is the buffer contract assembles coarse adjacency rows in
+// before copying each level out at its exact size. coarsen sizes it once
+// from the finest level and reuses it for every level: a coarse level has
+// at most as many vertices and adjacency entries as its fine level, since
+// every fine entry yields at most one coarse entry.
+type contractRows struct {
+	adj, ewgt []int32
+	// where[c] is the index+1 of coarse neighbour c in the row being
+	// assembled; marks left by earlier rows of a level point below the
+	// current row's start and are ignored, so only a new level clears it.
+	where []int32
+}
+
 // contract builds the coarse graph defined by the matching. Matched pairs
 // merge into one coarse vertex whose weight is the sum of the fine weights;
-// parallel coarse edges are combined by summing their weights.
-func contract(g *graph.Graph, match []int32, nCoarse int) (*graph.Graph, []int32) {
+// parallel coarse edges are combined by summing their weights. Coarse
+// vertices are numbered by their lower fine endpoint, and each coarse row
+// lists the lower endpoint's edges before the higher one's, so one pass
+// over v ascending that skips the higher end of every pair assembles the
+// rows in order.
+func contract(g *graph.Graph, match []int32, nCoarse int, rows *contractRows) (*graph.Graph, []int32) {
 	cmap := make([]int32, g.N)
-	for i := range cmap {
-		cmap[i] = -1
-	}
 	next := int32(0)
 	for v := 0; v < g.N; v++ {
-		if cmap[v] >= 0 {
-			continue
-		}
-		cmap[v] = next
-		if m := match[v]; int(m) != v {
+		if m := int(match[v]); m >= v {
+			cmap[v] = next
 			cmap[m] = next
-		}
-		next++
-	}
-
-	coarse := &graph.Graph{N: nCoarse, Ptr: make([]int, nCoarse+1)}
-	coarse.VWgt = make([]int32, nCoarse)
-	for v := 0; v < g.N; v++ {
-		coarse.VWgt[cmap[v]] += int32(g.VertexWeight(v))
-	}
-
-	// Accumulate coarse adjacency with a dense scatter array reused across
-	// coarse vertices.
-	where := make([]int32, nCoarse) // where[c] = index+1 into current row
-	var adj []int32
-	var ewgt []int32
-	// Group fine vertices by coarse vertex.
-	members := make([][2]int32, nCoarse)
-	for i := range members {
-		members[i] = [2]int32{-1, -1}
-	}
-	for v := 0; v < g.N; v++ {
-		c := cmap[v]
-		if members[c][0] < 0 {
-			members[c][0] = int32(v)
-		} else {
-			members[c][1] = int32(v)
+			next++
 		}
 	}
-	for c := 0; c < nCoarse; c++ {
-		rowStart := len(adj)
-		for _, vv := range members[c] {
-			if vv < 0 {
-				continue
-			}
-			v := int(vv)
-			for k := g.Ptr[v]; k < g.Ptr[v+1]; k++ {
+
+	coarse := &graph.Graph{N: nCoarse, Ptr: make([]int, nCoarse+1), VWgt: make([]int32, nCoarse)}
+	adj, ewgt := rows.adj, rows.ewgt
+	where := rows.where[:nCoarse]
+	clear(where)
+	n := 0
+	c := int32(0)
+	for v := 0; v < g.N; v++ {
+		m := int(match[v])
+		if m < v {
+			continue // the higher end of a pair, already in its partner's row
+		}
+		members := [2]int{v, m}
+		nm := 2
+		if m == v {
+			nm = 1
+		}
+		rowStart := n
+		for _, x := range members[:nm] {
+			coarse.VWgt[c] += int32(g.VertexWeight(x))
+			for k := g.Ptr[x]; k < g.Ptr[x+1]; k++ {
 				cu := cmap[g.Adj[k]]
-				if cu == int32(c) {
+				if cu == c {
 					continue // interior edge collapses
 				}
 				w := int32(g.EdgeWeight(k))
-				if idx := where[cu]; idx > 0 && int(idx-1) >= rowStart {
+				if idx := where[cu]; int(idx) > rowStart {
 					ewgt[idx-1] += w
 				} else {
-					adj = append(adj, cu)
-					ewgt = append(ewgt, w)
-					where[cu] = int32(len(adj))
+					adj[n], ewgt[n] = cu, w
+					n++
+					where[cu] = int32(n)
 				}
 			}
 		}
-		coarse.Ptr[c+1] = len(adj)
-		// Reset scatter marks for the next row.
-		for k := rowStart; k < len(adj); k++ {
-			where[adj[k]] = 0
-		}
+		c++
+		coarse.Ptr[c] = n
 	}
-	coarse.Adj = adj
-	coarse.EWgt = ewgt
+	coarse.Adj = slices.Clone(adj[:n])
+	coarse.EWgt = slices.Clone(ewgt[:n])
 	return coarse, cmap
 }
 
@@ -148,6 +136,7 @@ func contract(g *graph.Graph, match []int32, nCoarse int) (*graph.Graph, []int32
 // opts.CoarsenTo vertices or matching stops making progress.
 func coarsen(g *graph.Graph, opts Options, rng *rand.Rand) []level {
 	var levels []level
+	var rows contractRows
 	cur := g
 	for cur.N > opts.CoarsenTo {
 		if par.Canceled(opts.Cancel) {
@@ -157,7 +146,14 @@ func coarsen(g *graph.Graph, opts Options, rng *rand.Rand) []level {
 		if float64(nCoarse) > 0.95*float64(cur.N) {
 			break // matching stagnated (e.g. star graphs)
 		}
-		coarse, cmap := contract(cur, match, nCoarse)
+		if levels == nil {
+			rows = contractRows{
+				adj:   make([]int32, len(g.Adj)),
+				ewgt:  make([]int32, len(g.Adj)),
+				where: make([]int32, nCoarse),
+			}
+		}
+		coarse, cmap := contract(cur, match, nCoarse, &rows)
 		levels = append(levels, level{fine: cur, coarse: coarse, cmap: cmap})
 		cur = coarse
 	}

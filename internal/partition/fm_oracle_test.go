@@ -273,6 +273,62 @@ func TestLeanFMMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCarriedFMMatchesReference runs production refinement state, the
+// fmBuffers one Bisect owns, over the fmFixtures graphs in turn (so every
+// graph finds the buffers dirty from a graph of another size, as a coarser
+// level does), from both initial bisections and random sides, for an even
+// and an uneven split. After every pass, whose gains and queue marks are
+// carried from the pass before, it compares sides, side weights and return
+// value with the reference pass run from scratch. It then checks that
+// fmRefine itself, on the same buffers, ends where the passes ended.
+func TestCarriedFMMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	names, graphs := fmFixtures(t, rng)
+	maxN := 0
+	for _, g := range graphs {
+		maxN = max(maxN, g.N)
+	}
+	opts := Options{}.withDefaults()
+	fb := newFMBuffers(maxN)
+	carried := 0
+	for _, name := range names {
+		g := graphs[name]
+		fmStarts(g, rng, func(kind string, start []uint8, frac float64) {
+			max0, max1 := fmCaps(g, frac, opts.Imbalance)
+			refSide := append([]uint8(nil), start...)
+			side := append([]uint8(nil), start...)
+			var wRef [2]int
+			for v := 0; v < g.N; v++ {
+				wRef[start[v]] += g.VertexWeight(v)
+			}
+			w := wRef
+			gain, locked, st := fb.level(g.N)
+			for pass := 0; pass < opts.RefinePasses; pass++ {
+				if pass > 0 {
+					carried++
+				}
+				ref := fmPass(g, refSide, make([]int, g.N), make([]bool, g.N), &wRef, max0, max1)
+				got := fmPassFast(g, side, gain, locked, &w, max0, max1, st)
+				if got != ref || w != wRef || !bytes.Equal(side, refSide) {
+					t.Fatalf("%s/%s frac=%.2f pass %d: carried pass (improved=%v, w=%v) diverges from the reference (improved=%v, w=%v)",
+						name, kind, frac, pass, got, w, ref, wRef)
+				}
+				if !ref {
+					break
+				}
+			}
+			refined := append([]uint8(nil), start...)
+			fmRefine(g, refined, frac, opts, fb)
+			if !bytes.Equal(refined, side) {
+				t.Fatalf("%s/%s frac=%.2f: fmRefine ends on other sides than its passes run one by one", name, kind, frac)
+			}
+		})
+	}
+	if carried == 0 {
+		t.Fatal("no pass started from carried state")
+	}
+}
+
 // TestFMPassNeverWorsensCut runs one lean pass on the fmFixtures graphs
 // from initial bisections and random sides: rolling back to the best
 // prefix must leave the cut no higher than at the start, however early

@@ -128,11 +128,11 @@ func KWayMulti(g *graph.Graph, ks []int, opts Options) ([][]int32, []int, error)
 		parts[i] = make([]int32, g.N)
 		jobs = append(jobs, kwayJob{part: parts[i], k: k})
 	}
-	verts := make([]int32, g.N)
-	for i := range verts {
-		verts[i] = int32(i)
+	orig := make([]int32, g.N)
+	for i := range orig {
+		orig[i] = int32(i)
 	}
-	recursiveBisect(g, verts, jobs, opts, opts.Seed, par.NewLimiter(opts.Workers))
+	recursiveBisect(g, orig, jobs, opts, opts.Seed, par.NewLimiter(opts.Workers))
 	if par.Canceled(opts.Cancel) {
 		return nil, nil, context.Canceled
 	}
@@ -175,15 +175,19 @@ type kwayJob struct {
 	k         int
 }
 
-// recursiveBisect partitions the subgraph induced by verts for every job.
-// Jobs that split with the same fraction share one bisection, and each
+// recursiveBisect partitions sub, whose vertex i is vertex orig[i] of the
+// input graph, for every job. Each branch is induced from sub, not from
+// the input graph, so inducing costs time and memory in proportion to the
+// branch, as in nested dissection; a branch's vertex list ascends, so its
+// subgraph is the one the input graph induces on the same vertices. Jobs
+// that split with the same fraction share one bisection, and each
 // bisection derives its RNG from seed alone, so a job's result does not
 // depend on which other jobs ran beside it, nor on scheduling. The two
 // branches of a bisection write disjoint entries of each job's part, and
 // different jobs write different part arrays, which keeps the parallel
 // recursion race-free; lim bounds the live goroutines to the configured
 // worker count (a nil lim recurses serially).
-func recursiveBisect(g *graph.Graph, verts []int32, jobs []kwayJob, opts Options, seed int64, lim *par.Limiter) {
+func recursiveBisect(sub *graph.Graph, orig []int32, jobs []kwayJob, opts Options, seed int64, lim *par.Limiter) {
 	if par.Canceled(opts.Cancel) {
 		return
 	}
@@ -193,14 +197,13 @@ func recursiveBisect(g *graph.Graph, verts []int32, jobs []kwayJob, opts Options
 			live = append(live, j)
 			continue
 		}
-		for _, v := range verts {
+		for _, v := range orig {
 			j.part[v] = int32(j.firstPart)
 		}
 	}
 	if len(live) == 0 {
 		return
 	}
-	sub, orig := graph.InducedSubgraph(g, verts)
 	leftSeed := seed*2654435761 + 1
 	rightSeed := seed*2654435761 + 2
 	var branches []func()
@@ -221,20 +224,37 @@ func recursiveBisect(g *graph.Graph, verts []int32, jobs []kwayJob, opts Options
 		var left, right []int32
 		for i, s := range side {
 			if s == 0 {
-				left = append(left, orig[i])
+				left = append(left, int32(i))
 			} else {
-				right = append(right, orig[i])
+				right = append(right, int32(i))
 			}
 		}
 		branches = append(branches,
-			func() { recursiveBisect(g, left, leftJobs, opts, leftSeed, lim) },
-			func() { recursiveBisect(g, right, rightJobs, opts, rightSeed, lim) })
+			func() {
+				lsub, lorig := induce(sub, orig, left)
+				recursiveBisect(lsub, lorig, leftJobs, opts, leftSeed, lim)
+			},
+			func() {
+				rsub, rorig := induce(sub, orig, right)
+				recursiveBisect(rsub, rorig, rightJobs, opts, rightSeed, lim)
+			})
 	}
 	fork := lim
-	if len(verts) <= parallelMinVerts {
+	if sub.N <= parallelMinVerts {
 		fork = nil
 	}
 	forkAll(fork, branches)
+}
+
+// induce returns the subgraph of sub induced by verts and the input graph
+// vertex of each of its vertices, given sub's mapping orig.
+func induce(sub *graph.Graph, orig, verts []int32) (*graph.Graph, []int32) {
+	child, _ := graph.InducedSubgraph(sub, verts)
+	childOrig := make([]int32, len(verts))
+	for i, v := range verts {
+		childOrig[i] = orig[v]
+	}
+	return child, childOrig
 }
 
 // splitFraction is the share of the vertex weight that a k-part
@@ -265,30 +285,4 @@ func EdgeCut(g *graph.Graph, part []int32) int {
 		}
 	}
 	return cut / 2
-}
-
-// PartWeights returns the total vertex weight of each of the k parts.
-func PartWeights(g *graph.Graph, part []int32, k int) []int {
-	w := make([]int, k)
-	for v := 0; v < g.N; v++ {
-		w[part[v]] += g.VertexWeight(v)
-	}
-	return w
-}
-
-// ImbalanceFactor returns max part weight divided by the average part
-// weight, the balance criterion the study reports.
-func ImbalanceFactor(g *graph.Graph, part []int32, k int) float64 {
-	w := PartWeights(g, part, k)
-	total, maxw := 0, 0
-	for _, x := range w {
-		total += x
-		if x > maxw {
-			maxw = x
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(maxw) * float64(k) / float64(total)
 }

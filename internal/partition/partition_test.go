@@ -50,6 +50,30 @@ func twoCliquesBridge(t *testing.T, k int) *graph.Graph {
 	return g
 }
 
+// partWeights returns the total vertex weight of each of the k parts.
+func partWeights(g *graph.Graph, part []int32, k int) []int {
+	w := make([]int, k)
+	for v := 0; v < g.N; v++ {
+		w[part[v]] += g.VertexWeight(v)
+	}
+	return w
+}
+
+// imbalanceFactor returns the largest part weight divided by the average
+// part weight.
+func imbalanceFactor(g *graph.Graph, part []int32, k int) float64 {
+	w := partWeights(g, part, k)
+	total, maxw := 0, 0
+	for _, x := range w {
+		total += x
+		maxw = max(maxw, x)
+	}
+	if total == 0 {
+		return 1
+	}
+	return float64(maxw) * float64(k) / float64(total)
+}
+
 func TestBisectTwoCliques(t *testing.T) {
 	g := twoCliquesBridge(t, 12)
 	rng := rand.New(rand.NewSource(1))
@@ -61,7 +85,7 @@ func TestBisectTwoCliques(t *testing.T) {
 	if cut := EdgeCut(g, part); cut != 1 {
 		t.Errorf("cut = %d, want 1 (the bridge)", cut)
 	}
-	w := PartWeights(g, part, 2)
+	w := partWeights(g, part, 2)
 	if w[0] != 12 || w[1] != 12 {
 		t.Errorf("part weights = %v, want [12 12]", w)
 	}
@@ -77,7 +101,7 @@ func TestKWayGridBalanceAndCut(t *testing.T) {
 		if cut != EdgeCut(g, part) {
 			t.Errorf("k=%d: reported cut %d != recomputed %d", k, cut, EdgeCut(g, part))
 		}
-		w := PartWeights(g, part, k)
+		w := partWeights(g, part, k)
 		avg := float64(g.N) / float64(k)
 		for p, x := range w {
 			if x == 0 {
@@ -161,14 +185,14 @@ func TestImbalanceFactor(t *testing.T) {
 	for i := 8; i < 16; i++ {
 		part[i] = 1
 	}
-	if f := ImbalanceFactor(g, part, 2); f != 1 {
+	if f := imbalanceFactor(g, part, 2); f != 1 {
 		t.Errorf("balanced split factor = %v, want 1", f)
 	}
 	for i := range part {
 		part[i] = 0
 	}
 	part[15] = 1
-	if f := ImbalanceFactor(g, part, 2); f < 1.8 {
+	if f := imbalanceFactor(g, part, 2); f < 1.8 {
 		t.Errorf("skewed split factor = %v, want ~1.875", f)
 	}
 }
@@ -269,7 +293,7 @@ func TestCoarsenPreservesTotalWeight(t *testing.T) {
 func TestHeavyEdgeMatchIsMatching(t *testing.T) {
 	g := gridGraph(t, 9, 9)
 	rng := rand.New(rand.NewSource(8))
-	match, nCoarse := heavyEdgeMatch(g, rng)
+	match, nCoarse := matchVertices(g, rng, HeavyEdgeMatching)
 	pairs := 0
 	for v := 0; v < g.N; v++ {
 		m := int(match[v])
@@ -319,7 +343,7 @@ func TestRandomMatchingStillPartitions(t *testing.T) {
 	if cut != EdgeCut(g, part) || cut <= 0 {
 		t.Fatalf("random-matching cut inconsistent: %d", cut)
 	}
-	w := PartWeights(g, part, 4)
+	w := partWeights(g, part, 4)
 	for p, x := range w {
 		if x == 0 {
 			t.Errorf("part %d empty", p)
@@ -330,7 +354,7 @@ func TestRandomMatchingStillPartitions(t *testing.T) {
 func TestRandomMatchIsMatching(t *testing.T) {
 	g := gridGraph(t, 9, 9)
 	rng := rand.New(rand.NewSource(9))
-	match, _ := randomMatch(g, rng)
+	match, _ := matchVertices(g, rng, RandomMatching)
 	for v := 0; v < g.N; v++ {
 		if int(match[match[v]]) != v {
 			t.Fatalf("random matching not symmetric at %d", v)

@@ -223,6 +223,24 @@ func BenchmarkReorderPipeline(b *testing.B) {
 	}
 }
 
+// BenchmarkReorderPartitionMesh measures GP (128 parts) and ND on the
+// scrambled 32³ mesh that perfbench's mesh-solve workload reorders, at one
+// worker, with allocations reported: the multilevel bisection's
+// coarsening, induced subgraphs and FM state dominate both.
+func BenchmarkReorderPartitionMesh(b *testing.B) {
+	a := gen.Scramble(gen.Grid3D(32, 32, 32), 42)
+	for _, alg := range []Algorithm{GP, ND} {
+		b.Run(string(alg), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Compute(alg, a, Options{Seed: 42, Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestComputeGPTimedCtxMatchesCompute checks that the GP orderings
 // computed together for several part counts equal the ones computed one
 // part count at a time, at every worker count.

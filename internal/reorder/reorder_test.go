@@ -448,7 +448,10 @@ func TestGPWeightedBalancesNonzeros(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := partition.PartWeights(g, part, 8)
+	w := make([]int, 8)
+	for v, p := range part {
+		w[p] += g.VertexWeight(v)
+	}
 	avg := float64(totalW) / 8
 	for p, x := range w {
 		if float64(x) > 1.5*avg {
