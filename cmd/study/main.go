@@ -438,7 +438,7 @@ func run() (code int) {
 			lg.Errorf("%v", err)
 			return exitFatal
 		}
-		if bench.Serving, err = RunServingBench(); err != nil {
+		if bench.Serving, bench.ServingPhases, err = RunServingBench(); err != nil {
 			lg.Errorf("%v", err)
 			return exitFatal
 		}

@@ -3,7 +3,8 @@ package main
 import "testing"
 
 // TestRunServingBench keeps the BENCH_obs serving section runnable: three
-// telemetry modes at each sweep size, spmv succeeding in each, and a
+// telemetry modes at each sweep size, spmv succeeding in each, one phase
+// split per size whose phases fit inside the request, and a
 // request's allocation count independent of the vector length (the body
 // codec sizes every buffer up front, where encoding/json grew its slices
 // with n). Timing is reported, not gated: CI machines are noisy.
@@ -11,9 +12,18 @@ func TestRunServingBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark calibration is slow")
 	}
-	rows, err := RunServingBench()
+	rows, phases, err := RunServingBench()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(phases) != len(servingBenchRows) {
+		t.Fatalf("got %d phase rows, want one per size %v", len(phases), servingBenchRows)
+	}
+	for i, p := range phases {
+		if p.Rows != servingBenchRows[i] || p.DecodeUs <= 0 || p.SpMVUs <= 0 || p.EncodeUs <= 0 ||
+			p.DecodeUs+p.SpMVUs+p.EncodeUs > p.RequestUs || p.Dominant == "" {
+			t.Errorf("phase row %+v: want %d rows, positive phases within the request", p, servingBenchRows[i])
+		}
 	}
 	modes := []string{"serve_spmv_nilobs", "serve_spmv_metrics", "serve_spmv_traced"}
 	if want := len(modes) * len(servingBenchRows); len(rows) != want {

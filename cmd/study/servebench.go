@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"testing"
 
 	"sparseorder/internal/experiments"
@@ -43,28 +44,32 @@ var servingBenchRows = []int{300, 2000, 20000}
 // the multiply itself, so the telemetry cost reads as the delta between
 // modes at one size, not the absolute. Returned in
 // experiments.ObsMicroResult form (Rows set) so -exp benchobs can merge
-// them into BENCH_obs.json next to the primitive micro-benchmarks. It lives
-// here, not in package server, so the daemon links neither the study
-// harness nor the testing package.
-func RunServingBench() ([]experiments.ObsMicroResult, error) {
+// them into BENCH_obs.json next to the primitive micro-benchmarks. The
+// metrics mode also splits each size's request into phases
+// (servingPhases). It lives here, not in package server, so the daemon
+// links neither the study harness nor the testing package.
+func RunServingBench() ([]experiments.ObsMicroResult, []experiments.ObsServingPhases, error) {
 	var out []experiments.ObsMicroResult
+	var phases []experiments.ObsServingPhases
 	for _, n := range servingBenchRows {
-		rows, err := runServingBenchAt(n)
+		rows, ph, err := runServingBenchAt(n)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		out = append(out, rows...)
+		phases = append(phases, ph)
 	}
-	return out, nil
+	return out, phases, nil
 }
 
 // runServingBenchAt measures the three telemetry modes on an n-row banded
-// matrix.
-func runServingBenchAt(n int) ([]experiments.ObsMicroResult, error) {
+// matrix, and the phases of its request in the metrics mode.
+func runServingBenchAt(n int) ([]experiments.ObsMicroResult, experiments.ObsServingPhases, error) {
+	var phases experiments.ObsServingPhases
 	a := gen.Banded(n, 4, 0.9, 1)
 	var mm bytes.Buffer
 	if err := sparse.WriteMatrixMarket(&mm, a); err != nil {
-		return nil, fmt.Errorf("serving bench corpus: %v", err)
+		return nil, phases, fmt.Errorf("serving bench corpus: %v", err)
 	}
 	rng := rand.New(rand.NewSource(int64(n)))
 	x := make([]float64, a.Cols)
@@ -75,7 +80,7 @@ func runServingBenchAt(n int) ([]experiments.ObsMicroResult, error) {
 		X []float64 `json:"x"`
 	}{x})
 	if err != nil {
-		return nil, err
+		return nil, phases, err
 	}
 
 	modes := []struct {
@@ -93,9 +98,10 @@ func runServingBenchAt(n int) ([]experiments.ObsMicroResult, error) {
 
 	var out []experiments.ObsMicroResult
 	for _, mode := range modes {
-		srv, err := server.New(server.Config{Threads: 1, Obs: mode.obs()})
+		o := mode.obs()
+		srv, err := server.New(server.Config{Threads: 1, Obs: o})
 		if err != nil {
-			return nil, err
+			return nil, phases, err
 		}
 		h := srv.Handler()
 
@@ -103,13 +109,13 @@ func runServingBenchAt(n int) ([]experiments.ObsMicroResult, error) {
 		up := httptest.NewRecorder()
 		h.ServeHTTP(up, httptest.NewRequest(http.MethodPost, "/matrices", bytes.NewReader(mm.Bytes())))
 		if up.Code != http.StatusOK {
-			return nil, fmt.Errorf("serving bench upload (%s, %d rows): status %d: %s", mode.name, n, up.Code, up.Body.String())
+			return nil, phases, fmt.Errorf("serving bench upload (%s, %d rows): status %d: %s", mode.name, n, up.Code, up.Body.String())
 		}
 		var ur struct {
 			Key string `json:"key"`
 		}
 		if err := json.Unmarshal(up.Body.Bytes(), &ur); err != nil {
-			return nil, err
+			return nil, phases, err
 		}
 		url := "/spmv/" + ur.Key
 
@@ -131,8 +137,65 @@ func runServingBenchAt(n int) ([]experiments.ObsMicroResult, error) {
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			AllocsPerOp: requestAllocs(serve),
 		})
+		if mode.name == "serve_spmv_metrics" {
+			if phases, err = servingPhases(o.Metrics, n, serve); err != nil {
+				return nil, phases, err
+			}
+		}
 	}
-	return out, nil
+	return out, phases, nil
+}
+
+// phaseRequests is how many requests each size's phase medians span.
+const phaseRequests = 101
+
+// servingPhases sends phaseRequests requests one at a time through a
+// daemon whose metrics land in reg and reads each request's decode, spmv
+// and encode time, and its whole latency, as the change in the sums of the
+// daemon's histograms (sparseorder_server_phase_seconds and
+// sparseorder_server_request_seconds, route spmv) across it.
+func servingPhases(reg *obs.Registry, n int, serve func() int) (experiments.ObsServingPhases, error) {
+	route := obs.Label{Key: "route", Value: "spmv"}
+	hists := []*obs.Histogram{reg.Histogram("sparseorder_server_request_seconds", "", obs.DefBuckets, route)}
+	names := []string{"decode", "spmv", "encode"}
+	for _, ph := range names {
+		hists = append(hists, reg.Histogram("sparseorder_server_phase_seconds", "", obs.DefBuckets,
+			route, obs.Label{Key: "phase", Value: ph}))
+	}
+	samples := make([][]float64, len(hists))
+	for i := 0; i < phaseRequests; i++ {
+		before := make([]float64, len(hists))
+		for j, h := range hists {
+			before[j] = h.Sum()
+		}
+		if code := serve(); code != http.StatusOK {
+			return experiments.ObsServingPhases{}, fmt.Errorf("serving phases (%d rows): spmv status %d", n, code)
+		}
+		for j, h := range hists {
+			samples[j] = append(samples[j], (h.Sum()-before[j])*1e6)
+		}
+	}
+	med := make([]float64, len(samples))
+	for j, s := range samples {
+		sort.Float64s(s)
+		med[j] = s[len(s)/2]
+	}
+	p := experiments.ObsServingPhases{
+		Rows: n, Requests: phaseRequests,
+		RequestUs: med[0], DecodeUs: med[1], SpMVUs: med[2], EncodeUs: med[3],
+	}
+	if med[0] == 0 {
+		return p, fmt.Errorf("serving phases (%d rows): the latency histogram recorded nothing", n)
+	}
+	p.EncodeShare = p.EncodeUs / p.RequestUs
+	top := 1
+	for j := 2; j < len(med); j++ {
+		if med[j] > med[top] {
+			top = j
+		}
+	}
+	p.Dominant = names[top-1]
+	return p, nil
 }
 
 // requestAllocs is the fewest heap allocations one request made over a

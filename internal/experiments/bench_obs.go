@@ -32,13 +32,20 @@ import (
 //     20,000 rows, measured and merged in by cmd/study (RunServingBench
 //     there), so the study harness does not import the daemon. The nilobs
 //     rows are the request-path equivalent of the no-sink pipeline budget.
+//   - ServingPhases: the same request at each size split into its decode,
+//     multiply and encode phases, read off the daemon's own phase
+//     histograms in metrics mode, so each size names its dominant layer.
+//     A committed file may also hold serving_phases_parent, the same sweep
+//     run on the parent commit of a change to the serving path, merged in
+//     by hand as its before/after record; -exp benchobs never writes it.
 type ObsBench struct {
-	HostCPUs   int              `json:"host_cpus"`
-	GoMaxProcs int              `json:"gomaxprocs"`
-	Repeats    int              `json:"repeats"` // pipeline best-of count
-	Micro      []ObsMicroResult `json:"micro"`
-	Pipeline   []ObsPipelineRun `json:"pipeline"`
-	Serving    []ObsMicroResult `json:"serving,omitempty"`
+	HostCPUs      int                `json:"host_cpus"`
+	GoMaxProcs    int                `json:"gomaxprocs"`
+	Repeats       int                `json:"repeats"` // pipeline best-of count
+	Micro         []ObsMicroResult   `json:"micro"`
+	Pipeline      []ObsPipelineRun   `json:"pipeline"`
+	Serving       []ObsMicroResult   `json:"serving,omitempty"`
+	ServingPhases []ObsServingPhases `json:"serving_phases,omitempty"`
 }
 
 // ObsMicroResult is one primitive's per-operation cost, measured with
@@ -50,6 +57,24 @@ type ObsMicroResult struct {
 	Rows        int     `json:"rows,omitempty"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+}
+
+// ObsServingPhases is one serving size's warm SpMV request split into
+// phases: per-request medians, in microseconds, over Requests requests,
+// each phase the change in its histogram's sum across one request. The
+// request median is the route's latency histogram; what the three phases
+// leave of it is routing, queue admission and the handler's own code.
+// EncodeShare is the encode median over the request median, and Dominant
+// names the largest of the three phases.
+type ObsServingPhases struct {
+	Rows        int     `json:"rows"`
+	Requests    int     `json:"requests"`
+	RequestUs   float64 `json:"request_us"`
+	DecodeUs    float64 `json:"decode_us"`
+	SpMVUs      float64 `json:"spmv_us"`
+	EncodeUs    float64 `json:"encode_us"`
+	EncodeShare float64 `json:"encode_share"`
+	Dominant    string  `json:"dominant"`
 }
 
 // ObsPipelineRun is one (mode, ordering) pipeline measurement. Overhead

@@ -30,8 +30,8 @@ import (
 )
 
 // Point names an injectable fault site. The constants below are the sites
-// wired into the repository; plans may reference any string, so new sites
-// need no registry change.
+// wired into the repository, and ParseSpec accepts no other; a new site
+// adds its constant to points as well.
 type Point string
 
 // The wired fault points.
@@ -92,6 +92,15 @@ const (
 	StoreRead    Point = "store/read"
 	StoreCorrupt Point = "store/corrupt"
 )
+
+// points is every wired Point, the names ParseSpec accepts.
+var points = []Point{
+	MatrixRead, IngestChunk, JournalAppend, JournalSync,
+	FileWrite, FileSync, FileRename, FileDirSync,
+	ReorderGraph, ReorderOrder, ReorderPermute,
+	ServerDecode, ServerReorder, ServerCacheInsert, ServerSpMV,
+	StoreWrite, StoreSync, StoreRead, StoreCorrupt,
+}
 
 // Mode is what happens when a fault fires.
 type Mode int

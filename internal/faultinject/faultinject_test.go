@@ -3,7 +3,13 @@ package faultinject
 import (
 	"bytes"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -219,6 +225,11 @@ func TestParseSpecEmptyAndErrors(t *testing.T) {
 		"seed=abc",                  // bad seed
 		"seed=7",                    // no rules
 		"a=error:1:0:5:9",           // too many fields
+		"reorder/order=error:1:0:5:9",
+		"reorder/odrer=error",            // misspelt point
+		"reorder/order =error",           // point with a trailing blank
+		"reorder/order=error:NaN",        // NaN passes neither end of 0..1
+		"seed=1;reorder/odrer=error:NaN", // both
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
@@ -249,4 +260,104 @@ func TestWritePrometheus(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestParseSpecPointsAreTheConstants: the points ParseSpec accepts are
+// exactly the Point constants declared in faultinject.go, so a new site
+// cannot be wired without becoming nameable in a spec, nor a name be
+// accepted that no site checks.
+func TestParseSpecPointsAreTheConstants(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "faultinject.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var declared []string
+	for _, d := range f.Decls {
+		g, ok := d.(*ast.GenDecl)
+		if !ok || g.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range g.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if id, ok := vs.Type.(*ast.Ident); !ok || id.Name != "Point" {
+				continue
+			}
+			for _, v := range vs.Values {
+				lit, err := strconv.Unquote(v.(*ast.BasicLit).Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				declared = append(declared, lit)
+			}
+		}
+	}
+	var accepted []string
+	for _, pt := range points {
+		accepted = append(accepted, string(pt))
+		if _, err := ParseSpec(string(pt) + "=error"); err != nil {
+			t.Errorf("ParseSpec rejects the wired point %s: %v", pt, err)
+		}
+	}
+	slices.Sort(declared)
+	slices.Sort(accepted)
+	if !slices.Equal(declared, accepted) {
+		t.Errorf("declared Point constants %v, ParseSpec accepts %v", declared, accepted)
+	}
+}
+
+// specOf renders a plan back into ParseSpec's syntax, every field spelled.
+func specOf(p *Plan) string {
+	parts := []string{"seed=" + strconv.FormatInt(p.seed, 10)}
+	for _, pt := range points {
+		for _, r := range p.rules[pt] {
+			parts = append(parts, string(pt)+"="+r.Mode.String()+":"+
+				strconv.FormatFloat(r.Rate, 'g', -1, 64)+":"+
+				strconv.FormatUint(r.After, 10)+":"+strconv.Itoa(r.Param))
+		}
+	}
+	return strings.Join(parts, ";")
+}
+
+// FuzzParseSpec: any spec is a clean error, the nil plan of a blank spec,
+// or a plan over wired points with rates in [0, 1] whose rules, written
+// back out, parse to the same plan. Never a panic.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{
+		"seed=7;reorder/order=error:0.4;journal/sync=enospc:1:5",
+		"seed=7;server/cache=error:1:1;server/reorder=delay:1:0:1500",
+		"seed=1;reorder/odrer=error:NaN",
+		"matrix/read=alloc:0.5::8;",
+		" ; ",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		if p == nil {
+			if strings.TrimSpace(spec) != "" {
+				t.Fatalf("%q: nil plan without an error", spec)
+			}
+			return
+		}
+		for pt, rs := range p.rules {
+			if !slices.Contains(points, pt) {
+				t.Fatalf("%q armed the unknown point %q", spec, pt)
+			}
+			for _, r := range rs {
+				if !(r.Rate >= 0 && r.Rate <= 1) {
+					t.Fatalf("%q armed %s at rate %v", spec, pt, r.Rate)
+				}
+			}
+		}
+		back, err := ParseSpec(specOf(p))
+		if err != nil {
+			t.Fatalf("%q re-rendered as %q, which fails: %v", spec, specOf(p), err)
+		}
+		if back.seed != p.seed || !reflect.DeepEqual(back.rules, p.rules) {
+			t.Fatalf("%q re-parsed as seed %d %+v, want seed %d %+v", spec, back.seed, back.rules, p.seed, p.rules)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -19,9 +20,11 @@ import (
 // (deterministically, by matrix/algorithm key) and fails the sixth and
 // every later journal fsync. Modes: error, enospc, shortwrite, panic,
 // delay (PARAM = milliseconds) and alloc (PARAM = MiB). RATE defaults to
-// 1, AFTER to 0, PARAM to the mode default. Empty clauses are ignored, so
-// trailing semicolons are harmless. An empty spec yields a nil plan (fault
-// injection stays off).
+// 1, AFTER to 0, PARAM to the mode default. POINT must be one of the wired
+// points (the Point constants), so a misspelt point is an error rather than
+// a chaos run that injects nothing. Empty clauses are ignored, so trailing
+// semicolons are harmless. An empty spec yields a nil plan (fault injection
+// stays off).
 func ParseSpec(spec string) (*Plan, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -46,6 +49,9 @@ func ParseSpec(spec string) (*Plan, error) {
 			seed = n
 			continue
 		}
+		if !slices.Contains(points, Point(k)) {
+			return nil, fmt.Errorf("faultinject: unknown fault point %q in %q", k, clause)
+		}
 		r := Rule{Point: Point(k), Rate: 1}
 		parts := strings.Split(v, ":")
 		mode, err := parseMode(parts[0])
@@ -55,7 +61,7 @@ func ParseSpec(spec string) (*Plan, error) {
 		r.Mode = mode
 		if len(parts) > 1 && parts[1] != "" {
 			rate, err := strconv.ParseFloat(parts[1], 64)
-			if err != nil || rate < 0 || rate > 1 {
+			if err != nil || !(rate >= 0 && rate <= 1) { // NaN fails both
 				return nil, fmt.Errorf("faultinject: bad rate %q in %q (want 0..1)", parts[1], clause)
 			}
 			r.Rate = rate

@@ -715,7 +715,7 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r, s.cfg.MaxBody, spmvWireBytes(e.cols))
 	var x []float64
 	if err == nil {
-		x, err = decodeSpMVBody(body, make([]float64, 0, e.cols))
+		x, err = decodeSpMVBodyUpTo(body, make([]float64, 0, e.cols), e.cols)
 	}
 	rt.phase(phaseDecode, t0)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -411,6 +412,36 @@ func TestOversizedBodyIs413(t *testing.T) {
 	rawX, _ := io.ReadAll(resX.Body)
 	resX.Body.Close()
 	wantClass(t, resX, rawX, http.StatusRequestEntityTooLarge, failure.FailResource)
+}
+
+// TestSpMVLongBodyBounded: a body that carries far more numbers than the
+// matrix has columns is a 400 of class error, and answering it allocates
+// in proportion to the body, not to the numbers in it: the decoder stops
+// at the column count instead of growing x with every number.
+func TestSpMVLongBodyBounded(t *testing.T) {
+	srv := mustNew(t, Config{Threads: 1, Obs: newTestObs()})
+	h := srv.Handler()
+	up := httptest.NewRecorder()
+	h.ServeHTTP(up, httptest.NewRequest(http.MethodPost, "/matrices", bytes.NewReader(mmBytes(t, gen.Banded(3, 1, 1, 3)))))
+	var ur uploadResponse
+	if up.Code != http.StatusOK || json.Unmarshal(up.Body.Bytes(), &ur) != nil {
+		t.Fatalf("upload: %d %s", up.Code, up.Body.String())
+	}
+	// 1 MiB of "0,": half a million numbers, 8 bytes each once decoded.
+	body := []byte(`{"x":[` + strings.Repeat("0,", 1<<19) + `0]}`)
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/spmv/"+ur.Key, bytes.NewReader(body)))
+	runtime.ReadMemStats(&m1)
+	res := w.Result()
+	wantClass(t, res, w.Body.Bytes(), http.StatusBadRequest, failure.FailError)
+	// Reading the body by doubling costs up to 4 bytes per body byte;
+	// storing every number as well came to 24.
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 6*uint64(len(body)) {
+		t.Errorf("a %d-byte body for a 3-column matrix allocated %d bytes", len(body), alloc)
+	}
 }
 
 // TestShedQueueFull: with the only work slot held and no queue, a new

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"net/http"
@@ -14,9 +15,9 @@ import (
 // the daemon an order of magnitude more than the multiply. The decoder
 // scans the one body shape the route accepts in a single pass and converts
 // each number with the Matrix Market ingest's correctly rounded converter;
-// the encoder appends the reply into one buffer with encoding/json's float
-// spelling. x is therefore bitwise what json.Unmarshal would produce, and
-// every reply is byte for byte what json.NewEncoder(w).Encode would write
+// the encoder appends the reply into one buffer, spelling each float by
+// encoding/json's rules from the shortest digits of sparse.ShortestDecimal.
+// x is therefore bitwise what json.Unmarshal would produce, and every reply is byte for byte what json.NewEncoder(w).Encode would write
 // for a struct{ Y []float64 `json:"y"` }.
 
 // maxJSONFloatLen is the longest encoding/json spelling of a float64,
@@ -30,7 +31,7 @@ func spmvWireBytes(n int) int64 {
 	return int64(n)*(maxJSONFloatLen+1) + int64(len(`{"x":[]}`)+1)
 }
 
-// decodeSpMVBody parses body into x[:0] under the strict grammar
+// decodeSpMVBodyUpTo parses body into x[:0] under the strict grammar
 //
 //	ws '{' ws '"x"' ws ':' ws '[' ws [ number ws *( ',' ws number ws ) ] ']' ws '}' ws
 //
@@ -38,8 +39,9 @@ func spmvWireBytes(n int) int64 {
 // or repeated members, escaped or differently cased keys, null, strings,
 // trailing bytes, and numbers outside the JSON grammar (NaN, Infinity, +1,
 // 01, 1., .5) or beyond the float64 range (1e400; 1e-400 underflows to 0
-// as in strconv).
-func decodeSpMVBody(body []byte, x []float64) ([]float64, error) {
+// as in strconv). So is a number after the first maxLen: x never grows
+// past the matrix's column count, whatever the body holds.
+func decodeSpMVBodyUpTo(body []byte, x []float64, maxLen int) ([]float64, error) {
 	s := bodyScanner{b: body}
 	x = x[:0]
 	for _, tok := range [...]string{`{`, `"x"`, `:`, `[`} {
@@ -51,6 +53,9 @@ func decodeSpMVBody(body []byte, x []float64) ([]float64, error) {
 	s.skipWS()
 	if !s.consume(`]`) {
 		for {
+			if len(x) == maxLen {
+				return nil, s.fail(fmt.Sprintf("x has more than %d entries", maxLen))
+			}
 			v, err := s.number()
 			if err != nil {
 				return nil, err
@@ -80,7 +85,7 @@ func decodeSpMVBody(body []byte, x []float64) ([]float64, error) {
 	return x, nil
 }
 
-// bodyScanner is decodeSpMVBody's cursor.
+// bodyScanner is decodeSpMVBodyUpTo's cursor.
 type bodyScanner struct {
 	b []byte
 	p int
@@ -219,24 +224,85 @@ func appendSpMVReply(dst []byte, y []float64) ([]byte, error) {
 }
 
 // appendJSONFloat spells a finite f as encoding/json does (ES6 number to
-// string): the shortest round-trip digits, in exponent form below 1e-6 and
-// from 1e21 up, with the exponent not padded to two digits.
+// string): the shortest round-trip digits from sparse.ShortestDecimal, in
+// exponent form below 1e-6 and from 1e21 up, with the exponent not padded
+// to two digits (1e-7, 1.5e+21).
 func appendJSONFloat(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+	if math.Signbit(f) {
+		b = append(b, '-')
 	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// e-07 → e-7
-		n := len(b)
-		if n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
+	mant, e10 := sparse.ShortestDecimal(f)
+	if mant == 0 {
+		return append(b, '0')
+	}
+	// A float64's shortest digits number at most 17: a leading digit and
+	// two 8-digit blocks, written with leading zeros at fixed places in
+	// buf. mant > 0, so the zeros end before buf does.
+	var buf [17]byte
+	hi := mant / 1e8
+	buf[0] = byte('0' + hi/1e8)
+	put8Digits(buf[1:9], uint32(hi%1e8))
+	put8Digits(buf[9:17], uint32(mant-hi*1e8))
+	i := 0
+	for buf[i] == '0' {
+		i++
+	}
+	digits := buf[i:]
+
+	if abs := math.Abs(f); abs < 1e-6 || abs >= 1e21 {
+		b = append(b, digits[0])
+		if len(digits) > 1 {
+			b = append(b, '.')
+			b = append(b, digits[1:]...)
 		}
+		exp := e10 + len(digits) - 1
+		if exp < 0 {
+			b = append(b, 'e', '-')
+			exp = -exp
+		} else {
+			b = append(b, 'e', '+')
+		}
+		// |exp| ≤ 324: one to three digits.
+		if exp >= 100 {
+			b = append(b, byte('0'+exp/100))
+		}
+		if exp >= 10 {
+			b = append(b, byte('0'+exp/10%10))
+		}
+		return append(b, byte('0'+exp%10))
+	}
+	switch point := len(digits) + e10; {
+	case e10 >= 0: // an integer: the digits, then e10 zeros
+		b = append(b, digits...)
+		for ; e10 > 0; e10-- {
+			b = append(b, '0')
+		}
+	case point > 0: // the point falls inside the digits
+		b = append(b, digits[:point]...)
+		b = append(b, '.')
+		b = append(b, digits[point:]...)
+	default: // 0.000ddd
+		b = append(b, '0', '.')
+		for ; point < 0; point++ {
+			b = append(b, '0')
+		}
+		b = append(b, digits...)
 	}
 	return b
+}
+
+// put8Digits writes v < 10^8 into dst as eight digits, leading zeros
+// included, with one 8-byte store. The value is split in SIMD-within-a-
+// register lanes: two 4-digit halves in 32-bit lanes, four pairs in
+// 16-bit lanes, eight digits in bytes, each split a multiply-shift that
+// equals the division over the lane's range (x·10486>>20 = x/100 below
+// 10^4, x·103>>10 = x/10 below 100).
+func put8Digits(dst []byte, v uint32) {
+	y := uint64(v/10000) | uint64(v%10000)<<32
+	hi := (y * 10486 >> 20) & 0x0000007F_0000007F
+	z := hi | (y-hi*100)<<16
+	hi = (z * 103 >> 10) & 0x000F000F_000F000F
+	binary.LittleEndian.PutUint64(dst, hi|(z-hi*10)<<8|0x30303030_30303030)
 }
 
 // writeSpMVReply encodes y into one buffer and writes it with its

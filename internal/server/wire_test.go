@@ -3,10 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -30,6 +32,12 @@ func stdlibReply(t testing.TB, y []float64) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// decodeSpMVBody is the decoder with no entry bound, for tests that feed
+// it bodies without a matrix behind them.
+func decodeSpMVBody(body []byte, x []float64) ([]float64, error) {
+	return decodeSpMVBodyUpTo(body, x, math.MaxInt)
 }
 
 // sameBits reports whether a and b hold the same float64 bit patterns.
@@ -288,4 +296,120 @@ func FuzzSpMVBody(f *testing.F) {
 			t.Fatalf("re-encoded %q, encoding/json writes %q", reply, want)
 		}
 	})
+}
+
+// appendJSONFloatOracle is encoding/json's float spelling as the standard
+// library writes it: strconv's shortest digits in 'f' form, or in 'e' form
+// below 1e-6 and from 1e21 up with e-07 cut to e-7. appendJSONFloat must
+// reproduce it byte for byte.
+func appendJSONFloatOracle(b []byte, f float64) []byte {
+	abs := math.Abs(f)
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		n := len(b)
+		if n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// TestAppendJSONFloatSpelling holds the reply's float spelling to the
+// strconv oracle where the form changes: around 1e-6 and 1e21, at every
+// power of ten and its neighbours, on one- to three-digit exponents, on
+// integers, halves and eighths, and on random bit patterns.
+func TestAppendJSONFloatSpelling(t *testing.T) {
+	var got, want []byte
+	check := func(v float64) {
+		t.Helper()
+		for _, w := range []float64{v, -v} {
+			got, want = appendJSONFloat(got[:0], w), appendJSONFloatOracle(want[:0], w)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%v [bits %#x] spells %s, strconv %s", w, math.Float64bits(w), got, want)
+			}
+		}
+	}
+	for _, v := range []float64{0, 1, 0.5, 1e-6, 1e-7, 1e21, 1e20, 1e-10, 1e100, 1e-100,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, 0x1p-1022, 123456789012345678} {
+		check(v)
+		check(math.Nextafter(v, 0))
+		check(math.Nextafter(v, math.MaxFloat64))
+	}
+	for k := -330; k <= 310; k++ {
+		v, err := strconv.ParseFloat(fmt.Sprintf("1e%d", k), 64)
+		if err != nil || v == 0 || math.IsInf(v, 0) {
+			continue
+		}
+		check(v)
+		check(math.Nextafter(v, 0))
+		check(math.Nextafter(v, math.MaxFloat64))
+	}
+	for i := 0; i < 100000; i++ {
+		check(float64(i))
+		check(float64(i) / 8)
+		check(float64(i) * 1e17)
+	}
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 200000; i++ {
+		if v := math.Float64frombits(rng.Uint64()); !math.IsInf(v, 0) && !math.IsNaN(v) {
+			check(v)
+		}
+	}
+}
+
+// FuzzShortestDecimal drives float64 bit patterns through the reply's
+// float spelling: every finite value spells as the strconv oracle does,
+// within maxJSONFloatLen bytes.
+func FuzzShortestDecimal(f *testing.F) {
+	for _, v := range []float64{0, 1, -2.5, 1e-6, 1e21, 5e-324, math.MaxFloat64, 0.1} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := math.Float64frombits(bits)
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return
+		}
+		got, want := appendJSONFloat(nil, v), appendJSONFloatOracle(nil, v)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%#x spells %s, strconv %s", bits, got, want)
+		}
+		if len(got) > maxJSONFloatLen {
+			t.Fatalf("%#x spells in %d bytes, over maxJSONFloatLen", bits, len(got))
+		}
+	})
+}
+
+// discardWriter is a ResponseWriter that drops the body.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// BenchmarkSpMVReply times the encode phase alone, writeSpMVReply on a y
+// of N(0, 3) values, and reports its cost per float.
+func BenchmarkSpMVReply(b *testing.B) {
+	for _, n := range []int{2000, 20000} {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(n)))
+			y := make([]float64, n)
+			for i := range y {
+				y[i] = 3 * rng.NormFloat64()
+			}
+			w := &discardWriter{h: http.Header{}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := writeSpMVReply(w, y); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/float")
+		})
+	}
 }
