@@ -342,32 +342,6 @@ func BenchmarkAblationGPWeighted(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation2DAtomics compares the paper-style fix-up 2D kernel
-// against the CAS-based alternative.
-func BenchmarkAblation2DAtomics(b *testing.B) {
-	a := gen.RMAT(12, 8, 4) // skewed rows: many boundary rows per split
-	threads := runtime.GOMAXPROCS(0) * 4
-	x := make([]float64, a.Cols)
-	y := make([]float64, a.Rows)
-	for i := range x {
-		x[i] = 1
-	}
-	plan, err := spmv.NewPlan2D(a, threads)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("fixup", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			spmv.Mul2D(a, x, y, plan)
-		}
-	})
-	b.Run("atomics", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			spmv.Mul2DAtomic(a, x, y, plan)
-		}
-	})
-}
-
 // BenchmarkAblationRCMStart compares pseudo-peripheral and minimum-degree
 // root selection, reporting the resulting bandwidth.
 func BenchmarkAblationRCMStart(b *testing.B) {

@@ -37,7 +37,7 @@
 // client (or generated) and echoed on the response, and the id appears in
 // /debug/requests, the request span, and the JSONL access log (-events).
 // Request latency is decomposed into queue_wait / governor_wait / decode /
-// reorder / plan_build / spmv / encode / store_write phases, exported per
+// reorder / spmv / encode / store_write phases, exported per
 // route as sparseorder_server_phase_seconds histograms — the "why was this
 // request slow" answer the coarse per-route latency histogram cannot give.
 //

@@ -139,7 +139,11 @@ func run() int {
 	fmt.Printf("host 1D (%d threads): %v/iter, %.2f Gflop/s\n",
 		*threads, time.Duration(float64(time.Second)*time1D), spmv.Gflops(a.NNZ(), time1D))
 
-	plan, err := spmv.NewPlan2DCtx(ctx, a, *threads)
+	// Plan construction is the setup cost the kernel times amortise; the
+	// spmv/plan2d and spmv/planmerge spans put it next to them.
+	_, sp := obs.Start(ctx, "spmv/plan2d")
+	plan, err := spmv.NewPlan2D(a, *threads)
+	sp.End()
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -147,7 +151,9 @@ func run() int {
 	fmt.Printf("host 2D (%d threads): %v/iter, %.2f Gflop/s\n",
 		*threads, time.Duration(float64(time.Second)*time2D), spmv.Gflops(a.NNZ(), time2D))
 
-	mplan, err := spmv.NewPlanMergeCtx(ctx, a, *threads)
+	_, sp = obs.Start(ctx, "spmv/planmerge")
+	mplan, err := spmv.NewPlanMerge(a, *threads)
+	sp.End()
 	if err != nil {
 		return fail("%v", err)
 	}

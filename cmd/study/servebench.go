@@ -27,8 +27,9 @@ var servingBenchRows = []int{300, 2000, 20000}
 
 // RunServingBench measures the serving path's instrumentation overhead and
 // how a request's cost grows with the vector it carries: one warm SpMV
-// request (cache hit, plan pooled) driven straight through the handler, for
-// every size in servingBenchRows, in three telemetry modes:
+// request (cache hit, on the entry's shared plan) driven straight through
+// the handler, for every size in servingBenchRows, in three telemetry
+// modes:
 //
 //	serve_spmv_nilobs   cfg.Obs nil — instrumentation compiled in but
 //	                    resolving to nil recorders (the disabled-telemetry contract
@@ -200,13 +201,11 @@ func servingPhases(reg *obs.Registry, n int, serve func() int) (experiments.ObsS
 
 // requestAllocs is the fewest heap allocations one request made over a
 // few, with the collector paused: the allocations of the request's own
-// code path. testing.Benchmark's allocs/op also counts what each GC cycle
-// costs the next requests (sync.Pool re-pinning, a plan the pool dropped
-// and the request rebuilds), and at 20,000 rows a request allocates enough
-// to trigger a cycle or two by itself; that follows the bytes a request
-// allocates, not its code path. The minimum also drops the occasional
-// extra allocation of the trace ring's growth and, under the race
-// detector, of sync.Pool's deliberate random drops.
+// code path. testing.Benchmark's allocs/op also counts what the collector's
+// cycles cost the requests that follow them, and at 20,000 rows a request
+// allocates enough to trigger a cycle or two by itself; that follows the
+// bytes a request allocates, not its code path. The minimum also drops
+// the occasional extra allocation of the trace ring's growth.
 func requestAllocs(serve func() int) int64 {
 	const runs = 9
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))

@@ -31,19 +31,17 @@ import (
 
 // entry is one cached (matrix, ordering, plan) triple. Entries are
 // immutable after insertion except for the pin count and LRU position; the
-// reordered matrix and permutation are shared read-only across requests,
-// and plans — which are NOT safe for concurrent Mul2D calls — are checked
-// out of a per-entry pool, one per in-flight request.
+// reordered matrix, permutation and 2D plan are shared read-only by every
+// request on the entry.
 type entry struct {
 	key             string // content hash of the uploaded Matrix Market bytes
 	alg             reorder.Algorithm
 	mat             *sparse.CSR // reordered matrix
 	perm            sparse.Perm // new-to-old; identity for Original
+	plan            *spmv.Plan2D
 	rows, cols, nnz int
 	reorderSeconds  float64
 	bytes           int64 // resident estimate the governor admitted
-
-	plans sync.Pool // *spmv.Plan2D, all built for mat with the same thread count
 
 	// pins counts in-flight SpMV requests holding the entry; eviction
 	// skips pinned entries, so a request can never observe a matrix whose
@@ -52,9 +50,25 @@ type entry struct {
 	elem *list.Element // position in the LRU list; nil once evicted
 }
 
+// newEntry builds the cache entry for the reordered matrix mat together
+// with its 2D plan at threads threads, the plan every SpMV on the entry
+// shares.
+func newEntry(key string, alg reorder.Algorithm, mat *sparse.CSR, perm sparse.Perm, reorderSeconds float64, threads int) (*entry, error) {
+	plan, err := spmv.NewPlan2D(mat, threads)
+	if err != nil {
+		return nil, err
+	}
+	return &entry{
+		key: key, alg: alg, mat: mat, perm: perm, plan: plan,
+		rows: mat.Rows, cols: mat.Cols, nnz: mat.NNZ(),
+		reorderSeconds: reorderSeconds,
+		bytes:          EntryBytes(mat.Rows, mat.NNZ()),
+	}, nil
+}
+
 // EntryBytes is the resident working-set estimate of a cached entry: the
-// reordered CSR plus the permutation (8 B per row). The plan pool's
-// split-point arrays are O(threads) and ignored.
+// reordered CSR plus the permutation (8 B per row). The plan's split-point
+// arrays are O(threads) and ignored.
 func EntryBytes(rows, nnz int) int64 {
 	n, z := int64(rows), int64(nnz)
 	if n < 0 || z < 0 {
@@ -322,16 +336,3 @@ func (c *Cache) Bytes() int64 {
 	defer c.mu.Unlock()
 	return c.bytes
 }
-
-// getPlan checks a plan out of the entry's pool, building one on first
-// use. Plans are built for the entry's matrix with threads threads;
-// putPlan returns it for reuse, amortizing plan setup across requests on
-// the same matrix.
-func (e *entry) getPlan(threads int) (*spmv.Plan2D, error) {
-	if p, _ := e.plans.Get().(*spmv.Plan2D); p != nil {
-		return p, nil
-	}
-	return spmv.NewPlan2D(e.mat, threads)
-}
-
-func (e *entry) putPlan(p *spmv.Plan2D) { e.plans.Put(p) }

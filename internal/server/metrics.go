@@ -29,11 +29,9 @@ const (
 	// body read and the x-vector parse on spmv.
 	phaseDecode
 	// phaseReorder is the ordering pipeline (graph build, ordering,
-	// permute) — the paper's dominant one-shot cost (Table 5).
+	// permute) — the paper's dominant one-shot cost (Table 5) — plus the
+	// new entry's SpMV plan.
 	phaseReorder
-	// phasePlanBuild is SpMV plan checkout: free on a pool hit, a full
-	// plan construction on first use after upload or thread change.
-	phasePlanBuild
 	// phaseSpMV is the multiply itself, including the permutation
 	// gather/scatter.
 	phaseSpMV
@@ -48,7 +46,7 @@ const (
 )
 
 var phaseNames = [nPhases]string{
-	"queue_wait", "governor_wait", "decode", "reorder", "plan_build", "spmv", "encode", "store_write",
+	"queue_wait", "governor_wait", "decode", "reorder", "spmv", "encode", "store_write",
 }
 
 // Metric family names of the serving path.

@@ -574,20 +574,19 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	// Reorder phase, opened before the fault check for the same
 	// attribution reason: an injected server/reorder delay must show up
 	// as reorder time in the trace.
+	// The entry's SpMV plan is built inside the same window.
 	t0 = rt.clock()
 	b, perm, timings, err := s.reorderUpload(ctx, key, alg, mat)
+	var e *entry
+	if err == nil {
+		e, err = newEntry(key, alg, b, perm, timings.Total(), s.cfg.Threads)
+	}
 	rt.phase(phaseReorder, t0)
 	if err != nil {
 		s.writeClassified(w, err, http.StatusInternalServerError)
 		return
 	}
 
-	e := &entry{
-		key: key, alg: alg, mat: b, perm: perm,
-		rows: b.Rows, cols: b.Cols, nnz: b.NNZ(),
-		reorderSeconds: timings.Total(),
-		bytes:          EntryBytes(b.Rows, b.NNZ()),
-	}
 	cached := false
 	if err := faultinject.Check(faultinject.ServerCacheInsert, key); err != nil {
 		if s.cfg.Logf != nil {
@@ -762,12 +761,6 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 // row's products are summed.
 func (s *Server) multiply(rt *requestTrace, e *entry, x []float64) ([]float64, error) {
 	t0 := rt.clock()
-	plan, err := e.getPlan(s.cfg.Threads)
-	rt.phase(phasePlanBuild, t0)
-	if err != nil {
-		return nil, err
-	}
-	t0 = rt.clock()
 	xb := x
 	if e.alg.Symmetric() && e.alg != reorder.Original {
 		xb = make([]float64, e.cols)
@@ -776,11 +769,10 @@ func (s *Server) multiply(rt *requestTrace, e *entry, x []float64) ([]float64, e
 		}
 	}
 	yb := make([]float64, e.rows)
-	if err := spmv.Mul2D(e.mat, xb, yb, plan); err != nil {
+	if err := spmv.Mul2D(e.mat, xb, yb, e.plan); err != nil {
 		rt.phase(phaseSpMV, t0)
 		return nil, err
 	}
-	e.putPlan(plan)
 	y := yb
 	if e.alg != reorder.Original {
 		y = make([]float64, e.rows)

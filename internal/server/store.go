@@ -615,12 +615,11 @@ func (s *store) loadEntry(c storeCandidate) (*entry, string, string) {
 	if err := perm.Validate(); err != nil {
 		return nil, quarInvalid, err.Error()
 	}
-	return &entry{
-		key: h.Key, alg: alg, mat: mat, perm: perm,
-		rows: h.Rows, cols: h.Cols, nnz: h.NNZ,
-		reorderSeconds: h.ReorderSeconds,
-		bytes:          EntryBytes(h.Rows, h.NNZ),
-	}, "", ""
+	e, err := newEntry(h.Key, alg, mat, perm, h.ReorderSeconds, s.threads)
+	if err != nil {
+		return nil, quarInvalid, err.Error()
+	}
+	return e, "", ""
 }
 
 // listEntries returns the paths of every entry file on disk, sorted by
@@ -639,4 +638,3 @@ func (s *store) listEntries() ([]string, error) {
 	}
 	return paths, nil
 }
-

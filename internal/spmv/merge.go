@@ -16,14 +16,12 @@ import (
 // matrices (millions of empty rows, or one giant row) split evenly.
 
 // PlanMerge holds the merge-path split coordinates for a fixed matrix and
-// thread count.
+// thread count. Like a Plan2D it is read-only once built, so one plan may
+// serve any number of concurrent MulMerge calls.
 type PlanMerge struct {
 	Threads  int
 	StartRow []int // row coordinate of each thread's path start
 	StartNZ  []int // nonzero coordinate of each thread's path start
-
-	carryRow []int32
-	carryVal []float64
 }
 
 // NewPlanMerge computes the merge-path split: thread t starts at the
@@ -38,8 +36,6 @@ func NewPlanMerge(a *sparse.CSR, threads int) (*PlanMerge, error) {
 		Threads:  threads,
 		StartRow: make([]int, threads+1),
 		StartNZ:  make([]int, threads+1),
-		carryRow: make([]int32, threads),
-		carryVal: make([]float64, threads),
 	}
 	for t := 0; t <= threads; t++ {
 		d := t * total / threads
@@ -101,6 +97,8 @@ func MulMerge(a *sparse.CSR, x, y []float64, p *PlanMerge) error {
 		serialUnchecked(a, x, y)
 		return nil
 	}
+	// carry[t] is thread t's trailing partial row.
+	carry := make([]partial, p.Threads)
 	var wg sync.WaitGroup
 	for t := 0; t < p.Threads; t++ {
 		rowLo, nzLo := p.StartRow[t], p.StartNZ[t]
@@ -116,14 +114,13 @@ func MulMerge(a *sparse.CSR, x, y []float64, p *PlanMerge) error {
 				kLo = a.RowPtr[rowHi]
 			}
 			// Trailing partial row (if the thread's range ends mid-row).
-			p.carryRow[t] = int32(rowHi)
-			p.carryVal[t] = rangeSum(a, x, kLo, kHi)
+			carry[t] = partial{rowHi, rangeSum(a, x, kLo, kHi)}
 		}(t, rowLo, nzLo, rowHi, nzHi)
 	}
 	wg.Wait()
-	for t := 0; t < p.Threads; t++ {
-		if r := p.carryRow[t]; int(r) < a.Rows && p.carryVal[t] != 0 {
-			y[r] += p.carryVal[t]
+	for _, c := range carry {
+		if c.row < a.Rows && c.sum != 0 {
+			y[c.row] += c.sum
 		}
 	}
 	return nil

@@ -1,9 +1,11 @@
 package spmv
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"sparseorder/internal/sparse"
@@ -195,5 +197,143 @@ func TestRangeSumMatchesPlainLoop(t *testing.T) {
 		if got := rangeSum(a, x, r[0], r[1]); !bitsEqual(got, want) {
 			t.Errorf("rangeSum%v = %v, want %v", r, got, want)
 		}
+	}
+}
+
+// partSum is the plain-loop sum of the nonzeros [lo, hi) of one row.
+func partSum(a *sparse.CSR, x []float64, lo, hi int) float64 {
+	s := 0.0
+	for k := lo; k < hi; k++ {
+		s += a.Val[k] * x[a.ColIdx[k]]
+	}
+	return s
+}
+
+// TestFixupOrderBitwise pins the order in which the 2D and merge kernels
+// combine the parts of a row that split points cut. A 2D row must equal,
+// bitwise, 0 + part_0 + part_1 + … over the threads whose nonzero ranges
+// meet it, in thread order; a merge row must equal its leading part (the
+// thread that finishes the row) followed by the nonzero carries of the
+// earlier threads, in thread order. The giant row spans three or more
+// threads from 3 threads up, where a reversed fix-up changes the bits.
+func TestFixupOrderBitwise(t *testing.T) {
+	spans3 := false
+	for name, a := range rowKernelCorpus(t) {
+		x := randomVec(rand.New(rand.NewSource(int64(a.NNZ()))), a.Cols)
+		for threads := 1; threads <= 8; threads++ {
+			p2, err := NewPlan2D(a, threads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := poisoned(a.Rows)
+			if err := Mul2D(a, x, got, p2); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < a.Rows; r++ {
+				want, parts := 0.0, 0
+				for th := 0; th < threads; th++ {
+					lo := max(p2.KSplit[th], a.RowPtr[r])
+					hi := min(p2.KSplit[th+1], a.RowPtr[r+1])
+					if lo < hi {
+						want += partSum(a, x, lo, hi)
+						parts++
+					}
+				}
+				spans3 = spans3 || parts >= 3
+				if !bitsEqual(got[r], want) {
+					t.Errorf("%s: Mul2D threads=%d row %d (%d parts) = %x, want %x",
+						name, threads, r, parts, math.Float64bits(got[r]), math.Float64bits(want))
+				}
+			}
+
+			pm, err := NewPlanMerge(a, threads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = poisoned(a.Rows)
+			if err := MulMerge(a, x, got, pm); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < a.Rows; r++ {
+				want := 0.0
+				for th := 0; th < threads; th++ {
+					if pm.StartRow[th] <= r && r < pm.StartRow[th+1] {
+						want = partSum(a, x, max(pm.StartNZ[th], a.RowPtr[r]), a.RowPtr[r+1])
+					}
+				}
+				for th := 0; th < threads; th++ {
+					if pm.StartRow[th+1] == r {
+						if c := partSum(a, x, max(pm.StartNZ[th], a.RowPtr[r]), pm.StartNZ[th+1]); c != 0 {
+							want += c
+						}
+					}
+				}
+				if !bitsEqual(got[r], want) {
+					t.Errorf("%s: MulMerge threads=%d row %d = %x, want %x",
+						name, threads, r, math.Float64bits(got[r]), math.Float64bits(want))
+				}
+			}
+		}
+	}
+	if !spans3 {
+		t.Error("no row spans three or more 2D threads; the corpus no longer exercises the fix-up order")
+	}
+}
+
+// TestSharedPlanConcurrent runs Mul2D and MulMerge from several goroutines
+// on one shared plan per kernel and checks every y bitwise against a lone
+// call. Under the race detector it also proves the plans are read-only.
+func TestSharedPlanConcurrent(t *testing.T) {
+	a := rowKernelCorpus(t)["giant-row"]
+	const threads, workers, rounds = 3, 6, 20
+	p2, err := NewPlan2D(a, threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, err := NewPlanMerge(a, threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := make([][]float64, workers)
+	want2, wantM := make([][]float64, workers), make([][]float64, workers)
+	for w := range xs {
+		xs[w] = randomVec(rand.New(rand.NewSource(int64(w))), a.Cols)
+		want2[w], wantM[w] = make([]float64, a.Rows), make([]float64, a.Rows)
+		if err := Mul2D(a, xs[w], want2[w], p2); err != nil {
+			t.Fatal(err)
+		}
+		if err := MulMerge(a, xs[w], wantM[w], pm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(got, want []float64) bool {
+		for i := range want {
+			if !bitsEqual(got[i], want[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 2*workers*rounds)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			y := make([]float64, a.Rows)
+			for i := 0; i < rounds; i++ {
+				if err := Mul2D(a, xs[w], y, p2); err != nil || !same(y, want2[w]) {
+					errs <- fmt.Sprintf("worker %d round %d: Mul2D differs from a lone call (err %v)", w, i, err)
+				}
+				if err := MulMerge(a, xs[w], y, pm); err != nil || !same(y, wantM[w]) {
+					errs <- fmt.Sprintf("worker %d round %d: MulMerge differs from a lone call (err %v)", w, i, err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

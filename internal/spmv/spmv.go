@@ -161,17 +161,16 @@ func Mul1D(a *sparse.CSR, x, y []float64, threads int) error {
 // removed, rows permuted, a different matrix substituted), the plan must
 // be rebuilt with NewPlan2D; Mul2D rejects a plan whose split points no
 // longer cover the matrix. A plan may be reused for value-only updates
-// that keep RowPtr identical. Plans are not safe for concurrent Mul2D
-// calls sharing one plan (the per-thread partial buffers are reused);
-// build one plan per concurrent consumer.
+// that keep RowPtr identical. Mul2D only reads the plan (each call keeps
+// its own scratch), so one plan may serve any number of concurrent calls.
 type Plan2D struct {
 	Threads  int
 	KSplit   []int // KSplit[t] = first nonzero of thread t; len threads+1
 	RowStart []int // row containing KSplit[t] (or Rows when exhausted)
-
-	partials [][]partial // per-thread partial row sums, reused across calls
 }
 
+// partial is one thread's sum over its part of a row that a split point
+// cuts; row < 0 marks a slot the thread left empty.
 type partial struct {
 	row int
 	sum float64
@@ -188,7 +187,6 @@ func NewPlan2D(a *sparse.CSR, threads int) (*Plan2D, error) {
 		Threads:  threads,
 		KSplit:   make([]int, threads+1),
 		RowStart: make([]int, threads+1),
-		partials: make([][]partial, threads),
 	}
 	for t := 0; t <= threads; t++ {
 		k := t * nnz / threads
@@ -196,9 +194,6 @@ func NewPlan2D(a *sparse.CSR, threads int) (*Plan2D, error) {
 		// First row r with RowPtr[r+1] > k, i.e. the row containing
 		// nonzero k; Rows when k == nnz.
 		p.RowStart[t] = sort.Search(a.Rows, func(r int) bool { return a.RowPtr[r+1] > k })
-	}
-	for t := range p.partials {
-		p.partials[t] = make([]partial, 0, 2)
 	}
 	return p, nil
 }
@@ -248,11 +243,43 @@ func Mul2D(a *sparse.CSR, x, y []float64, p *Plan2D) error {
 		serialUnchecked(a, x, y)
 		return nil
 	}
+	zeroRows(y[:a.Rows], p.Threads)
+
+	// Thread t writes its leading straddled row to slot 2t and its
+	// trailing one to slot 2t+1.
+	slots := make([]partial, 2*p.Threads)
+	for i := range slots {
+		slots[i].row = -1
+	}
 	var wg sync.WaitGroup
-	// Zero the output in parallel row blocks; boundary and empty rows rely
-	// on it.
-	zb := RowBlocks1D(a.Rows, p.Threads)
 	for t := 0; t < p.Threads; t++ {
+		if p.KSplit[t] >= p.KSplit[t+1] {
+			continue
+		}
+		wg.Add(1)
+		go func(t int) {
+			defer wg.Done()
+			p.mulThread(a, x, y, t, slots[2*t:2*t+2])
+		}(t)
+	}
+	wg.Wait()
+
+	// Sequential fix-up in thread order, each thread's leading row before
+	// its trailing one.
+	for _, s := range slots {
+		if s.row >= 0 {
+			y[s.row] += s.sum
+		}
+	}
+	return nil
+}
+
+// zeroRows zeroes y in parallel row blocks; the 2D kernel's straddled and
+// empty rows rely on it.
+func zeroRows(y []float64, threads int) {
+	var wg sync.WaitGroup
+	zb := RowBlocks1D(len(y), threads)
+	for t := 0; t < threads; t++ {
 		lo, hi := zb[t], zb[t+1]
 		if lo >= hi {
 			continue
@@ -260,70 +287,33 @@ func Mul2D(a *sparse.CSR, x, y []float64, p *Plan2D) error {
 		wg.Add(1)
 		go func(y []float64) {
 			defer wg.Done()
-			for i := range y {
-				y[i] = 0
-			}
+			clear(y)
 		}(y[lo:hi])
 	}
 	wg.Wait()
-
-	for t := 0; t < p.Threads; t++ {
-		kLo, kHi := p.KSplit[t], p.KSplit[t+1]
-		if kLo >= kHi {
-			p.partials[t] = p.partials[t][:0]
-			continue
-		}
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			parts := p.partials[t][:0]
-			p.mulThread(a, x, y, t, func(r int, sum float64) {
-				parts = append(parts, partial{r, sum})
-			})
-			p.partials[t] = parts
-		}(t)
-	}
-	wg.Wait()
-
-	// Sequential fix-up: at most two partial rows per thread.
-	for t := 0; t < p.Threads; t++ {
-		for _, pr := range p.partials[t] {
-			y[pr.row] += pr.sum
-		}
-	}
-	return nil
 }
 
 // mulThread runs thread t's share of a 2D multiply. The rows wholly inside
 // the thread's nonzero range [KSplit[t], KSplit[t+1]) go through mulRows
 // straight into y, each with exactly one owner; the at most two rows
-// straddling a split point — the leading one first — are summed over the
-// thread's part of them and handed to straddled.
-func (p *Plan2D) mulThread(a *sparse.CSR, x, y []float64, t int, straddled func(r int, sum float64)) {
+// straddling a split point are summed over the thread's part of them into
+// own[0] (the leading row) and own[1] (the trailing one). A slot with no
+// straddled row is left as it is.
+func (p *Plan2D) mulThread(a *sparse.CSR, x, y []float64, t int, own []partial) {
 	kLo, kHi := p.KSplit[t], p.KSplit[t+1]
 	// lo is the row holding nonzero kLo and hi the first row ending after
 	// kHi, so every row in [lo, hi) ends by kHi.
 	lo, hi := p.RowStart[t], p.RowStart[t+1]
 	if a.RowPtr[lo] < kLo {
-		straddled(lo, rangeSum(a, x, kLo, min(a.RowPtr[lo+1], kHi)))
+		own[0] = partial{lo, rangeSum(a, x, kLo, min(a.RowPtr[lo+1], kHi))}
 		lo++
 	}
 	if lo < hi {
 		mulRows(a.RowPtr[lo:hi+1], a.ColIdx, a.Val, x, y[lo:hi])
 	}
 	if lo <= hi && hi < a.Rows && a.RowPtr[hi] < kHi {
-		straddled(hi, rangeSum(a, x, a.RowPtr[hi], kHi))
+		own[1] = partial{hi, rangeSum(a, x, a.RowPtr[hi], kHi)}
 	}
-}
-
-// Mul2DFresh is a convenience wrapper building a throwaway plan; prefer
-// NewPlan2D + Mul2D in loops.
-func Mul2DFresh(a *sparse.CSR, x, y []float64, threads int) error {
-	p, err := NewPlan2D(a, threads)
-	if err != nil {
-		return err
-	}
-	return Mul2D(a, x, y, p)
 }
 
 // Gflops converts an SpMV time in seconds to Gflop/s using the paper's

@@ -41,6 +41,15 @@ func vecsClose(a, b []float64) bool {
 	return true
 }
 
+// mul2DFresh multiplies with a throwaway plan built for a.
+func mul2DFresh(a *sparse.CSR, x, y []float64, threads int) error {
+	p, err := NewPlan2D(a, threads)
+	if err != nil {
+		return err
+	}
+	return Mul2D(a, x, y, p)
+}
+
 func TestSerialKnown(t *testing.T) {
 	coo := sparse.NewCOO(2, 3, 3)
 	coo.Append(0, 0, 2)
@@ -113,7 +122,7 @@ func TestMul2DQuick(t *testing.T) {
 		want := make([]float64, rows)
 		Serial(a, x, want)
 		got := make([]float64, rows)
-		if err := Mul2DFresh(a, x, got, threads); err != nil {
+		if err := mul2DFresh(a, x, got, threads); err != nil {
 			return false
 		}
 		return vecsClose(want, got)
@@ -138,7 +147,7 @@ func TestMul2DRowSpanningManyThreads(t *testing.T) {
 	Serial(a, x, want)
 	for _, threads := range []int{2, 5, 13} {
 		got := make([]float64, 4)
-		if err := Mul2DFresh(a, x, got, threads); err != nil {
+		if err := mul2DFresh(a, x, got, threads); err != nil {
 			t.Fatal(err)
 		}
 		if !vecsClose(want, got) {
@@ -160,7 +169,7 @@ func TestMul2DEmptyRowsAtBoundaries(t *testing.T) {
 	Serial(a, x, want)
 	for threads := 1; threads <= 6; threads++ {
 		got := []float64{9, 9, 9, 9, 9} // poison: zeroing must happen
-		if err := Mul2DFresh(a, x, got, threads); err != nil {
+		if err := mul2DFresh(a, x, got, threads); err != nil {
 			t.Fatal(err)
 		}
 		if !vecsClose(want, got) {

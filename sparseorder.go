@@ -104,9 +104,10 @@ func SpMV(a *Matrix, x, y []float64) error { return spmv.Serial(a, x, y) }
 func SpMV1D(a *Matrix, x, y []float64, threads int) error { return spmv.Mul1D(a, x, y, threads) }
 
 // Plan2D is the reusable preprocessing of the 2D (nonzero-balanced)
-// kernel. A plan is valid only for the exact matrix it was built from and
-// must be rebuilt after any structural change; SpMV2D rejects mismatched
-// plans. See spmv.Plan2D for the full reuse contract.
+// kernel: its split points, read-only once built, so one plan may serve
+// concurrent SpMV2D calls. A plan is valid only for the exact matrix it
+// was built from and must be rebuilt after any structural change; SpMV2D
+// rejects mismatched plans. See spmv.Plan2D for the full reuse contract.
 type Plan2D = spmv.Plan2D
 
 // NewPlan2D builds the 2D kernel's nonzero split for a fixed matrix and
@@ -120,7 +121,8 @@ func SpMV2D(a *Matrix, x, y []float64, p *Plan2D) error { return spmv.Mul2D(a, x
 
 // PlanMerge is the reusable preprocessing of the merge-based kernel of
 // Merrill and Garland, of which the study's 2D kernel is a simplified
-// version.
+// version: its merge-path split points, read-only once built, so one plan
+// may serve concurrent SpMVMerge calls.
 type PlanMerge = spmv.PlanMerge
 
 // NewPlanMerge builds the merge-path split for a fixed matrix and thread
