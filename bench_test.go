@@ -19,7 +19,6 @@ import (
 	"sparseorder/internal/gen"
 	"sparseorder/internal/graph"
 	"sparseorder/internal/machine"
-	"sparseorder/internal/metrics"
 	"sparseorder/internal/partition"
 	"sparseorder/internal/reorder"
 	"sparseorder/internal/solver"
@@ -306,72 +305,6 @@ func BenchmarkReorderWorkers(b *testing.B) {
 
 // --- Ablation benches (design decisions called out in DESIGN.md) --------
 
-// BenchmarkAblationGPWeighted compares the paper's row-balanced GP against
-// nnz-weighted balancing on a matrix with skewed row densities, reporting
-// the model speedup of each on Milan B.
-func BenchmarkAblationGPWeighted(b *testing.B) {
-	machine.CacheScale = machine.CacheScaleFor(gen.ScaleTest.Factor())
-	a := gen.WithDenseRows(gen.Scramble(gen.Grid2D(100, 100), 2), 10, 0.1, 3)
-	milan, _ := machine.ByName("Milan B")
-	base := machine.EstimateSpMV(a, milan, machine.Kernel1D)
-	b.Run("rows", func(b *testing.B) {
-		var sp float64
-		for i := 0; i < b.N; i++ {
-			bm, _, err := reorder.Apply(reorder.GP, a, reorder.Options{Seed: 1, Parts: milan.Cores})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sp = machine.EstimateSpMV(bm, milan, machine.Kernel1D).Gflops / base.Gflops
-		}
-		b.ReportMetric(sp, "model-speedup")
-	})
-	b.Run("nnz", func(b *testing.B) {
-		var sp float64
-		for i := 0; i < b.N; i++ {
-			p, err := reorder.GraphPartitionOrderWeighted(a, reorder.Options{Seed: 1, Parts: milan.Cores})
-			if err != nil {
-				b.Fatal(err)
-			}
-			bm, err := permuteSym(a, p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sp = machine.EstimateSpMV(bm, milan, machine.Kernel1D).Gflops / base.Gflops
-		}
-		b.ReportMetric(sp, "model-speedup")
-	})
-}
-
-// BenchmarkAblationRCMStart compares pseudo-peripheral and minimum-degree
-// root selection, reporting the resulting bandwidth.
-func BenchmarkAblationRCMStart(b *testing.B) {
-	a := gen.Scramble(gen.Grid2D(100, 100), 5)
-	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name  string
-		strat reorder.StartStrategy
-	}{
-		{"pseudo-peripheral", reorder.PseudoPeripheralStart},
-		{"min-degree", reorder.MinDegreeStart},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var bw int
-			for i := 0; i < b.N; i++ {
-				p := reorder.ReverseCuthillMcKeeWithStart(g, tc.strat)
-				bm, err := permuteSym(a, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				bw = metrics.ComputeWorkers(bm, 1, 1, 1).Bandwidth
-			}
-			b.ReportMetric(float64(bw), "bandwidth")
-		})
-	}
-}
-
 // BenchmarkAblationGrayThreshold sweeps the Gray dense-row threshold
 // around the paper's default of 20, reporting the Milan B model speedup.
 func BenchmarkAblationGrayThreshold(b *testing.B) {
@@ -407,10 +340,6 @@ func benchName(thr int) string {
 	default:
 		return "threshold-80"
 	}
-}
-
-func permuteSym(a *sparse.CSR, p sparse.Perm) (*sparse.CSR, error) {
-	return sparse.PermuteSymmetricWorkers(a, p, 1)
 }
 
 // BenchmarkCholeskyFactorize times the numeric factorisation under the two

@@ -117,7 +117,7 @@ func run() int {
 	if *alg != string(reorder.Original) {
 		start := time.Now()
 		var err error
-		a, _, err = reorder.ApplyCtx(ctx, reorder.Algorithm(*alg), a, reorder.Options{Seed: *seed})
+		a, _, _, err = reorder.ApplyTimedCtx(ctx, reorder.Algorithm(*alg), a, reorder.Options{Seed: *seed})
 		if err != nil {
 			return fail("%v", err)
 		}

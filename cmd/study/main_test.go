@@ -4,7 +4,8 @@ import "testing"
 
 // TestRunServingBench keeps the BENCH_obs serving section runnable: three
 // telemetry modes at each sweep size, spmv succeeding in each, one phase
-// split per size whose phases fit inside the request, and a
+// split per size whose phase medians each lie within the request median,
+// and a
 // request's allocation count independent of the vector length (the body
 // codec sizes every buffer up front, where encoding/json grew its slices
 // with n). Timing is reported, not gated: CI machines are noisy.
@@ -19,10 +20,14 @@ func TestRunServingBench(t *testing.T) {
 	if len(phases) != len(servingBenchRows) {
 		t.Fatalf("got %d phase rows, want one per size %v", len(phases), servingBenchRows)
 	}
+	// Every request's phases lie within that request, and order
+	// statistics keep pointwise dominance, so each phase median is at most
+	// the request median. Their sum is not bounded by it: a sum of medians
+	// is not the median of the sums.
 	for i, p := range phases {
 		if p.Rows != servingBenchRows[i] || p.DecodeUs <= 0 || p.SpMVUs <= 0 || p.EncodeUs <= 0 ||
-			p.DecodeUs+p.SpMVUs+p.EncodeUs > p.RequestUs || p.Dominant == "" {
-			t.Errorf("phase row %+v: want %d rows, positive phases within the request", p, servingBenchRows[i])
+			p.DecodeUs > p.RequestUs || p.SpMVUs > p.RequestUs || p.EncodeUs > p.RequestUs || p.Dominant == "" {
+			t.Errorf("phase row %+v: want %d rows, positive phase medians within the request median", p, servingBenchRows[i])
 		}
 	}
 	modes := []string{"serve_spmv_nilobs", "serve_spmv_metrics", "serve_spmv_traced"}
@@ -47,7 +52,10 @@ func TestRunServingBench(t *testing.T) {
 			continue
 		}
 		// Under the race detector a request's allocation count varies from
-		// one request to the next, so the counts are compared without it.
+		// one request to the next (sync.Pool drops a random share of Puts,
+		// and net/http pools its buffers), so the counts are compared
+		// without it: with the comparison forced on, 1 of 20 -race runs
+		// failed (serve_spmv_metrics, 49 vs 48 allocs/op).
 		if !raceEnabled && byRows[large] != byRows[small] {
 			t.Errorf("%s: %d allocs/op at %d rows, %d at %d rows; want equal",
 				mode, byRows[large], large, byRows[small], small)

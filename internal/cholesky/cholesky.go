@@ -194,32 +194,3 @@ func FillRatio(a *sparse.CSR) (float64, error) {
 	}
 	return float64(l) / float64(a.NNZ()), nil
 }
-
-// ColCountsNaive is an independent O(|L|) oracle used in tests: for every
-// row i it walks the elimination-tree paths from each below-diagonal entry
-// up toward i, which enumerates exactly the columns of row i of L.
-func ColCountsNaive(a *sparse.CSR) ([]int64, error) {
-	parent, err := EliminationTree(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	counts := make([]int64, n)
-	mark := make([]int32, n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		counts[i]++ // diagonal of column i
-		mark[i] = int32(i)
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.ColIdx[k]
-			for int(j) < i && mark[j] != int32(i) {
-				counts[j]++
-				mark[j] = int32(i)
-				j = parent[j]
-			}
-		}
-	}
-	return counts, nil
-}

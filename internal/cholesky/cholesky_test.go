@@ -173,7 +173,7 @@ func TestColCountsMatchNaiveOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := ColCountsNaive(a)
+		slow, err := colCountsNaive(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestColCountsQuick(t *testing.T) {
 		n := int(nRaw%40) + 2
 		a := randomSymmetric(rng, n, int(eRaw)%(3*n))
 		fast, err1 := ColCounts(a)
-		slow, err2 := ColCountsNaive(a)
+		slow, err2 := colCountsNaive(a)
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -8,6 +8,15 @@ import (
 	"sparseorder/internal/reorder"
 )
 
+// artifactOrderings is the column order of the artifact files (the
+// paper's data layout, which differs from the presentation order):
+// WriteArtifactFile writes the per-ordering columns in this order, and
+// the round-trip test reads them back in it.
+var artifactOrderings = []reorder.Algorithm{
+	reorder.Original, reorder.RCM, reorder.ND, reorder.AMD,
+	reorder.GP, reorder.HP, reorder.Gray,
+}
+
 // WriteArtifactFile renders one machine's results in the layout of the
 // paper's artifact data files: one row per matrix; five metadata columns
 // (group, name, rows, cols, nonzeros), the thread count, then seven columns
@@ -25,21 +34,16 @@ func WriteArtifactFile(w io.Writer, s *StudyResult, mach string, k machine.Kerne
 	if cores == 0 {
 		return fmt.Errorf("experiments: machine %q not in study", mach)
 	}
-	// Artifact column order differs from the paper's presentation order.
-	artifactOrder := []reorder.Algorithm{
-		reorder.Original, reorder.RCM, reorder.ND, reorder.AMD,
-		reorder.GP, reorder.HP, reorder.Gray,
-	}
 	if _, err := fmt.Fprintf(w, "%% group name rows cols nonzeros threads"); err != nil {
 		return err
 	}
-	for _, alg := range artifactOrder {
+	for _, alg := range artifactOrderings {
 		fmt.Fprintf(w, " | %s: minnzpt maxnzpt meannzpt imbalance seconds maxgflops meangflops", alg)
 	}
 	fmt.Fprintln(w)
 	for _, r := range s.Matrices {
 		fmt.Fprintf(w, "%s %s %d %d %d %d", sanitize(r.Group), r.Name, r.Rows, r.Rows, r.NNZ, cores)
-		for _, alg := range artifactOrder {
+		for _, alg := range artifactOrderings {
 			m, ok := r.Perf[mach][k][alg]
 			if !ok {
 				fmt.Fprintf(w, " - - - - - - -")

@@ -62,9 +62,9 @@ type ObsMicroResult struct {
 // ObsServingPhases is one serving size's warm SpMV request split into
 // phases: per-request medians, in microseconds, over Requests requests,
 // each phase the change in its histogram's sum across one request. The
-// request median is the route's latency histogram; what the three phases
-// leave of it is routing, queue admission and the handler's own code.
-// EncodeShare is the encode median over the request median, and Dominant
+// request median is the route's latency histogram. Each phase median is at
+// most the request median, but the three need not sum to at most it: a
+// sum of medians is not the median of the sums. EncodeShare is the encode median over the request median, and Dominant
 // names the largest of the three phases.
 type ObsServingPhases struct {
 	Rows        int     `json:"rows"`

@@ -415,7 +415,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 	if err := WriteArtifactFile(&buf, s, "Ice Lake", machine.Kernel1D); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := ReadArtifactFile(&buf)
+	rows, err := readArtifactFile(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 	// The geometric means recomputed from the file must match the study's
 	// own aggregation to formatting precision.
 	for _, alg := range reorder.Algorithms {
-		fromFile := GeoMeanFromArtifact(rows, alg)
+		fromFile := geoMeanFromArtifact(rows, alg)
 		direct := stats.GeoMean(s.Speedups("Ice Lake", machine.Kernel1D, alg))
 		if relDiff(fromFile, direct) > 1e-2 {
 			t.Errorf("%s: artifact geomean %.4f vs direct %.4f", alg, fromFile, direct)
@@ -464,11 +464,11 @@ func relDiff(a, b float64) float64 {
 }
 
 func TestReadArtifactRejectsGarbage(t *testing.T) {
-	if _, err := ReadArtifactFile(strings.NewReader("too few fields\n")); err == nil {
+	if _, err := readArtifactFile(strings.NewReader("too few fields\n")); err == nil {
 		t.Error("accepted short row")
 	}
 	bad := "g n 1 1 1 1" + strings.Repeat(" x", 49) + "\n"
-	if _, err := ReadArtifactFile(strings.NewReader(bad)); err == nil {
+	if _, err := readArtifactFile(strings.NewReader(bad)); err == nil {
 		t.Error("accepted non-numeric row")
 	}
 }

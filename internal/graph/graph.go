@@ -21,9 +21,6 @@ type Graph struct {
 	degMax int
 }
 
-// NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int { return len(g.Adj) / 2 }
-
 // Degree returns the number of neighbours of vertex v.
 func (g *Graph) Degree(v int) int { return g.Ptr[v+1] - g.Ptr[v] }
 
@@ -120,25 +117,20 @@ type BFSResult struct {
 // Depth returns the eccentricity of the root within its component.
 func (r *BFSResult) Depth() int { return len(r.Levels) - 1 }
 
-// BFS computes a breadth-first level structure from root, restricted to
-// root's connected component. The scratch slice, if non-nil, must have
-// length g.N and is used as the level array to avoid allocation.
-func BFS(g *Graph, root int, scratch []int32) *BFSResult {
-	return BFSCancel(g, root, scratch, nil)
-}
-
 // bfsCheckEvery is the number of frontier vertices expanded between
-// cancellation checks in BFSCancel: cancellation latency is bounded by
-// that many adjacency scans, while the per-vertex overhead stays one
-// counter increment.
+// cancellation checks in BFS: cancellation latency is bounded by that many
+// adjacency scans, while the per-vertex overhead stays one counter
+// increment.
 const bfsCheckEvery = 4096
 
-// BFSCancel is BFS with a cooperative cancellation hook: every
+// BFS computes a breadth-first level structure from root, restricted to
+// root's connected component. The scratch slice, if non-nil, must have
+// length g.N and is used as the level array to avoid allocation. Every
 // bfsCheckEvery expanded frontier vertices it polls done and, when the
-// channel is closed, returns the partial level structure built so far.
-// Callers observing cancellation must discard the result. A nil done
-// never cancels, making BFSCancel(g, root, scratch, nil) exactly BFS.
-func BFSCancel(g *Graph, root int, scratch []int32, done <-chan struct{}) *BFSResult {
+// channel is closed, returns the partial level structure built so far;
+// callers observing cancellation must discard the result. A nil done never
+// cancels.
+func BFS(g *Graph, root int, scratch []int32, done <-chan struct{}) *BFSResult {
 	level := scratch
 	if level == nil {
 		level = make([]int32, g.N)
@@ -215,17 +207,11 @@ func Components(g *Graph) ([][]int32, []int32) {
 // containing start, using the George-Liu algorithm: repeatedly root a BFS
 // at a minimum-degree vertex of the deepest last level until the
 // eccentricity stops growing. It returns the vertex and its final level
-// structure.
-func PseudoPeripheral(g *Graph, start int, scratch []int32) (int, *BFSResult) {
-	return PseudoPeripheralCancel(g, start, scratch, nil)
-}
-
-// PseudoPeripheralCancel is PseudoPeripheral with cooperative
-// cancellation: done is polled between (and, via BFSCancel, inside) the
-// BFS rounds. On cancellation the current candidate is returned; callers
-// observing cancellation must discard it.
-func PseudoPeripheralCancel(g *Graph, start int, scratch []int32, done <-chan struct{}) (int, *BFSResult) {
-	r := BFSCancel(g, start, scratch, done)
+// structure. done is polled between (and, via BFS, inside) the BFS rounds
+// (nil never cancels); on cancellation the current candidate is returned,
+// and callers observing cancellation must discard it.
+func PseudoPeripheral(g *Graph, start int, scratch []int32, done <-chan struct{}) (int, *BFSResult) {
+	r := BFS(g, start, scratch, done)
 	for {
 		if par.Canceled(done) {
 			return r.Root, r
@@ -237,7 +223,7 @@ func PseudoPeripheralCancel(g *Graph, start int, scratch []int32, done <-chan st
 				next = int(v)
 			}
 		}
-		rNext := BFSCancel(g, next, scratch, done)
+		rNext := BFS(g, next, scratch, done)
 		if rNext.Depth() <= r.Depth() {
 			return r.Root, r
 		}

@@ -37,8 +37,8 @@ func pathGraph(t *testing.T, n int) *Graph {
 
 func TestFromMatrixPath(t *testing.T) {
 	g := pathGraph(t, 5)
-	if g.N != 5 || g.NumEdges() != 4 {
-		t.Fatalf("N=%d edges=%d, want 5 and 4", g.N, g.NumEdges())
+	if g.N != 5 || len(g.Adj)/2 != 4 {
+		t.Fatalf("N=%d edges=%d, want 5 and 4", g.N, len(g.Adj)/2)
 	}
 	if g.Degree(0) != 1 || g.Degree(2) != 2 {
 		t.Errorf("degrees: %d %d", g.Degree(0), g.Degree(2))
@@ -58,8 +58,8 @@ func TestFromMatrixDropsDiagonal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumEdges() != 1 {
-		t.Errorf("edges = %d, want 1 (self-loop dropped)", g.NumEdges())
+	if len(g.Adj)/2 != 1 {
+		t.Errorf("edges = %d, want 1 (self-loop dropped)", len(g.Adj)/2)
 	}
 }
 
@@ -81,8 +81,8 @@ func TestFromMatrixSymmetrized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumEdges() != 1 || g.Degree(0) != 1 || g.Degree(2) != 1 {
-		t.Errorf("edges=%d deg0=%d deg2=%d", g.NumEdges(), g.Degree(0), g.Degree(2))
+	if len(g.Adj)/2 != 1 || g.Degree(0) != 1 || g.Degree(2) != 1 {
+		t.Errorf("edges=%d deg0=%d deg2=%d", len(g.Adj)/2, g.Degree(0), g.Degree(2))
 	}
 	if err := g.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
@@ -91,7 +91,7 @@ func TestFromMatrixSymmetrized(t *testing.T) {
 
 func TestBFSLevelsOnPath(t *testing.T) {
 	g := pathGraph(t, 6)
-	r := BFS(g, 0, nil)
+	r := BFS(g, 0, nil, nil)
 	if r.Depth() != 5 {
 		t.Fatalf("depth = %d, want 5", r.Depth())
 	}
@@ -100,7 +100,7 @@ func TestBFSLevelsOnPath(t *testing.T) {
 			t.Errorf("level[%d] = %d, want %d", i, r.Level[i], i)
 		}
 	}
-	r = BFS(g, 3, nil)
+	r = BFS(g, 3, nil, nil)
 	if r.Depth() != 3 {
 		t.Errorf("depth from middle = %d, want 3", r.Depth())
 	}
@@ -118,7 +118,7 @@ func TestBFSRestrictedToComponent(t *testing.T) {
 	coo.Append(3, 2, 1)
 	a, _ := coo.ToCSR()
 	g, _ := FromMatrixSymmetrizedWorkers(a, 1)
-	r := BFS(g, 0, nil)
+	r := BFS(g, 0, nil, nil)
 	if len(r.Order) != 2 {
 		t.Errorf("BFS escaped the component: %v", r.Order)
 	}
@@ -146,7 +146,7 @@ func TestComponents(t *testing.T) {
 
 func TestPseudoPeripheralOnPath(t *testing.T) {
 	g := pathGraph(t, 9)
-	v, r := PseudoPeripheral(g, 4, nil)
+	v, r := PseudoPeripheral(g, 4, nil, nil)
 	if v != 0 && v != 8 {
 		t.Errorf("pseudo-peripheral vertex = %d, want an endpoint", v)
 	}
@@ -162,8 +162,8 @@ func TestInducedSubgraph(t *testing.T) {
 		t.Fatalf("sub.N = %d", sub.N)
 	}
 	// Edges kept: 1-2, 2-3. Vertex 5 is isolated (4 excluded).
-	if sub.NumEdges() != 2 {
-		t.Errorf("sub edges = %d, want 2", sub.NumEdges())
+	if len(sub.Adj)/2 != 2 {
+		t.Errorf("sub edges = %d, want 2", len(sub.Adj)/2)
 	}
 	if sub.Degree(3) != 0 {
 		t.Errorf("vertex 5 should be isolated, degree %d", sub.Degree(3))

@@ -37,21 +37,6 @@ func KWayConnectivity(h *Hypergraph, k int, opts Options) ([]int32, int, error) 
 	return part, ConnectivityMinusOne(h, part, k), nil
 }
 
-// KWayConnectivityCtx is KWayConnectivity driven by a context, mirroring
-// KWayCtx: a cancelled or expired context aborts the partitioning promptly
-// with the context's error instead of returning a partial assignment.
-func KWayConnectivityCtx(ctx context.Context, h *Hypergraph, k int, opts Options) ([]int32, int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	opts.Cancel = ctx.Done()
-	part, cut, err := KWayConnectivity(h, k, opts)
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	return part, cut, err
-}
-
 // recursiveConn mirrors recursive (kway.go) under the connectivity-1
 // subproblem rule: per-branch deterministic seeds, disjoint part writes,
 // goroutines bounded by lim.

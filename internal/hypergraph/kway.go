@@ -33,23 +33,6 @@ func KWay(h *Hypergraph, k int, opts Options) ([]int32, int, error) {
 	return part, CutNet(h, part), nil
 }
 
-// KWayCtx is KWay driven by a context: the context's done channel is
-// threaded into every coarsening level, bisection trial and refinement pass
-// (via Options.Cancel), and a cancelled or expired context aborts the
-// partitioning promptly with the context's error instead of returning a
-// partial assignment.
-func KWayCtx(ctx context.Context, h *Hypergraph, k int, opts Options) ([]int32, int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	opts.Cancel = ctx.Done()
-	part, cut, err := KWay(h, k, opts)
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	return part, cut, err
-}
-
 // forkMinVerts is the branch size below which the recursive bisections
 // stop forking and recurse inline.
 const forkMinVerts = 4096

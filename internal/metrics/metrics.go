@@ -133,22 +133,3 @@ func ComputeWorkers(a *sparse.CSR, blocks, threads, workers int) Features {
 	}
 	return f
 }
-
-// RowNNZStats returns the minimum, maximum and mean nonzeros per row.
-func RowNNZStats(a *sparse.CSR) (minRow, maxRow int, mean float64) {
-	if a.Rows == 0 {
-		return 0, 0, 0
-	}
-	minRow = a.RowNNZ(0)
-	for i := 0; i < a.Rows; i++ {
-		n := a.RowNNZ(i)
-		if n < minRow {
-			minRow = n
-		}
-		if n > maxRow {
-			maxRow = n
-		}
-	}
-	mean = float64(a.NNZ()) / float64(a.Rows)
-	return minRow, maxRow, mean
-}

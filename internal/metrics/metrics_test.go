@@ -157,14 +157,3 @@ func TestComputeBundlesFeatures(t *testing.T) {
 		t.Error("ComputeWorkers disagrees with the individual feature oracles")
 	}
 }
-
-func TestRowNNZStats(t *testing.T) {
-	a := build(t, 3, 3, [][3]float64{{0, 0, 1}, {0, 1, 1}, {0, 2, 1}, {2, 0, 1}})
-	minR, maxR, mean := RowNNZStats(a)
-	if minR != 0 || maxR != 3 {
-		t.Errorf("min/max = %d/%d, want 0/3", minR, maxR)
-	}
-	if math.Abs(mean-4.0/3) > 1e-12 {
-		t.Errorf("mean = %v", mean)
-	}
-}

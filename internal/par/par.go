@@ -18,7 +18,7 @@ import (
 // never closed, so uncancellable callers pass nil and pay only a branch.
 // It is the cooperative cancellation primitive of the reordering hot
 // paths: long loops call it periodically and bail out early, and the
-// context-aware entry points (reorder.ComputeCtx and friends) translate
+// context-aware entry points (reorder.ComputeTimedCtx and friends) translate
 // the early exit into the context's error.
 func Canceled(done <-chan struct{}) bool {
 	if done == nil {

@@ -94,7 +94,7 @@ func initialBisection(g *graph.Graph, frac float64, opts Options, rng *rand.Rand
 		w := 0
 		start := rng.Intn(g.N)
 		if t == 0 {
-			start, _ = graph.PseudoPeripheral(g, start, nil)
+			start, _ = graph.PseudoPeripheral(g, start, nil, opts.Cancel)
 		}
 		queue := []int32{int32(start)}
 		visited := make([]bool, g.N)

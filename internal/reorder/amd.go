@@ -13,7 +13,7 @@ import (
 // a whole supervariable plus any mass-eliminated pins.
 const amdCheckEvery = 256
 
-// ApproxMinimumDegree computes an approximate-minimum-degree ordering of g
+// approxMinimumDegree computes an approximate-minimum-degree ordering of g
 // in the style of Amestoy, Davis and Duff (paper ref. [1]): elimination is
 // simulated on a quotient graph whose cliques are stored implicitly as
 // elements. Indistinguishable variables are merged into supervariables of
@@ -29,13 +29,10 @@ const amdCheckEvery = 256
 // eliminated together with the pivot (mass elimination). The returned
 // permutation is new-to-old: position k holds the k-th eliminated
 // variable, and the members of a supervariable are emitted consecutively.
-func ApproxMinimumDegree(g *graph.Graph) sparse.Perm {
-	return approxMinimumDegree(g, nil)
-}
-
-// approxMinimumDegree is the cancellable AMD core: done is polled every
-// amdCheckEvery pivots (nil never cancels), and a cancelled call returns
-// the partial elimination order, which the caller must discard.
+//
+// done is polled every amdCheckEvery pivots (nil never cancels), and a
+// cancelled call returns the partial elimination order, which the caller
+// must discard.
 func approxMinimumDegree(g *graph.Graph, done <-chan struct{}) sparse.Perm {
 	n := g.N
 	if n == 0 {

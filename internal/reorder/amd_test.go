@@ -94,7 +94,7 @@ func TestAMDSupervariablesEmitConsecutively(t *testing.T) {
 		for seed := int64(0); seed < 4; seed++ {
 			label := rand.New(rand.NewSource(seed)).Perm(tc.n)
 			g, a := labelledGraph(t, tc.n, tc.edges, label)
-			p := ApproxMinimumDegree(g)
+			p := approxMinimumDegree(g, nil)
 			if err := p.Validate(); err != nil || len(p) != tc.n {
 				t.Fatalf("%s seed %d: invalid permutation %v: %v", tc.name, seed, p, err)
 			}
@@ -220,7 +220,7 @@ func TestAMDCancelledCoreStopsEarly(t *testing.T) {
 		edges[k] = [2]int{2 * k, 2*k + 1}
 	}
 	g, _ := labelledGraph(t, 2*pairs, edges, span(0, 2*pairs))
-	if p := ApproxMinimumDegree(g); len(p) != g.N || p.Validate() != nil {
+	if p := approxMinimumDegree(g, nil); len(p) != g.N || p.Validate() != nil {
 		t.Fatalf("uncancelled core: invalid permutation of length %d", len(p))
 	}
 	done := make(chan struct{})

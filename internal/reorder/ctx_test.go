@@ -19,7 +19,7 @@ func TestComputeCtxAlreadyCancelled(t *testing.T) {
 	cancel()
 	for _, a := range []*sparse.CSR{gen.Grid2D(12, 12), gen.Scramble(gen.Grid3D(32, 32, 32), 42)} {
 		for _, alg := range AllOrderings {
-			p, err := ComputeCtx(ctx, alg, a, Options{Parts: 4})
+			p, _, err := ComputeTimedCtx(ctx, alg, a, Options{Parts: 4})
 			if !errors.Is(err, context.Canceled) {
 				t.Errorf("%s on %d rows: err = %v, want context.Canceled", alg, a.Rows, err)
 			}
@@ -31,16 +31,19 @@ func TestComputeCtxAlreadyCancelled(t *testing.T) {
 }
 
 // TestComputeCtxBackgroundMatchesPlain checks the cancellation plumbing is
-// inert for an uncancelled run: ComputeCtx with a background context must
-// return exactly the permutation the historical entry point returns.
+// inert for an uncancelled run: under a live context, whose done channel
+// every cancellation check really polls, ComputeTimedCtx must return
+// exactly the permutation Compute returns, where ctx.Done() is nil.
 func TestComputeCtxBackgroundMatchesPlain(t *testing.T) {
 	a := gen.Scramble(gen.Grid2D(20, 20), 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, alg := range AllOrderings {
 		want, err := Compute(alg, a, Options{Parts: 8, Seed: 5})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
-		got, err := ComputeCtx(context.Background(), alg, a, Options{Parts: 8, Seed: 5})
+		got, _, err := ComputeTimedCtx(ctx, alg, a, Options{Parts: 8, Seed: 5})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -49,7 +52,7 @@ func TestComputeCtxBackgroundMatchesPlain(t *testing.T) {
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%s: permutation differs at %d under a background context", alg, i)
+				t.Fatalf("%s: permutation differs at %d under a live context", alg, i)
 			}
 		}
 	}
@@ -67,7 +70,7 @@ func TestComputeCtxTimeoutStopsWedgedOrdering(t *testing.T) {
 	for _, alg := range []Algorithm{RCM, AMD, ND, GP, HP} {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 		start := time.Now()
-		p, err := ComputeCtx(ctx, alg, a, Options{Parts: 16})
+		p, _, err := ComputeTimedCtx(ctx, alg, a, Options{Parts: 16})
 		elapsed := time.Since(start)
 		cancel()
 		if elapsed > 5*time.Second {
@@ -92,7 +95,7 @@ func TestComputeCtxNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		ComputeCtx(ctx, RCM, a, Options{Workers: 4})
+		ComputeTimedCtx(ctx, RCM, a, Options{Workers: 4})
 		cancel()
 	}
 	deadline := time.Now().Add(5 * time.Second)

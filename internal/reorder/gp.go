@@ -1,28 +1,23 @@
 package reorder
 
 import (
-	"context"
 	"sort"
 
 	"sparseorder/internal/graph"
 	"sparseorder/internal/hypergraph"
-	"sparseorder/internal/obs"
 	"sparseorder/internal/partition"
 	"sparseorder/internal/sparse"
 )
 
-// GraphPartitionOrder computes the GP ordering of the study (paper §3.3):
+// graphPartitionOrder computes the GP ordering of the study (paper §3.3):
 // the graph of A+Aᵀ is partitioned into opts.Parts parts with the edge-cut
 // objective and unweighted vertices (balancing rows per part), and rows and
 // columns are grouped by their part id, preserving the original relative
 // order within each part.
-func GraphPartitionOrder(g *graph.Graph, opts Options) (sparse.Perm, error) {
-	return graphPartitionOrder(g, opts, nil)
-}
-
-// graphPartitionOrder is the cancellable GP core: done is threaded into the
-// partitioner's coarsening, initial-bisection and refinement loops; a
-// cancellation surfaces as a partitioner error (context.Canceled).
+//
+// done is threaded into the partitioner's coarsening, initial-bisection
+// and refinement loops; a cancellation surfaces as a partitioner error
+// (context.Canceled).
 func graphPartitionOrder(g *graph.Graph, opts Options, done <-chan struct{}) (sparse.Perm, error) {
 	perms, err := graphPartitionOrders(g, []int{opts.withDefaults().Parts}, opts, done)
 	if err != nil {
@@ -50,16 +45,11 @@ func graphPartitionOrders(g *graph.Graph, parts []int, opts Options, done <-chan
 	return perms, nil
 }
 
-// HypergraphPartitionOrder computes the HP ordering of the study: the
+// hypergraphPartitionOrder computes the HP ordering of the study: the
 // column-net hypergraph of A is partitioned into opts.Parts parts under the
 // cut-net metric with the same (row-count) balance criterion as GP, and
-// rows/columns are grouped by part. The paper fixes 128 parts for HP.
-func HypergraphPartitionOrder(a *sparse.CSR, opts Options) (sparse.Perm, error) {
-	return hypergraphPartitionOrder(a, opts, nil)
-}
-
-// hypergraphPartitionOrder is the cancellable HP core, mirroring
-// graphPartitionOrder.
+// rows/columns are grouped by part. The paper fixes 128 parts for HP. done
+// reaches the hypergraph partitioner as it does for graphPartitionOrder.
 func hypergraphPartitionOrder(a *sparse.CSR, opts Options, done <-chan struct{}) (sparse.Perm, error) {
 	opts = opts.withDefaults()
 	h := hypergraph.ColumnNet(a)
@@ -77,50 +67,6 @@ func hypergraphPartitionOrder(a *sparse.CSR, opts Options, done <-chan struct{})
 		part, _, err = hypergraph.KWay(h, opts.Parts, hopts)
 	}
 	if err != nil {
-		return nil, err
-	}
-	return orderByPart(part), nil
-}
-
-// GraphPartitionOrderWeighted is the ablation variant of GP (see
-// DESIGN.md): vertices are weighted by their row nonzero count, so the
-// partitioner balances nonzeros instead of rows — the alternative METIS
-// balance criterion the paper describes in §3.3 but does not adopt.
-func GraphPartitionOrderWeighted(a *sparse.CSR, opts Options) (sparse.Perm, error) {
-	return GraphPartitionOrderWeightedCtx(context.Background(), a, opts)
-}
-
-// GraphPartitionOrderWeightedCtx is GraphPartitionOrderWeighted driven by a
-// context, with the same cancellation contract as ComputeCtx: the context's
-// done channel reaches the partitioner's coarsening, initial-bisection and
-// refinement loops, and a cancelled call returns the context's error, never
-// a partial permutation. An Obs carried by the context (obs.NewContext)
-// receives the partitioner's phase timings, and opts.Workers bounds the
-// partitioner's goroutines — the ablation path honours the same Options
-// fields as the production GP path instead of silently dropping them.
-func GraphPartitionOrderWeightedCtx(ctx context.Context, a *sparse.CSR, opts Options) (sparse.Perm, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults()
-	g, err := graph.FromMatrixSymmetrizedWorkers(a, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	g.VWgt = make([]int32, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		g.VWgt[i] = int32(a.RowNNZ(i))
-	}
-	part, _, err := partition.KWay(g, opts.Parts, partition.Options{
-		Seed:    opts.Seed,
-		Workers: opts.Workers,
-		Cancel:  ctx.Done(),
-		Obs:     obs.FromContext(ctx),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return orderByPart(part), nil

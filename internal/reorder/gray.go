@@ -6,7 +6,7 @@ import (
 	"sparseorder/internal/sparse"
 )
 
-// GrayOrder computes the Gray ordering of Zhao et al. (paper §2.1.4) with
+// grayOrder computes the Gray ordering of Zhao et al. (paper §2.1.4) with
 // the parameters the study uses: rows with more than opts.GrayDenseThreshold
 // (default 20) nonzeros form the dense submatrix and are grouped by
 // descending density (density reordering, aimed at branch prediction);
@@ -15,7 +15,7 @@ import (
 // sections and ordered by the rank of the bitmap in the reflected Gray-code
 // sequence, placing rows with similar column footprints next to each other
 // for locality. Only rows are permuted; the ordering is unsymmetric.
-func GrayOrder(a *sparse.CSR, opts Options) sparse.Perm {
+func grayOrder(a *sparse.CSR, opts Options) sparse.Perm {
 	opts = opts.withDefaults()
 	bits := opts.GrayBitmapBits
 	// rowBitmap and grayRank are correct for the full uint64 width, so the

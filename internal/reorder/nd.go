@@ -13,7 +13,7 @@ import (
 // and recurses inline; tiny branches cost more to schedule than to order.
 const ndForkMinVerts = 1024
 
-// NestedDissection orders g by recursive vertex dissection (paper §2.1.2):
+// nestedDissection orders g by recursive vertex dissection (paper §2.1.2):
 // a vertex separator splits the graph, the two halves are ordered first
 // (recursively) and the separator vertices are placed last, so that
 // eliminating them late keeps Cholesky fill low. Recursion stops below
@@ -26,16 +26,13 @@ const ndForkMinVerts = 1024
 // half next, separator last), so the ordering is byte-identical at every
 // worker count. A graph whose total edge weight fails
 // partition.CheckEdgeWeights is rejected with an error.
-func NestedDissection(g *graph.Graph, opts Options) (sparse.Perm, error) {
-	return nestedDissection(g, opts, nil)
-}
-
-// nestedDissection is the cancellable ND core: done is polled at every
-// dissection branch and threaded into the separator's multilevel machinery
-// and the small-subproblem AMD (nil never cancels). A cancelled call
-// returns a partial permutation the caller must discard. The edge-weight
-// check runs once here, on the top-level graph: every dissected subgraph
-// is induced from it and weighs no more.
+//
+// done is polled at every dissection branch and threaded into the
+// separator's multilevel machinery and the small-subproblem AMD (nil
+// never cancels). A cancelled call returns a partial permutation the
+// caller must discard. The edge-weight check runs once here, on the
+// top-level graph: every dissected subgraph is induced from it and weighs
+// no more.
 func nestedDissection(g *graph.Graph, opts Options, done <-chan struct{}) (sparse.Perm, error) {
 	if err := partition.CheckEdgeWeights(g); err != nil {
 		return nil, err

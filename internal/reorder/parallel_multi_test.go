@@ -41,26 +41,33 @@ func TestWorkersByteIdenticalLargeMatrix(t *testing.T) {
 }
 
 // TestWeightedGPHonorsContext is the regression test for the ablation path
-// dropping its context: GraphPartitionOrderWeightedCtx must fail fast on a
-// cancelled context and must agree with the plain entry point otherwise.
+// dropping its context or its options: graphPartitionOrderWeighted must
+// fail fast on a cancelled context, and under a live one it must return
+// the same permutation at every worker count, as the production GP path
+// does.
 func TestWeightedGPHonorsContext(t *testing.T) {
 	a := gen.Scramble(gen.Grid2D(30, 30), 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := GraphPartitionOrderWeightedCtx(ctx, a, Options{Seed: 1, Parts: 8}); err == nil {
+	if _, err := graphPartitionOrderWeighted(ctx, a, Options{Seed: 1, Parts: 8}); err == nil {
 		t.Fatal("cancelled context produced a permutation instead of an error")
 	}
-	want, err := GraphPartitionOrderWeighted(a, Options{Seed: 1, Parts: 8})
+	want, err := graphPartitionOrderWeighted(context.Background(), a, Options{Seed: 1, Parts: 8, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := GraphPartitionOrderWeightedCtx(context.Background(), a, Options{Seed: 1, Parts: 8})
-	if err != nil {
-		t.Fatal(err)
+	if len(want) != a.Rows || !want.IsValid() {
+		t.Fatal("weighted GP returned an invalid permutation")
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ctx variant differs from plain at %d", i)
+	for _, w := range []int{2, 4} {
+		got, err := graphPartitionOrderWeighted(context.Background(), a, Options{Seed: 1, Parts: 8, Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d differs from workers=1 at %d", w, i)
+			}
 		}
 	}
 }

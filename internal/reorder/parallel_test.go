@@ -54,6 +54,9 @@ func TestWorkersByteIdenticalAllAlgorithms(t *testing.T) {
 	}
 }
 
+// TestCuthillMcKeeWorkersMatchesSerial holds the one component-parallel
+// Cuthill-McKee body to the serial oracle (rcm_oracle_test.go) at every
+// worker count, 1 included, for both start strategies.
 func TestCuthillMcKeeWorkersMatchesSerial(t *testing.T) {
 	// Five components of very different sizes, so more workers than
 	// components and more components than workers both occur.
@@ -74,10 +77,10 @@ func TestCuthillMcKeeWorkersMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strategy := range []StartStrategy{PseudoPeripheralStart, MinDegreeStart} {
-		want := CuthillMcKeeWithStart(g, strategy)
+	for _, strategy := range []startStrategy{pseudoPeripheralStart, minDegreeStart} {
+		want := cuthillMcKeeSerial(g, strategy)
 		for _, w := range []int{1, 2, 3, 4, 8, 16, 0} {
-			got := CuthillMcKeeWorkers(g, strategy, w)
+			got := cuthillMcKee(g, strategy, w, nil)
 			if len(got) != len(want) {
 				t.Fatalf("strategy %d workers=%d: length %d, want %d", strategy, w, len(got), len(want))
 			}
@@ -86,7 +89,7 @@ func TestCuthillMcKeeWorkersMatchesSerial(t *testing.T) {
 					t.Fatalf("strategy %d workers=%d: differs from serial at %d", strategy, w, i)
 				}
 			}
-			rev := ReverseCuthillMcKeeWorkers(g, strategy, w)
+			rev := reverseCuthillMcKee(g, strategy, w, nil)
 			for i := range want {
 				if rev[i] != want[len(want)-1-i] {
 					t.Fatalf("strategy %d workers=%d: reverse is not the reversal", strategy, w)
@@ -154,18 +157,18 @@ func TestGrayBitmapBits64(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := GrayOrder(a, Options{GrayBitmapBits: 64})
+	p := grayOrder(a, Options{GrayBitmapBits: 64})
 	if p[0] != 1 || p[1] != 0 {
 		t.Errorf("bits=64 order = %v, want [1 0]", p)
 	}
 	// Sanity: at bits=16 both columns share a section, so the stable sort
 	// keeps the original order — the widths genuinely disagree.
-	if q := GrayOrder(a, Options{GrayBitmapBits: 16}); q[0] != 0 || q[1] != 1 {
+	if q := grayOrder(a, Options{GrayBitmapBits: 16}); q[0] != 0 || q[1] != 1 {
 		t.Errorf("bits=16 order = %v, want [0 1]", q)
 	}
 	// Widths beyond the uint64 capacity clamp to 64 exactly.
 	for _, bits := range []int{65, 80, 1 << 20} {
-		q := GrayOrder(a, Options{GrayBitmapBits: bits})
+		q := grayOrder(a, Options{GrayBitmapBits: bits})
 		for i := range p {
 			if q[i] != p[i] {
 				t.Errorf("bits=%d order = %v, want the bits=64 order %v", bits, q, p)
@@ -198,7 +201,7 @@ func BenchmarkReorderRCM(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ReverseCuthillMcKeeWorkers(g, PseudoPeripheralStart, w)
+				reverseCuthillMcKee(g, pseudoPeripheralStart, w, nil)
 			}
 		})
 	}

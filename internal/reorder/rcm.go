@@ -3,64 +3,28 @@ package reorder
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"sparseorder/internal/graph"
 	"sparseorder/internal/par"
 	"sparseorder/internal/sparse"
 )
 
-// StartStrategy selects how Cuthill-McKee picks the root vertex of each
+// startStrategy selects how Cuthill-McKee picks the root vertex of each
 // connected component. The George-Liu pseudo-peripheral finder is the
 // standard choice (and the one the study's implementation uses); the
 // minimum-degree start is kept as an ablation (see DESIGN.md).
-type StartStrategy int
+type startStrategy int
 
 // Start strategies for Cuthill-McKee.
 const (
-	PseudoPeripheralStart StartStrategy = iota
-	MinDegreeStart
+	pseudoPeripheralStart startStrategy = iota
+	minDegreeStart
 )
 
 // cmCheckEvery is the number of dequeued vertices between cancellation
 // checks in the Cuthill-McKee BFS loop.
 const cmCheckEvery = 1024
-
-// CuthillMcKee computes the Cuthill-McKee ordering of g: each connected
-// component is traversed breadth-first from a pseudo-peripheral vertex,
-// appending unvisited neighbours in ascending-degree order. The returned
-// permutation is new-to-old.
-func CuthillMcKee(g *graph.Graph) sparse.Perm {
-	return CuthillMcKeeWithStart(g, PseudoPeripheralStart)
-}
-
-// CuthillMcKeeWithStart is CuthillMcKee with an explicit root-selection
-// strategy.
-func CuthillMcKeeWithStart(g *graph.Graph, strategy StartStrategy) sparse.Perm {
-	return cuthillMcKeeSerial(g, strategy, nil)
-}
-
-// cuthillMcKeeSerial is the serial Cuthill-McKee core with a cooperative
-// cancellation hook; a nil done runs the historical uncancellable path at
-// no extra cost beyond a counter. On cancellation the partial permutation
-// is returned and must be discarded by the caller.
-func cuthillMcKeeSerial(g *graph.Graph, strategy StartStrategy, done <-chan struct{}) sparse.Perm {
-	n := g.N
-	perm := make(sparse.Perm, 0, n)
-	visited := make([]bool, n)
-	scratch := make([]int32, n)
-	neigh := make([]int32, 0, g.MaxDegree())
-
-	for s := 0; s < n; s++ {
-		if visited[s] {
-			continue
-		}
-		perm = cmComponent(g, s, strategy, perm, visited, scratch, neigh, done)
-		if par.Canceled(done) {
-			return perm
-		}
-	}
-	return perm
-}
 
 // cmComponent appends the Cuthill-McKee ordering of the component whose
 // smallest-index vertex is s to perm. It touches visited only at the
@@ -69,13 +33,13 @@ func cuthillMcKeeSerial(g *graph.Graph, strategy StartStrategy, done <-chan stru
 // per-caller scratch space. done is polled every cmCheckEvery dequeues
 // (nil never cancels); a cancelled call returns a partial ordering that
 // the caller must discard.
-func cmComponent(g *graph.Graph, s int, strategy StartStrategy, perm sparse.Perm, visited []bool, scratch, neigh []int32, done <-chan struct{}) sparse.Perm {
+func cmComponent(g *graph.Graph, s int, strategy startStrategy, perm sparse.Perm, visited []bool, scratch, neigh []int32, done <-chan struct{}) sparse.Perm {
 	start := s
-	if strategy == PseudoPeripheralStart {
-		start, _ = graph.PseudoPeripheralCancel(g, s, scratch, done)
+	if strategy == pseudoPeripheralStart {
+		start, _ = graph.PseudoPeripheral(g, s, scratch, done)
 	} else {
 		// Minimum-degree vertex of the component containing s.
-		r := graph.BFSCancel(g, s, scratch, done)
+		r := graph.BFS(g, s, scratch, done)
 		for _, v := range r.Order {
 			if g.Degree(int(v)) < g.Degree(start) {
 				start = int(v)
@@ -114,107 +78,74 @@ func cmComponent(g *graph.Graph, s int, strategy StartStrategy, perm sparse.Perm
 	return perm
 }
 
-// CuthillMcKeeWorkers computes the Cuthill-McKee ordering with connected
-// components ordered concurrently. Components are independent, and the
+// cuthillMcKee computes the Cuthill-McKee ordering of g: each connected
+// component is traversed breadth-first from its root (a pseudo-peripheral
+// vertex by default), appending unvisited neighbours in ascending-degree
+// order. The returned permutation is new-to-old.
+//
+// Components are independent and are ordered concurrently by up to
+// workers goroutines (0 = GOMAXPROCS); the calling goroutine is one of
+// them, so at 1 worker the body runs inline with no goroutine. The
 // per-component orderings are concatenated in ascending order of each
-// component's smallest vertex — exactly the order the serial loop
-// discovers them — so the permutation is byte-identical to
-// CuthillMcKeeWithStart at every worker count (0 = GOMAXPROCS, 1 = the
-// exact serial code path).
-func CuthillMcKeeWorkers(g *graph.Graph, strategy StartStrategy, workers int) sparse.Perm {
-	return cuthillMcKee(g, strategy, workers, nil)
-}
-
-// cuthillMcKee is the cancellable Cuthill-McKee dispatcher behind the
-// exported entry points: done is polled inside every component traversal
-// (serial or pooled), so a wedged ordering stops within cmCheckEvery
-// dequeues of a cancellation instead of running to completion, and the
-// pool goroutines exit promptly rather than leaking past their caller.
-func cuthillMcKee(g *graph.Graph, strategy StartStrategy, workers int, done <-chan struct{}) sparse.Perm {
-	w := par.Resolve(workers)
-	if w == 1 {
-		return cuthillMcKeeSerial(g, strategy, done)
-	}
+// component's smallest vertex — the order a serial scan over the vertices
+// discovers them — so the permutation is byte-identical at every worker
+// count. done is polled inside every component traversal (nil never
+// cancels), so a wedged ordering stops within cmCheckEvery dequeues of a
+// cancellation; a cancelled call returns a partial ordering that the
+// caller must discard.
+func cuthillMcKee(g *graph.Graph, strategy startStrategy, workers int, done <-chan struct{}) sparse.Perm {
 	if g.N == 0 {
 		return sparse.Perm{}
 	}
-	// Order the component of vertex 0 inline first — for a connected graph
-	// (the common case) this is the entire ordering at exactly the serial
-	// cost, with no component scan, channel or goroutine overhead.
+	// Order the component of vertex 0 first — for a connected graph (the
+	// common case) this is the entire ordering, with no component scan.
 	visited := make([]bool, g.N)
-	first := cmComponent(g, 0, strategy, make(sparse.Perm, 0, g.N), visited,
-		make([]int32, g.N), make([]int32, 0, g.MaxDegree()), done)
-	if len(first) == g.N || par.Canceled(done) {
-		return first
+	scratch := make([]int32, g.N)
+	neigh := make([]int32, 0, g.MaxDegree())
+	perm := cmComponent(g, 0, strategy, make(sparse.Perm, 0, g.N), visited, scratch, neigh, done)
+	if len(perm) == g.N || par.Canceled(done) {
+		return perm
 	}
-	// Remaining components run on the pool. Components lists them in
-	// ascending order of their smallest vertex — the order the serial loop
-	// discovers them — with the already-ordered component of vertex 0
-	// first.
+	// Components lists the components in ascending order of their
+	// smallest vertex, with the already-ordered component of vertex 0
+	// first. visited is shared: each component writes only its own
+	// vertices, so the workers touch disjoint index sets. scratch and
+	// neigh are per worker; BFS level arrays must be g.N long.
 	allComps, _ := graph.Components(g)
 	comps := allComps[1:]
-	// visited is shared: each component writes only its own vertices, so
-	// the goroutines touch disjoint index sets. scratch and neigh are per
-	// worker; BFS level arrays must be g.N long.
 	parts := make([]sparse.Perm, len(comps))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	if w > len(comps) {
-		w = len(comps)
+	var next atomic.Int64
+	work := func(scratch, neigh []int32) {
+		for {
+			ci := int(next.Add(1) - 1)
+			if ci >= len(comps) || par.Canceled(done) {
+				return
+			}
+			comp := comps[ci]
+			parts[ci] = cmComponent(g, int(comp[0]), strategy, make(sparse.Perm, 0, len(comp)), visited, scratch, neigh, done)
+		}
 	}
-	for i := 0; i < w; i++ {
+	w := min(par.Resolve(workers), len(comps))
+	var wg sync.WaitGroup
+	for i := 1; i < w; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			scratch := make([]int32, g.N)
-			neigh := make([]int32, 0, g.MaxDegree())
-			for ci := range jobs {
-				if par.Canceled(done) {
-					continue // drain remaining jobs without ordering them
-				}
-				comp := comps[ci]
-				part := make(sparse.Perm, 0, len(comp))
-				parts[ci] = cmComponent(g, int(comp[0]), strategy, part, visited, scratch, neigh, done)
-			}
+			work(make([]int32, g.N), make([]int32, 0, g.MaxDegree()))
 		}()
 	}
-	for ci := range comps {
-		jobs <- ci
-	}
-	close(jobs)
+	work(scratch, neigh)
 	wg.Wait()
-	perm := first
 	for _, part := range parts {
 		perm = append(perm, part...)
 	}
 	return perm
 }
 
-// ReverseCuthillMcKee returns the Cuthill-McKee ordering reversed, the
-// variant preferred in practice (paper §2.1.1).
-func ReverseCuthillMcKee(g *graph.Graph) sparse.Perm {
-	return ReverseCuthillMcKeeWithStart(g, PseudoPeripheralStart)
-}
-
-// ReverseCuthillMcKeeWithStart is ReverseCuthillMcKee with an explicit
-// root-selection strategy.
-func ReverseCuthillMcKeeWithStart(g *graph.Graph, strategy StartStrategy) sparse.Perm {
-	p := CuthillMcKeeWithStart(g, strategy)
-	for i, j := 0, len(p)-1; i < j; i, j = i+1, j-1 {
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// ReverseCuthillMcKeeWorkers is ReverseCuthillMcKee with connected
-// components ordered concurrently by CuthillMcKeeWorkers.
-func ReverseCuthillMcKeeWorkers(g *graph.Graph, strategy StartStrategy, workers int) sparse.Perm {
-	return reverseCuthillMcKee(g, strategy, workers, nil)
-}
-
-// reverseCuthillMcKee is the cancellable core shared by the exported
-// wrapper and the context-aware ordering dispatch.
-func reverseCuthillMcKee(g *graph.Graph, strategy StartStrategy, workers int, done <-chan struct{}) sparse.Perm {
+// reverseCuthillMcKee returns the Cuthill-McKee ordering reversed, the
+// variant preferred in practice (paper §2.1.1), and the RCM ordering of
+// the study.
+func reverseCuthillMcKee(g *graph.Graph, strategy startStrategy, workers int, done <-chan struct{}) sparse.Perm {
 	p := cuthillMcKee(g, strategy, workers, done)
 	for i, j := 0, len(p)-1; i < j; i, j = i+1, j-1 {
 		p[i], p[j] = p[j], p[i]

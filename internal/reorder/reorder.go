@@ -139,30 +139,19 @@ func (t PhaseTimings) Total() float64 {
 // of A+Aᵀ when the pattern of a is unsymmetric; HP and Gray apply to a
 // directly.
 func Compute(alg Algorithm, a *sparse.CSR, opts Options) (sparse.Perm, error) {
-	p, _, err := ComputeTimed(alg, a, opts)
+	p, _, err := ComputeTimedCtx(context.Background(), alg, a, opts)
 	return p, err
 }
 
-// ComputeCtx is Compute driven by a context: cancellation and deadline
-// expiry interrupt the ordering algorithm itself (BFS, elimination,
-// coarsening and refinement loops all poll the context's done channel), so
-// a wedged ordering stops within a bounded amount of work instead of
-// running to completion. A cancelled call returns the context's error and
-// never a partial permutation.
-func ComputeCtx(ctx context.Context, alg Algorithm, a *sparse.CSR, opts Options) (sparse.Perm, error) {
-	p, _, err := ComputeTimedCtx(ctx, alg, a, opts)
-	return p, err
-}
-
-// ComputeTimed is Compute reporting the graph-construction and ordering
-// phase times (PermuteSeconds stays zero).
-func ComputeTimed(alg Algorithm, a *sparse.CSR, opts Options) (sparse.Perm, PhaseTimings, error) {
-	return ComputeTimedCtx(context.Background(), alg, a, opts)
-}
-
-// ComputeTimedCtx is ComputeCtx reporting phase times. For a background
-// context ctx.Done() is nil and every cancellation check is a no-op, so
-// the uncancelled path is byte-identical to the historical one.
+// ComputeTimedCtx is Compute driven by a context, reporting the
+// graph-construction and ordering phase times (PermuteSeconds stays zero).
+// Cancellation and deadline expiry interrupt the ordering algorithm itself
+// (BFS, elimination, coarsening and refinement loops all poll the
+// context's done channel), so a wedged ordering stops within a bounded
+// amount of work instead of running to completion. A cancelled call
+// returns the context's error and never a partial permutation. For a
+// background context ctx.Done() is nil and every cancellation check is a
+// no-op, so the uncancelled path is byte-identical to the historical one.
 //
 // When ctx carries an obs.Obs (obs.NewContext), each phase additionally
 // reports a span — reorder/graph and reorder/order{alg} — generalising the
@@ -186,7 +175,7 @@ func ComputeTimedCtx(ctx context.Context, alg Algorithm, a *sparse.CSR, opts Opt
 	case alg == HP:
 		p, err = hypergraphPartitionOrder(a, opts, done)
 	case alg == Gray:
-		p = GrayOrder(a, opts)
+		p = grayOrder(a, opts)
 	default:
 		err = fmt.Errorf("reorder: unknown algorithm %q", alg)
 	}
@@ -300,7 +289,7 @@ func faultKey(alg Algorithm, a *sparse.CSR) string {
 func orderGraph(alg Algorithm, g *graph.Graph, opts Options, done <-chan struct{}) (sparse.Perm, error) {
 	switch alg {
 	case RCM:
-		return reverseCuthillMcKee(g, PseudoPeripheralStart, opts.Workers, done), nil
+		return reverseCuthillMcKee(g, pseudoPeripheralStart, opts.Workers, done), nil
 	case AMD:
 		return approxMinimumDegree(g, done), nil
 	case ND:
@@ -316,14 +305,7 @@ func orderGraph(alg Algorithm, g *graph.Graph, opts Options, done <-chan struct{
 // with the permutation. Symmetric orderings permute rows and columns;
 // Gray permutes rows only, as in the paper.
 func Apply(alg Algorithm, a *sparse.CSR, opts Options) (*sparse.CSR, sparse.Perm, error) {
-	b, p, _, err := ApplyTimed(alg, a, opts)
-	return b, p, err
-}
-
-// ApplyCtx is Apply driven by a context; see ComputeCtx for the
-// cancellation contract.
-func ApplyCtx(ctx context.Context, alg Algorithm, a *sparse.CSR, opts Options) (*sparse.CSR, sparse.Perm, error) {
-	b, p, _, err := ApplyTimedCtx(ctx, alg, a, opts)
+	b, p, _, err := ApplyTimedCtx(context.Background(), alg, a, opts)
 	return b, p, err
 }
 
@@ -333,7 +315,8 @@ func ApplyTimed(alg Algorithm, a *sparse.CSR, opts Options) (*sparse.CSR, sparse
 	return ApplyTimedCtx(context.Background(), alg, a, opts)
 }
 
-// ApplyTimedCtx is ApplyCtx reporting phase times. Before permuting it
+// ApplyTimedCtx is ApplyTimed driven by a context, with ComputeTimedCtx's
+// cancellation contract. Before permuting it
 // validates the computed permutation (length and bijectivity), so a buggy
 // ordering surfaces as a typed error naming the algorithm rather than as a
 // silently corrupted matrix.

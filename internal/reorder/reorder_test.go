@@ -1,6 +1,7 @@
 package reorder
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -123,8 +124,8 @@ func TestCuthillMcKeeReversal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := CuthillMcKee(g)
-	rcm := ReverseCuthillMcKee(g)
+	cm := cuthillMcKee(g, pseudoPeripheralStart, 1, nil)
+	rcm := reverseCuthillMcKee(g, pseudoPeripheralStart, 1, nil)
 	for i := range cm {
 		if cm[i] != rcm[len(rcm)-1-i] {
 			t.Fatal("RCM is not the reversal of CM")
@@ -148,7 +149,7 @@ func TestRCMHandlesDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := ReverseCuthillMcKee(g)
+	p := reverseCuthillMcKee(g, pseudoPeripheralStart, 1, nil)
 	if len(p) != 8 || !p.IsValid() {
 		t.Fatalf("invalid permutation on disconnected graph: %v", p)
 	}
@@ -156,7 +157,7 @@ func TestRCMHandlesDisconnected(t *testing.T) {
 
 func TestAMDOnIsolatedVertices(t *testing.T) {
 	g := &graph.Graph{N: 5, Ptr: []int{0, 0, 0, 0, 0, 0}}
-	p := ApproxMinimumDegree(g)
+	p := approxMinimumDegree(g, nil)
 	if len(p) != 5 || !p.IsValid() {
 		t.Fatalf("AMD on edgeless graph: %v", p)
 	}
@@ -175,7 +176,7 @@ func TestAMDEliminatesLeavesFirstOnStar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := ApproxMinimumDegree(g)
+	p := approxMinimumDegree(g, nil)
 	if !p.IsValid() {
 		t.Fatal("invalid permutation")
 	}
@@ -203,7 +204,7 @@ func TestNDSeparatorStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NestedDissection(g, Options{Seed: 1}.withDefaults())
+	p, err := nestedDissection(g, Options{Seed: 1}.withDefaults(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestNDRejectsOversizedEdgeWeights(t *testing.T) {
 	for k := range g.EWgt {
 		g.EWgt[k] = math.MaxInt32 / 64
 	}
-	if _, err := NestedDissection(g, Options{Seed: 1, NDSmall: 16}); err == nil {
+	if _, err := nestedDissection(g, Options{Seed: 1, NDSmall: 16}, nil); err == nil {
 		t.Fatal("ND accepted a graph whose total edge weight exceeds int32")
 	}
 }
@@ -237,7 +238,7 @@ func TestGPGroupsPartsContiguously(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Seed: 3, Parts: 8}.withDefaults()
-	p, err := GraphPartitionOrder(g, opts)
+	p, err := graphPartitionOrder(g, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestGPGroupsPartsContiguously(t *testing.T) {
 
 func TestHPOrderValid(t *testing.T) {
 	a := gen.Grid2D(12, 12)
-	p, err := HypergraphPartitionOrder(a, Options{Seed: 4, Parts: 8}.withDefaults())
+	p, err := hypergraphPartitionOrder(a, Options{Seed: 4, Parts: 8}.withDefaults(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestGrayDenseRowsFirst(t *testing.T) {
 		}
 	}
 	a, _ := coo.ToCSR()
-	p := GrayOrder(a, Options{}.withDefaults())
+	p := grayOrder(a, Options{}.withDefaults())
 	if !p.IsValid() {
 		t.Fatal("invalid Gray permutation")
 	}
@@ -318,7 +319,7 @@ func TestGraySortsSparseRowsByGrayRank(t *testing.T) {
 	}
 	a, _ := coo.ToCSR()
 	opts := Options{}.withDefaults()
-	p := GrayOrder(a, opts)
+	p := grayOrder(a, opts)
 	prev := uint64(0)
 	for i, row := range p {
 		r := grayRank(rowBitmap(a, row, opts.GrayBitmapBits))
@@ -400,8 +401,8 @@ func TestRCMStartStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []StartStrategy{PseudoPeripheralStart, MinDegreeStart} {
-		p := ReverseCuthillMcKeeWithStart(g, strat)
+	for _, strat := range []startStrategy{pseudoPeripheralStart, minDegreeStart} {
+		p := reverseCuthillMcKee(g, strat, 1, nil)
 		if len(p) != g.N || !p.IsValid() {
 			t.Fatalf("strategy %d: invalid permutation", strat)
 		}
@@ -425,7 +426,7 @@ func TestGPWeightedBalancesNonzeros(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Seed: 2, Parts: 8}.withDefaults()
-	pw, err := GraphPartitionOrderWeighted(s, opts)
+	pw, err := graphPartitionOrderWeighted(context.Background(), s, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +519,7 @@ func TestAMDQualityAgainstExactMinimumDegree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		amdPerm := ApproxMinimumDegree(g)
+		amdPerm := approxMinimumDegree(g, nil)
 		exactPerm := minDegreeExact(g)
 
 		amdM, err := sparse.PermuteSymmetricWorkers(s, amdPerm, 1)
@@ -547,12 +548,12 @@ func TestAMDQualityAgainstExactMinimumDegree(t *testing.T) {
 
 func TestHPConnectivityObjective(t *testing.T) {
 	a := gen.Grid2D(12, 12)
-	pCut, err := HypergraphPartitionOrder(a, Options{Seed: 4, Parts: 8}.withDefaults())
+	pCut, err := hypergraphPartitionOrder(a, Options{Seed: 4, Parts: 8}.withDefaults(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{Seed: 4, Parts: 8, HPObjective: Connectivity}.withDefaults()
-	pConn, err := HypergraphPartitionOrder(a, opts)
+	pConn, err := hypergraphPartitionOrder(a, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -533,7 +533,12 @@ func (s *store) scanEntry(path string) (storeCandidate, string, string) {
 	if h.Key != wantKey {
 		return c, quarKeyMismatch, fmt.Sprintf("header key %.12s..., filename key %.12s...", h.Key, wantKey)
 	}
+	// The shape is bounded before its payload length is computed, so that
+	// length cannot overflow: rows and cols fit the int32 column indices,
+	// and every nonzero costs payload bytes, so nnz is at most the file
+	// size.
 	if h.Rows < 0 || h.Cols < 0 || h.NNZ < 0 ||
+		h.Rows > math.MaxInt32 || h.Cols > math.MaxInt32 || int64(h.NNZ) > c.size ||
 		h.PayloadBytes != payloadLen(h.Rows, h.NNZ) {
 		return c, quarInvalid, fmt.Sprintf("declared payload %d bytes, shape %dx%d nnz %d implies %d",
 			h.PayloadBytes, h.Rows, h.Cols, h.NNZ, payloadLen(h.Rows, h.NNZ))

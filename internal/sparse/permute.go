@@ -67,13 +67,3 @@ func (p Perm) Inverse() Perm {
 	}
 	return q
 }
-
-// Compose returns the permutation r with r[i] = p[q[i]]; applying r is
-// equivalent to applying p first and then q to the result.
-func (p Perm) Compose(q Perm) Perm {
-	r := make(Perm, len(p))
-	for i := range r {
-		r[i] = p[q[i]]
-	}
-	return r
-}

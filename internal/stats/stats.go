@@ -92,18 +92,6 @@ func BoxStats(xs []float64) Box {
 	return b
 }
 
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // MinMax returns the extrema of xs.
 func MinMax(xs []float64) (lo, hi float64) {
 	if len(xs) == 0 {

@@ -94,13 +94,7 @@ func TestBoxStatsEmpty(t *testing.T) {
 	}
 }
 
-func TestMeanMinMax(t *testing.T) {
-	if m := Mean([]float64{1, 2, 3}); math.Abs(m-2) > 1e-12 {
-		t.Errorf("mean = %v", m)
-	}
-	if m := Mean(nil); m != 0 {
-		t.Errorf("empty mean = %v", m)
-	}
+func TestMinMax(t *testing.T) {
 	lo, hi := MinMax([]float64{3, -1, 7, 2})
 	if lo != -1 || hi != 7 {
 		t.Errorf("minmax = %v, %v", lo, hi)
