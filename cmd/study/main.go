@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	study [-exp all|fig1|fig2|fig3|fig4|fig5|fig6|table3|table4|table5|densecsr|benchreorder|benchingest|benchobs|artifact]
+//	study [-exp all|fig1|fig2|fig3|fig4|fig5|fig6|table3|table4|table5|densecsr|benchreorder|benchingest|benchobs|benchsolve|artifact]
 //	      [-scale test|study|large] [-seed N] [-out DIR] [-v]
 //	      [-workers N] [-reorder-workers N] [-ingest-workers N] [-timeout D]
 //	      [-checkpoint FILE] [-resume] [-retries N] [-membudget SIZE]
@@ -68,7 +68,11 @@
 // bench matrices to CI-smoke sizes. -exp benchingest measures Matrix
 // Market ingestion at 1, 2 and 4 workers (and GOMAXPROCS) and prints
 // BENCH_ingest.json. -exp benchobs measures the observability layer's
-// disabled-path overhead and prints BENCH_obs.json.
+// disabled-path overhead and prints BENCH_obs.json. -exp benchsolve splits
+// the CG solves of perfbench's mesh-solve workload (the 32³ mesh scrambled
+// with -seed and its RCM/AMD/ND/GP orderings) into multiply and vector
+// sweep time, -repeats rounds, and prints BENCH_solve.json; -scale does
+// not apply to it.
 //
 // Results are printed to stdout; with -out, artifact-format data files
 // (one per machine and kernel, as in the paper's Zenodo artifact) are also
@@ -118,7 +122,7 @@ func main() {
 }
 
 func run() (code int) {
-	exp := flag.String("exp", "all", "experiment to run: all, fig1..fig6, table3..table5, densecsr, findings, artifact, benchreorder, benchingest, benchobs")
+	exp := flag.String("exp", "all", "experiment to run: all, fig1..fig6, table3..table5, densecsr, findings, artifact, benchreorder, benchingest, benchobs, benchsolve")
 	scaleName := flag.String("scale", "test", "collection scale: test, study or large")
 	seed := flag.Int64("seed", 42, "collection seed")
 	out := flag.String("out", "", "directory for artifact-format data files")
@@ -303,7 +307,7 @@ func run() (code int) {
 	want := func(name string) bool { return *exp == "all" || *exp == name }
 
 	// Experiments that need the full study run.
-	needStudy := *exp == "all" || (*out != "" && *exp != "benchreorder" && *exp != "benchingest" && *exp != "benchobs")
+	needStudy := *exp == "all" || (*out != "" && *exp != "benchreorder" && *exp != "benchingest" && *exp != "benchobs" && *exp != "benchsolve")
 	for _, name := range []string{"fig2", "fig3", "fig5", "fig6", "table3", "table4", "artifact", "findings"} {
 		if *exp == name {
 			needStudy = true
@@ -449,6 +453,22 @@ func run() (code int) {
 		}
 		fmt.Print(text)
 		if werr := writeBenchFile(*out, "BENCH_obs.json", text, lg); werr != nil {
+			return exitFatal
+		}
+	}
+	if *exp == "benchsolve" {
+		bench, err := experiments.RunSolveBench(experiments.SolveBenchMatrix(*seed), *seed, *repeats)
+		if err != nil {
+			lg.Errorf("%v", err)
+			return exitFatal
+		}
+		text, err := experiments.RenderSolveBench(bench)
+		if err != nil {
+			lg.Errorf("%v", err)
+			return exitFatal
+		}
+		fmt.Print(text)
+		if werr := writeBenchFile(*out, "BENCH_solve.json", text, lg); werr != nil {
 			return exitFatal
 		}
 	}

@@ -180,14 +180,14 @@ func LoadJournal(path string, cfg Config) (*Journal, error) {
 		}
 		switch {
 		case rec.Kind == "result" && rec.Result != nil:
-			if _, dup := j.results[rec.Result.Name]; dup {
-				return nil, fmt.Errorf("experiments: journal %s records %s twice", path, rec.Result.Name)
+			if err := j.checkNew(rec.Result.Name); err != nil {
+				return nil, err
 			}
 			j.results[rec.Result.Name] = rec.Result
 		case rec.Kind == "failure" && rec.Failure != nil:
 			fl := rec.Failure
-			if _, dup := j.failures[fl.Name]; dup {
-				return nil, fmt.Errorf("experiments: journal %s records %s twice", path, fl.Name)
+			if err := j.checkNew(fl.Name); err != nil {
+				return nil, err
 			}
 			j.failures[fl.Name] = &MatrixError{
 				Name:     fl.Name,
@@ -221,6 +221,21 @@ func LoadJournal(path string, cfg Config) (*Journal, error) {
 	}
 	j.f = f
 	return j, nil
+}
+
+// checkNew rejects a loaded record whose matrix name is empty or already
+// journaled, as a result or as a failure: Lookup would silently answer
+// with one of the two records, and a nameless record matches no matrix.
+func (j *Journal) checkNew(name string) error {
+	if name == "" {
+		return fmt.Errorf("experiments: corrupt journal %s: a record has an empty matrix name", j.path)
+	}
+	_, isResult := j.results[name]
+	_, isFailure := j.failures[name]
+	if isResult || isFailure {
+		return fmt.Errorf("experiments: corrupt journal %s: records %s twice", j.path, name)
+	}
+	return nil
 }
 
 // RecordResult appends a completed matrix result and fsyncs before

@@ -2,10 +2,12 @@ package solver
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 
 	"sparseorder/internal/gen"
@@ -214,9 +216,10 @@ func refSpMV(a *sparse.CSR, x, y []float64) {
 }
 
 // refCG is the textbook CG loop, computing r·r afresh at the top of every
-// iteration and multiplying with refSpMV. CG must reproduce its X bits
-// and iteration count at one thread with every kernel.
-func refCG(a *sparse.CSR, b []float64, tol float64, maxIter int, jacobi bool) ([]float64, int) {
+// iteration and pᵀAp, r·z and the final residual as separate dot products,
+// multiplying with mul. CG must reproduce its X bits, iteration count and
+// residual bits when both run the same kernel at the same thread count.
+func refCG(a *sparse.CSR, b []float64, tol float64, maxIter int, jacobi bool, mul func(x, y []float64)) ([]float64, int, float64) {
 	n := a.Rows
 	var diagInv []float64
 	if jacobi {
@@ -246,7 +249,7 @@ func refCG(a *sparse.CSR, b []float64, tol float64, maxIter int, jacobi bool) ([
 		if math.Sqrt(dot(r, r)) < tol {
 			break
 		}
-		refSpMV(a, p, ap)
+		mul(p, ap)
 		alpha := rz / dot(p, ap)
 		for i := range x {
 			x[i] += alpha * p[i]
@@ -264,7 +267,7 @@ func refCG(a *sparse.CSR, b []float64, tol float64, maxIter int, jacobi bool) ([
 		}
 		rz = rzNew
 	}
-	return x, it
+	return x, it, math.Sqrt(dot(r, r))
 }
 
 // TestCGMatchesReference checks that CG is bit-identical to the reference
@@ -279,7 +282,7 @@ func TestCGMatchesReference(t *testing.T) {
 	for name, a := range map[string]*sparse.CSR{"scrambled": scrambled, "rcm": rcm} {
 		_, b := systemFor(t, a, 8)
 		for _, jacobi := range []bool{false, true} {
-			wantX, wantIters := refCG(a, b, 1e-10, 10*a.Rows, jacobi)
+			wantX, wantIters, _ := refCG(a, b, 1e-10, 10*a.Rows, jacobi, func(x, y []float64) { refSpMV(a, x, y) })
 			for _, k := range []Kernel{Kernel1D, Kernel2D, KernelMerge} {
 				res, err := CG(a, b, Options{Tol: 1e-10, Threads: 1, Kernel: k, Jacobi: jacobi})
 				if err != nil {
@@ -296,6 +299,124 @@ func TestCGMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// refKernel returns the y = A·x multiply the reference CG runs to match
+// CG's kernel and thread count: the same exported kernel, with its plan
+// built once.
+func refKernel(t *testing.T, a *sparse.CSR, k Kernel, threads int) func(x, y []float64) {
+	t.Helper()
+	var mul func(x, y []float64) error
+	switch k {
+	case Kernel1D:
+		mul = func(x, y []float64) error { return spmv.Mul1D(a, x, y, threads) }
+	case Kernel2D:
+		p, err := spmv.NewPlan2D(a, threads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mul = func(x, y []float64) error { return spmv.Mul2D(a, x, y, p) }
+	case KernelMerge:
+		p, err := spmv.NewPlanMerge(a, threads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mul = func(x, y []float64) error { return spmv.MulMerge(a, x, y, p) }
+	}
+	return func(x, y []float64) {
+		if err := mul(x, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCGMatchesReferenceEveryKernel pins CG's bit identity at every kernel
+// and thread count: with pᵀAp summed inside the one-thread multiply and
+// r·r and r·z summed in the x/r sweep, CG must still give the reference's
+// X bits, iteration count, multiply count and residual bits when the
+// reference runs the same kernel at the same thread count. Above one
+// thread the 2D and merge kernels sum the rows their split points cut in
+// another order than the serial loop, so each thread count has its own
+// reference.
+func TestCGMatchesReferenceEveryKernel(t *testing.T) {
+	scrambled := gen.Scramble(gen.Grid2D(24, 24), 8)
+	rcm, _, err := reorder.Apply(reorder.RCM, scrambled, reorder.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh := gen.Scramble(gen.Grid3D(10, 10, 10), 9)
+	for name, a := range map[string]*sparse.CSR{"scrambled": scrambled, "rcm": rcm, "mesh": mesh} {
+		_, b := systemFor(t, a, 8)
+		for _, jacobi := range []bool{false, true} {
+			for _, k := range []Kernel{Kernel1D, Kernel2D, KernelMerge} {
+				for _, threads := range []int{1, 2, 4} {
+					calls := 0
+					mul := refKernel(t, a, k, threads)
+					wantX, wantIters, wantRes := refCG(a, b, 1e-10, 10*a.Rows, jacobi, func(x, y []float64) {
+						calls++
+						mul(x, y)
+					})
+					res, err := CG(a, b, Options{Tol: 1e-10, Threads: threads, Kernel: k, Jacobi: jacobi})
+					if err != nil {
+						t.Fatalf("%s jacobi=%v kernel=%s threads=%d: %v", name, jacobi, k, threads, err)
+					}
+					where := fmt.Sprintf("%s jacobi=%v kernel=%s threads=%d", name, jacobi, k, threads)
+					if res.Iterations != wantIters || res.SpMVCount != calls {
+						t.Errorf("%s: %d iterations and %d multiplies, reference %d and %d", where, res.Iterations, res.SpMVCount, wantIters, calls)
+					}
+					if math.Float64bits(res.Residual) != math.Float64bits(wantRes) {
+						t.Errorf("%s: residual %v, reference %v", where, res.Residual, wantRes)
+					}
+					for i := range wantX {
+						if math.Float64bits(res.X[i]) != math.Float64bits(wantX[i]) {
+							t.Errorf("%s: X[%d] = %v, reference %v", where, i, res.X[i], wantX[i])
+							break
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCGRejectsBadOptions checks that options CG cannot honour fail up
+// front with their own error. A NaN or negative tolerance used to run all
+// 10·n iterations and then blame the matrix, +Inf reported convergence at
+// iteration 0, a negative thread count failed only with the planned
+// kernels, and a negative MaxIter returned an unconverged result with no
+// error.
+func TestCGRejectsBadOptions(t *testing.T) {
+	a := gen.Grid2D(30, 30)
+	_, b := systemFor(t, a, 11)
+	cases := []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"Tol NaN", Options{Tol: math.NaN()}, "solver: tolerance"},
+		{"Tol -1", Options{Tol: -1}, "solver: tolerance"},
+		{"Tol +Inf", Options{Tol: math.Inf(1)}, "solver: tolerance"},
+		{"Tol -Inf", Options{Tol: math.Inf(-1)}, "solver: tolerance"},
+		{"Threads -1 1D", Options{Threads: -1, Kernel: Kernel1D}, "solver: Threads"},
+		{"Threads -1 2D", Options{Threads: -1, Kernel: Kernel2D}, "solver: Threads"},
+		{"Threads -1 merge", Options{Threads: -1, Kernel: KernelMerge}, "solver: Threads"},
+		{"MaxIter -5", Options{MaxIter: -5}, "solver: MaxIter"},
+	}
+	for _, c := range cases {
+		res, err := CG(a, b, c.opts)
+		if err == nil {
+			t.Errorf("%s: accepted, result %+v", c.name, res)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%s: error %q, want one starting %q", c.name, err, c.want)
+		}
+	}
+	// Zero values still take their defaults.
+	res, err := CG(a, b, Options{})
+	if err != nil || !res.Converged || res.Iterations == 0 {
+		t.Errorf("zero options: result %+v, error %v; want a converged solve", res, err)
 	}
 }
 

@@ -110,7 +110,7 @@ func MulMerge(a *sparse.CSR, x, y []float64, p *PlanMerge) error {
 				// The leading row may have begun in an earlier thread,
 				// whose carry-out the fix-up adds.
 				y[rowLo] = rangeSum(a, x, kLo, a.RowPtr[rowLo+1])
-				mulRows(a.RowPtr[rowLo+1:rowHi+1], a.ColIdx, a.Val, x, y[rowLo+1:rowHi])
+				mulRows(a.RowPtr[rowLo+1:rowHi+1], a.ColIdx, a.Val, x, y[rowLo+1:rowHi], y[rowLo+1:rowHi])
 				kLo = a.RowPtr[rowHi]
 			}
 			// Trailing partial row (if the thread's range ends mid-row).

@@ -94,8 +94,9 @@ func poisoned(n int) []float64 {
 }
 
 // TestKernelsBitIdenticalEdgeCorpus checks the row kernel's contract on
-// the edge corpus: Serial and Mul1D equal the plain loop bitwise on every
-// row, and the 2D, atomic 2D and merge kernels equal it bitwise on every
+// the edge corpus: Serial, SerialDot and Mul1D equal the plain loop
+// bitwise on every row (and SerialDot's sum the plain dot after it), and
+// the 2D, atomic 2D and merge kernels equal it bitwise on every
 // row a single thread owns. Rows cut by a split point sum their parts in
 // a different order, so they only have to agree within tolerance.
 func TestKernelsBitIdenticalEdgeCorpus(t *testing.T) {
@@ -125,6 +126,21 @@ func TestKernelsBitIdenticalEdgeCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("Serial", 1, got, nil)
+		if a.Rows <= a.Cols {
+			got := poisoned(a.Rows)
+			dot, err := SerialDot(a, x, got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("SerialDot", 1, got, nil)
+			wantDot := 0.0
+			for i, v := range want {
+				wantDot += x[i] * v
+			}
+			if !bitsEqual(dot, wantDot) {
+				t.Errorf("%s: SerialDot sum %v, want %v", name, dot, wantDot)
+			}
+		}
 		for threads := 1; threads <= 4; threads++ {
 			got := poisoned(a.Rows)
 			if err := Mul1D(a, x, got, threads); err != nil {
@@ -163,20 +179,35 @@ func TestKernelsBitIdenticalEdgeCorpus(t *testing.T) {
 
 // TestMulRowsMatchesPlainLoop drives the row kernel directly on every
 // sub-range [lo, hi) of each corpus matrix, so pairs start on odd rows as
-// well as even ones.
+// well as even ones. The returned sum must equal, bitwise, a serial dot of
+// the weights with the plain loop's rows after the multiply, both for
+// separate weights and for y passed as its own weights.
 func TestMulRowsMatchesPlainLoop(t *testing.T) {
 	for name, a := range rowKernelCorpus(t) {
 		x := randomVec(rand.New(rand.NewSource(int64(a.Rows))), a.Cols)
+		w := randomVec(rand.New(rand.NewSource(int64(a.Rows)+1)), a.Rows)
 		want := make([]float64, a.Rows)
 		refMul(a, x, want)
 		for lo := 0; lo <= a.Rows; lo++ {
 			for hi := lo; hi <= a.Rows; hi++ {
+				wantDot, wantSelf := 0.0, 0.0
+				for i := lo; i < hi; i++ {
+					wantDot += w[i] * want[i]
+					wantSelf += want[i] * want[i]
+				}
 				got := poisoned(hi - lo)
-				mulRows(a.RowPtr[lo:hi+1], a.ColIdx, a.Val, x, got)
+				dot := mulRows(a.RowPtr[lo:hi+1], a.ColIdx, a.Val, x, got, w[lo:hi])
 				for i, v := range got {
 					if !bitsEqual(v, want[lo+i]) {
 						t.Fatalf("%s: rows [%d,%d): row %d = %v, want %v", name, lo, hi, lo+i, v, want[lo+i])
 					}
+				}
+				if !bitsEqual(dot, wantDot) {
+					t.Fatalf("%s: rows [%d,%d): sum %v, want %v", name, lo, hi, dot, wantDot)
+				}
+				got = poisoned(hi - lo)
+				if self := mulRows(a.RowPtr[lo:hi+1], a.ColIdx, a.Val, x, got, got); !bitsEqual(self, wantSelf) {
+					t.Fatalf("%s: rows [%d,%d) with y as weights: sum %v, want %v", name, lo, hi, self, wantSelf)
 				}
 			}
 		}

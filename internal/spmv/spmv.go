@@ -44,14 +44,33 @@ func Serial(a *sparse.CSR, x, y []float64) error {
 	return nil
 }
 
+// SerialDot computes y = A·x as Serial does and returns Σᵢ x[i]·y[i] over
+// the rows, summed in row order: bitwise the plain loop's dot(x[:Rows], y)
+// after the multiply. It is conjugate gradients' A·p product with its pᵀAp,
+// whose add chain runs under the row loop's own latency instead of as a
+// pass of its own. x must cover a.Rows as well as a.Cols.
+func SerialDot(a *sparse.CSR, x, y []float64) (float64, error) {
+	if err := checkDims(a, x, y); err != nil {
+		return 0, err
+	}
+	if len(x) < a.Rows {
+		return 0, fmt.Errorf("spmv: x has %d entries, need at least a.Rows = %d for the sum", len(x), a.Rows)
+	}
+	return mulRows(a.RowPtr, a.ColIdx, a.Val, x, y[:a.Rows], x[:a.Rows]), nil
+}
+
 func serialUnchecked(a *sparse.CSR, x, y []float64) {
-	mulRows(a.RowPtr, a.ColIdx, a.Val, x, y[:a.Rows])
+	y = y[:a.Rows]
+	mulRows(a.RowPtr, a.ColIdx, a.Val, x, y, y)
 }
 
 // mulRows is the one row kernel every multiply runs: it sets
 // y[i] = Σ val[k]·x[colIdx[k]] over k in [rowPtr[i], rowPtr[i+1]) for each
 // i < len(y), so rowPtr needs len(y)+1 entries (absolute offsets into colIdx
-// and val; pass a.RowPtr[lo:hi+1] and y[lo:hi] for rows [lo, hi)).
+// and val; pass a.RowPtr[lo:hi+1] and y[lo:hi] for rows [lo, hi)). It
+// returns Σ w[i]·y[i] over those rows, added in row order from zero, so w
+// needs len(y) entries; a caller with no use for the sum passes y as w and
+// drops it.
 //
 // It computes two rows per step, one accumulator each, so one row's add
 // chain overlaps the other's instead of every product waiting on the
@@ -59,9 +78,13 @@ func serialUnchecked(a *sparse.CSR, x, y []float64) {
 // from zero, so every output is bitwise equal to the plain one-row loop's.
 // Each row's columns and values are subslices of equal length, which lets
 // the compiler drop their bounds checks in the paired loop; x[c] keeps its
-// check.
-func mulRows(rowPtr []int, colIdx []int32, val []float64, x, y []float64) {
+// check. The weighted sum's one add per row hides under the rows' chains;
+// skipping it when unused behind a branch measured slower than always
+// paying for it.
+func mulRows(rowPtr []int, colIdx []int32, val []float64, x, y, w []float64) float64 {
 	rowPtr = rowPtr[:len(y)+1]
+	w = w[:len(y)]
+	dot := 0.0
 	i := 0
 	for ; i+1 < len(y); i += 2 {
 		k0, k1, k2 := rowPtr[i], rowPtr[i+1], rowPtr[i+2]
@@ -81,6 +104,8 @@ func mulRows(rowPtr []int, colIdx []int32, val []float64, x, y []float64) {
 			s1 += v1[j] * x[c1[j]]
 		}
 		y[i], y[i+1] = s0, s1
+		dot += w[i] * s0
+		dot += w[i+1] * s1
 	}
 	if i < len(y) {
 		k0, k1 := rowPtr[i], rowPtr[i+1]
@@ -90,7 +115,9 @@ func mulRows(rowPtr []int, colIdx []int32, val []float64, x, y []float64) {
 			s0 += v0[j] * x[c]
 		}
 		y[i] = s0
+		dot += w[i] * s0
 	}
+	return dot
 }
 
 // rangeSum returns the CSR-order sum of val[k]·x[colIdx[k]] over the
@@ -98,7 +125,7 @@ func mulRows(rowPtr []int, colIdx []int32, val []float64, x, y []float64) {
 // its range starts or ends inside that row.
 func rangeSum(a *sparse.CSR, x []float64, k0, k1 int) float64 {
 	var s [1]float64
-	mulRows([]int{k0, k1}, a.ColIdx, a.Val, x, s[:])
+	mulRows([]int{k0, k1}, a.ColIdx, a.Val, x, s[:], s[:])
 	return s[0]
 }
 
@@ -143,7 +170,7 @@ func Mul1D(a *sparse.CSR, x, y []float64, threads int) error {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			mulRows(a.RowPtr[lo:hi+1], a.ColIdx, a.Val, x, y[lo:hi])
+			mulRows(a.RowPtr[lo:hi+1], a.ColIdx, a.Val, x, y[lo:hi], y[lo:hi])
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -309,7 +336,7 @@ func (p *Plan2D) mulThread(a *sparse.CSR, x, y []float64, t int, own []partial) 
 		lo++
 	}
 	if lo < hi {
-		mulRows(a.RowPtr[lo:hi+1], a.ColIdx, a.Val, x, y[lo:hi])
+		mulRows(a.RowPtr[lo:hi+1], a.ColIdx, a.Val, x, y[lo:hi], y[lo:hi])
 	}
 	if lo <= hi && hi < a.Rows && a.RowPtr[hi] < kHi {
 		own[1] = partial{hi, rangeSum(a, x, a.RowPtr[hi], kHi)}

@@ -460,6 +460,7 @@ func TestShortVectorsRejected(t *testing.T) {
 		{"Mul2D", func(x, y []float64) error { return Mul2D(a, x, y, p2) }, okX, okY},
 		{"Mul2DAtomic", func(x, y []float64) error { return Mul2DAtomic(a, x, y, p2) }, okX, okY},
 		{"MulMerge", func(x, y []float64) error { return MulMerge(a, x, y, pm) }, okX, okY},
+		{"SerialDot", func(x, y []float64) error { _, err := SerialDot(a, x, y); return err }, okX, okY},
 	}
 	for _, c := range cases {
 		if err := c.call(c.x, c.y); err != nil {
@@ -471,6 +472,15 @@ func TestShortVectorsRejected(t *testing.T) {
 		if err := c.call(c.x, c.y[:len(c.y)-1]); err == nil {
 			t.Errorf("%s accepted short y", c.name)
 		}
+	}
+	// SerialDot also weights each row i by x[i], so on a tall matrix x
+	// must cover the rows, not just the columns.
+	tall := randomCSR(rng, 30, 20, 80)
+	if _, err := SerialDot(tall, randomVec(rng, 20), make([]float64, 30)); err == nil {
+		t.Error("SerialDot accepted an x shorter than a.Rows")
+	}
+	if _, err := SerialDot(tall, randomVec(rng, 30), make([]float64, 30)); err != nil {
+		t.Errorf("SerialDot rejected an x covering a.Rows: %v", err)
 	}
 }
 

@@ -138,9 +138,11 @@ func SpMVMerge(a *Matrix, x, y []float64, p *PlanMerge) error { return spmv.MulM
 // SpMV kernel runs each iteration's A·p product (SolveOptions.Kernel).
 type SolveOptions = solver.Options
 
-// SolveKernel selects the SpMV kernel used inside SolveCG. The planned
-// kernels build their plan once per solve and reuse it every iteration —
-// the paper's §4.7 amortization applied to kernel preprocessing.
+// SolveKernel selects the SpMV kernel used inside SolveCG above one
+// thread. The planned kernels build their plan once per solve and reuse it
+// every iteration — the paper's §4.7 amortization applied to kernel
+// preprocessing. At one thread every kernel runs the same fused serial
+// multiply, which also returns the iteration's pᵀAp.
 type SolveKernel = solver.Kernel
 
 // The CG SpMV kernels.
@@ -155,7 +157,9 @@ type SolveResult = solver.Result
 
 // SolveCG solves A·x = b for SPD A with (optionally Jacobi-preconditioned)
 // conjugate gradients built on the parallel SpMV kernels — the iterative
-// workload over which the paper's §4.7 amortises reordering costs.
+// workload over which the paper's §4.7 amortises reordering costs. It
+// rejects a non-finite or negative Tol and a negative MaxIter or Threads;
+// zero values take their defaults.
 func SolveCG(a *Matrix, b []float64, opts SolveOptions) (*SolveResult, error) {
 	return solver.CG(a, b, opts)
 }

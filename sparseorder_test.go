@@ -212,3 +212,31 @@ func TestFacadeCholeskyFactorize(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFacadeSolveCGRejectsBadOptions checks that SolveCG hands its options
+// to the solver unchanged, so options it cannot honour fail up front.
+func TestFacadeSolveCGRejectsBadOptions(t *testing.T) {
+	var a *sparseorder.Matrix
+	for _, m := range sparseorder.Collection(sparseorder.ScaleTest, 42) {
+		if m.Name == "grid2d_perm" {
+			a = m.A
+		}
+	}
+	if a == nil {
+		t.Fatal("grid2d_perm missing from collection")
+	}
+	b := make([]float64, a.Rows)
+	b[0] = 1
+	if _, err := sparseorder.SolveCG(a, b, sparseorder.SolveOptions{}); err != nil {
+		t.Fatalf("zero options: %v", err)
+	}
+	for name, opts := range map[string]sparseorder.SolveOptions{
+		"Tol NaN":    {Tol: math.NaN()},
+		"MaxIter -5": {MaxIter: -5},
+		"Threads -1": {Threads: -1, Kernel: sparseorder.SolveKernel2D},
+	} {
+		if res, err := sparseorder.SolveCG(a, b, opts); err == nil {
+			t.Errorf("%s: accepted, result %+v", name, res)
+		}
+	}
+}
