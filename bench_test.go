@@ -1,6 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper (one
 // Benchmark per experiment, per DESIGN.md's per-experiment index), plus
-// kernel, reordering and ablation micro-benchmarks.
+// kernel and reordering micro-benchmarks. The ablation benches live beside
+// the variants they measure, in internal/reorder, internal/partition and
+// internal/spmv.
 //
 // The experiment benches share one study run (the dominant cost) through
 // sync.Once and report headline values via b.ReportMetric, so
@@ -303,45 +305,6 @@ func BenchmarkReorderWorkers(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (design decisions called out in DESIGN.md) --------
-
-// BenchmarkAblationGrayThreshold sweeps the Gray dense-row threshold
-// around the paper's default of 20, reporting the Milan B model speedup.
-func BenchmarkAblationGrayThreshold(b *testing.B) {
-	machine.CacheScale = machine.CacheScaleFor(gen.ScaleTest.Factor())
-	// Mixed-stencil rows range from 7 to 27+ nonzeros, so the three
-	// thresholds genuinely change the dense/sparse split: 5 treats almost
-	// everything as dense (pure density sort), 80 treats everything as
-	// sparse (pure bitmap sort), 20 is the paper's configuration.
-	a := gen.MixedStencil3D(16, 16, 16, 0.4, 7)
-	milan, _ := machine.ByName("Milan B")
-	base := machine.EstimateSpMV(a, milan, machine.Kernel1D)
-	for _, thr := range []int{5, 20, 80} {
-		b.Run(benchName(thr), func(b *testing.B) {
-			var sp float64
-			for i := 0; i < b.N; i++ {
-				bm, _, err := reorder.Apply(reorder.Gray, a, reorder.Options{GrayDenseThreshold: thr})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sp = machine.EstimateSpMV(bm, milan, machine.Kernel1D).Gflops / base.Gflops
-			}
-			b.ReportMetric(sp, "model-speedup")
-		})
-	}
-}
-
-func benchName(thr int) string {
-	switch thr {
-	case 5:
-		return "threshold-5"
-	case 20:
-		return "threshold-20-paper"
-	default:
-		return "threshold-80"
-	}
-}
-
 // BenchmarkCholeskyFactorize times the numeric factorisation under the two
 // fill-extremes of Figure 6: AMD (least fill) vs the scrambled original.
 func BenchmarkCholeskyFactorize(b *testing.B) {
@@ -366,62 +329,6 @@ func BenchmarkCholeskyFactorize(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationNDSmall sweeps the nested-dissection recursion cutoff,
-// reporting the resulting Cholesky fill ratio.
-func BenchmarkAblationNDSmall(b *testing.B) {
-	a := gen.Scramble(gen.Grid2D(48, 48), 10)
-	for _, small := range []int{32, 128, 512} {
-		name := "cutoff-32"
-		if small == 128 {
-			name = "cutoff-128-default"
-		} else if small == 512 {
-			name = "cutoff-512"
-		}
-		b.Run(name, func(b *testing.B) {
-			var fill float64
-			for i := 0; i < b.N; i++ {
-				bm, _, err := reorder.Apply(reorder.ND, a, reorder.Options{Seed: 1, NDSmall: small})
-				if err != nil {
-					b.Fatal(err)
-				}
-				fill, err = cholesky.FillRatio(bm)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(fill, "fill-ratio")
-		})
-	}
-}
-
-// BenchmarkAblationMatching compares heavy-edge and random matching in the
-// partitioner's coarsening, reporting the resulting edge cut.
-func BenchmarkAblationMatching(b *testing.B) {
-	g, err := graph.FromMatrixSymmetrizedWorkers(gen.Grid2D(100, 100), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name  string
-		strat partition.MatchingStrategy
-	}{
-		{"heavy-edge", partition.HeavyEdgeMatching},
-		{"random", partition.RandomMatching},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var cut int
-			for i := 0; i < b.N; i++ {
-				_, c, err := partition.KWay(g, 16, partition.Options{Seed: 1, Matching: tc.strat})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cut = c
-			}
-			b.ReportMetric(float64(cut), "edge-cut")
-		})
-	}
-}
-
 // BenchmarkParallelBisection measures the deterministic parallel recursive
 // bisection against the serial baseline (identical output, see the
 // partition tests).
@@ -432,46 +339,16 @@ func BenchmarkParallelBisection(b *testing.B) {
 	}
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := partition.KWay(g, 32, partition.Options{Seed: 2, Workers: 1}); err != nil {
+			if _, err := partition.KWay(g, 32, partition.Options{Seed: 2, Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := partition.KWay(g, 32, partition.Options{Seed: 2, Workers: 0}); err != nil {
+			if _, err := partition.KWay(g, 32, partition.Options{Seed: 2, Workers: 0}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-}
-
-// BenchmarkAblationHPObjective compares the HP ordering under PaToH's two
-// objectives (paper §3.3: the study uses cut-net), reporting the model
-// speedup on Milan B.
-func BenchmarkAblationHPObjective(b *testing.B) {
-	machine.CacheScale = machine.CacheScaleFor(gen.ScaleTest.Factor())
-	a := gen.Scramble(gen.Grid2D(80, 80), 13)
-	milan, _ := machine.ByName("Milan B")
-	base := machine.EstimateSpMV(a, milan, machine.Kernel1D)
-	for _, tc := range []struct {
-		name string
-		obj  reorder.HPObjective
-	}{
-		{"cut-net-paper", reorder.CutNet},
-		{"connectivity", reorder.Connectivity},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var sp float64
-			for i := 0; i < b.N; i++ {
-				bm, _, err := reorder.Apply(reorder.HP, a,
-					reorder.Options{Seed: 1, Parts: milan.Cores, HPObjective: tc.obj})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sp = machine.EstimateSpMV(bm, milan, machine.Kernel1D).Gflops / base.Gflops
-			}
-			b.ReportMetric(sp, "model-speedup")
-		})
-	}
 }

@@ -8,18 +8,23 @@ import (
 	"sparseorder/internal/par"
 )
 
-// Options control the hypergraph partitioner; zero values take defaults.
+// The partitioner's fixed configuration: the PaToH-style settings the
+// study runs HP with.
+const (
+	imbalance    = 0.03 // allowed relative imbalance ε of each side
+	coarsenTo    = 64   // coarsening stops at this many vertices
+	initTrials   = 4    // BFS-growing attempts of the initial bisection
+	refinePasses = 6    // FM passes per level at most
+)
+
+// Options control a run of the hypergraph partitioner.
 type Options struct {
-	Seed         int64
-	Imbalance    float64 // default 0.03
-	CoarsenTo    int     // default 64
-	InitTrials   int     // default 4
-	RefinePasses int     // default 6
+	Seed int64
 	// Workers bounds the goroutines of the parallel recursive bisection
-	// in KWay and KWayConnectivity (0 = GOMAXPROCS, 1 = the exact serial
-	// recursion). Every branch derives its own deterministic RNG seed and
-	// writes a disjoint slice of the part assignment, so results are
-	// byte-identical at any worker count.
+	// in KWay (0 = GOMAXPROCS, 1 = the exact serial recursion). Every
+	// branch derives its own deterministic RNG seed and writes a disjoint
+	// slice of the part assignment, so results are byte-identical at any
+	// worker count.
 	Workers int
 	// Cancel, when non-nil, is polled at every bisection branch, coarsening
 	// level, initial trial and refinement pass; once closed the partitioner
@@ -35,32 +40,15 @@ type Options struct {
 	Obs *obs.Obs
 }
 
-func (o Options) withDefaults() Options {
-	if o.Imbalance == 0 {
-		o.Imbalance = 0.03
-	}
-	if o.CoarsenTo == 0 {
-		o.CoarsenTo = 64
-	}
-	if o.InitTrials == 0 {
-		o.InitTrials = 4
-	}
-	if o.RefinePasses == 0 {
-		o.RefinePasses = 6
-	}
-	return o
-}
-
 // Bisect splits the hypergraph's vertices into two sides, side 0 receiving
 // roughly frac of the total vertex weight, minimising the cut-net metric
 // through the full multilevel scheme.
 func Bisect(h *Hypergraph, frac float64, opts Options, rng *rand.Rand) []uint8 {
-	opts = opts.withDefaults()
 	if h.V == 0 {
 		return nil
 	}
 	tm := opts.Obs.Phase("hypergraph/coarsen").Start()
-	levels := coarsen(h, opts.CoarsenTo, rng, opts.Cancel)
+	levels := coarsen(h, coarsenTo, rng, opts.Cancel)
 	tm.Stop()
 	coarsest := h
 	if len(levels) > 0 {
@@ -101,7 +89,7 @@ func initialBisection(h *Hypergraph, frac float64, opts Options, rng *rand.Rand)
 	best := make([]uint8, h.V)
 	bestCut := -1
 	trial := make([]uint8, h.V)
-	for t := 0; t < opts.InitTrials; t++ {
+	for t := 0; t < initTrials; t++ {
 		if t > 0 && par.Canceled(opts.Cancel) {
 			break // keep the best trial so far; the caller bails out next check
 		}
@@ -155,25 +143,25 @@ func initialBisection(h *Hypergraph, frac float64, opts Options, rng *rand.Rand)
 // The gain of moving v is (nets that become internal) - (nets that become
 // cut), maintained from per-net side pin counts.
 func fmRefine(h *Hypergraph, side []uint8, frac float64, opts Options) {
-	total := h.TotalVertexWeight()
-	maxW := [2]int{
-		int(float64(total) * frac * (1 + opts.Imbalance)),
-		int(float64(total) * (1 - frac) * (1 + opts.Imbalance)),
-	}
-	if maxW[0] <= 0 {
-		maxW[0] = 1
-	}
-	if maxW[1] <= 0 {
-		maxW[1] = 1
-	}
+	maxW := sideCaps(h, frac)
 	st := newFMState(h)
-	for pass := 0; pass < opts.RefinePasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		if par.Canceled(opts.Cancel) {
 			return
 		}
 		if !fmPassFast(h, side, maxW, st) {
 			break
 		}
+	}
+}
+
+// sideCaps returns the weight caps of sides 0 and 1, (1+ε)·frac·total and
+// (1+ε)·(1-frac)·total, each at least 1.
+func sideCaps(h *Hypergraph, frac float64) [2]int {
+	total := h.TotalVertexWeight()
+	return [2]int{
+		max(int(float64(total)*frac*(1+imbalance)), 1),
+		max(int(float64(total)*(1-frac)*(1+imbalance)), 1),
 	}
 }
 

@@ -194,17 +194,12 @@ func fmPass(h *Hypergraph, side []uint8, maxW [2]int) bool {
 // number of passes that improved the cut.
 func fmOracleCase(t *testing.T, name string, h *Hypergraph, start []uint8, frac float64) int {
 	t.Helper()
-	opts := Options{}.withDefaults()
-	total := h.TotalVertexWeight()
-	maxW := [2]int{
-		max(int(float64(total)*frac*(1+opts.Imbalance)), 1),
-		max(int(float64(total)*(1-frac)*(1+opts.Imbalance)), 1),
-	}
+	maxW := sideCaps(h, frac)
 	refSide := append([]uint8(nil), start...)
 	leanSide := append([]uint8(nil), start...)
 	st := newFMState(h)
 	improved := 0
-	for pass := 0; pass < 2*opts.RefinePasses; pass++ {
+	for pass := 0; pass < 2*refinePasses; pass++ {
 		ref := fmPass(h, refSide, maxW)
 		lean := fmPassFast(h, leanSide, maxW, st)
 		if ref != lean || !bytes.Equal(refSide, leanSide) {
@@ -223,8 +218,8 @@ func fmOracleCase(t *testing.T, name string, h *Hypergraph, start []uint8, frac 
 // coarsening level of a scrambled grid's column-net hypergraph (coarse
 // levels carry vertex weights); a hypergraph whose dense nets exceed
 // maxUpdateNetSize pins; one with single-pin and empty nets; and the
-// sub-hypergraphs that KWay (cut nets dropped) and KWayConnectivity (cut
-// nets split) recurse into. rng drives the coarsening and the bisection
+// sub-hypergraphs that KWay (cut nets dropped) and a connectivity-1
+// recursion (cut nets split, see splitNets) recurse into. rng drives the coarsening and the bisection
 // the sub-hypergraphs come from. It returns them with their names in a
 // fixed order, which keeps random sides drawn while iterating
 // reproducible.
@@ -282,7 +277,7 @@ func fmFixtures(t *testing.T, rng *rand.Rand) ([]string, map[string]*Hypergraph)
 		}
 	}
 	hs["kway/induced"], _ = induced(grid, left)
-	hs["kwayconnectivity/induced"], _ = inducedSplit(grid, left)
+	hs["kwayconnectivity/induced"] = splitNets(grid, left)
 
 	names := make([]string, 0, len(hs))
 	for name := range hs {
@@ -292,11 +287,43 @@ func fmFixtures(t *testing.T, rng *rand.Rand) ([]string, map[string]*Hypergraph)
 	return names, hs
 }
 
+// splitNets is the sub-hypergraph on verts with every net restricted to
+// its pins in verts and kept if at least two remain: the subproblem rule
+// of the connectivity-1 recursion, which internal/reorder keeps as an
+// ablation.
+func splitNets(root *Hypergraph, verts []int32) *Hypergraph {
+	local := make([]int32, root.V)
+	for i := range local {
+		local[i] = -1
+	}
+	sub := &Hypergraph{V: len(verts), NPtr: []int{0}, VWgt: make([]int32, len(verts))}
+	for i, v := range verts {
+		local[v] = int32(i)
+		sub.VWgt[i] = int32(root.VertexWeight(int(v)))
+	}
+	for n := 0; n < root.Nets; n++ {
+		start := len(sub.NPins)
+		for _, u := range root.Pins(n) {
+			if local[u] >= 0 {
+				sub.NPins = append(sub.NPins, local[u])
+			}
+		}
+		if len(sub.NPins)-start < 2 {
+			sub.NPins = sub.NPins[:start]
+			continue
+		}
+		sub.NPtr = append(sub.NPtr, len(sub.NPins))
+	}
+	sub.Nets = len(sub.NPtr) - 1
+	sub.BuildVertexIncidence()
+	return sub
+}
+
 // fmStarts calls run with the initial bisection of h and with random
 // sides, for an even and an uneven split.
 func fmStarts(h *Hypergraph, rng *rand.Rand, run func(kind string, start []uint8, frac float64)) {
 	for _, frac := range []float64{0.5, 0.6} {
-		run("initial", initialBisection(h, frac, Options{}.withDefaults(), rng), frac)
+		run("initial", initialBisection(h, frac, Options{}, rng), frac)
 		random := make([]uint8, h.V)
 		for v := range random {
 			random[v] = uint8(rng.Intn(2))
@@ -346,16 +373,11 @@ func cutNets(h *Hypergraph, side []uint8) int {
 func TestFMPassNeverWorsensCut(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	names, hs := fmFixtures(t, rng)
-	opts := Options{}.withDefaults()
 	lowered := 0
 	for _, name := range names {
 		h := hs[name]
 		fmStarts(h, rng, func(kind string, start []uint8, frac float64) {
-			total := h.TotalVertexWeight()
-			maxW := [2]int{
-				max(int(float64(total)*frac*(1+opts.Imbalance)), 1),
-				max(int(float64(total)*(1-frac)*(1+opts.Imbalance)), 1),
-			}
+			maxW := sideCaps(h, frac)
 			weights := func(side []uint8) [2]int {
 				var w [2]int
 				for v, s := range side {

@@ -1,7 +1,9 @@
 // Package hypergraph implements a multilevel hypergraph partitioner in the
 // style of PaToH, specialised to the configuration the study uses:
 // column-net model, cut-net objective, recursive bisection to k parts,
-// first-choice coarsening and FM refinement.
+// first-choice coarsening and FM refinement. Its settings are constants;
+// Options sets only the seed, the worker count, cancellation and
+// observability.
 package hypergraph
 
 import (
@@ -134,29 +136,4 @@ func CutNet(h *Hypergraph, part []int32) int {
 		}
 	}
 	return cut
-}
-
-// ConnectivityMinusOne returns the connectivity-1 metric: the sum over nets
-// of (number of parts spanned - 1). For the column-net model this equals
-// the communication volume of parallel SpMV.
-func ConnectivityMinusOne(h *Hypergraph, part []int32, k int) int {
-	mark := make([]int, k)
-	for i := range mark {
-		mark[i] = -1
-	}
-	total := 0
-	for n := 0; n < h.Nets; n++ {
-		spanned := 0
-		for _, v := range h.Pins(n) {
-			p := part[v]
-			if mark[p] != n {
-				mark[p] = n
-				spanned++
-			}
-		}
-		if spanned > 1 {
-			total += spanned - 1
-		}
-	}
-	return total
 }

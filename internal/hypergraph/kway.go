@@ -11,16 +11,15 @@ import (
 // KWay partitions the hypergraph into k parts by recursive bisection under
 // the cut-net objective. Following the standard recursive scheme for the
 // cut-net metric, nets cut by a bisection are already paid for and are
-// excluded from the subproblems. Returns the part of each vertex and the
-// final cut-net value.
-func KWay(h *Hypergraph, k int, opts Options) ([]int32, int, error) {
+// excluded from the subproblems. It returns the part of each vertex;
+// CutNet measures the result.
+func KWay(h *Hypergraph, k int, opts Options) ([]int32, error) {
 	if k < 1 {
-		return nil, 0, fmt.Errorf("hypergraph: k must be >= 1, got %d", k)
+		return nil, fmt.Errorf("hypergraph: k must be >= 1, got %d", k)
 	}
-	opts = opts.withDefaults()
 	part := make([]int32, h.V)
 	if k == 1 {
-		return part, 0, nil
+		return part, nil
 	}
 	verts := make([]int32, h.V)
 	for i := range verts {
@@ -28,9 +27,9 @@ func KWay(h *Hypergraph, k int, opts Options) ([]int32, int, error) {
 	}
 	recursive(h, verts, 0, k, part, opts, opts.Seed, par.NewLimiter(opts.Workers))
 	if par.Canceled(opts.Cancel) {
-		return nil, 0, context.Canceled
+		return nil, context.Canceled
 	}
-	return part, CutNet(h, part), nil
+	return part, nil
 }
 
 // forkMinVerts is the branch size below which the recursive bisections

@@ -8,32 +8,26 @@ import (
 
 // TestKWayWorkersByteIdentical checks the parallel recursive bisection's
 // determinism contract above the fork threshold (5184 vertices >
-// forkMinVerts): the part assignment and cut of both objectives must be
-// byte-identical at every worker count. Run under -race in CI this also
-// exercises the forked branches for data races.
+// forkMinVerts): the part assignment must be byte-identical at every
+// worker count. Run under -race in CI this also exercises the forked
+// branches for data races.
 func TestKWayWorkersByteIdentical(t *testing.T) {
 	h := ColumnNet(gen.Scramble(gen.Grid2D(72, 72), 5))
 	if h.V <= forkMinVerts {
 		t.Fatalf("test hypergraph has %d vertices, need > %d to fork", h.V, forkMinVerts)
 	}
-	type kway func(*Hypergraph, int, Options) ([]int32, int, error)
-	for name, fn := range map[string]kway{"cutnet": KWay, "connectivity": KWayConnectivity} {
-		want, cutS, err := fn(h, 8, Options{Seed: 4, Workers: 1})
+	want, err := KWay(h, 8, Options{Seed: 4, Workers: 1})
+	if err != nil {
+		t.Fatalf("serial: %v", err)
+	}
+	for _, w := range []int{2, 4, 7, 0} {
+		got, err := KWay(h, 8, Options{Seed: 4, Workers: w})
 		if err != nil {
-			t.Fatalf("%s serial: %v", name, err)
+			t.Fatalf("workers=%d: %v", w, err)
 		}
-		for _, w := range []int{2, 4, 7, 0} {
-			got, cut, err := fn(h, 8, Options{Seed: 4, Workers: w})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, w, err)
-			}
-			if cut != cutS {
-				t.Fatalf("%s workers=%d: cut %d != serial %d", name, w, cut, cutS)
-			}
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("%s workers=%d: partition differs from serial at vertex %d", name, w, v)
-				}
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("workers=%d: partition differs from serial at vertex %d", w, v)
 			}
 		}
 	}

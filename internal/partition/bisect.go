@@ -17,12 +17,11 @@ import (
 // partition/initial and partition/refine duration histograms. g, or the
 // graph it was induced from, must pass CheckEdgeWeights.
 func Bisect(g *graph.Graph, frac float64, opts Options, rng *rand.Rand) []uint8 {
-	opts = opts.withDefaults()
 	if g.N == 0 {
 		return nil
 	}
 	tm := opts.Obs.Phase("partition/coarsen").Start()
-	levels := coarsen(g, opts, rng)
+	levels := coarsen(g, coarsenTo, opts, rng)
 	tm.Stop()
 	coarsest := g
 	if len(levels) > 0 {
@@ -78,13 +77,13 @@ func Bisect(g *graph.Graph, frac float64, opts Options, rng *rand.Rand) []uint8 
 func initialBisection(g *graph.Graph, frac float64, opts Options, rng *rand.Rand) []uint8 {
 	total := g.TotalVertexWeight()
 	target := int(frac * float64(total))
-	max0 := int(float64(total) * frac * (1 + opts.Imbalance))
-	max1 := int(float64(total) * (1 - frac) * (1 + opts.Imbalance))
+	max0 := int(float64(total) * frac * (1 + imbalance))
+	max1 := int(float64(total) * (1 - frac) * (1 + imbalance))
 	best := make([]uint8, g.N)
 	bestCut := -1
 	bestBalanced := false
 	trial := make([]uint8, g.N)
-	for t := 0; t < opts.InitTrials; t++ {
+	for t := 0; t < initTrials; t++ {
 		if t > 0 && par.Canceled(opts.Cancel) {
 			break // keep the best trial so far; the caller bails out next check
 		}
@@ -160,13 +159,13 @@ func cutOf(g *graph.Graph, side []uint8) int {
 // dissection check CheckEdgeWeights once on their input graph and
 // coarsening never raises the total edge weight.
 func fmRefine(g *graph.Graph, side []uint8, frac float64, opts Options, fb *fmBuffers) {
-	max0, max1 := fmCaps(g, frac, opts.Imbalance)
+	max0, max1 := fmCaps(g, frac)
 	w := [2]int{}
 	for v := 0; v < g.N; v++ {
 		w[side[v]] += g.VertexWeight(v)
 	}
 	gain, locked, st := fb.level(g.N)
-	for pass := 0; pass < opts.RefinePasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		if par.Canceled(opts.Cancel) {
 			return
 		}
@@ -178,7 +177,7 @@ func fmRefine(g *graph.Graph, side []uint8, frac float64, opts Options, fb *fmBu
 
 // fmCaps returns the weight caps of sides 0 and 1, (1+ε)·frac·total and
 // (1+ε)·(1-frac)·total, each at least 1.
-func fmCaps(g *graph.Graph, frac, imbalance float64) (max0, max1 int) {
+func fmCaps(g *graph.Graph, frac float64) (max0, max1 int) {
 	total := g.TotalVertexWeight()
 	max0 = max(int(float64(total)*frac*(1+imbalance)), 1)
 	max1 = max(int(float64(total)*(1-frac)*(1+imbalance)), 1)

@@ -39,9 +39,8 @@ func starGraph(hubW, n int) *graph.Graph {
 // either the hub alone or the six leaves (cut 6).
 func TestInitialBisectionPrefersBalanced(t *testing.T) {
 	g := starGraph(6, 6) // total weight 12, target 6, max side 6 at ε=0.03
-	opts := Options{}.withDefaults()
 	for seed := int64(0); seed < 8; seed++ {
-		side := initialBisection(g, 0.5, opts, rand.New(rand.NewSource(seed)))
+		side := initialBisection(g, 0.5, Options{}, rand.New(rand.NewSource(seed)))
 		w := 0
 		for v, s := range side {
 			if s == 0 {
@@ -65,8 +64,7 @@ func TestInitialBisectionUnbalancedFallback(t *testing.T) {
 		Adj:  []int32{1, 0, 2, 1},
 		VWgt: []int32{1, 10, 1},
 	}
-	opts := Options{}.withDefaults()
-	side := initialBisection(g, 0.5, opts, rand.New(rand.NewSource(1)))
+	side := initialBisection(g, 0.5, Options{}, rand.New(rand.NewSource(1)))
 	if side[0] != 0 || side[2] != 0 || side[1] != 1 {
 		t.Fatalf("fallback bisection = %v, want the light vertices on side 0", side)
 	}

@@ -18,10 +18,10 @@ type level struct {
 
 // matchVertices computes a matching: vertices are visited in random order
 // and each unmatched one is paired with an unmatched neighbour, the one
-// joined by the heaviest edge under HeavyEdgeMatching, the first one under
-// RandomMatching (the ablation baseline). It returns match[v] = partner
+// joined by the heaviest edge under heavyEdgeMatching, the first one under
+// randomMatching (the ablation baseline). It returns match[v] = partner
 // (or v itself when unmatched) and the number of coarse vertices.
-func matchVertices(g *graph.Graph, rng *rand.Rand, strategy MatchingStrategy) ([]int32, int) {
+func matchVertices(g *graph.Graph, rng *rand.Rand, strategy matchingStrategy) ([]int32, int) {
 	match := make([]int32, g.N)
 	for i := range match {
 		match[i] = -1
@@ -39,7 +39,7 @@ func matchVertices(g *graph.Graph, rng *rand.Rand, strategy MatchingStrategy) ([
 			if match[v] >= 0 {
 				continue
 			}
-			if strategy == RandomMatching {
+			if strategy == randomMatching {
 				best = v
 				break
 			}
@@ -133,16 +133,16 @@ func contract(g *graph.Graph, match []int32, nCoarse int, rows *contractRows) (*
 }
 
 // coarsen builds the multilevel hierarchy until the graph has at most
-// opts.CoarsenTo vertices or matching stops making progress.
-func coarsen(g *graph.Graph, opts Options, rng *rand.Rand) []level {
+// coarseTo vertices or matching stops making progress.
+func coarsen(g *graph.Graph, coarseTo int, opts Options, rng *rand.Rand) []level {
 	var levels []level
 	var rows contractRows
 	cur := g
-	for cur.N > opts.CoarsenTo {
+	for cur.N > coarseTo {
 		if par.Canceled(opts.Cancel) {
 			break // stop building levels; the caller unwinds at its next check
 		}
-		match, nCoarse := matchVertices(cur, rng, opts.Matching)
+		match, nCoarse := matchVertices(cur, rng, opts.matching)
 		if float64(nCoarse) > 0.95*float64(cur.N) {
 			break // matching stagnated (e.g. star graphs)
 		}

@@ -178,10 +178,7 @@ func heapDown(h *fmHeap, i0, n int) {
 // returns the number of passes that improved the cut.
 func fmOracleCase(t *testing.T, name string, g *graph.Graph, start []uint8, frac float64) int {
 	t.Helper()
-	opts := Options{}.withDefaults()
-	total := g.TotalVertexWeight()
-	max0 := max(int(float64(total)*frac*(1+opts.Imbalance)), 1)
-	max1 := max(int(float64(total)*(1-frac)*(1+opts.Imbalance)), 1)
+	max0, max1 := fmCaps(g, frac)
 	refSide := append([]uint8(nil), start...)
 	leanSide := append([]uint8(nil), start...)
 	var wRef [2]int
@@ -193,7 +190,7 @@ func fmOracleCase(t *testing.T, name string, g *graph.Graph, start []uint8, frac
 	gainLean, lockedLean := make([]int, g.N), make([]bool, g.N)
 	var st fmFastState
 	improved := 0
-	for pass := 0; pass < 2*opts.RefinePasses; pass++ {
+	for pass := 0; pass < 2*refinePasses; pass++ {
 		ref := fmPass(g, refSide, gainRef, lockedRef, &wRef, max0, max1)
 		lean := fmPassFast(g, leanSide, gainLean, lockedLean, &wLean, max0, max1, &st)
 		if ref != lean || wRef != wLean || !bytes.Equal(refSide, leanSide) {
@@ -224,7 +221,7 @@ func fmFixtures(t *testing.T, rng *rand.Rand) ([]string, map[string]*graph.Graph
 		t.Fatal(err)
 	}
 	graphs := map[string]*graph.Graph{"kron": kron, "cliques": twoCliquesBridge(t, 12)}
-	levels := coarsen(grid, Options{CoarsenTo: 16}.withDefaults(), rng)
+	levels := coarsen(grid, 16, Options{}, rng)
 	graphs["grid"] = grid
 	weighted := false
 	for i, lv := range levels {
@@ -246,7 +243,7 @@ func fmFixtures(t *testing.T, rng *rand.Rand) ([]string, map[string]*graph.Graph
 // sides, for an even and an uneven split.
 func fmStarts(g *graph.Graph, rng *rand.Rand, run func(kind string, start []uint8, frac float64)) {
 	for _, frac := range []float64{0.5, 0.6} {
-		run("initial", initialBisection(g, frac, Options{}.withDefaults(), rng), frac)
+		run("initial", initialBisection(g, frac, Options{}, rng), frac)
 		random := make([]uint8, g.N)
 		for v := range random {
 			random[v] = uint8(rng.Intn(2))
@@ -288,13 +285,12 @@ func TestCarriedFMMatchesReference(t *testing.T) {
 	for _, g := range graphs {
 		maxN = max(maxN, g.N)
 	}
-	opts := Options{}.withDefaults()
 	fb := newFMBuffers(maxN)
 	carried := 0
 	for _, name := range names {
 		g := graphs[name]
 		fmStarts(g, rng, func(kind string, start []uint8, frac float64) {
-			max0, max1 := fmCaps(g, frac, opts.Imbalance)
+			max0, max1 := fmCaps(g, frac)
 			refSide := append([]uint8(nil), start...)
 			side := append([]uint8(nil), start...)
 			var wRef [2]int
@@ -303,7 +299,7 @@ func TestCarriedFMMatchesReference(t *testing.T) {
 			}
 			w := wRef
 			gain, locked, st := fb.level(g.N)
-			for pass := 0; pass < opts.RefinePasses; pass++ {
+			for pass := 0; pass < refinePasses; pass++ {
 				if pass > 0 {
 					carried++
 				}
@@ -318,7 +314,7 @@ func TestCarriedFMMatchesReference(t *testing.T) {
 				}
 			}
 			refined := append([]uint8(nil), start...)
-			fmRefine(g, refined, frac, opts, fb)
+			fmRefine(g, refined, frac, Options{}, fb)
 			if !bytes.Equal(refined, side) {
 				t.Fatalf("%s/%s frac=%.2f: fmRefine ends on other sides than its passes run one by one", name, kind, frac)
 			}
@@ -337,14 +333,11 @@ func TestCarriedFMMatchesReference(t *testing.T) {
 func TestFMPassNeverWorsensCut(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	names, graphs := fmFixtures(t, rng)
-	opts := Options{}.withDefaults()
 	lowered := 0
 	for _, name := range names {
 		g := graphs[name]
 		fmStarts(g, rng, func(kind string, start []uint8, frac float64) {
-			total := g.TotalVertexWeight()
-			max0 := max(int(float64(total)*frac*(1+opts.Imbalance)), 1)
-			max1 := max(int(float64(total)*(1-frac)*(1+opts.Imbalance)), 1)
+			max0, max1 := fmCaps(g, frac)
 			caps := [2]int{max0, max1}
 			weights := func(side []uint8) [2]int {
 				var w [2]int
@@ -394,11 +387,11 @@ func TestKWayRejectsOversizedEdgeWeights(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := KWay(g, 2, Options{Seed: 1}); err == nil {
+	if _, err := KWay(g, 2, Options{Seed: 1}); err == nil {
 		t.Fatal("KWay accepted a graph whose total edge weight exceeds int32")
 	}
 	g.EWgt = []int32{1, 1, 1, 1}
-	if _, _, err := KWay(g, 2, Options{Seed: 1}); err != nil {
+	if _, err := KWay(g, 2, Options{Seed: 1}); err != nil {
 		t.Fatalf("KWay rejected a small graph: %v", err)
 	}
 }

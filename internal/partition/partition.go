@@ -2,7 +2,10 @@
 // of METIS: heavy-edge-matching coarsening, greedy-graph-growing initial
 // bisection, Fiduccia-Mattheyses boundary refinement during uncoarsening,
 // recursive bisection to k parts with the edge-cut objective, and
-// vertex-separator extraction for nested dissection.
+// vertex-separator extraction for nested dissection. Its settings
+// (imbalance, coarsening size, initial trials, refinement passes) are the
+// constants the study runs with; Options sets only the seed, the worker
+// count, cancellation and observability.
 package partition
 
 import (
@@ -15,30 +18,30 @@ import (
 	"sparseorder/internal/par"
 )
 
-// Options control the partitioner. The zero value is usable; fields set to
-// zero assume the documented defaults.
+// The partitioner's fixed configuration: METIS-style settings the study
+// runs GP and ND with.
+const (
+	// imbalance is the allowed relative imbalance ε: every part may weigh
+	// at most (1+ε)·(total/parts), METIS' default load-balance tolerance.
+	imbalance = 0.03
+	// coarsenTo stops coarsening once the graph has at most this many
+	// vertices.
+	coarsenTo = 64
+	// initTrials is the number of greedy-graph-growing attempts for the
+	// initial bisection; the lowest-cut balanced attempt wins. The
+	// balanced-attempt preference (see initialBisection) discards
+	// overweight trials, so a few extra attempts keep the candidate pool
+	// for the cut comparison as large as it was when every trial competed.
+	initTrials = 6
+	// refinePasses bounds the number of FM passes per level.
+	refinePasses = 8
+)
+
+// Options control a run of the partitioner. The zero value is usable.
 type Options struct {
 	// Seed drives the randomized matching and initial-partition trials so
 	// results are reproducible.
 	Seed int64
-	// Imbalance is the allowed relative imbalance ε: every part may weigh
-	// at most (1+ε)·(total/parts). Default 0.03, matching METIS' default
-	// load-balance tolerance.
-	Imbalance float64
-	// CoarsenTo stops coarsening once the graph has at most this many
-	// vertices. Default 64.
-	CoarsenTo int
-	// InitTrials is the number of greedy-graph-growing attempts for the
-	// initial bisection; the lowest-cut balanced attempt wins. Default 6:
-	// the balanced-attempt preference (see initialBisection) discards
-	// overweight trials, so a few extra attempts keep the candidate pool
-	// for the cut comparison as large as it was when every trial competed.
-	InitTrials int
-	// RefinePasses bounds the number of FM passes per level. Default 8.
-	RefinePasses int
-	// Matching selects the coarsening matching strategy; HeavyEdgeMatching
-	// (default) is what METIS uses, RandomMatching is kept as an ablation.
-	Matching MatchingStrategy
 	// Workers bounds the goroutines of the parallel recursive bisection:
 	// the two branches of each bisection above parallelMinVerts vertices
 	// run as par.Limiter fork-join tasks, so at most Workers goroutines
@@ -64,64 +67,51 @@ type Options struct {
 	// traffic, so deep recursions stay cheap. Nil disables timing
 	// entirely (the clock is not even read).
 	Obs *obs.Obs
+
+	// matching selects the coarsening matching strategy. Production runs
+	// heavy-edge matching, as METIS does; the tests set randomMatching
+	// for the matching ablation.
+	matching matchingStrategy
 }
 
-// MatchingStrategy selects how vertices are matched during coarsening.
-type MatchingStrategy int
+// matchingStrategy selects how vertices are matched during coarsening.
+type matchingStrategy int
 
 // Coarsening matching strategies.
 const (
-	HeavyEdgeMatching MatchingStrategy = iota
-	RandomMatching
+	heavyEdgeMatching matchingStrategy = iota
+	randomMatching
 )
-
-func (o Options) withDefaults() Options {
-	if o.Imbalance == 0 {
-		o.Imbalance = 0.03
-	}
-	if o.CoarsenTo == 0 {
-		o.CoarsenTo = 64
-	}
-	if o.InitTrials == 0 {
-		o.InitTrials = 6
-	}
-	if o.RefinePasses == 0 {
-		o.RefinePasses = 8
-	}
-	return o
-}
 
 // KWay partitions g into k parts by recursive bisection, minimising edge
 // cut subject to the balance tolerance. It returns the part id of every
-// vertex and the achieved edge cut (sum of weights of edges whose
-// endpoints land in different parts). A graph whose total edge weight
+// vertex; EdgeCut measures the result. A graph whose total edge weight
 // fails CheckEdgeWeights is rejected with an error.
-func KWay(g *graph.Graph, k int, opts Options) ([]int32, int, error) {
-	parts, cuts, err := KWayMulti(g, []int{k}, opts)
+func KWay(g *graph.Graph, k int, opts Options) ([]int32, error) {
+	parts, err := KWayMulti(g, []int{k}, opts)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return parts[0], cuts[0], nil
+	return parts[0], nil
 }
 
 // KWayMulti partitions g once for every part count in ks, returning the
-// part assignments and edge cuts in ks order. Each result is
+// part assignments in ks order. Each result is
 // byte-identical to KWay(g, ks[i], opts), but the part counts share the
 // recursion nodes they have in common: a node's bisection depends only on
 // its vertex set, its seed and its split fraction, so it runs once for
 // every part count that reaches it with the same fraction (64 and 128
 // parts agree on every node of the 64-part recursion, 48 and 64 parts on
 // the first four levels).
-func KWayMulti(g *graph.Graph, ks []int, opts Options) ([][]int32, []int, error) {
+func KWayMulti(g *graph.Graph, ks []int, opts Options) ([][]int32, error) {
 	for _, k := range ks {
 		if k < 1 {
-			return nil, nil, fmt.Errorf("partition: k must be >= 1, got %d", k)
+			return nil, fmt.Errorf("partition: k must be >= 1, got %d", k)
 		}
 	}
 	if err := CheckEdgeWeights(g); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	opts = opts.withDefaults()
 	parts := make([][]int32, len(ks))
 	var jobs []kwayJob
 	for i, k := range ks {
@@ -134,15 +124,9 @@ func KWayMulti(g *graph.Graph, ks []int, opts Options) ([][]int32, []int, error)
 	}
 	recursiveBisect(g, orig, jobs, opts, opts.Seed, par.NewLimiter(opts.Workers))
 	if par.Canceled(opts.Cancel) {
-		return nil, nil, context.Canceled
+		return nil, context.Canceled
 	}
-	cuts := make([]int, len(ks))
-	for i, k := range ks {
-		if k > 1 {
-			cuts[i] = EdgeCut(g, parts[i])
-		}
-	}
-	return parts, cuts, nil
+	return parts, nil
 }
 
 // parallelMinVerts is the branch size below which recursiveBisect stops

@@ -29,7 +29,7 @@ func graphPartitionOrder(g *graph.Graph, opts Options, done <-chan struct{}) (sp
 // graphPartitionOrders is graphPartitionOrder for several part counts,
 // which share their common bisections.
 func graphPartitionOrders(g *graph.Graph, parts []int, opts Options, done <-chan struct{}) ([]sparse.Perm, error) {
-	assign, _, err := partition.KWayMulti(g, parts, partition.Options{
+	assign, err := partition.KWayMulti(g, parts, partition.Options{
 		Seed:    opts.Seed,
 		Workers: opts.Workers,
 		Cancel:  done,
@@ -53,19 +53,12 @@ func graphPartitionOrders(g *graph.Graph, parts []int, opts Options, done <-chan
 func hypergraphPartitionOrder(a *sparse.CSR, opts Options, done <-chan struct{}) (sparse.Perm, error) {
 	opts = opts.withDefaults()
 	h := hypergraph.ColumnNet(a)
-	hopts := hypergraph.Options{
+	part, err := hypergraph.KWay(h, opts.Parts, hypergraph.Options{
 		Seed:    opts.Seed,
 		Workers: opts.Workers,
 		Cancel:  done,
 		Obs:     opts.obs,
-	}
-	var part []int32
-	var err error
-	if opts.HPObjective == Connectivity {
-		part, _, err = hypergraph.KWayConnectivity(h, opts.Parts, hopts)
-	} else {
-		part, _, err = hypergraph.KWay(h, opts.Parts, hopts)
-	}
+	})
 	if err != nil {
 		return nil, err
 	}

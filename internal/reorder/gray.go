@@ -6,27 +6,28 @@ import (
 	"sparseorder/internal/sparse"
 )
 
-// grayOrder computes the Gray ordering of Zhao et al. (paper §2.1.4) with
-// the parameters the study uses: rows with more than opts.GrayDenseThreshold
-// (default 20) nonzeros form the dense submatrix and are grouped by
-// descending density (density reordering, aimed at branch prediction);
-// the remaining sparse rows are each summarised by an
-// opts.GrayBitmapBits-bit (default 16) occupancy bitmap over equal column
-// sections and ordered by the rank of the bitmap in the reflected Gray-code
-// sequence, placing rows with similar column footprints next to each other
-// for locality. Only rows are permuted; the ordering is unsymmetric.
-func grayOrder(a *sparse.CSR, opts Options) sparse.Perm {
-	opts = opts.withDefaults()
-	bits := opts.GrayBitmapBits
-	// rowBitmap and grayRank are correct for the full uint64 width, so the
-	// clamp sits at 64: configured widths up to 64 are honoured exactly
-	// (a clamp at 62 would silently change the ordering for 63 and 64).
-	if bits > 64 {
-		bits = 64
-	}
+// The Gray ordering's parameters in the study (paper §3.3).
+const (
+	// grayDenseThreshold is the row nonzero count above which a row
+	// belongs to the dense submatrix.
+	grayDenseThreshold = 20
+	// grayBitmapBits is the number of column sections per row bitmap.
+	grayBitmapBits = 16
+)
+
+// grayOrder computes the Gray ordering of Zhao et al. (paper §2.1.4): rows
+// with more than denseThreshold nonzeros (the study's 20) form the dense
+// submatrix and are grouped by descending density (density reordering,
+// aimed at branch prediction); the remaining sparse rows are each
+// summarised by a grayBitmapBits-bit occupancy bitmap over equal column
+// sections and ordered by the rank of the bitmap in the reflected
+// Gray-code sequence, placing rows with similar column footprints next to
+// each other for locality. Only rows are permuted; the ordering is
+// unsymmetric.
+func grayOrder(a *sparse.CSR, denseThreshold int) sparse.Perm {
 	var dense, spr []int32
 	for i := 0; i < a.Rows; i++ {
-		if a.RowNNZ(i) > opts.GrayDenseThreshold {
+		if a.RowNNZ(i) > denseThreshold {
 			dense = append(dense, int32(i))
 		} else {
 			spr = append(spr, int32(i))
@@ -42,7 +43,7 @@ func grayOrder(a *sparse.CSR, opts Options) sparse.Perm {
 	// Sparse submatrix: bitmap reordering by Gray-code rank.
 	rank := make([]uint64, a.Rows)
 	for _, i := range spr {
-		rank[i] = grayRank(rowBitmap(a, int(i), bits))
+		rank[i] = grayRank(rowBitmap(a, int(i), grayBitmapBits))
 	}
 	sort.SliceStable(spr, func(x, y int) bool {
 		return rank[spr[x]] < rank[spr[y]]

@@ -13,12 +13,17 @@ import (
 // and recurses inline; tiny branches cost more to schedule than to order.
 const ndForkMinVerts = 1024
 
+// ndLeafSize is the study's nested-dissection cutoff: subgraphs of at most
+// this many vertices are ordered by minimum degree.
+const ndLeafSize = 128
+
 // nestedDissection orders g by recursive vertex dissection (paper §2.1.2):
 // a vertex separator splits the graph, the two halves are ordered first
 // (recursively) and the separator vertices are placed last, so that
-// eliminating them late keeps Cholesky fill low. Recursion stops below
-// opts.NDSmall vertices, where a minimum-degree ordering is used instead —
-// the same small-subproblem strategy METIS' node dissection applies.
+// eliminating them late keeps Cholesky fill low. Subgraphs of at most
+// leafSize vertices (production passes ndLeafSize) are ordered by minimum
+// degree instead — the same small-subproblem strategy METIS' node
+// dissection applies.
 //
 // The two halves of every dissection run as fork-join tasks bounded by
 // opts.Workers: each branch derives its own deterministic RNG seed and
@@ -33,18 +38,17 @@ const ndForkMinVerts = 1024
 // caller must discard. The edge-weight check runs once here, on the
 // top-level graph: every dissected subgraph is induced from it and weighs
 // no more.
-func nestedDissection(g *graph.Graph, opts Options, done <-chan struct{}) (sparse.Perm, error) {
+func nestedDissection(g *graph.Graph, leafSize int, opts Options, done <-chan struct{}) (sparse.Perm, error) {
 	if err := partition.CheckEdgeWeights(g); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
 	perm := make(sparse.Perm, g.N)
 	verts := make([]int32, g.N)
 	for i := range verts {
 		verts[i] = int32(i)
 	}
 	popts := partition.Options{Workers: opts.Workers, Cancel: done, Obs: opts.obs}
-	dissect(g, verts, verts, perm, opts, popts, opts.Seed, par.NewLimiter(opts.Workers))
+	dissect(g, verts, verts, perm, leafSize, popts, opts.Seed, par.NewLimiter(opts.Workers))
 	return perm, nil
 }
 
@@ -57,8 +61,8 @@ func nestedDissection(g *graph.Graph, opts Options, done <-chan struct{}) (spars
 // proportion to the subgraphs' size. seed is this branch's RNG seed;
 // children derive theirs with the same multiplicative derivation
 // recursiveBisect uses, so the ordering is a pure function of (graph,
-// opts.Seed) regardless of scheduling.
-func dissect(parent *graph.Graph, parentOrig, verts []int32, out sparse.Perm, opts Options, popts partition.Options, seed int64, lim *par.Limiter) {
+// leafSize, opts.Seed) regardless of scheduling.
+func dissect(parent *graph.Graph, parentOrig, verts []int32, out sparse.Perm, leafSize int, popts partition.Options, seed int64, lim *par.Limiter) {
 	if len(verts) == 0 || par.Canceled(popts.Cancel) {
 		return
 	}
@@ -67,7 +71,7 @@ func dissect(parent *graph.Graph, parentOrig, verts []int32, out sparse.Perm, op
 	for i, v := range verts {
 		orig[i] = parentOrig[v]
 	}
-	if len(verts) <= opts.NDSmall {
+	if len(verts) <= leafSize {
 		dissectLeaf(sub, orig, out, popts.Cancel)
 		return
 	}
@@ -98,11 +102,11 @@ func dissect(parent *graph.Graph, parentOrig, verts []int32, out sparse.Perm, op
 	rightSeed := seed*2654435761 + 2
 	if lim != nil && len(verts) > ndForkMinVerts {
 		lim.Fork(
-			func() { dissect(sub, orig, left, leftOut, opts, popts, leftSeed, lim) },
-			func() { dissect(sub, orig, right, rightOut, opts, popts, rightSeed, lim) })
+			func() { dissect(sub, orig, left, leftOut, leafSize, popts, leftSeed, lim) },
+			func() { dissect(sub, orig, right, rightOut, leafSize, popts, rightSeed, lim) })
 	} else {
-		dissect(sub, orig, left, leftOut, opts, popts, leftSeed, lim)
-		dissect(sub, orig, right, rightOut, opts, popts, rightSeed, lim)
+		dissect(sub, orig, left, leftOut, leafSize, popts, leftSeed, lim)
+		dissect(sub, orig, right, rightOut, leafSize, popts, rightSeed, lim)
 	}
 	tail := out[len(left)+len(right):]
 	for i, v := range sep {

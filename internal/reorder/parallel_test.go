@@ -144,44 +144,6 @@ func TestAllOrderingsOnEdgeCorpus(t *testing.T) {
 	}
 }
 
-// TestGrayBitmapBits64 pins the clamp fix: a configured bitmap width of
-// 63 or 64 must be honoured, not silently reduced to 62. Columns 0 and 1
-// of a 64-column matrix fall into distinct sections only at bits=64, and
-// their full-width Gray ranks order row 1 before row 0; under the old
-// clamp both rows shared section 0 and kept their original order.
-func TestGrayBitmapBits64(t *testing.T) {
-	coo := sparse.NewCOO(2, 64, 2)
-	coo.Append(0, 0, 1)
-	coo.Append(1, 1, 1)
-	a, err := coo.ToCSR()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := grayOrder(a, Options{GrayBitmapBits: 64})
-	if p[0] != 1 || p[1] != 0 {
-		t.Errorf("bits=64 order = %v, want [1 0]", p)
-	}
-	// Sanity: at bits=16 both columns share a section, so the stable sort
-	// keeps the original order — the widths genuinely disagree.
-	if q := grayOrder(a, Options{GrayBitmapBits: 16}); q[0] != 0 || q[1] != 1 {
-		t.Errorf("bits=16 order = %v, want [0 1]", q)
-	}
-	// Widths beyond the uint64 capacity clamp to 64 exactly.
-	for _, bits := range []int{65, 80, 1 << 20} {
-		q := grayOrder(a, Options{GrayBitmapBits: bits})
-		for i := range p {
-			if q[i] != p[i] {
-				t.Errorf("bits=%d order = %v, want the bits=64 order %v", bits, q, p)
-			}
-		}
-	}
-	// grayRank itself is exact at full width: the top bit's code maps to
-	// the last rank.
-	if r := grayRank(1 << 63); r != ^uint64(0) {
-		t.Errorf("grayRank(1<<63) = %#x, want all ones", r)
-	}
-}
-
 func benchGraph(b *testing.B) *graph.Graph {
 	b.Helper()
 	a := gen.Scramble(gen.Grid3D(22, 22, 22), 4)

@@ -22,12 +22,12 @@ const partitionGateSeed = 42
 // hpCutNetAt128 is the cut-net value of HP's 128-part partition.
 func hpCutNetAt128(t *testing.T, a *sparse.CSR) int {
 	t.Helper()
-	_, cut, err := hypergraph.KWay(hypergraph.ColumnNet(a), 128,
-		hypergraph.Options{Seed: partitionGateSeed, Workers: 1})
+	h := hypergraph.ColumnNet(a)
+	part, err := hypergraph.KWay(h, 128, hypergraph.Options{Seed: partitionGateSeed, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cut
+	return hypergraph.CutNet(h, part)
 }
 
 // gpEdgeCuts are GP's edge cuts of the graph of A+Aᵀ at each part count
@@ -38,10 +38,14 @@ func gpEdgeCuts(t *testing.T, a *sparse.CSR, parts []int) []int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cuts, err := partition.KWayMulti(g, parts,
+	assign, err := partition.KWayMulti(g, parts,
 		partition.Options{Seed: partitionGateSeed, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	cuts := make([]int, len(parts))
+	for i, part := range assign {
+		cuts[i] = partition.EdgeCut(g, part)
 	}
 	return cuts
 }

@@ -2,7 +2,11 @@
 // of the study (paper Table 1): Reverse Cuthill-McKee, approximate minimum
 // degree, nested dissection, graph-partitioning ordering, hypergraph-
 // partitioning ordering and Gray ordering, plus the identity "original"
-// ordering used as the baseline.
+// ordering used as the baseline. Each algorithm runs the paper's single
+// configuration; Options sets only the part count, the seed and the
+// worker count. The ablation variants (Gray thresholds, ND cutoffs, HP
+// under connectivity-1, nnz-weighted GP, the min-degree RCM start) live
+// beside their benchmarks in the package's tests.
 package reorder
 
 import (
@@ -41,8 +45,11 @@ var AllOrderings = append([]Algorithm{Original}, Algorithms...)
 // permutation (applied to both rows and columns). Only Gray does not.
 func (a Algorithm) Symmetric() bool { return a != Gray }
 
-// Options configure the reordering algorithms. The zero value matches the
-// paper's configuration where one exists.
+// Options configure a reordering run. Every algorithm otherwise runs the
+// paper's single configuration (§3.3, Table 1): METIS-style defaults for
+// GP and ND with a 128-vertex minimum-degree cutoff, the cut-net metric
+// for HP, and a 16-section bitmap with a 20-nonzero dense threshold for
+// Gray.
 type Options struct {
 	// Parts is the number of parts for GP and HP. The paper partitions to
 	// the core count of the target machine for GP and always 128 for HP;
@@ -50,21 +57,6 @@ type Options struct {
 	Parts int
 	// Seed drives the randomized components of the partitioners.
 	Seed int64
-	// GrayDenseThreshold is the rows-per-nonzero split between the sparse
-	// and dense submatrices of the Gray ordering; 0 defaults to the
-	// paper's 20.
-	GrayDenseThreshold int
-	// GrayBitmapBits is the number of sections per row bitmap; 0 defaults
-	// to the paper's 16. The bitmap is a uint64, so at most 64 sections
-	// are representable: values above 64 are clamped to 64.
-	GrayBitmapBits int
-	// NDSmall stops nested-dissection recursion below this many vertices,
-	// falling back to minimum-degree ordering; 0 defaults to 128.
-	NDSmall int
-	// HPObjective selects the hypergraph partitioning metric for HP. The
-	// paper's configuration is the cut-net metric (default); PaToH's other
-	// metric, connectivity-1, is available as well (§3.3).
-	HPObjective HPObjective
 	// Workers bounds the goroutines of the parallel reordering hot path —
 	// A+Aᵀ adjacency construction, the permutation application in Apply,
 	// and the graph/matrix orderings: component-parallel Cuthill-McKee,
@@ -83,27 +75,9 @@ type Options struct {
 	obs *obs.Obs
 }
 
-// HPObjective names a hypergraph partitioning objective.
-type HPObjective int
-
-// Hypergraph partitioning objectives.
-const (
-	CutNet HPObjective = iota
-	Connectivity
-)
-
 func (o Options) withDefaults() Options {
 	if o.Parts == 0 {
 		o.Parts = 128
-	}
-	if o.GrayDenseThreshold == 0 {
-		o.GrayDenseThreshold = 20
-	}
-	if o.GrayBitmapBits == 0 {
-		o.GrayBitmapBits = 16
-	}
-	if o.NDSmall == 0 {
-		o.NDSmall = 128
 	}
 	return o
 }
@@ -175,7 +149,7 @@ func ComputeTimedCtx(ctx context.Context, alg Algorithm, a *sparse.CSR, opts Opt
 	case alg == HP:
 		p, err = hypergraphPartitionOrder(a, opts, done)
 	case alg == Gray:
-		p = grayOrder(a, opts)
+		p = grayOrder(a, grayDenseThreshold)
 	default:
 		err = fmt.Errorf("reorder: unknown algorithm %q", alg)
 	}
@@ -293,7 +267,7 @@ func orderGraph(alg Algorithm, g *graph.Graph, opts Options, done <-chan struct{
 	case AMD:
 		return approxMinimumDegree(g, done), nil
 	case ND:
-		return nestedDissection(g, opts, done)
+		return nestedDissection(g, ndLeafSize, opts, done)
 	case GP:
 		return graphPartitionOrder(g, opts, done)
 	default:

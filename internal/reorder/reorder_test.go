@@ -204,7 +204,7 @@ func TestNDSeparatorStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := nestedDissection(g, Options{Seed: 1}.withDefaults(), nil)
+	p, err := nestedDissection(g, ndLeafSize, Options{Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestNDRejectsOversizedEdgeWeights(t *testing.T) {
 	for k := range g.EWgt {
 		g.EWgt[k] = math.MaxInt32 / 64
 	}
-	if _, err := nestedDissection(g, Options{Seed: 1, NDSmall: 16}, nil); err == nil {
+	if _, err := nestedDissection(g, 16, Options{Seed: 1}, nil); err == nil {
 		t.Fatal("ND accepted a graph whose total edge weight exceeds int32")
 	}
 }
@@ -285,7 +285,7 @@ func TestGrayDenseRowsFirst(t *testing.T) {
 		}
 	}
 	a, _ := coo.ToCSR()
-	p := grayOrder(a, Options{}.withDefaults())
+	p := grayOrder(a, grayDenseThreshold)
 	if !p.IsValid() {
 		t.Fatal("invalid Gray permutation")
 	}
@@ -318,11 +318,10 @@ func TestGraySortsSparseRowsByGrayRank(t *testing.T) {
 		}
 	}
 	a, _ := coo.ToCSR()
-	opts := Options{}.withDefaults()
-	p := grayOrder(a, opts)
+	p := grayOrder(a, grayDenseThreshold)
 	prev := uint64(0)
 	for i, row := range p {
-		r := grayRank(rowBitmap(a, row, opts.GrayBitmapBits))
+		r := grayRank(rowBitmap(a, row, grayBitmapBits))
 		if i > 0 && r < prev {
 			t.Fatalf("sparse rows not in Gray-rank order at %d", i)
 		}
@@ -445,7 +444,7 @@ func TestGPWeightedBalancesNonzeros(t *testing.T) {
 		g.VWgt[i] = int32(s.RowNNZ(i))
 		totalW += s.RowNNZ(i)
 	}
-	part, _, err := partition.KWay(g, 8, partition.Options{Seed: opts.Seed})
+	part, err := partition.KWay(g, 8, partition.Options{Seed: opts.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,29 +542,5 @@ func TestAMDQualityAgainstExactMinimumDegree(t *testing.T) {
 		if float64(amdFill) > 1.35*float64(exactFill)+10 {
 			t.Errorf("trial %d: AMD fill %d far above exact MD fill %d", trial, amdFill, exactFill)
 		}
-	}
-}
-
-func TestHPConnectivityObjective(t *testing.T) {
-	a := gen.Grid2D(12, 12)
-	pCut, err := hypergraphPartitionOrder(a, Options{Seed: 4, Parts: 8}.withDefaults(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Seed: 4, Parts: 8, HPObjective: Connectivity}.withDefaults()
-	pConn, err := hypergraphPartitionOrder(a, opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pConn.IsValid() || len(pConn) != a.Rows {
-		t.Fatal("connectivity HP invalid")
-	}
-	if !pCut.IsValid() {
-		t.Fatal("cut-net HP invalid")
-	}
-	// The Compute entry point must honour the option too.
-	p2, err := Compute(HP, a, Options{Seed: 4, Parts: 8, HPObjective: Connectivity})
-	if err != nil || !p2.IsValid() {
-		t.Fatalf("Compute with connectivity objective: %v", err)
 	}
 }

@@ -77,8 +77,12 @@ const (
 // Orderings lists the six algorithms in the paper's order.
 var Orderings = reorder.Algorithms
 
-// OrderingOptions configure the reordering algorithms; the zero value
-// matches the paper's configuration.
+// OrderingOptions configure a reordering run: the part count of GP and HP
+// (0 means the paper's 128), the partitioners' seed and the worker count
+// (0 means GOMAXPROCS). Everything else is fixed at the paper's single
+// configuration of each algorithm (§3.3, Table 1): METIS defaults for GP
+// and ND, the cut-net metric for HP, and a 16-bit bitmap with a 20-nonzero
+// dense threshold for Gray.
 type OrderingOptions = reorder.Options
 
 // ComputeOrdering returns the permutation of the given algorithm without
