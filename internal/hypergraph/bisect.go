@@ -82,12 +82,21 @@ func Bisect(h *Hypergraph, frac float64, opts Options, rng *rand.Rand) []uint8 {
 }
 
 // initialBisection grows side 0 by net-connectivity BFS from random seeds
-// and keeps the trial with the fewest cut nets.
+// and keeps the trial with the fewest cut nets among balanced trials.
+// Balance uses fmRefine's caps (sideCaps): an overweight trial can never
+// be repaired by FM, which only vetoes moves into a full side and cannot
+// drain one that is already over its cap. Growth therefore skips a vertex
+// that would push side 0 past its cap (coarse vertices carry aggregated
+// weights, so one grab can blow the whole imbalance budget), and a
+// balanced trial wins over an unbalanced one regardless of cut. Only when
+// every trial is unbalanced does the lowest-cut unbalanced one survive.
 func initialBisection(h *Hypergraph, frac float64, opts Options, rng *rand.Rand) []uint8 {
 	total := h.TotalVertexWeight()
 	target := int(frac * float64(total))
+	maxW := sideCaps(h, frac)
 	best := make([]uint8, h.V)
 	bestCut := -1
+	bestBalanced := false
 	trial := make([]uint8, h.V)
 	for t := 0; t < initTrials; t++ {
 		if t > 0 && par.Canceled(opts.Cancel) {
@@ -104,8 +113,10 @@ func initialBisection(h *Hypergraph, frac float64, opts Options, rng *rand.Rand)
 		w := 0
 		for head := 0; head < len(queue) && w < target; head++ {
 			v := queue[head]
-			trial[v] = 0
-			w += h.VertexWeight(int(v))
+			if wt := h.VertexWeight(int(v)); w+wt <= maxW[0] {
+				trial[v] = 0
+				w += wt
+			}
 			for _, n := range h.NetsOf(int(v)) {
 				if netDone[n] {
 					continue
@@ -120,9 +131,9 @@ func initialBisection(h *Hypergraph, frac float64, opts Options, rng *rand.Rand)
 			}
 		}
 		for v := 0; v < h.V && w < target; v++ {
-			if trial[v] == 1 {
+			if wt := h.VertexWeight(v); trial[v] == 1 && w+wt <= maxW[0] {
 				trial[v] = 0
-				w += h.VertexWeight(v)
+				w += wt
 			}
 		}
 		part := make([]int32, h.V)
@@ -130,8 +141,12 @@ func initialBisection(h *Hypergraph, frac float64, opts Options, rng *rand.Rand)
 			part[v] = int32(s)
 		}
 		cut := CutNet(h, part)
-		if bestCut < 0 || cut < bestCut {
+		balanced := w <= maxW[0] && total-w <= maxW[1]
+		switch {
+		case balanced && !bestBalanced,
+			balanced == bestBalanced && (bestCut < 0 || cut < bestCut):
 			bestCut = cut
+			bestBalanced = balanced
 			copy(best, trial)
 		}
 	}

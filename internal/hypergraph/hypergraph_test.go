@@ -236,3 +236,56 @@ func TestBisectBalanced(t *testing.T) {
 		t.Errorf("bisection weights %v too skewed", w)
 	}
 }
+
+// starHypergraph is a hub of weight n with n unit-weight leaves and one
+// two-pin net per spoke.
+func starHypergraph(n int) *Hypergraph {
+	h := &Hypergraph{V: n + 1, Nets: n, NPtr: make([]int, n+1), VWgt: make([]int32, n+1)}
+	h.VWgt[0] = int32(n)
+	for i := 1; i <= n; i++ {
+		h.VWgt[i] = 1
+		h.NPins = append(h.NPins, 0, int32(i))
+		h.NPtr[i] = len(h.NPins)
+	}
+	h.BuildVertexIncidence()
+	return h
+}
+
+// TestBisectStarStaysBalanced is the regression test for HP's initial
+// bisection breaking its balance cap. On a star whose hub weighs as much
+// as its six leaves, a BFS trial growing from a leaf used to grab the hub
+// too (7 of 12, above the cap of 6) and win on its lower cut of 5 nets;
+// FM cannot drain an overweight side, so the unbalanced bisection
+// escaped at every seed. Side 0 must hold exactly half the weight: the
+// hub alone or the six leaves.
+func TestBisectStarStaysBalanced(t *testing.T) {
+	h := starHypergraph(6)
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		side := Bisect(h, 0.5, Options{Seed: seed}, rand.New(rand.NewSource(seed)))
+		w := 0
+		for v, s := range side {
+			if s == 0 {
+				w += h.VertexWeight(v)
+			}
+		}
+		if w != 6 {
+			t.Errorf("seed %d: side-0 weight %d, want the balanced 6", seed, w)
+		}
+	}
+}
+
+// TestInitialBisectionUnbalancedFallback pins the fallback: when no
+// balanced trial exists (a weight-10 vertex between two unit vertices
+// cannot be split within 3%), the growth still never pushes side 0 past
+// its cap, and the lowest-cut unbalanced trial survives.
+func TestInitialBisectionUnbalancedFallback(t *testing.T) {
+	h := &Hypergraph{V: 3, Nets: 2, NPtr: []int{0, 2, 4}, NPins: []int32{0, 1, 1, 2}, VWgt: []int32{1, 10, 1}}
+	h.BuildVertexIncidence()
+	side := initialBisection(h, 0.5, Options{}, rand.New(rand.NewSource(1)))
+	if side[0] != 0 || side[2] != 0 || side[1] != 1 {
+		t.Fatalf("fallback bisection = %v, want the light vertices on side 0", side)
+	}
+}
