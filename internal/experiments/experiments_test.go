@@ -350,6 +350,10 @@ func TestFinding6ReorderingCost(t *testing.T) {
 			total[alg] += sec
 		}
 	}
+	for _, alg := range reorder.Algorithms {
+		t.Logf("%-4s study total %.3fs", alg, total[alg])
+	}
+	t.Logf("HP/GP %.3f, HP/ND %.3f", total[reorder.HP]/total[reorder.GP], total[reorder.HP]/total[reorder.ND])
 	if total[reorder.Gray] >= total[reorder.RCM] {
 		t.Errorf("Gray total %.3fs not below RCM %.3fs", total[reorder.Gray], total[reorder.RCM])
 	}

@@ -138,36 +138,45 @@ func BFS(g *Graph, root int, scratch []int32, done <-chan struct{}) *BFSResult {
 	for i := range level {
 		level[i] = -1
 	}
-	order := make([]int32, 0, g.N)
-	order = append(order, int32(root))
-	level[root] = 0
+	order := bfsFill(g, root, level, make([]int32, 0, g.N), done)
 	var levels [][]int32
-	head := 0
-	sinceCheck := 0
-	for head < len(order) {
-		levelStart := head
-		cur := level[order[head]]
-		for head < len(order) && level[order[head]] == cur {
-			head++
+	for start := 0; start < len(order); {
+		end := start + 1
+		for end < len(order) && level[order[end]] == level[order[start]] {
+			end++
 		}
-		frontier := order[levelStart:head]
-		levels = append(levels, frontier)
-		for _, u := range frontier {
-			if sinceCheck++; sinceCheck >= bfsCheckEvery {
-				sinceCheck = 0
-				if par.Canceled(done) {
-					return &BFSResult{Root: root, Order: order, Level: level, Levels: levels}
-				}
+		levels = append(levels, order[start:end])
+		start = end
+	}
+	return &BFSResult{Root: root, Order: order, Level: level, Levels: levels}
+}
+
+// bfsFill runs a breadth-first search from root and returns its visit
+// order, appended to order[:0]. level must read -1 at every vertex of
+// root's component; each visited vertex gets its distance from root, so
+// the order ascends by level. Every bfsCheckEvery expanded vertices it
+// polls done and, once the channel is closed, returns the order so far.
+func bfsFill(g *Graph, root int, level, order []int32, done <-chan struct{}) []int32 {
+	order = append(order[:0], int32(root))
+	level[root] = 0
+	sinceCheck := 0
+	for head := 0; head < len(order); head++ {
+		if sinceCheck++; sinceCheck >= bfsCheckEvery {
+			sinceCheck = 0
+			if par.Canceled(done) {
+				return order
 			}
-			for _, v := range g.Neighbors(int(u)) {
-				if level[v] < 0 {
-					level[v] = cur + 1
-					order = append(order, v)
-				}
+		}
+		u := order[head]
+		next := level[u] + 1
+		for _, v := range g.Neighbors(int(u)) {
+			if level[v] < 0 {
+				level[v] = next
+				order = append(order, v)
 			}
 		}
 	}
-	return &BFSResult{Root: root, Order: order, Level: level, Levels: levels}
+	return order
 }
 
 // Components returns the connected components of g, each as a list of
@@ -206,39 +215,57 @@ func Components(g *Graph) ([][]int32, []int32) {
 // PseudoPeripheral finds a pseudo-peripheral vertex of the component
 // containing start, using the George-Liu algorithm: repeatedly root a BFS
 // at a minimum-degree vertex of the deepest last level until the
-// eccentricity stops growing. It returns the vertex and its final level
-// structure. done is polled between (and, via BFS, inside) the BFS rounds
-// (nil never cancels); on cancellation the current candidate is returned,
-// and callers observing cancellation must discard it.
-func PseudoPeripheral(g *Graph, start int, scratch []int32, done <-chan struct{}) (int, *BFSResult) {
-	r := BFS(g, start, scratch, done)
+// eccentricity stops growing. It returns the root of the last BFS that
+// deepened the level structure. The scratch slice, if non-nil, must have
+// length g.N and serves as the level array. done is polled between (and
+// inside) the BFS rounds (nil never cancels); on cancellation the current
+// candidate is returned, and callers observing cancellation must discard
+// it.
+func PseudoPeripheral(g *Graph, start int, scratch []int32, done <-chan struct{}) int {
+	level := scratch
+	if level == nil {
+		level = make([]int32, g.N)
+	}
+	for i := range level {
+		level[i] = -1
+	}
+	order := bfsFill(g, start, level, make([]int32, 0, g.N), done)
+	root, depth := start, level[order[len(order)-1]]
 	for {
 		if par.Canceled(done) {
-			return r.Root, r
+			return root
 		}
-		last := r.Levels[len(r.Levels)-1]
-		next := int(last[0])
-		for _, v := range last {
-			if g.Degree(int(v)) < g.Degree(next) {
-				next = int(v)
+		// The last level is the tail of the order; take its first vertex
+		// of minimum degree.
+		next := -1
+		for i := len(order) - 1; i >= 0 && level[order[i]] == depth; i-- {
+			if v := int(order[i]); next < 0 || g.Degree(v) <= g.Degree(next) {
+				next = v
 			}
 		}
-		rNext := BFS(g, next, scratch, done)
-		if rNext.Depth() <= r.Depth() {
-			return r.Root, r
+		for _, v := range order {
+			level[v] = -1
 		}
-		r = rNext
+		order = bfsFill(g, next, level, order, done)
+		nextDepth := level[order[len(order)-1]]
+		if nextDepth <= depth {
+			return root
+		}
+		root, depth = next, nextDepth
 	}
 }
 
-// InducedSubgraph returns the subgraph induced by the given vertices along
-// with the mapping from subgraph vertex index to original vertex. Vertex
-// and edge weights are carried over when present. A first pass counts the
-// kept adjacency entries so the subgraph's arrays are allocated once, at
-// their exact size.
-func InducedSubgraph(g *Graph, verts []int32) (*Graph, []int32) {
+// InducedSubgraph returns the subgraph induced by the given vertices:
+// subgraph vertex i is verts[i]. Vertex and edge weights are carried over
+// when present. A first pass counts the kept adjacency entries so the
+// subgraph's arrays are allocated once, at their exact size. local, if
+// non-nil, must have length g.N and read zero everywhere; it serves as
+// the vertex map and reads zero again on return.
+func InducedSubgraph(g *Graph, verts, local []int32) *Graph {
 	// local[v] is v's subgraph index plus one; 0 marks a vertex outside.
-	local := make([]int32, g.N)
+	if local == nil {
+		local = make([]int32, g.N)
+	}
 	for i, v := range verts {
 		local[v] = int32(i) + 1
 	}
@@ -275,7 +302,8 @@ func InducedSubgraph(g *Graph, verts []int32) (*Graph, []int32) {
 			}
 		}
 	}
-	orig := make([]int32, len(verts))
-	copy(orig, verts)
-	return sub, orig
+	for _, v := range verts {
+		local[v] = 0
+	}
+	return sub
 }

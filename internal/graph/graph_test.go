@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sparseorder/internal/sparse"
@@ -146,18 +147,68 @@ func TestComponents(t *testing.T) {
 
 func TestPseudoPeripheralOnPath(t *testing.T) {
 	g := pathGraph(t, 9)
-	v, r := PseudoPeripheral(g, 4, nil, nil)
+	v := PseudoPeripheral(g, 4, nil, nil)
 	if v != 0 && v != 8 {
 		t.Errorf("pseudo-peripheral vertex = %d, want an endpoint", v)
 	}
-	if r.Depth() != 8 {
-		t.Errorf("eccentricity = %d, want 8", r.Depth())
+	if d := BFS(g, v, nil, nil).Depth(); d != 8 {
+		t.Errorf("eccentricity = %d, want 8", d)
+	}
+}
+
+// TestPseudoPeripheralScratch checks that a scratch level array, dirty
+// from earlier use, changes nothing: on the path 0–1–2–3–4 started from 2,
+// and on a grid from several starts, the vertex is the one found without
+// scratch, and a BFS from it is as deep as its eccentricity, the largest
+// distance from it to any vertex.
+func TestPseudoPeripheralScratch(t *testing.T) {
+	grid := sparse.NewCOO(30, 30, 0)
+	for r := 0; r < 5; r++ {
+		for c := 0; c < 6; c++ {
+			v := r*6 + c
+			if c+1 < 6 {
+				grid.Append(v, v+1, 1)
+			}
+			if r+1 < 5 {
+				grid.Append(v, v+6, 1)
+			}
+		}
+	}
+	ga, _ := grid.ToCSR()
+	gg, err := FromMatrixSymmetrizedWorkers(ga, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Graph{pathGraph(t, 5), gg} {
+		scratch := make([]int32, g.N)
+		for i := range scratch {
+			scratch[i] = int32(i % 3)
+		}
+		for start := 0; start < g.N; start += 2 {
+			want := PseudoPeripheral(g, start, nil, nil)
+			got := PseudoPeripheral(g, start, scratch, nil)
+			if got != want {
+				t.Fatalf("n=%d start %d: vertex %d with scratch, %d without", g.N, start, got, want)
+			}
+			r := BFS(g, got, nil, nil)
+			ecc := int32(0)
+			for _, l := range r.Level {
+				ecc = max(ecc, l)
+			}
+			if r.Depth() != int(ecc) {
+				t.Errorf("n=%d start %d: depth %d, eccentricity %d", g.N, start, r.Depth(), ecc)
+			}
+		}
+	}
+	if v := PseudoPeripheral(pathGraph(t, 5), 2, make([]int32, 5), nil); v != 0 && v != 4 {
+		t.Errorf("path from 2: vertex %d, want an endpoint", v)
 	}
 }
 
 func TestInducedSubgraph(t *testing.T) {
 	g := pathGraph(t, 6)
-	sub, orig := InducedSubgraph(g, []int32{1, 2, 3, 5})
+	local := make([]int32, g.N)
+	sub := InducedSubgraph(g, []int32{1, 2, 3, 5}, local)
 	if sub.N != 4 {
 		t.Fatalf("sub.N = %d", sub.N)
 	}
@@ -168,8 +219,13 @@ func TestInducedSubgraph(t *testing.T) {
 	if sub.Degree(3) != 0 {
 		t.Errorf("vertex 5 should be isolated, degree %d", sub.Degree(3))
 	}
-	if int(orig[0]) != 1 || int(orig[3]) != 5 {
-		t.Errorf("orig mapping %v", orig)
+	for v, l := range local {
+		if l != 0 {
+			t.Errorf("local[%d] = %d after the call, want 0", v, l)
+		}
+	}
+	if fresh := InducedSubgraph(g, []int32{1, 2, 3, 5}, nil); !slices.Equal(fresh.Adj, sub.Adj) || !slices.Equal(fresh.Ptr, sub.Ptr) {
+		t.Errorf("subgraph with local scratch differs from one without")
 	}
 	if err := sub.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
@@ -183,7 +239,7 @@ func TestInducedSubgraphCarriesWeights(t *testing.T) {
 	for i := range g.EWgt {
 		g.EWgt[i] = 7
 	}
-	sub, _ := InducedSubgraph(g, []int32{1, 2})
+	sub := InducedSubgraph(g, []int32{1, 2}, nil)
 	if sub.VWgt[0] != 2 || sub.VWgt[1] != 3 {
 		t.Errorf("vertex weights not carried: %v", sub.VWgt)
 	}

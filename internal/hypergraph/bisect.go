@@ -182,7 +182,7 @@ func sideCaps(h *Hypergraph, frac float64) [2]int {
 
 // maxUpdateNetSize bounds the nets whose pins are re-queued after a move.
 // A move rarely flips the cut state of a larger net, so its pins keep
-// their queued entries; an entry that went stale is discarded when popped.
+// their queued entries at the gain they were queued with.
 const maxUpdateNetSize = 128
 
 // fmState carries fmPassFast's buffers across the passes on one
@@ -224,11 +224,13 @@ func netGain(own, other int32) int32 {
 // fmPassFast is one FM pass with incremental gains. tg[v] holds v's true
 // gain throughout: it is built at pass start from the side counts, and
 // when v moves, each of its nets changes every other pin's gain by the
-// same delta per side, which the pass adds to the unlocked pins. Pins of
-// nets up to maxUpdateNetSize are then re-queued at their true gain, one
-// net at a time in v's net order, so the heap receives exactly the
-// entries of a pass that recomputes each pin's gain from the counts after
-// every net. That recomputing pass is kept in the tests as the oracle
+// same delta per side, which the pass adds to the unlocked pins. As in
+// textbook FM, a pin is re-queued only when the net changed its gain: an
+// unlocked pin of a net of up to maxUpdateNetSize pins whose side's delta
+// is nonzero gets a new entry at its true gain, one net at a time in v's
+// net order, so the heap receives exactly the entries of a pass that
+// recomputes each such pin's gain from the counts after every net. That
+// recomputing pass is kept in the tests as the oracle
 // (TestLeanFMMatchesReference); the packed heap makes the same
 // comparisons as its swap-based heap, so the move sequence, and with it
 // the bisection, is byte-identical to it. The pass stops once more than
@@ -292,22 +294,18 @@ func fmPassFast(h *Hypergraph, side []uint8, maxW [2]int, st *fmState) bool {
 			c[from]--
 			c[to]++
 			count[n] = c
-			pins := h.Pins(int(n))
-			if len(pins) > maxUpdateNetSize {
-				if d != [2]int32{} {
-					for _, u := range pins {
-						if !locked[u] {
-							tg[u] += d[side[u]]
-						}
-					}
-				}
-				continue
+			if d == [2]int32{} {
+				continue // the move changed no pin's gain through this net
 			}
+			pins := h.Pins(int(n))
+			requeue := len(pins) <= maxUpdateNetSize
 			for _, u := range pins {
-				if !locked[u] {
-					tg[u] += d[side[u]]
-					gain[u] = tg[u]
-					pq = fmheap.Push(pq, fmheap.Entry{V: u, Gain: tg[u]})
+				if du := d[side[u]]; du != 0 && !locked[u] {
+					tg[u] += du
+					if requeue {
+						gain[u] = tg[u]
+						pq = fmheap.Push(pq, fmheap.Entry{V: u, Gain: tg[u]})
+					}
 				}
 			}
 		}

@@ -90,20 +90,23 @@ func fmPass(h *Hypergraph, side []uint8, maxW [2]int) bool {
 		w[side[v]] += h.VertexWeight(v)
 	}
 
+	// term is what a net with side counts c adds to the gain of a pin on
+	// side s.
+	term := func(c [2]int32, s uint8) int {
+		switch {
+		case c[0]+c[1] < 2:
+			return 0
+		case c[1-s] == 0:
+			return -1 // currently internal; the move cuts it
+		case c[s] == 1:
+			return 1 // the pin is the last on s; the move uncuts it
+		}
+		return 0
+	}
 	gainOf := func(v int) int {
 		g := 0
-		s := side[v]
 		for _, n := range h.NetsOf(v) {
-			c := count[n]
-			size := c[0] + c[1]
-			if size < 2 {
-				continue
-			}
-			if c[1-s] == 0 {
-				g-- // currently internal; the move cuts it
-			} else if c[s] == 1 {
-				g++ // v is the last pin on s; the move uncuts it
-			}
+			g += term(count[n], side[v])
 		}
 		return g
 	}
@@ -146,12 +149,13 @@ func fmPass(h *Hypergraph, side []uint8, maxW [2]int) bool {
 		}
 		locked[v] = true
 		w[side[v]] -= h.VertexWeight(v)
-		// Update net counts, then refresh gains of the affected pins. Very
-		// large nets are skipped in the gain refresh (their cut state almost
-		// never flips from one move); stale heap entries are discarded on pop.
-		// The rule is spelled out here rather than shared with the lean pass.
+		// Update net counts, then re-queue the pins whose gain the net
+		// changed. Very large nets are skipped in the re-queue (their cut
+		// state almost never flips from one move). The rule is spelled out
+		// here rather than shared with the lean pass.
 		const maxUpdateNetSize = 128
 		for _, n := range h.NetsOf(v) {
+			before := count[n]
 			count[n][side[v]]--
 			count[n][to]++
 			pins := h.Pins(int(n))
@@ -159,7 +163,7 @@ func fmPass(h *Hypergraph, side []uint8, maxW [2]int) bool {
 				continue
 			}
 			for _, u := range pins {
-				if !locked[u] {
+				if !locked[u] && term(count[n], side[u]) != term(before, side[u]) {
 					gain[u] = gainOf(int(u))
 					hHeapPush(pq, hEntry{u, gain[u]})
 				}

@@ -3,9 +3,9 @@ package hypergraph
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"sparseorder/internal/par"
+	"sparseorder/internal/prng"
 )
 
 // KWay partitions the hypergraph into k parts by recursive bisection under
@@ -37,8 +37,8 @@ func KWay(h *Hypergraph, k int, opts Options) ([]int32, error) {
 const forkMinVerts = 4096
 
 // recursive splits verts into parts firstPart … firstPart+k-1. Each
-// branch derives its own RNG seed (the same multiplicative derivation as
-// internal/partition), so the serial and parallel executions produce
+// branch derives its own RNG seed (prng.Branches, as internal/partition
+// does), so the serial and parallel executions produce
 // identical partitions; the two branches write disjoint entries of part,
 // and lim bounds the live goroutines to the configured worker count.
 func recursive(root *Hypergraph, verts []int32, firstPart, k int, part []int32, opts Options, seed int64, lim *par.Limiter) {
@@ -54,7 +54,9 @@ func recursive(root *Hypergraph, verts []int32, firstPart, k int, part []int32, 
 	sub, orig := induced(root, verts)
 	kLeft := (k + 1) / 2
 	frac := float64(kLeft) / float64(k)
-	side := Bisect(sub, frac, opts, rand.New(rand.NewSource(seed)))
+	rng := prng.Get(seed)
+	side := Bisect(sub, frac, opts, rng)
+	prng.Put(rng)
 	var left, right []int32
 	for i, s := range side {
 		if s == 0 {
@@ -71,8 +73,7 @@ func recursive(root *Hypergraph, verts []int32, firstPart, k int, part []int32, 
 	for _, v := range right {
 		part[v] = int32(firstPart + kLeft)
 	}
-	leftSeed := seed*2654435761 + 1
-	rightSeed := seed*2654435761 + 2
+	leftSeed, rightSeed := prng.Branches(seed)
 	if lim != nil && len(verts) > forkMinVerts {
 		lim.Fork(
 			func() { recursive(root, left, firstPart, kLeft, part, opts, leftSeed, lim) },

@@ -12,36 +12,42 @@ import (
 
 // Bisect splits g into two sides, with side 0 receiving roughly frac of
 // the total vertex weight, using the full multilevel scheme. It returns
-// side[v] ∈ {0, 1} for every vertex. With Options.Obs set, the three
-// multilevel phases of this bisection land in the partition/coarsen,
-// partition/initial and partition/refine duration histograms. g, or the
-// graph it was induced from, must pass CheckEdgeWeights.
-func Bisect(g *graph.Graph, frac float64, opts Options, rng *rand.Rand) []uint8 {
+// side[v] ∈ {0, 1} for every vertex, in a buffer of sc that stays valid
+// until sc's next use. With Options.Obs set, the three multilevel phases
+// of this bisection land in the partition/coarsen, partition/initial and
+// partition/refine duration histograms. g, or the graph it was induced
+// from, must pass CheckEdgeWeights.
+func Bisect(g *graph.Graph, frac float64, opts Options, rng *rand.Rand, sc *Scratch) []uint8 {
+	return bisect(g, frac, opts, rng, sc.forGraph(g.N))
+}
+
+// bisect is Bisect in sc, whatever g's size.
+func bisect(g *graph.Graph, frac float64, opts Options, rng *rand.Rand, sc *Scratch) []uint8 {
 	if g.N == 0 {
 		return nil
 	}
 	tm := opts.Obs.Phase("partition/coarsen").Start()
-	levels := coarsen(g, coarsenTo, opts, rng)
+	levels := coarsen(g, coarsenTo, opts, rng, sc)
 	tm.Stop()
 	coarsest := g
 	if len(levels) > 0 {
 		coarsest = levels[len(levels)-1].coarse
 	}
 	tm = opts.Obs.Phase("partition/initial").Start()
-	side := initialBisection(coarsest, frac, opts, rng)
+	side := initialBisection(coarsest, frac, opts, rng, sc)
 	tm.Stop()
 	tm = opts.Obs.Phase("partition/refine").Start()
-	fb := newFMBuffers(g.N)
+	fb := &sc.fm
+	fb.reserve(g.N)
 	fmRefine(coarsest, side, frac, opts, fb)
 	// Uncoarsening projects level i's sides into buffer i%2, which never
 	// holds level i+1's, so two buffers sized by the two finest levels
 	// serve every level.
-	var sides [2][]uint8
 	if len(levels) > 0 {
-		sides[0] = make([]uint8, g.N)
+		sc.sides[0] = grow(sc.sides[0], g.N)
 	}
 	if len(levels) > 1 {
-		sides[1] = make([]uint8, levels[1].fine.N)
+		sc.sides[1] = grow(sc.sides[1], levels[1].fine.N)
 	}
 	for i := len(levels) - 1; i >= 0; i-- {
 		if par.Canceled(opts.Cancel) {
@@ -49,7 +55,7 @@ func Bisect(g *graph.Graph, frac float64, opts Options, rng *rand.Rand) []uint8 
 			return make([]uint8, g.N)
 		}
 		lv := levels[i]
-		fineSide := sides[i%2][:lv.fine.N]
+		fineSide := sc.sides[i%2][:lv.fine.N]
 		for v, c := range lv.cmap {
 			fineSide[v] = side[c]
 		}
@@ -73,16 +79,21 @@ func Bisect(g *graph.Graph, frac float64, opts Options, rng *rand.Rand) []uint8 
 // already over its cap, so a balanced trial always wins over an
 // unbalanced one regardless of cut. Only when every trial is unbalanced
 // (heavy-vertex overshoot on weighted graphs) does the lowest-cut
-// unbalanced attempt survive as a fallback.
-func initialBisection(g *graph.Graph, frac float64, opts Options, rng *rand.Rand) []uint8 {
+// unbalanced attempt survive as a fallback. A trial keeps its cut current
+// as vertices join side 0. The trials run in sc's buffers, and the
+// returned sides are sc's.
+func initialBisection(g *graph.Graph, frac float64, opts Options, rng *rand.Rand, sc *Scratch) []uint8 {
 	total := g.TotalVertexWeight()
 	target := int(frac * float64(total))
 	max0 := int(float64(total) * frac * (1 + imbalance))
 	max1 := int(float64(total) * (1 - frac) * (1 + imbalance))
-	best := make([]uint8, g.N)
+	// The first trial always becomes best, so best needs no clearing.
+	best := grow(sc.best, g.N)
+	trial := grow(sc.trial, g.N)
+	visited := grow(sc.visited, g.N)
+	sc.best, sc.trial, sc.visited = best, trial, visited
 	bestCut := -1
 	bestBalanced := false
-	trial := make([]uint8, g.N)
 	for t := 0; t < initTrials; t++ {
 		if t > 0 && par.Canceled(opts.Cancel) {
 			break // keep the best trial so far; the caller bails out next check
@@ -90,24 +101,35 @@ func initialBisection(g *graph.Graph, frac float64, opts Options, rng *rand.Rand
 		for i := range trial {
 			trial[i] = 1
 		}
-		w := 0
+		clear(visited)
+		w, cut := 0, 0
+		// join moves v to side 0: its edges to side 1 become cut, its
+		// edges to side 0 stop being cut. Its neighbours' sides (0 or 1)
+		// pick the sign. A v that would push side 0 past max0 stays out.
+		join := func(v int) {
+			if w+g.VertexWeight(v) > max0 {
+				return
+			}
+			trial[v] = 0
+			w += g.VertexWeight(v)
+			for k := g.Ptr[v]; k < g.Ptr[v+1]; k++ {
+				cut += g.EdgeWeight(k) * (2*int(trial[g.Adj[k]]) - 1)
+			}
+		}
 		start := rng.Intn(g.N)
 		if t == 0 {
-			start, _ = graph.PseudoPeripheral(g, start, nil, opts.Cancel)
+			sc.bfs = grow(sc.bfs, g.N)
+			start = graph.PseudoPeripheral(g, start, sc.bfs, opts.Cancel)
 		}
-		queue := []int32{int32(start)}
-		visited := make([]bool, g.N)
+		queue := append(sc.queue[:0], int32(start))
 		visited[start] = true
 		for head := 0; head < len(queue) && w < target; head++ {
 			v := queue[head]
 			// Growing past max0 would make the trial unrepairably overweight
 			// (coarse vertices carry aggregated weights, so one grab can blow
-			// the whole imbalance budget); leave v on side 1 and keep growing
-			// through lighter frontier vertices instead.
-			if wt := g.VertexWeight(int(v)); w+wt <= max0 {
-				trial[v] = 0
-				w += wt
-			}
+			// the whole imbalance budget); join leaves v on side 1, and the
+			// growth goes on through lighter frontier vertices instead.
+			join(int(v))
 			for _, u := range g.Neighbors(int(v)) {
 				if !visited[u] {
 					visited[u] = true
@@ -115,15 +137,14 @@ func initialBisection(g *graph.Graph, frac float64, opts Options, rng *rand.Rand
 				}
 			}
 		}
+		sc.queue = queue
 		// Disconnected graphs: the BFS may exhaust the component before
 		// reaching the target weight; keep absorbing unvisited vertices.
 		for v := 0; v < g.N && w < target; v++ {
-			if wt := g.VertexWeight(v); trial[v] == 1 && w+wt <= max0 {
-				trial[v] = 0
-				w += wt
+			if trial[v] == 1 {
+				join(v)
 			}
 		}
-		cut := cutOf(g, trial)
 		balanced := w <= max0 && total-w <= max1
 		switch {
 		case balanced && !bestBalanced,
@@ -134,18 +155,6 @@ func initialBisection(g *graph.Graph, frac float64, opts Options, rng *rand.Rand
 		}
 	}
 	return best
-}
-
-func cutOf(g *graph.Graph, side []uint8) int {
-	cut := 0
-	for u := 0; u < g.N; u++ {
-		for k := g.Ptr[u]; k < g.Ptr[u+1]; k++ {
-			if side[g.Adj[k]] != side[u] {
-				cut += g.EdgeWeight(k)
-			}
-		}
-	}
-	return cut / 2
 }
 
 // fmRefine performs boundary Fiduccia-Mattheyses passes on the bisection:
@@ -184,18 +193,21 @@ func fmCaps(g *graph.Graph, frac float64) (max0, max1 int) {
 	return max0, max1
 }
 
-// fmBuffers is the FM state of one Bisect: per-vertex gains, lock flags
-// and queue marks allocated once at the finest level's size and resliced
-// for every level, and the heap and move buffers every pass reuses. It
-// belongs to its Bisect alone and dies with it.
+// fmBuffers is the FM state of a Scratch: per-vertex gains, lock flags
+// and queue marks sized by a bisection's finest level and resliced for
+// every level, and the heap and move buffers every pass reuses.
 type fmBuffers struct {
 	gain   []int
 	locked []bool
 	st     fmFastState
 }
 
-func newFMBuffers(n int) *fmBuffers {
-	return &fmBuffers{gain: make([]int, n), locked: make([]bool, n), st: fmFastState{mark: make([]uint8, n)}}
+// reserve sizes the buffers for a bisection whose finest level has n
+// vertices.
+func (fb *fmBuffers) reserve(n int) {
+	fb.gain = grow(fb.gain, n)
+	fb.locked = grow(fb.locked, n)
+	fb.st.mark = grow(fb.st.mark, n)
 }
 
 // level returns the buffers resliced for a level of n vertices, with
@@ -278,21 +290,32 @@ func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]i
 		st.mark, st.warm = make([]uint8, g.N), false
 	}
 	mark := st.mark[:g.N]
+	// refresh sets v's gain, ext − inn over its edges to the other side
+	// and to its own, as 2·ext − (ext + inn), and its queue mark. The sums
+	// take a neighbour's side difference (0 or 1) as a multiplier rather
+	// than branching on it.
 	refresh := func(v int) {
-		ext, inn := 0, 0
-		boundary := false
-		for k := g.Ptr[v]; k < g.Ptr[v+1]; k++ {
-			if side[g.Adj[k]] != side[v] {
-				ext += edgeWeight(k)
-				boundary = true
-			} else {
-				inn += edgeWeight(k)
+		sv := side[v]
+		adj := g.Adj[g.Ptr[v]:g.Ptr[v+1]]
+		ext, total, cross := 0, len(adj), 0
+		if ew == nil {
+			for _, u := range adj {
+				cross += int(side[u] ^ sv)
+			}
+			ext = cross
+		} else {
+			total = 0
+			for i, x := range ew[g.Ptr[v]:g.Ptr[v+1]] {
+				d := int(side[adj[i]] ^ sv)
+				cross += d
+				ext += int(x) * d
+				total += int(x)
 			}
 		}
-		gain[v] = ext - inn
+		gain[v] = 2*ext - total
 		// Only boundary (or positive-gain) vertices are worth queueing.
 		mark[v] = markIdle
-		if gain[v] > 0 || boundary {
+		if gain[v] > 0 || cross > 0 {
 			mark[v] = markQueued
 		}
 	}
@@ -367,11 +390,7 @@ func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]i
 				continue
 			}
 			// v left u's side (gain up) or joined it (gain down).
-			if side[u] == from {
-				gain[u] += 2 * edgeWeight(k)
-			} else {
-				gain[u] -= 2 * edgeWeight(k)
-			}
+			gain[u] += 2 * edgeWeight(k) * (1 - 2*int(side[u]^from))
 			h = fmheap.Push(h, fmheap.Entry{V: u, Gain: int32(gain[u])})
 		}
 	}

@@ -2,10 +2,10 @@ package partition
 
 import (
 	"math/rand"
-	"slices"
 
 	"sparseorder/internal/graph"
 	"sparseorder/internal/par"
+	"sparseorder/internal/prng"
 )
 
 // level holds one rung of the multilevel hierarchy: the coarse graph and
@@ -20,13 +20,17 @@ type level struct {
 // and each unmatched one is paired with an unmatched neighbour, the one
 // joined by the heaviest edge under heavyEdgeMatching, the first one under
 // randomMatching (the ablation baseline). It returns match[v] = partner
-// (or v itself when unmatched) and the number of coarse vertices.
-func matchVertices(g *graph.Graph, rng *rand.Rand, strategy matchingStrategy) ([]int32, int) {
-	match := make([]int32, g.N)
+// (or v itself when unmatched) and the number of coarse vertices. The
+// visit order makes exactly rng.Perm's draws; the order and the matching
+// live in sc until its next matching.
+func matchVertices(g *graph.Graph, rng *rand.Rand, strategy matchingStrategy, sc *Scratch) ([]int32, int) {
+	match := grow(sc.match, g.N)
 	for i := range match {
 		match[i] = -1
 	}
-	order := rng.Perm(g.N)
+	order := grow(sc.order, g.N)
+	prng.Perm32(rng, order)
+	sc.match, sc.order = match, order
 	nCoarse := 0
 	for _, u := range order {
 		if match[u] >= 0 {
@@ -60,9 +64,9 @@ func matchVertices(g *graph.Graph, rng *rand.Rand, strategy matchingStrategy) ([
 }
 
 // contractRows is the buffer contract assembles coarse adjacency rows in
-// before copying each level out at its exact size. coarsen sizes it once
-// from the finest level and reuses it for every level: a coarse level has
-// at most as many vertices and adjacency entries as its fine level, since
+// before copying each level out at its exact size. coarsen sizes it from
+// the finest level and reuses it for every level: a coarse level has at
+// most as many vertices and adjacency entries as its fine level, since
 // every fine entry yields at most one coarse entry.
 type contractRows struct {
 	adj, ewgt []int32
@@ -78,9 +82,13 @@ type contractRows struct {
 // vertices are numbered by their lower fine endpoint, and each coarse row
 // lists the lower endpoint's edges before the higher one's, so one pass
 // over v ascending that skips the higher end of every pair assembles the
-// rows in order.
-func contract(g *graph.Graph, match []int32, nCoarse int, rows *contractRows) (*graph.Graph, []int32) {
-	cmap := make([]int32, g.N)
+// rows in order. The rows are assembled in rows; the coarse graph's
+// arrays and cmap are left in lb.
+func contract(g *graph.Graph, match []int32, nCoarse int, rows *contractRows, lb *levelBuf) (*graph.Graph, []int32) {
+	lb.cmap = grow(lb.cmap, g.N)
+	lb.ptr = grow(lb.ptr, nCoarse+1)
+	lb.vwgt = grow(lb.vwgt, nCoarse)
+	cmap := lb.cmap
 	next := int32(0)
 	for v := 0; v < g.N; v++ {
 		if m := int(match[v]); m >= v {
@@ -90,7 +98,9 @@ func contract(g *graph.Graph, match []int32, nCoarse int, rows *contractRows) (*
 		}
 	}
 
-	coarse := &graph.Graph{N: nCoarse, Ptr: make([]int, nCoarse+1), VWgt: make([]int32, nCoarse)}
+	coarse := &graph.Graph{N: nCoarse, Ptr: lb.ptr, VWgt: lb.vwgt}
+	coarse.Ptr[0] = 0
+	clear(coarse.VWgt)
 	adj, ewgt := rows.adj, rows.ewgt
 	where := rows.where[:nCoarse]
 	clear(where)
@@ -127,35 +137,39 @@ func contract(g *graph.Graph, match []int32, nCoarse int, rows *contractRows) (*
 		c++
 		coarse.Ptr[c] = n
 	}
-	coarse.Adj = slices.Clone(adj[:n])
-	coarse.EWgt = slices.Clone(ewgt[:n])
+	lb.adj, lb.ewgt = grow(lb.adj, n), grow(lb.ewgt, n)
+	copy(lb.adj, adj[:n])
+	copy(lb.ewgt, ewgt[:n])
+	coarse.Adj, coarse.EWgt = lb.adj, lb.ewgt
 	return coarse, cmap
 }
 
 // coarsen builds the multilevel hierarchy until the graph has at most
-// coarseTo vertices or matching stops making progress.
-func coarsen(g *graph.Graph, coarseTo int, opts Options, rng *rand.Rand) []level {
-	var levels []level
-	var rows contractRows
+// coarseTo vertices or matching stagnates. The levels and their graphs
+// live in sc until its next bisection.
+func coarsen(g *graph.Graph, coarseTo int, opts Options, rng *rand.Rand, sc *Scratch) []level {
+	levels := sc.levels[:0]
 	cur := g
 	for cur.N > coarseTo {
 		if par.Canceled(opts.Cancel) {
 			break // stop building levels; the caller unwinds at its next check
 		}
-		match, nCoarse := matchVertices(cur, rng, opts.matching)
+		match, nCoarse := matchVertices(cur, rng, opts.matching, sc)
 		if float64(nCoarse) > 0.95*float64(cur.N) {
 			break // matching stagnated (e.g. star graphs)
 		}
-		if levels == nil {
-			rows = contractRows{
-				adj:   make([]int32, len(g.Adj)),
-				ewgt:  make([]int32, len(g.Adj)),
-				where: make([]int32, nCoarse),
-			}
+		if len(levels) == 0 {
+			sc.rows.adj = grow(sc.rows.adj, len(g.Adj))
+			sc.rows.ewgt = grow(sc.rows.ewgt, len(g.Adj))
+			sc.rows.where = grow(sc.rows.where, nCoarse)
 		}
-		coarse, cmap := contract(cur, match, nCoarse, &rows)
+		if len(levels) == len(sc.levelBufs) {
+			sc.levelBufs = append(sc.levelBufs, levelBuf{})
+		}
+		coarse, cmap := contract(cur, match, nCoarse, &sc.rows, &sc.levelBufs[len(levels)])
 		levels = append(levels, level{fine: cur, coarse: coarse, cmap: cmap})
 		cur = coarse
 	}
+	sc.levels = levels
 	return levels
 }

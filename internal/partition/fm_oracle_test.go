@@ -221,7 +221,7 @@ func fmFixtures(t *testing.T, rng *rand.Rand) ([]string, map[string]*graph.Graph
 		t.Fatal(err)
 	}
 	graphs := map[string]*graph.Graph{"kron": kron, "cliques": twoCliquesBridge(t, 12)}
-	levels := coarsen(grid, 16, Options{}, rng)
+	levels := coarsen(grid, 16, Options{}, rng, new(Scratch))
 	graphs["grid"] = grid
 	weighted := false
 	for i, lv := range levels {
@@ -243,7 +243,7 @@ func fmFixtures(t *testing.T, rng *rand.Rand) ([]string, map[string]*graph.Graph
 // sides, for an even and an uneven split.
 func fmStarts(g *graph.Graph, rng *rand.Rand, run func(kind string, start []uint8, frac float64)) {
 	for _, frac := range []float64{0.5, 0.6} {
-		run("initial", initialBisection(g, frac, Options{}, rng), frac)
+		run("initial", initialBisection(g, frac, Options{}, rng, new(Scratch)), frac)
 		random := make([]uint8, g.N)
 		for v := range random {
 			random[v] = uint8(rng.Intn(2))
@@ -285,7 +285,8 @@ func TestCarriedFMMatchesReference(t *testing.T) {
 	for _, g := range graphs {
 		maxN = max(maxN, g.N)
 	}
-	fb := newFMBuffers(maxN)
+	fb := new(fmBuffers)
+	fb.reserve(maxN)
 	carried := 0
 	for _, name := range names {
 		g := graphs[name]
@@ -393,5 +394,93 @@ func TestKWayRejectsOversizedEdgeWeights(t *testing.T) {
 	g.EWgt = []int32{1, 1, 1, 1}
 	if _, err := KWay(g, 2, Options{Seed: 1}); err != nil {
 		t.Fatalf("KWay rejected a small graph: %v", err)
+	}
+}
+
+// cutOf is the total weight of the edges whose ends lie on different
+// sides.
+func cutOf(g *graph.Graph, side []uint8) int {
+	cut := 0
+	for u := 0; u < g.N; u++ {
+		for k := g.Ptr[u]; k < g.Ptr[u+1]; k++ {
+			if side[g.Adj[k]] != side[u] {
+				cut += g.EdgeWeight(k)
+			}
+		}
+	}
+	return cut / 2
+}
+
+// initialBisectionRef grows the same trials as initialBisection, in fresh
+// buffers, and takes each trial's cut from a rescan of every edge (cutOf).
+// It is the oracle of TestInitialBisectionMatchesReference.
+func initialBisectionRef(g *graph.Graph, frac float64, rng *rand.Rand) []uint8 {
+	total := g.TotalVertexWeight()
+	target := int(frac * float64(total))
+	max0 := int(float64(total) * frac * (1 + imbalance))
+	max1 := int(float64(total) * (1 - frac) * (1 + imbalance))
+	best := make([]uint8, g.N)
+	bestCut, bestBalanced := -1, false
+	for t := 0; t < initTrials; t++ {
+		trial := make([]uint8, g.N)
+		for i := range trial {
+			trial[i] = 1
+		}
+		w := 0
+		start := rng.Intn(g.N)
+		if t == 0 {
+			start = graph.PseudoPeripheral(g, start, nil, nil)
+		}
+		queue := []int32{int32(start)}
+		visited := make([]bool, g.N)
+		visited[start] = true
+		for head := 0; head < len(queue) && w < target; head++ {
+			v := queue[head]
+			if wt := g.VertexWeight(int(v)); w+wt <= max0 {
+				trial[v] = 0
+				w += wt
+			}
+			for _, u := range g.Neighbors(int(v)) {
+				if !visited[u] {
+					visited[u] = true
+					queue = append(queue, u)
+				}
+			}
+		}
+		for v := 0; v < g.N && w < target; v++ {
+			if wt := g.VertexWeight(v); trial[v] == 1 && w+wt <= max0 {
+				trial[v] = 0
+				w += wt
+			}
+		}
+		cut := cutOf(g, trial)
+		balanced := w <= max0 && total-w <= max1
+		if balanced && !bestBalanced || balanced == bestBalanced && (bestCut < 0 || cut < bestCut) {
+			bestCut, bestBalanced = cut, balanced
+			copy(best, trial)
+		}
+	}
+	return best
+}
+
+// TestInitialBisectionMatchesReference checks initialBisection, whose
+// trials keep their cut current as vertices join side 0, against the
+// rescanning oracle on the fmFixtures graphs, for several seeds and an
+// even and an uneven split. One Scratch serves every call, so each call
+// finds its buffers dirty from a graph of another size.
+func TestInitialBisectionMatchesReference(t *testing.T) {
+	names, graphs := fmFixtures(t, rand.New(rand.NewSource(37)))
+	sc := new(Scratch)
+	for _, name := range names {
+		g := graphs[name]
+		for _, frac := range []float64{0.5, 0.6} {
+			for seed := int64(1); seed <= 5; seed++ {
+				want := initialBisectionRef(g, frac, rand.New(rand.NewSource(seed)))
+				got := initialBisection(g, frac, Options{}, rand.New(rand.NewSource(seed)), sc)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s frac=%.1f seed %d: initial bisection differs from the reference", name, frac, seed)
+				}
+			}
+		}
 	}
 }

@@ -11,11 +11,11 @@ package partition
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"sparseorder/internal/graph"
 	"sparseorder/internal/obs"
 	"sparseorder/internal/par"
+	"sparseorder/internal/prng"
 )
 
 // The partitioner's fixed configuration: METIS-style settings the study
@@ -122,7 +122,7 @@ func KWayMulti(g *graph.Graph, ks []int, opts Options) ([][]int32, error) {
 	for i := range orig {
 		orig[i] = int32(i)
 	}
-	recursiveBisect(g, orig, jobs, opts, opts.Seed, par.NewLimiter(opts.Workers))
+	recursiveBisect(g, orig, jobs, opts, opts.Seed, par.NewLimiter(opts.Workers), new(Scratch))
 	if par.Canceled(opts.Cancel) {
 		return nil, context.Canceled
 	}
@@ -153,8 +153,9 @@ type kwayJob struct {
 // branches of a bisection write disjoint entries of each job's part, and
 // different jobs write different part arrays, which keeps the parallel
 // recursion race-free; lim bounds the live goroutines to the configured
-// worker count (a nil lim recurses serially).
-func recursiveBisect(sub *graph.Graph, orig []int32, jobs []kwayJob, opts Options, seed int64, lim *par.Limiter) {
+// worker count (a nil lim recurses serially). The bisections run in sc,
+// which the branches reuse once this node is done with it.
+func recursiveBisect(sub *graph.Graph, orig []int32, jobs []kwayJob, opts Options, seed int64, lim *par.Limiter, sc *Scratch) {
 	if par.Canceled(opts.Cancel) {
 		return
 	}
@@ -171,9 +172,8 @@ func recursiveBisect(sub *graph.Graph, orig []int32, jobs []kwayJob, opts Option
 	if len(live) == 0 {
 		return
 	}
-	leftSeed := seed*2654435761 + 1
-	rightSeed := seed*2654435761 + 2
-	var branches []func()
+	leftSeed, rightSeed := prng.Branches(seed)
+	var branches []func(*Scratch)
 	for len(live) > 0 {
 		frac := splitFraction(live[0].k)
 		var leftJobs, rightJobs, rest []kwayJob
@@ -187,41 +187,52 @@ func recursiveBisect(sub *graph.Graph, orig []int32, jobs []kwayJob, opts Option
 			rightJobs = append(rightJobs, kwayJob{j.part, j.firstPart + kLeft, j.k - kLeft})
 		}
 		live = rest
-		side := Bisect(sub, frac, opts, rand.New(rand.NewSource(seed)))
-		var left, right []int32
-		for i, s := range side {
-			if s == 0 {
-				left = append(left, int32(i))
-			} else {
-				right = append(right, int32(i))
-			}
-		}
+		rng := prng.Get(seed)
+		left, right := splitSides(Bisect(sub, frac, opts, rng, sc))
+		prng.Put(rng)
 		branches = append(branches,
-			func() {
-				lsub, lorig := induce(sub, orig, left)
-				recursiveBisect(lsub, lorig, leftJobs, opts, leftSeed, lim)
+			func(sc *Scratch) {
+				recursiveBisect(sc.Induce(sub, left), pick(orig, left), leftJobs, opts, leftSeed, lim, sc)
 			},
-			func() {
-				rsub, rorig := induce(sub, orig, right)
-				recursiveBisect(rsub, rorig, rightJobs, opts, rightSeed, lim)
+			func(sc *Scratch) {
+				recursiveBisect(sc.Induce(sub, right), pick(orig, right), rightJobs, opts, rightSeed, lim, sc)
 			})
 	}
 	fork := lim
 	if sub.N <= parallelMinVerts {
 		fork = nil
 	}
-	forkAll(fork, branches)
+	forkAll(fork, branches, sc)
 }
 
-// induce returns the subgraph of sub induced by verts and the input graph
-// vertex of each of its vertices, given sub's mapping orig.
-func induce(sub *graph.Graph, orig, verts []int32) (*graph.Graph, []int32) {
-	child, _ := graph.InducedSubgraph(sub, verts)
-	childOrig := make([]int32, len(verts))
-	for i, v := range verts {
-		childOrig[i] = orig[v]
+// splitSides returns the vertices of side 0 and of side 1, each
+// ascending, in one allocation.
+func splitSides(side []uint8) (left, right []int32) {
+	n0 := 0
+	for _, s := range side {
+		if s == 0 {
+			n0++
+		}
 	}
-	return child, childOrig
+	verts := make([]int32, len(side))
+	left, right = verts[:0:n0], verts[n0:n0]
+	for i, s := range side {
+		if s == 0 {
+			left = append(left, int32(i))
+		} else {
+			right = append(right, int32(i))
+		}
+	}
+	return left, right
+}
+
+// pick returns orig[v] for every v in verts.
+func pick(orig, verts []int32) []int32 {
+	out := make([]int32, len(verts))
+	for i, v := range verts {
+		out[i] = orig[v]
+	}
+	return out
 }
 
 // splitFraction is the share of the vertex weight that a k-part
@@ -231,13 +242,19 @@ func splitFraction(k int) float64 {
 }
 
 // forkAll runs every branch and returns when all are done, forking
-// through lim (nil runs them in order).
-func forkAll(lim *par.Limiter, branches []func()) {
+// through lim (nil runs them in order, all on sc). Every branch lim may
+// hand to another goroutine gets a Scratch of its own; the last one runs
+// on the caller's goroutine and gets sc.
+func forkAll(lim *par.Limiter, branches []func(*Scratch), sc *Scratch) {
 	if len(branches) == 1 {
-		branches[0]()
+		branches[0](sc)
 		return
 	}
-	lim.Fork(branches[0], func() { forkAll(lim, branches[1:]) })
+	first := sc
+	if lim != nil {
+		first = new(Scratch)
+	}
+	lim.Fork(func() { branches[0](first) }, func() { forkAll(lim, branches[1:], sc) })
 }
 
 // EdgeCut returns the total weight of edges crossing between different

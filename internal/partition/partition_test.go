@@ -77,7 +77,7 @@ func imbalanceFactor(g *graph.Graph, part []int32, k int) float64 {
 func TestBisectTwoCliques(t *testing.T) {
 	g := twoCliquesBridge(t, 12)
 	rng := rand.New(rand.NewSource(1))
-	side := Bisect(g, 0.5, Options{Seed: 1}, rng)
+	side := Bisect(g, 0.5, Options{Seed: 1}, rng, new(Scratch))
 	part := make([]int32, g.N)
 	for v, s := range side {
 		part[v] = int32(s)
@@ -198,7 +198,7 @@ func TestImbalanceFactor(t *testing.T) {
 func TestVertexSeparatorSeparates(t *testing.T) {
 	g := gridGraph(t, 16, 16)
 	rng := rand.New(rand.NewSource(4))
-	label := VertexSeparator(g, Options{Seed: 4}, rng)
+	label := VertexSeparator(g, Options{Seed: 4}, rng, new(Scratch))
 	n0, n1, nSep := 0, 0, 0
 	for _, l := range label {
 		switch l {
@@ -233,11 +233,11 @@ func TestVertexSeparatorSeparates(t *testing.T) {
 func TestVertexSeparatorTiny(t *testing.T) {
 	g := &graph.Graph{N: 1, Ptr: []int{0, 0}}
 	rng := rand.New(rand.NewSource(5))
-	label := VertexSeparator(g, Options{}, rng)
+	label := VertexSeparator(g, Options{}, rng, new(Scratch))
 	if len(label) != 1 {
 		t.Fatalf("labels = %v", label)
 	}
-	if VertexSeparator(&graph.Graph{N: 0, Ptr: []int{0}}, Options{}, rng) != nil {
+	if VertexSeparator(&graph.Graph{N: 0, Ptr: []int{0}}, Options{}, rng, new(Scratch)) != nil {
 		t.Error("empty graph should give nil labels")
 	}
 }
@@ -253,7 +253,7 @@ func TestBisectWeightedVertices(t *testing.T) {
 		g.VWgt[i] = 10
 	}
 	rng := rand.New(rand.NewSource(6))
-	side := Bisect(g, 0.5, Options{Seed: 6}, rng)
+	side := Bisect(g, 0.5, Options{Seed: 6}, rng, new(Scratch))
 	w := [2]int{}
 	for v, s := range side {
 		w[s] += g.VertexWeight(v)
@@ -267,7 +267,7 @@ func TestBisectWeightedVertices(t *testing.T) {
 func TestCoarsenPreservesTotalWeight(t *testing.T) {
 	g := gridGraph(t, 12, 12)
 	rng := rand.New(rand.NewSource(7))
-	levels := coarsen(g, 16, Options{}, rng)
+	levels := coarsen(g, 16, Options{}, rng, new(Scratch))
 	if len(levels) == 0 {
 		t.Fatal("no coarsening happened on a 144-vertex grid")
 	}
@@ -291,7 +291,7 @@ func TestCoarsenPreservesTotalWeight(t *testing.T) {
 func TestHeavyEdgeMatchIsMatching(t *testing.T) {
 	g := gridGraph(t, 9, 9)
 	rng := rand.New(rand.NewSource(8))
-	match, nCoarse := matchVertices(g, rng, heavyEdgeMatching)
+	match, nCoarse := matchVertices(g, rng, heavyEdgeMatching, new(Scratch))
 	pairs := 0
 	for v := 0; v < g.N; v++ {
 		m := int(match[v])
@@ -349,7 +349,7 @@ func TestRandomMatchingStillPartitions(t *testing.T) {
 func TestRandomMatchIsMatching(t *testing.T) {
 	g := gridGraph(t, 9, 9)
 	rng := rand.New(rand.NewSource(9))
-	match, _ := matchVertices(g, rng, randomMatching)
+	match, _ := matchVertices(g, rng, randomMatching, new(Scratch))
 	for v := 0; v < g.N; v++ {
 		if int(match[match[v]]) != v {
 			t.Fatalf("random matching not symmetric at %d", v)

@@ -12,29 +12,33 @@ import (
 // vertex cover of that bipartite graph separates the remaining vertices.
 // The cover is found greedily, repeatedly taking the boundary vertex
 // incident to the most uncovered cut edges. It returns per-vertex labels:
-// 0 and 1 for the two sides, 2 for the separator. g, or the graph it was
-// induced from, must pass CheckEdgeWeights.
-func VertexSeparator(g *graph.Graph, opts Options, rng *rand.Rand) []uint8 {
+// 0 and 1 for the two sides, 2 for the separator. The bisection and the
+// cover run in sc's buffers. g, or the graph it was induced from, must
+// pass CheckEdgeWeights.
+func VertexSeparator(g *graph.Graph, opts Options, rng *rand.Rand, sc *Scratch) []uint8 {
 	if g.N == 0 {
 		return nil
 	}
 	if g.N == 1 {
 		return []uint8{0}
 	}
-	side := Bisect(g, 0.5, opts, rng)
+	sc = sc.forGraph(g.N)
+	side := bisect(g, 0.5, opts, rng, sc)
 	label := make([]uint8, g.N)
 	copy(label, side)
 
 	// Count uncovered cut edges per vertex.
-	cutDeg := make([]int, g.N)
+	cutDeg := grow(sc.cutDeg, g.N)
+	sc.cutDeg = cutDeg
 	for u := 0; u < g.N; u++ {
+		cutDeg[u] = 0
 		for k := g.Ptr[u]; k < g.Ptr[u+1]; k++ {
 			if side[g.Adj[k]] != side[u] {
 				cutDeg[u]++
 			}
 		}
 	}
-	var h []fmheap.Entry
+	h := sc.heap[:0]
 	for v := 0; v < g.N; v++ {
 		if cutDeg[v] > 0 {
 			h = append(h, fmheap.Entry{V: int32(v), Gain: int32(cutDeg[v])})
@@ -60,5 +64,6 @@ func VertexSeparator(g *graph.Graph, opts Options, rng *rand.Rand) []uint8 {
 		}
 		cutDeg[v] = 0
 	}
+	sc.heap = h
 	return label
 }

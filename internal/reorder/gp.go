@@ -1,8 +1,6 @@
 package reorder
 
 import (
-	"sort"
-
 	"sparseorder/internal/graph"
 	"sparseorder/internal/hypergraph"
 	"sparseorder/internal/partition"
@@ -65,13 +63,28 @@ func hypergraphPartitionOrder(a *sparse.CSR, opts Options, done <-chan struct{})
 	return orderByPart(part), nil
 }
 
-// orderByPart converts a part assignment into a new-to-old permutation by a
-// stable sort on part id.
+// orderByPart converts a part assignment into a new-to-old permutation
+// that groups vertices by ascending part id and keeps their original
+// relative order within each part, the order a stable sort on part id
+// gives. It is a counting sort: one pass counts each part's vertices, a
+// prefix sum turns the counts into the parts' first positions, and a
+// second pass in vertex order places every vertex.
 func orderByPart(part []int32) sparse.Perm {
-	p := make(sparse.Perm, len(part))
-	for i := range p {
-		p[i] = i
+	nparts := int32(0)
+	for _, q := range part {
+		nparts = max(nparts, q+1)
 	}
-	sort.SliceStable(p, func(i, j int) bool { return part[p[i]] < part[p[j]] })
+	next := make([]int, nparts+1)
+	for _, q := range part {
+		next[q+1]++
+	}
+	for q := int32(1); q <= nparts; q++ {
+		next[q] += next[q-1]
+	}
+	p := make(sparse.Perm, len(part))
+	for v, q := range part {
+		p[next[q]] = v
+		next[q]++
+	}
 	return p
 }

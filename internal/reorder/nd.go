@@ -1,11 +1,10 @@
 package reorder
 
 import (
-	"math/rand"
-
 	"sparseorder/internal/graph"
 	"sparseorder/internal/par"
 	"sparseorder/internal/partition"
+	"sparseorder/internal/prng"
 	"sparseorder/internal/sparse"
 )
 
@@ -48,7 +47,7 @@ func nestedDissection(g *graph.Graph, leafSize int, opts Options, done <-chan st
 		verts[i] = int32(i)
 	}
 	popts := partition.Options{Workers: opts.Workers, Cancel: done, Obs: opts.obs}
-	dissect(g, verts, verts, perm, leafSize, popts, opts.Seed, par.NewLimiter(opts.Workers))
+	dissect(g, verts, verts, perm, leafSize, popts, opts.Seed, par.NewLimiter(opts.Workers), new(partition.Scratch))
 	return perm, nil
 }
 
@@ -59,14 +58,15 @@ func nestedDissection(g *graph.Graph, leafSize int, opts Options, done <-chan st
 // input graph vertices. Each branch induces its halves from its own
 // subgraph, not from the input graph, so inducing costs time in
 // proportion to the subgraphs' size. seed is this branch's RNG seed;
-// children derive theirs with the same multiplicative derivation
-// recursiveBisect uses, so the ordering is a pure function of (graph,
-// leafSize, opts.Seed) regardless of scheduling.
-func dissect(parent *graph.Graph, parentOrig, verts []int32, out sparse.Perm, leafSize int, popts partition.Options, seed int64, lim *par.Limiter) {
+// children derive theirs by prng.Branches, as recursiveBisect's do, so
+// the ordering is a pure function of (graph, leafSize, opts.Seed)
+// regardless of scheduling. The separator runs in sc, which the right
+// half reuses, and the left half too unless it is forked.
+func dissect(parent *graph.Graph, parentOrig, verts []int32, out sparse.Perm, leafSize int, popts partition.Options, seed int64, lim *par.Limiter, sc *partition.Scratch) {
 	if len(verts) == 0 || par.Canceled(popts.Cancel) {
 		return
 	}
-	sub, _ := graph.InducedSubgraph(parent, verts)
+	sub := sc.Induce(parent, verts)
 	orig := make([]int32, len(verts))
 	for i, v := range verts {
 		orig[i] = parentOrig[v]
@@ -76,7 +76,9 @@ func dissect(parent *graph.Graph, parentOrig, verts []int32, out sparse.Perm, le
 		return
 	}
 	popts.Seed = seed
-	label := partition.VertexSeparator(sub, popts, rand.New(rand.NewSource(seed)))
+	rng := prng.Get(seed)
+	label := partition.VertexSeparator(sub, popts, rng, sc)
+	prng.Put(rng)
 	var left, right, sep []int32
 	for i, l := range label {
 		switch l {
@@ -98,15 +100,14 @@ func dissect(parent *graph.Graph, parentOrig, verts []int32, out sparse.Perm, le
 	}
 	leftOut := out[:len(left)]
 	rightOut := out[len(left) : len(left)+len(right)]
-	leftSeed := seed*2654435761 + 1
-	rightSeed := seed*2654435761 + 2
+	leftSeed, rightSeed := prng.Branches(seed)
 	if lim != nil && len(verts) > ndForkMinVerts {
 		lim.Fork(
-			func() { dissect(sub, orig, left, leftOut, leafSize, popts, leftSeed, lim) },
-			func() { dissect(sub, orig, right, rightOut, leafSize, popts, rightSeed, lim) })
+			func() { dissect(sub, orig, left, leftOut, leafSize, popts, leftSeed, lim, new(partition.Scratch)) },
+			func() { dissect(sub, orig, right, rightOut, leafSize, popts, rightSeed, lim, sc) })
 	} else {
-		dissect(sub, orig, left, leftOut, leafSize, popts, leftSeed, lim)
-		dissect(sub, orig, right, rightOut, leafSize, popts, rightSeed, lim)
+		dissect(sub, orig, left, leftOut, leafSize, popts, leftSeed, lim, sc)
+		dissect(sub, orig, right, rightOut, leafSize, popts, rightSeed, lim, sc)
 	}
 	tail := out[len(left)+len(right):]
 	for i, v := range sep {

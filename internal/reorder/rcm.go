@@ -36,7 +36,7 @@ const cmCheckEvery = 1024
 func cmComponent(g *graph.Graph, s int, strategy startStrategy, perm sparse.Perm, visited []bool, scratch, neigh []int32, done <-chan struct{}) sparse.Perm {
 	start := s
 	if strategy == pseudoPeripheralStart {
-		start, _ = graph.PseudoPeripheral(g, s, scratch, done)
+		start = graph.PseudoPeripheral(g, s, scratch, done)
 	} else {
 		// Minimum-degree vertex of the component containing s.
 		r := graph.BFS(g, s, scratch, done)

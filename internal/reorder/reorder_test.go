@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -255,6 +256,12 @@ func TestGPGroupsPartsContiguously(t *testing.T) {
 		if v != i {
 			t.Errorf("orderByPart not stable: %v", ident)
 		}
+	}
+	// Shuffled part ids with an empty part (3): grouped by ascending part,
+	// original order within each.
+	got := orderByPart([]int32{2, 0, 4, 1, 0, 2, 4, 0})
+	if want := (sparse.Perm{1, 4, 7, 3, 0, 5, 2, 6}); !slices.Equal(got, want) {
+		t.Errorf("orderByPart = %v, want %v", got, want)
 	}
 }
 
