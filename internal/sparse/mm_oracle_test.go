@@ -2,8 +2,11 @@ package sparse
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"strconv"
+	"unicode/utf8"
 
 	"sparseorder/internal/par"
 )
@@ -13,10 +16,68 @@ import (
 // ingestion pipeline production runs (ReadMatrixMarketWorkers and
 // assembleSegs). The differential tests and FuzzReadMatrixMarket compare
 // the pipeline against them at every worker count, 1 included.
+//
+// The oracle's entry lines go through their own tokenizer,
+// parseEntryOracle: bytes.FieldsFunc over the separator set, then
+// strconv.Atoi and strconv.ParseFloat. It shares no entry-parsing code
+// with the production scanner, so a tokenizer bug in either shows up as a
+// disagreement. It shares the banner and size-line readers, which the
+// pipeline runs before any entry is scanned.
+
+// oracleSep reports whether r separates Matrix Market fields: the ASCII
+// blanks isMMSpace names. Every byte of a multi-byte rune is non-ASCII,
+// so splitting by rune splits exactly where splitting by byte would.
+func oracleSep(r rune) bool { return r < utf8.RuneSelf && isMMSpace(byte(r)) }
+
+// parseEntryOracle parses one raw entry line against the header h and the
+// size line's dimensions, returning 0-based indices. skip reports a blank
+// or comment line. The checks run in the grammar's order — field count,
+// then the indices, their ranges, the skew-symmetric diagonal, and last
+// the value — and each reports the message the production scanner must
+// give.
+func parseEntryOracle(line []byte, h MMHeader, rows, cols int) (i, j int, v float64, skip bool, err error) {
+	f := bytes.FieldsFunc(line, oracleSep)
+	if len(f) == 0 || f[0][0] == '%' {
+		return 0, 0, 0, true, nil
+	}
+	want := 3
+	if h.Field == "pattern" {
+		want = 2
+	}
+	t := bytes.TrimFunc(line, oracleSep)
+	if len(f) < want {
+		return 0, 0, 0, false, fmt.Errorf("sparse: malformed entry line %q", t)
+	}
+	if len(f) > want {
+		return 0, 0, 0, false, fmt.Errorf("sparse: malformed entry line %q: trailing %q", t, f[want])
+	}
+	if i, err = strconv.Atoi(string(f[0])); err != nil {
+		return 0, 0, 0, false, fmt.Errorf("sparse: bad row index %q", f[0])
+	}
+	if j, err = strconv.Atoi(string(f[1])); err != nil {
+		return 0, 0, 0, false, fmt.Errorf("sparse: bad column index %q", f[1])
+	}
+	if i < 1 || i > rows {
+		return 0, 0, 0, false, fmt.Errorf("sparse: row index %d outside 1..%d", i, rows)
+	}
+	if j < 1 || j > cols {
+		return 0, 0, 0, false, fmt.Errorf("sparse: column index %d outside 1..%d", j, cols)
+	}
+	if h.Symmetry == "skew-symmetric" && i == j {
+		return 0, 0, 0, false, fmt.Errorf("sparse: skew-symmetric matrix stores an explicit diagonal entry (%d,%d)", i, j)
+	}
+	v = 1
+	if want == 3 {
+		if v, err = strconv.ParseFloat(string(f[2]), 64); err != nil {
+			return 0, 0, 0, false, fmt.Errorf("sparse: bad value %q: %w", f[2], err)
+		}
+	}
+	return i - 1, j - 1, v, false, nil
+}
 
 // readMatrixMarketOracle parses a Matrix Market stream line by line
-// through the shared grammar helpers. Like the pipeline it sizes nothing
-// from the declared nnz: the triplet slices grow as entries arrive.
+// through parseEntryOracle. Like the pipeline it sizes nothing from the
+// declared nnz: the triplet slices grow as entries arrive.
 func readMatrixMarketOracle(r io.Reader) (*CSR, error) {
 	br := bufio.NewReader(r)
 	h, err := readMMBanner(br)
@@ -35,13 +96,12 @@ func readMatrixMarketOracle(r io.Reader) (*CSR, error) {
 		if err != nil && line == "" {
 			return nil, fmt.Errorf("sparse: after %d of %d entries: %w", read, nnz, err)
 		}
-		t := trimMMSpace([]byte(line))
-		if isCommentOrBlank(t) {
-			continue
-		}
-		i, j, v, err := parseEntryLine(t, h, rows, cols)
+		i, j, v, skip, err := parseEntryOracle([]byte(line), h, rows, cols)
 		if err != nil {
 			return nil, fmt.Errorf("sparse: entry %d: %w", read+1, err)
+		}
+		if skip {
+			continue
 		}
 		coo.Append(i, j, v)
 		read++
@@ -51,8 +111,8 @@ func readMatrixMarketOracle(r io.Reader) (*CSR, error) {
 		if err != nil && line == "" {
 			break
 		}
-		if t := trimMMSpace([]byte(line)); !isCommentOrBlank(t) {
-			return nil, fmt.Errorf("sparse: content after the declared %d entries: %q", nnz, t)
+		if f := bytes.FieldsFunc([]byte(line), oracleSep); len(f) > 0 && f[0][0] != '%' {
+			return nil, fmt.Errorf("sparse: content after the declared %d entries: %q", nnz, bytes.TrimFunc([]byte(line), oracleSep))
 		}
 	}
 
