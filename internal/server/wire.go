@@ -133,7 +133,7 @@ func addDigit(mant uint64, digits int, c byte) (uint64, int, bool) {
 // number scans one JSON number and converts it: up to 19 significant
 // digits and a moderate exponent go through sparse.DecimalToFloat64,
 // anything it declines (and longer mantissas) through strconv.ParseFloat,
-// exactly as the Matrix Market fast path falls back.
+// exactly as the Matrix Market entry scanner falls back.
 func (s *bodyScanner) number() (float64, error) {
 	b, p, start := s.b, s.p, s.p
 	neg := p < len(b) && b[p] == '-'

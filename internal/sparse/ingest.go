@@ -15,9 +15,9 @@ import (
 
 // Streaming Matrix Market ingestion: the post-header byte stream is split
 // into one chunk per worker, aligned to line boundaries; chunks are parsed
-// concurrently into per-worker COO shards by the allocation-light scanner
-// in mmscan.go (symmetric and skew-symmetric expansion happens inline,
-// entry then mirror); and the shards are assembled into CSR by the
+// concurrently into per-worker COO shards by scanEntry, the one entry-line
+// grammar (mmscan.go), with symmetric and skew-symmetric expansion inline,
+// entry then mirror; and the shards are assembled into CSR by the
 // bucket-and-merge path in assemble.go. At 1 worker the same code runs as
 // one chunk and one segment, inline on the caller's goroutine.
 //
@@ -191,37 +191,26 @@ func parseChunk(idx int, chunk []byte, h MMHeader, rows, cols int) (cooSeg, int,
 		} else {
 			line, chunk = chunk, nil
 		}
-		i, j, v, ok := parseEntryFast(line, pattern, skew, rows, cols)
-		if !ok {
-			// Anything unusual — comments, blanks, exotic spellings,
-			// malformed lines — goes through the reference grammar.
-			t := trimMMSpace(line)
-			if isCommentOrBlank(t) {
-				continue
-			}
-			var err error
-			i, j, v, err = parseEntryLine(t, h, rows, cols)
-			if err != nil {
-				return cooSeg{}, 0, err
-			}
+		i, j, v, entry, err := scanEntry(line, pattern, skew, rows, cols)
+		if err != nil {
+			return cooSeg{}, 0, err
+		}
+		if !entry {
+			continue
 		}
 		entries++
 		seg.row = append(seg.row, int32(i))
 		seg.col = append(seg.col, int32(j))
 		seg.val = append(seg.val, v)
-		if expand {
-			switch {
-			case h.Symmetry == "skew-symmetric":
-				// Diagonal entries were rejected by parseEntryLine, so
-				// every entry mirrors.
-				seg.row = append(seg.row, int32(j))
-				seg.col = append(seg.col, int32(i))
-				seg.val = append(seg.val, -v)
-			case i != j:
-				seg.row = append(seg.row, int32(j))
-				seg.col = append(seg.col, int32(i))
-				seg.val = append(seg.val, v)
+		// scanEntry rejects skew-symmetric diagonals, so every
+		// skew-symmetric entry mirrors, negated.
+		if expand && i != j {
+			if skew {
+				v = -v
 			}
+			seg.row = append(seg.row, int32(j))
+			seg.col = append(seg.col, int32(i))
+			seg.val = append(seg.val, v)
 		}
 	}
 	return seg, entries, nil

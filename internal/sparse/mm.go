@@ -13,9 +13,10 @@ import (
 //
 // ReadMatrixMarketWorkers (ingest.go) is the one reader: a chunked
 // pipeline that runs the same code at every worker count, one chunk
-// inline on the caller's goroutine at 1 worker. It parses each line
-// through the helpers in mmscan.go; a line-at-a-time reader in
-// mm_oracle_test.go is the oracle it is checked against.
+// inline on the caller's goroutine at 1 worker. It parses each entry
+// line with scanEntry (mmscan.go). A line-at-a-time reader in
+// mm_oracle_test.go, with its own strconv tokenizer, is the oracle it is
+// checked against.
 
 // MMHeader describes the banner line of a Matrix Market file.
 type MMHeader struct {
@@ -65,7 +66,7 @@ func readMMSizeLine(br *bufio.Reader) (rows, cols, nnz int, err error) {
 			return 0, 0, 0, fmt.Errorf("sparse: missing size line: %w", err)
 		}
 		t := trimMMSpace([]byte(line))
-		if isCommentOrBlank(t) {
+		if len(t) == 0 || t[0] == '%' {
 			continue
 		}
 		return parseSizeLine(t)

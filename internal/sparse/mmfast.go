@@ -6,146 +6,15 @@ import (
 	"math/bits"
 )
 
-// Fast-path entry-line scanner for the parallel ingestion pipeline.
-//
-// parseEntryFast parses the overwhelmingly common shape of a coordinate
-// entry — decimal indices and a plain decimal value separated by runs of
-// spaces or tabs — in a single left-to-right pass with no allocation. It
-// returns ok=false for anything outside that shape (comments, blanks,
-// malformed or out-of-range entries, exotic value spellings like "inf",
-// hex floats or 20+ digit mantissas), routing the line through the
-// reference grammar in parseEntryLine, which either accepts it with
-// identical semantics or produces the diagnostic. The fast path therefore
-// accepts a strict subset of the reference grammar and never disagrees
-// with it on a value: the Clinger small-number path is the same exact
-// single-operation rounding parseValueField uses, and the Eisel–Lemire
-// path below is correctly rounded by construction (verified exhaustively
-// against strconv in the tests).
-func parseEntryFast(line []byte, pattern, skew bool, rows, cols int) (int, int, float64, bool) {
-	p, n := 0, len(line)
-	for p < n && (line[p] == ' ' || line[p] == '\t') {
-		p++
-	}
-	// Row index: bare digits, 1-based, bounded by rows.
-	start := p
-	i := 0
-	for p < n && line[p] >= '0' && line[p] <= '9' {
-		i = i*10 + int(line[p]-'0')
-		if i > math.MaxInt32 {
-			return 0, 0, 0, false
-		}
-		p++
-	}
-	if p == start || i < 1 || i > rows {
-		return 0, 0, 0, false
-	}
-	if p >= n || (line[p] != ' ' && line[p] != '\t') {
-		return 0, 0, 0, false
-	}
-	for p < n && (line[p] == ' ' || line[p] == '\t') {
-		p++
-	}
-	// Column index.
-	start = p
-	j := 0
-	for p < n && line[p] >= '0' && line[p] <= '9' {
-		j = j*10 + int(line[p]-'0')
-		if j > math.MaxInt32 {
-			return 0, 0, 0, false
-		}
-		p++
-	}
-	if p == start || j < 1 || j > cols {
-		return 0, 0, 0, false
-	}
-
-	v := 1.0
-	if !pattern {
-		if p >= n || (line[p] != ' ' && line[p] != '\t') {
-			return 0, 0, 0, false
-		}
-		for p < n && (line[p] == ' ' || line[p] == '\t') {
-			p++
-		}
-		// Value: [sign] digits [. digits] [e|E [sign] digits]. The
-		// mantissa accumulates into a uint64; 19 decimal digits always
-		// fit, so the cap below rejects the line before a wrapped value
-		// could ever be used.
-		neg := false
-		if p < n && (line[p] == '+' || line[p] == '-') {
-			neg = line[p] == '-'
-			p++
-		}
-		var mant uint64
-		digits, e10 := 0, 0
-		for p < n && line[p] >= '0' && line[p] <= '9' {
-			mant = mant*10 + uint64(line[p]-'0')
-			digits++
-			p++
-		}
-		if p < n && line[p] == '.' {
-			p++
-			for p < n && line[p] >= '0' && line[p] <= '9' {
-				mant = mant*10 + uint64(line[p]-'0')
-				digits++
-				e10--
-				p++
-			}
-		}
-		if digits == 0 || digits > 19 {
-			return 0, 0, 0, false
-		}
-		if p < n && (line[p] == 'e' || line[p] == 'E') {
-			p++
-			esign := 1
-			if p < n && (line[p] == '+' || line[p] == '-') {
-				if line[p] == '-' {
-					esign = -1
-				}
-				p++
-			}
-			estart, ev := p, 0
-			for p < n && line[p] >= '0' && line[p] <= '9' {
-				ev = ev*10 + int(line[p]-'0')
-				if ev > 10000 {
-					return 0, 0, 0, false
-				}
-				p++
-			}
-			if p == estart {
-				return 0, 0, 0, false
-			}
-			e10 += esign * ev
-		}
-		var ok bool
-		v, ok = DecimalToFloat64(mant, e10, neg)
-		if !ok {
-			return 0, 0, 0, false
-		}
-	}
-
-	// Only trailing whitespace may remain; anything else is the reference
-	// grammar's "trailing token" error.
-	for p < n && (line[p] == ' ' || line[p] == '\t' || line[p] == '\r') {
-		p++
-	}
-	if p != n {
-		return 0, 0, 0, false
-	}
-	if skew && i == j {
-		return 0, 0, 0, false
-	}
-	return i - 1, j - 1, v, true
-}
-
 // DecimalToFloat64 converts the decimal mant × 10^e10 (negated if neg) to
 // the correctly rounded float64, or reports ok=false when it cannot
 // guarantee correct rounding and the caller must fall back to strconv.
-// The Matrix Market fast path and the daemon's SpMV body decoder share it.
+// The Matrix Market entry scanner (scanEntry) and the daemon's SpMV body
+// decoder share it.
 func DecimalToFloat64(mant uint64, e10 int, neg bool) (float64, bool) {
 	// Clinger's fast path: both the mantissa and the power of ten are
 	// exactly representable, so one IEEE multiply or divide rounds
-	// correctly. This is the same computation parseValueField performs.
+	// correctly.
 	if mant < 1<<53 && e10 >= -22 && e10 <= 22 {
 		f := float64(mant)
 		if neg {
@@ -157,6 +26,12 @@ func DecimalToFloat64(mant uint64, e10 int, neg bool) (float64, bool) {
 		return f / pow10[-e10], true
 	}
 	return eiselLemire(mant, e10, neg)
+}
+
+// pow10 holds the exactly-representable powers of ten (10^0..10^22).
+var pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
 // Eisel–Lemire correctly rounded decimal→binary conversion (Lemire,
