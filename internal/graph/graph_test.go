@@ -90,23 +90,33 @@ func TestFromMatrixSymmetrized(t *testing.T) {
 	}
 }
 
+// levelsFrom runs bfsFill from root over a fresh level array, returning
+// the levels and the visit order.
+func levelsFrom(g *Graph, root int) (level, order []int32) {
+	level = make([]int32, g.N)
+	for i := range level {
+		level[i] = -1
+	}
+	return level, bfsFill(g, root, level, nil, nil)
+}
+
 func TestBFSLevelsOnPath(t *testing.T) {
 	g := pathGraph(t, 6)
-	r := BFS(g, 0, nil, nil)
-	if r.Depth() != 5 {
-		t.Fatalf("depth = %d, want 5", r.Depth())
+	level, order := levelsFrom(g, 0)
+	if d := level[order[len(order)-1]]; d != 5 {
+		t.Fatalf("depth = %d, want 5", d)
 	}
 	for i := 0; i < 6; i++ {
-		if int(r.Level[i]) != i {
-			t.Errorf("level[%d] = %d, want %d", i, r.Level[i], i)
+		if int(level[i]) != i {
+			t.Errorf("level[%d] = %d, want %d", i, level[i], i)
 		}
 	}
-	r = BFS(g, 3, nil, nil)
-	if r.Depth() != 3 {
-		t.Errorf("depth from middle = %d, want 3", r.Depth())
+	level, order = levelsFrom(g, 3)
+	if d := level[order[len(order)-1]]; d != 3 {
+		t.Errorf("depth from middle = %d, want 3", d)
 	}
-	if len(r.Order) != 6 {
-		t.Errorf("visited %d of 6", len(r.Order))
+	if len(order) != 6 {
+		t.Errorf("visited %d of 6", len(order))
 	}
 }
 
@@ -119,12 +129,12 @@ func TestBFSRestrictedToComponent(t *testing.T) {
 	coo.Append(3, 2, 1)
 	a, _ := coo.ToCSR()
 	g, _ := FromMatrixSymmetrizedWorkers(a, 1)
-	r := BFS(g, 0, nil, nil)
-	if len(r.Order) != 2 {
-		t.Errorf("BFS escaped the component: %v", r.Order)
+	level, order := levelsFrom(g, 0)
+	if len(order) != 2 {
+		t.Errorf("BFS escaped the component: %v", order)
 	}
-	if r.Level[2] != -1 {
-		t.Errorf("unreached vertex has level %d", r.Level[2])
+	if level[2] != -1 {
+		t.Errorf("unreached vertex has level %d", level[2])
 	}
 }
 
@@ -147,61 +157,82 @@ func TestComponents(t *testing.T) {
 
 func TestPseudoPeripheralOnPath(t *testing.T) {
 	g := pathGraph(t, 9)
-	v := PseudoPeripheral(g, 4, nil, nil)
+	v := PseudoPeripheral(g, 4, nil, nil, nil)
 	if v != 0 && v != 8 {
 		t.Errorf("pseudo-peripheral vertex = %d, want an endpoint", v)
 	}
-	if d := BFS(g, v, nil, nil).Depth(); d != 8 {
-		t.Errorf("eccentricity = %d, want 8", d)
+	if level, order := levelsFrom(g, v); level[order[len(order)-1]] != 8 {
+		t.Errorf("eccentricity = %d, want 8", level[order[len(order)-1]])
 	}
 }
 
-// TestPseudoPeripheralScratch checks that a scratch level array, dirty
-// from earlier use, changes nothing: on the path 0–1–2–3–4 started from 2,
-// and on a grid from several starts, the vertex is the one found without
-// scratch, and a BFS from it is as deep as its eccentricity, the largest
-// distance from it to any vertex.
+// TestPseudoPeripheralScratch checks the caller-buffer contract: with one
+// level array and one order buffer reused across calls, the vertex is the
+// one found with fresh buffers, a BFS from it is as deep as its
+// eccentricity (the largest distance from it to any vertex), and the
+// level array reads -1 again after every call. Outside start's component
+// the array may hold anything, and the search leaves it as it was. The
+// graphs are the path 0–1–2–3–4, a 5×6 grid, and the two side by side.
 func TestPseudoPeripheralScratch(t *testing.T) {
 	grid := sparse.NewCOO(30, 30, 0)
+	both := sparse.NewCOO(35, 35, 0)
 	for r := 0; r < 5; r++ {
 		for c := 0; c < 6; c++ {
 			v := r*6 + c
 			if c+1 < 6 {
 				grid.Append(v, v+1, 1)
+				both.Append(v, v+1, 1)
 			}
 			if r+1 < 5 {
 				grid.Append(v, v+6, 1)
+				both.Append(v, v+6, 1)
 			}
 		}
 	}
-	ga, _ := grid.ToCSR()
-	gg, err := FromMatrixSymmetrizedWorkers(ga, 1)
-	if err != nil {
-		t.Fatal(err)
+	for v := 30; v < 34; v++ {
+		both.Append(v, v+1, 1)
 	}
-	for _, g := range []*Graph{pathGraph(t, 5), gg} {
-		scratch := make([]int32, g.N)
-		for i := range scratch {
-			scratch[i] = int32(i % 3)
+	var graphs []*Graph
+	graphs = append(graphs, pathGraph(t, 5))
+	for _, coo := range []*sparse.COO{grid, both} {
+		a, _ := coo.ToCSR()
+		g, err := FromMatrixSymmetrizedWorkers(a, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for start := 0; start < g.N; start += 2 {
-			want := PseudoPeripheral(g, start, nil, nil)
-			got := PseudoPeripheral(g, start, scratch, nil)
+		graphs = append(graphs, g)
+	}
+	for _, g := range graphs {
+		_, id := Components(g)
+		level := make([]int32, g.N)
+		order := make([]int32, 0, g.N)
+		for start := 0; start < g.N; start++ {
+			// Vertices outside start's component carry junk.
+			for v := range level {
+				level[v] = -1
+				if id[v] != id[start] {
+					level[v] = int32(7 + v)
+				}
+			}
+			want := PseudoPeripheral(g, start, nil, nil, nil)
+			got := PseudoPeripheral(g, start, level, order, nil)
 			if got != want {
-				t.Fatalf("n=%d start %d: vertex %d with scratch, %d without", g.N, start, got, want)
+				t.Fatalf("n=%d start %d: vertex %d with buffers, %d without", g.N, start, got, want)
 			}
-			r := BFS(g, got, nil, nil)
+			for v, l := range level {
+				if id[v] == id[start] && l != -1 || id[v] != id[start] && l != int32(7+v) {
+					t.Fatalf("n=%d start %d: level[%d] = %d on return", g.N, start, v, l)
+				}
+			}
+			lv, ord := levelsFrom(g, got)
 			ecc := int32(0)
-			for _, l := range r.Level {
+			for _, l := range lv {
 				ecc = max(ecc, l)
 			}
-			if r.Depth() != int(ecc) {
-				t.Errorf("n=%d start %d: depth %d, eccentricity %d", g.N, start, r.Depth(), ecc)
+			if lv[ord[len(ord)-1]] != ecc {
+				t.Errorf("n=%d start %d: depth %d, eccentricity %d", g.N, start, lv[ord[len(ord)-1]], ecc)
 			}
 		}
-	}
-	if v := PseudoPeripheral(pathGraph(t, 5), 2, make([]int32, 5), nil); v != 0 && v != 4 {
-		t.Errorf("path from 2: vertex %d, want an endpoint", v)
 	}
 }
 

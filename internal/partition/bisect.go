@@ -118,8 +118,8 @@ func initialBisection(g *graph.Graph, frac float64, opts Options, rng *rand.Rand
 		}
 		start := rng.Intn(g.N)
 		if t == 0 {
-			sc.bfs = grow(sc.bfs, g.N)
-			start = graph.PseudoPeripheral(g, start, sc.bfs, opts.Cancel)
+			sc.queue = grow(sc.queue, g.N)
+			start = graph.PseudoPeripheral(g, start, sc.bfsLevels(g.N), sc.queue, opts.Cancel)
 		}
 		queue := append(sc.queue[:0], int32(start))
 		visited[start] = true

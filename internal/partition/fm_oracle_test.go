@@ -429,7 +429,7 @@ func initialBisectionRef(g *graph.Graph, frac float64, rng *rand.Rand) []uint8 {
 		w := 0
 		start := rng.Intn(g.N)
 		if t == 0 {
-			start = graph.PseudoPeripheral(g, start, nil, nil)
+			start = graph.PseudoPeripheral(g, start, nil, nil, nil)
 		}
 		queue := []int32{int32(start)}
 		visited := make([]bool, g.N)

@@ -24,7 +24,8 @@ type Scratch struct {
 	// Initial bisection.
 	best, trial []uint8
 	visited     []bool
-	queue, bfs  []int32
+	queue       []int32
+	bfs         []int32 // reads -1 between calls; see bfsLevels
 	// Refinement, and the two buffers uncoarsening projects sides into.
 	fm    fmBuffers
 	sides [2][]uint8
@@ -60,6 +61,19 @@ func (sc *Scratch) Induce(g *graph.Graph, verts []int32) *graph.Graph {
 		sc.local = make([]int32, g.N)
 	}
 	return graph.InducedSubgraph(g, verts, sc.local[:g.N])
+}
+
+// bfsLevels returns the first n entries of sc.bfs, the level array
+// graph.PseudoPeripheral takes. They read -1, and the search leaves them
+// reading -1, so no call refills them.
+func (sc *Scratch) bfsLevels(n int) []int32 {
+	if len(sc.bfs) < n {
+		sc.bfs = make([]int32, n)
+		for i := range sc.bfs {
+			sc.bfs[i] = -1
+		}
+	}
+	return sc.bfs[:n]
 }
 
 // grow returns buf resliced to length n, reallocated when its capacity is

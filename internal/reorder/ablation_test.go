@@ -95,7 +95,8 @@ func BenchmarkAblationGPWeighted(b *testing.B) {
 }
 
 // BenchmarkAblationRCMStart compares pseudo-peripheral and minimum-degree
-// root selection, reporting the resulting bandwidth.
+// root selection, reporting the resulting bandwidth. Both run through the
+// serial oracle, since production has only the pseudo-peripheral rule.
 func BenchmarkAblationRCMStart(b *testing.B) {
 	a := gen.Scramble(gen.Grid2D(100, 100), 5)
 	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
@@ -103,16 +104,16 @@ func BenchmarkAblationRCMStart(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name  string
-		strat startStrategy
+		name string
+		root rootRule
 	}{
-		{"pseudo-peripheral", pseudoPeripheralStart},
-		{"min-degree", minDegreeStart},
+		{"pseudo-peripheral", pseudoPeripheralRoot},
+		{"min-degree", minDegreeRoot},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var bw int
 			for i := 0; i < b.N; i++ {
-				p := reverseCuthillMcKee(g, tc.strat, 1, nil)
+				p := reverseCuthillMcKeeSerial(g, tc.root)
 				bm, err := sparse.PermuteSymmetricWorkers(a, p, 1)
 				if err != nil {
 					b.Fatal(err)

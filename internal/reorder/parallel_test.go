@@ -56,7 +56,7 @@ func TestWorkersByteIdenticalAllAlgorithms(t *testing.T) {
 
 // TestCuthillMcKeeWorkersMatchesSerial holds the one component-parallel
 // Cuthill-McKee body to the serial oracle (rcm_oracle_test.go) at every
-// worker count, 1 included, for both start strategies.
+// worker count, 1 included.
 func TestCuthillMcKeeWorkersMatchesSerial(t *testing.T) {
 	// Five components of very different sizes, so more workers than
 	// components and more components than workers both occur.
@@ -77,23 +77,21 @@ func TestCuthillMcKeeWorkersMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strategy := range []startStrategy{pseudoPeripheralStart, minDegreeStart} {
-		want := cuthillMcKeeSerial(g, strategy)
-		for _, w := range []int{1, 2, 3, 4, 8, 16, 0} {
-			got := cuthillMcKee(g, strategy, w, nil)
-			if len(got) != len(want) {
-				t.Fatalf("strategy %d workers=%d: length %d, want %d", strategy, w, len(got), len(want))
+	want := cuthillMcKeeSerial(g, pseudoPeripheralRoot)
+	for _, w := range []int{1, 2, 3, 4, 8, 16, 0} {
+		got := cuthillMcKee(g, w, nil)
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: length %d, want %d", w, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: differs from serial at %d", w, i)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("strategy %d workers=%d: differs from serial at %d", strategy, w, i)
-				}
-			}
-			rev := reverseCuthillMcKee(g, strategy, w, nil)
-			for i := range want {
-				if rev[i] != want[len(want)-1-i] {
-					t.Fatalf("strategy %d workers=%d: reverse is not the reversal", strategy, w)
-				}
+		}
+		rev := reverseCuthillMcKee(g, w, nil)
+		for i := range want {
+			if rev[i] != want[len(want)-1-i] {
+				t.Fatalf("workers=%d: reverse is not the reversal", w)
 			}
 		}
 	}
@@ -163,7 +161,7 @@ func BenchmarkReorderRCM(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				reverseCuthillMcKee(g, pseudoPeripheralStart, w, nil)
+				reverseCuthillMcKee(g, w, nil)
 			}
 		})
 	}

@@ -1,7 +1,8 @@
 package reorder
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -10,48 +11,21 @@ import (
 	"sparseorder/internal/sparse"
 )
 
-// startStrategy selects how Cuthill-McKee picks the root vertex of each
-// connected component. The George-Liu pseudo-peripheral finder is the
-// standard choice (and the one the study's implementation uses); the
-// minimum-degree start is kept as an ablation (see DESIGN.md).
-type startStrategy int
-
-// Start strategies for Cuthill-McKee.
-const (
-	pseudoPeripheralStart startStrategy = iota
-	minDegreeStart
-)
-
 // cmCheckEvery is the number of dequeued vertices between cancellation
 // checks in the Cuthill-McKee BFS loop.
 const cmCheckEvery = 1024
 
-// cmComponent appends the Cuthill-McKee ordering of the component whose
-// smallest-index vertex is s to perm. It touches visited only at the
-// component's own vertices, so concurrent calls on distinct components
-// sharing one visited slice are safe; scratch (length g.N) and neigh are
-// per-caller scratch space. done is polled every cmCheckEvery dequeues
-// (nil never cancels); a cancelled call returns a partial ordering that
-// the caller must discard.
-func cmComponent(g *graph.Graph, s int, strategy startStrategy, perm sparse.Perm, visited []bool, scratch, neigh []int32, done <-chan struct{}) sparse.Perm {
-	start := s
-	if strategy == pseudoPeripheralStart {
-		start = graph.PseudoPeripheral(g, s, scratch, done)
-	} else {
-		// Minimum-degree vertex of the component containing s.
-		r := graph.BFS(g, s, scratch, done)
-		for _, v := range r.Order {
-			if g.Degree(int(v)) < g.Degree(start) {
-				start = int(v)
-			}
-		}
-	}
-	if par.Canceled(done) {
-		return perm
-	}
+// cmComponent appends the Cuthill-McKee ordering of root's component,
+// traversed breadth-first from root, to perm. It touches visited only at
+// the component's own vertices, so concurrent calls on distinct
+// components sharing one visited slice are safe; neigh is per-caller
+// scratch space. done is polled every cmCheckEvery dequeues (nil never
+// cancels); a cancelled call returns a partial ordering that the caller
+// must discard.
+func cmComponent(g *graph.Graph, root int, perm sparse.Perm, visited []bool, neigh []int32, done <-chan struct{}) sparse.Perm {
 	compStart := len(perm)
-	perm = append(perm, start)
-	visited[start] = true
+	perm = append(perm, root)
+	visited[root] = true
 	for head := compStart; head < len(perm); head++ {
 		if (head-compStart)%cmCheckEvery == cmCheckEvery-1 && par.Canceled(done) {
 			return perm
@@ -64,12 +38,8 @@ func cmComponent(g *graph.Graph, s int, strategy startStrategy, perm sparse.Perm
 				neigh = append(neigh, u)
 			}
 		}
-		sort.Slice(neigh, func(i, j int) bool {
-			di, dj := g.Degree(int(neigh[i])), g.Degree(int(neigh[j]))
-			if di != dj {
-				return di < dj
-			}
-			return neigh[i] < neigh[j]
+		slices.SortFunc(neigh, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(g.Degree(int(a)), g.Degree(int(b))), cmp.Compare(a, b))
 		})
 		for _, u := range neigh {
 			perm = append(perm, int(u))
@@ -78,10 +48,34 @@ func cmComponent(g *graph.Graph, s int, strategy startStrategy, perm sparse.Perm
 	return perm
 }
 
+// cmScratch is one goroutine's buffers for ordering components: the root
+// search's level array, which reads -1 between components, and its visit
+// order, both sized for the whole graph once, and the neighbour sort
+// buffer. Reusing them makes k components cost their own sizes, not k·N.
+type cmScratch struct{ level, order, neigh []int32 }
+
+func newCMScratch(g *graph.Graph) *cmScratch {
+	level := make([]int32, g.N)
+	for i := range level {
+		level[i] = -1
+	}
+	return &cmScratch{level: level, order: make([]int32, 0, g.N), neigh: make([]int32, 0, g.MaxDegree())}
+}
+
+// component appends the Cuthill-McKee ordering of the component whose
+// smallest vertex is s, rooted at a pseudo-peripheral vertex, to perm.
+func (sc *cmScratch) component(g *graph.Graph, s int, perm sparse.Perm, visited []bool, done <-chan struct{}) sparse.Perm {
+	root := graph.PseudoPeripheral(g, s, sc.level, sc.order, done)
+	if par.Canceled(done) {
+		return perm
+	}
+	return cmComponent(g, root, perm, visited, sc.neigh, done)
+}
+
 // cuthillMcKee computes the Cuthill-McKee ordering of g: each connected
-// component is traversed breadth-first from its root (a pseudo-peripheral
-// vertex by default), appending unvisited neighbours in ascending-degree
-// order. The returned permutation is new-to-old.
+// component is traversed breadth-first from a pseudo-peripheral root,
+// appending unvisited neighbours in ascending-degree order. The returned
+// permutation is new-to-old.
 //
 // Components are independent and are ordered concurrently by up to
 // workers goroutines (0 = GOMAXPROCS); the calling goroutine is one of
@@ -93,36 +87,35 @@ func cmComponent(g *graph.Graph, s int, strategy startStrategy, perm sparse.Perm
 // cancels), so a wedged ordering stops within cmCheckEvery dequeues of a
 // cancellation; a cancelled call returns a partial ordering that the
 // caller must discard.
-func cuthillMcKee(g *graph.Graph, strategy startStrategy, workers int, done <-chan struct{}) sparse.Perm {
+func cuthillMcKee(g *graph.Graph, workers int, done <-chan struct{}) sparse.Perm {
 	if g.N == 0 {
 		return sparse.Perm{}
 	}
 	// Order the component of vertex 0 first — for a connected graph (the
 	// common case) this is the entire ordering, with no component scan.
 	visited := make([]bool, g.N)
-	scratch := make([]int32, g.N)
-	neigh := make([]int32, 0, g.MaxDegree())
-	perm := cmComponent(g, 0, strategy, make(sparse.Perm, 0, g.N), visited, scratch, neigh, done)
+	sc := newCMScratch(g)
+	perm := sc.component(g, 0, make(sparse.Perm, 0, g.N), visited, done)
 	if len(perm) == g.N || par.Canceled(done) {
 		return perm
 	}
 	// Components lists the components in ascending order of their
 	// smallest vertex, with the already-ordered component of vertex 0
 	// first. visited is shared: each component writes only its own
-	// vertices, so the workers touch disjoint index sets. scratch and
-	// neigh are per worker; BFS level arrays must be g.N long.
+	// vertices, so the workers touch disjoint index sets. Each worker has
+	// its own cmScratch.
 	allComps, _ := graph.Components(g)
 	comps := allComps[1:]
 	parts := make([]sparse.Perm, len(comps))
 	var next atomic.Int64
-	work := func(scratch, neigh []int32) {
+	work := func(sc *cmScratch) {
 		for {
 			ci := int(next.Add(1) - 1)
 			if ci >= len(comps) || par.Canceled(done) {
 				return
 			}
 			comp := comps[ci]
-			parts[ci] = cmComponent(g, int(comp[0]), strategy, make(sparse.Perm, 0, len(comp)), visited, scratch, neigh, done)
+			parts[ci] = sc.component(g, int(comp[0]), make(sparse.Perm, 0, len(comp)), visited, done)
 		}
 	}
 	w := min(par.Resolve(workers), len(comps))
@@ -131,10 +124,10 @@ func cuthillMcKee(g *graph.Graph, strategy startStrategy, workers int, done <-ch
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work(make([]int32, g.N), make([]int32, 0, g.MaxDegree()))
+			work(newCMScratch(g))
 		}()
 	}
-	work(scratch, neigh)
+	work(sc)
 	wg.Wait()
 	for _, part := range parts {
 		perm = append(perm, part...)
@@ -145,10 +138,8 @@ func cuthillMcKee(g *graph.Graph, strategy startStrategy, workers int, done <-ch
 // reverseCuthillMcKee returns the Cuthill-McKee ordering reversed, the
 // variant preferred in practice (paper §2.1.1), and the RCM ordering of
 // the study.
-func reverseCuthillMcKee(g *graph.Graph, strategy startStrategy, workers int, done <-chan struct{}) sparse.Perm {
-	p := cuthillMcKee(g, strategy, workers, done)
-	for i, j := 0, len(p)-1; i < j; i, j = i+1, j-1 {
-		p[i], p[j] = p[j], p[i]
-	}
+func reverseCuthillMcKee(g *graph.Graph, workers int, done <-chan struct{}) sparse.Perm {
+	p := cuthillMcKee(g, workers, done)
+	slices.Reverse(p)
 	return p
 }

@@ -263,7 +263,7 @@ func faultKey(alg Algorithm, a *sparse.CSR) string {
 func orderGraph(alg Algorithm, g *graph.Graph, opts Options, done <-chan struct{}) (sparse.Perm, error) {
 	switch alg {
 	case RCM:
-		return reverseCuthillMcKee(g, pseudoPeripheralStart, opts.Workers, done), nil
+		return reverseCuthillMcKee(g, opts.Workers, done), nil
 	case AMD:
 		return approxMinimumDegree(g, done), nil
 	case ND:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -125,8 +126,8 @@ func TestCuthillMcKeeReversal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := cuthillMcKee(g, pseudoPeripheralStart, 1, nil)
-	rcm := reverseCuthillMcKee(g, pseudoPeripheralStart, 1, nil)
+	cm := cuthillMcKee(g, 1, nil)
+	rcm := reverseCuthillMcKee(g, 1, nil)
 	for i := range cm {
 		if cm[i] != rcm[len(rcm)-1-i] {
 			t.Fatal("RCM is not the reversal of CM")
@@ -150,7 +151,7 @@ func TestRCMHandlesDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := reverseCuthillMcKee(g, pseudoPeripheralStart, 1, nil)
+	p := reverseCuthillMcKee(g, 1, nil)
 	if len(p) != 8 || !p.IsValid() {
 		t.Fatalf("invalid permutation on disconnected graph: %v", p)
 	}
@@ -407,17 +408,17 @@ func TestRCMStartStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []startStrategy{pseudoPeripheralStart, minDegreeStart} {
-		p := reverseCuthillMcKee(g, strat, 1, nil)
+	for name, root := range map[string]rootRule{"pseudo-peripheral": pseudoPeripheralRoot, "min-degree": minDegreeRoot} {
+		p := reverseCuthillMcKeeSerial(g, root)
 		if len(p) != g.N || !p.IsValid() {
-			t.Fatalf("strategy %d: invalid permutation", strat)
+			t.Fatalf("%s: invalid permutation", name)
 		}
 		b, err := sparse.PermuteSymmetricWorkers(a, p, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if bw := bandwidth(b); bw >= bandwidth(a) {
-			t.Errorf("strategy %d: bandwidth %d not reduced from %d", strat, bw, bandwidth(a))
+			t.Errorf("%s: bandwidth %d not reduced from %d", name, bw, bandwidth(a))
 		}
 	}
 }
@@ -548,6 +549,42 @@ func TestAMDQualityAgainstExactMinimumDegree(t *testing.T) {
 		// much; a large gap would indicate a broken degree bound.
 		if float64(amdFill) > 1.35*float64(exactFill)+10 {
 			t.Errorf("trial %d: AMD fill %d far above exact MD fill %d", trial, amdFill, exactFill)
+		}
+	}
+}
+
+// TestRCMAllocationLinearInComponents orders 40,000 rows of 2×2 diagonal
+// blocks, 20,000 components, and bounds the bytes RCM allocates by a
+// small multiple of N. The root search once refilled a whole-graph level
+// array and allocated a whole-graph order buffer per component, k·N in
+// all: about 3.2 GB here.
+func TestRCMAllocationLinearInComponents(t *testing.T) {
+	const n = 40000
+	coo := sparse.NewCOO(n, n, 2*n)
+	for i := 0; i < n; i += 2 {
+		coo.Append(i, i, 2)
+		coo.Append(i, i+1, 1)
+		coo.Append(i+1, i, 1)
+		coo.Append(i+1, i+1, 2)
+	}
+	a, err := coo.ToCSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p := reverseCuthillMcKee(g, w, nil)
+		runtime.ReadMemStats(&after)
+		if len(p) != n || !p.IsValid() {
+			t.Fatalf("workers=%d: invalid permutation", w)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 256*n {
+			t.Errorf("workers=%d: RCM allocated %d bytes, %.0f per row; want at most 256 per row", w, got, float64(got)/n)
 		}
 	}
 }
