@@ -13,6 +13,7 @@ import (
 	"sparseorder/internal/solver"
 	"sparseorder/internal/sparse"
 	"sparseorder/internal/spmv"
+	"sparseorder/internal/stats"
 )
 
 // SolveBench splits the CG solves of the perfbench mesh-solve workload
@@ -164,35 +165,22 @@ func RunSolveBench(a *sparse.CSR, seed int64, repeats int) (*SolveBench, error) 
 		MultiplyReps: solveBenchMultiplyReps,
 	}
 	for i, r := range runs {
-		slices.Sort(r.solves)
-		slices.Sort(r.muls)
-		med := quantile(r.solves, 0.5)
-		mul := quantile(r.muls, 0.5) * float64(r.count)
+		med := stats.Quantile(r.solves, 0.5)
+		mul := stats.Quantile(r.muls, 0.5) * float64(r.count)
 		out.Orderings = append(out.Orderings, SolveBenchOrdering{
 			Ordering:           string(solveBenchOrderings[i]),
 			Iterations:         r.iters,
 			Multiplies:         r.count,
-			BestSolveSeconds:   r.solves[0],
+			BestSolveSeconds:   slices.Min(r.solves),
 			MedianSolveSeconds: med,
 			MultiplyQuartilesUs: [3]float64{
-				quantile(r.muls, 0.25) * 1e6, quantile(r.muls, 0.5) * 1e6, quantile(r.muls, 0.75) * 1e6},
+				stats.Quantile(r.muls, 0.25) * 1e6, stats.Quantile(r.muls, 0.5) * 1e6, stats.Quantile(r.muls, 0.75) * 1e6},
 			MultiplySeconds: mul,
 			SweepSeconds:    med - mul,
 			SweepShare:      (med - mul) / med,
 		})
 	}
 	return out, nil
-}
-
-// quantile returns the q-quantile of the ascending values in sorted,
-// interpolating linearly between the two nearest ranks.
-func quantile(sorted []float64, q float64) float64 {
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo] + (pos-float64(lo))*(sorted[lo+1]-sorted[lo])
 }
 
 // RenderSolveBench formats a SolveBench as the indented JSON document

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sparseorder/internal/gen"
+	"sparseorder/internal/stats"
 )
 
 // TestRunSolveBenchSmall runs the solve bench on a small scrambled mesh and
@@ -53,15 +54,15 @@ func TestRunSolveBenchSmall(t *testing.T) {
 }
 
 // TestQuantile checks the interpolation the solve bench's medians and
-// quartiles use.
+// quartiles use, stats.Quantile's.
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	for _, c := range []struct{ q, want float64 }{{0, 1}, {0.25, 1.75}, {0.5, 2.5}, {0.75, 3.25}, {1, 4}} {
-		if got := quantile(xs, c.q); got != c.want {
-			t.Errorf("quantile(%v, %g) = %g, want %g", xs, c.q, got, c.want)
+		if got := stats.Quantile(xs, c.q); got != c.want {
+			t.Errorf("stats.Quantile(%v, %g) = %g, want %g", xs, c.q, got, c.want)
 		}
 	}
-	if got := quantile([]float64{7}, 0.5); got != 7 {
+	if got := stats.Quantile([]float64{7}, 0.5); got != 7 {
 		t.Errorf("quantile of one value = %g, want 7", got)
 	}
 }
