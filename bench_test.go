@@ -168,7 +168,9 @@ func BenchmarkTable5_ReorderTime(b *testing.B) {
 // BenchmarkDenseCSRRef regenerates the §4.2 tall-skinny dense reference.
 func BenchmarkDenseCSRRef(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = experiments.RenderDenseCSRRef(experiments.Config{Scale: gen.ScaleTest, Seed: 1, Repeats: 2})
+		if _, err := experiments.RenderDenseCSRRef(experiments.Config{Scale: gen.ScaleTest, Seed: 1, Repeats: 2}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

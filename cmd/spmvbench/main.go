@@ -24,8 +24,10 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
+	"sparseorder/internal/experiments"
 	"sparseorder/internal/gen"
 	"sparseorder/internal/machine"
 	"sparseorder/internal/metrics"
@@ -71,12 +73,9 @@ func run() int {
 		}
 	}()
 
-	scale := gen.ScaleStudy
-	switch *scaleName {
-	case "test":
-		scale = gen.ScaleTest
-	case "large":
-		scale = gen.ScaleLarge
+	scale, err := gen.ParseScale(*scaleName)
+	if err != nil {
+		return fail("-scale: %v", err)
 	}
 
 	var a *sparse.CSR
@@ -135,10 +134,6 @@ func run() int {
 	}
 	y := make([]float64, a.Rows)
 
-	time1D := timeBest(*repeats, func() { spmv.Mul1D(a, x, y, *threads) })
-	fmt.Printf("host 1D (%d threads): %v/iter, %.2f Gflop/s\n",
-		*threads, time.Duration(float64(time.Second)*time1D), spmv.Gflops(a.NNZ(), time1D))
-
 	// Plan construction is the setup cost the kernel times amortise; the
 	// spmv/plan2d and spmv/planmerge spans put it next to them.
 	_, sp := obs.Start(ctx, "spmv/plan2d")
@@ -147,19 +142,28 @@ func run() int {
 	if err != nil {
 		return fail("%v", err)
 	}
-	time2D := timeBest(*repeats, func() { spmv.Mul2D(a, x, y, plan) })
-	fmt.Printf("host 2D (%d threads): %v/iter, %.2f Gflop/s\n",
-		*threads, time.Duration(float64(time.Second)*time2D), spmv.Gflops(a.NNZ(), time2D))
-
 	_, sp = obs.Start(ctx, "spmv/planmerge")
 	mplan, err := spmv.NewPlanMerge(a, *threads)
 	sp.End()
 	if err != nil {
 		return fail("%v", err)
 	}
-	timeMg := timeBest(*repeats, func() { spmv.MulMerge(a, x, y, mplan) })
-	fmt.Printf("host merge (%d threads): %v/iter, %.2f Gflop/s\n",
-		*threads, time.Duration(float64(time.Second)*timeMg), spmv.Gflops(a.NNZ(), timeMg))
+	for _, k := range []struct {
+		name string
+		mul  func() error
+	}{
+		{"1D", func() error { return spmv.Mul1D(a, x, y, *threads) }},
+		{"2D", func() error { return spmv.Mul2D(a, x, y, plan) }},
+		{"merge", func() error { return spmv.MulMerge(a, x, y, mplan) }},
+	} {
+		secs, err := experiments.TimeRuns(*repeats, k.mul)
+		if err != nil {
+			return fail("%v", err)
+		}
+		best := slices.Min(secs)
+		fmt.Printf("host %s (%d threads): %v/iter, %.2f Gflop/s\n",
+			k.name, *threads, time.Duration(float64(time.Second)*best), spmv.Gflops(a.NNZ(), best))
+	}
 
 	fmt.Println("\nmachine-model predictions:")
 	fmt.Printf("%-10s %8s %12s %12s %10s\n", "machine", "threads", "1D Gflop/s", "2D Gflop/s", "imb(1D)")
@@ -169,17 +173,4 @@ func run() int {
 		fmt.Printf("%-10s %8d %12.2f %12.2f %10.3f\n", m.Name, m.Cores, e1.Gflops, e2.Gflops, e1.Imbalance)
 	}
 	return 0
-}
-
-func timeBest(repeats int, f func()) float64 {
-	best := 0.0
-	for i := 0; i < repeats; i++ {
-		start := time.Now()
-		f()
-		el := time.Since(start).Seconds()
-		if best == 0 || el < best {
-			best = el
-		}
-	}
-	return best
 }

@@ -61,18 +61,20 @@
 // every exit path, including interrupt (exit 3) and partial failure
 // (exit 2).
 //
-// -exp benchreorder measures the reordering hot path serial vs parallel —
-// including the five ordering pipelines rcm/amd/nd/gp/hp — and prints the
-// BENCH_reorder.json document (also written to -out DIR when given). The
-// committed numbers are taken at -scale study; -scale test shrinks the
-// bench matrices to CI-smoke sizes. -exp benchingest measures Matrix
-// Market ingestion at 1, 2 and 4 workers (and GOMAXPROCS) and prints
-// BENCH_ingest.json. -exp benchobs measures the observability layer's
-// disabled-path overhead and prints BENCH_obs.json. -exp benchsolve splits
-// the CG solves of perfbench's mesh-solve workload (the 32³ mesh scrambled
-// with -seed and its RCM/AMD/ND/GP orderings) into multiply and vector
-// sweep time, -repeats rounds, and prints BENCH_solve.json; -scale does
-// not apply to it.
+// The bench experiments each print one committed benchmark document (also
+// written to -out DIR when given), and -repeats sets their best-of and
+// median counts; the benches table in main.go lists them. -exp
+// benchreorder measures the reordering hot path serial vs parallel,
+// including the five ordering pipelines rcm/amd/nd/gp/hp, and prints
+// BENCH_reorder.json. -exp benchingest measures Matrix Market ingestion at
+// 1, 2 and 4 workers (and GOMAXPROCS) and prints BENCH_ingest.json. Both
+// commit numbers taken at -scale study; -scale test shrinks their
+// matrices to CI-smoke sizes. -exp benchobs measures the observability
+// layer's disabled-path overhead and prints BENCH_obs.json. -exp
+// benchsolve splits the CG solves of perfbench's mesh-solve workload (the
+// 32³ mesh scrambled with -seed and its RCM/AMD/ND/GP orderings) into
+// multiply and vector sweep time, -repeats rounds, and prints
+// BENCH_solve.json. -scale does not apply to benchobs or benchsolve.
 //
 // Results are printed to stdout; with -out, artifact-format data files
 // (one per machine and kernel, as in the paper's Zenodo artifact) are also
@@ -95,6 +97,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -122,12 +125,12 @@ func main() {
 }
 
 func run() (code int) {
-	exp := flag.String("exp", "all", "experiment to run: all, fig1..fig6, table3..table5, densecsr, findings, artifact, benchreorder, benchingest, benchobs, benchsolve")
+	exp := flag.String("exp", "all", "experiment to run: all, fig1..fig6, table3..table5, densecsr, findings, artifact, "+benchNames())
 	scaleName := flag.String("scale", "test", "collection scale: test, study or large")
 	seed := flag.Int64("seed", 42, "collection seed")
 	out := flag.String("out", "", "directory for artifact-format data files")
 	verbose := flag.Bool("v", false, "log per-matrix progress to stderr")
-	repeats := flag.Int("repeats", 10, "host SpMV timing repetitions (best run is kept)")
+	repeats := flag.Int("repeats", 10, "host SpMV timing repetitions (best run is kept); also the repeat count of the bench experiments")
 	workers := flag.Int("workers", 0, "concurrent matrix evaluations (0 = GOMAXPROCS)")
 	reorderWorkers := flag.Int("reorder-workers", 1, "workers for the per-matrix reordering pipeline (0 = GOMAXPROCS, 1 = serial); any value gives identical results")
 	ingestWorkers := flag.Int("ingest-workers", 0, "workers for Matrix Market file ingestion (0 = GOMAXPROCS); any value gives identical matrices")
@@ -187,16 +190,9 @@ func run() (code int) {
 		}
 	}()
 
-	var scale gen.Scale
-	switch *scaleName {
-	case "test":
-		scale = gen.ScaleTest
-	case "study":
-		scale = gen.ScaleStudy
-	case "large":
-		scale = gen.ScaleLarge
-	default:
-		lg.Errorf("unknown scale %q", *scaleName)
+	scale, err := gen.ParseScale(*scaleName)
+	if err != nil {
+		lg.Errorf("-scale: %v", err)
 		return exitFatal
 	}
 	rw := *reorderWorkers
@@ -307,7 +303,8 @@ func run() (code int) {
 	want := func(name string) bool { return *exp == "all" || *exp == name }
 
 	// Experiments that need the full study run.
-	needStudy := *exp == "all" || (*out != "" && *exp != "benchreorder" && *exp != "benchingest" && *exp != "benchobs" && *exp != "benchsolve")
+	bench := findBench(*exp)
+	needStudy := *exp == "all" || (*out != "" && bench == nil)
 	for _, name := range []string{"fig2", "fig3", "fig5", "fig6", "table3", "table4", "artifact", "findings"} {
 		if *exp == name {
 			needStudy = true
@@ -386,7 +383,7 @@ func run() (code int) {
 		emit(experiments.RenderTable5(cfg))
 	}
 	if want("densecsr") {
-		fmt.Println(experiments.RenderDenseCSRRef(cfg))
+		emit(experiments.RenderDenseCSRRef(cfg))
 	}
 	if code != exitOK {
 		return code
@@ -394,81 +391,19 @@ func run() (code int) {
 	// The bench experiments are explicit-only: they measure wall clock on
 	// fixed-size inputs and would slow "all" runs without adding to the
 	// tables.
-	if *exp == "benchreorder" {
-		counts := []int{1, 2, 4}
-		if g := runtime.GOMAXPROCS(0); g != 1 && g != 2 && g != 4 {
-			counts = append(counts, g)
-		}
-		bench, err := experiments.RunReorderBench(
-			experiments.ReorderBenchMatrices(*seed, scale), counts, *repeats)
+	if bench != nil {
+		doc, err := bench.run(*seed, scale, *repeats)
 		if err != nil {
 			lg.Errorf("%v", err)
 			return exitFatal
 		}
-		text, err := experiments.RenderReorderBench(bench)
+		text, err := experiments.RenderBench(doc)
 		if err != nil {
 			lg.Errorf("%v", err)
 			return exitFatal
 		}
 		fmt.Print(text)
-		if werr := writeBenchFile(*out, "BENCH_reorder.json", text, lg); werr != nil {
-			return exitFatal
-		}
-	}
-	if *exp == "benchingest" {
-		counts := []int{1, 2, 4}
-		if g := runtime.GOMAXPROCS(0); g != 1 && g != 2 && g != 4 {
-			counts = append(counts, g)
-		}
-		bench, err := experiments.RunIngestBench(
-			experiments.IngestBenchMatrices(*seed), counts, *repeats)
-		if err != nil {
-			lg.Errorf("%v", err)
-			return exitFatal
-		}
-		text, err := experiments.RenderIngestBench(bench)
-		if err != nil {
-			lg.Errorf("%v", err)
-			return exitFatal
-		}
-		fmt.Print(text)
-		if werr := writeBenchFile(*out, "BENCH_ingest.json", text, lg); werr != nil {
-			return exitFatal
-		}
-	}
-	if *exp == "benchobs" {
-		bench, err := experiments.RunObsBench(*seed, *repeats)
-		if err != nil {
-			lg.Errorf("%v", err)
-			return exitFatal
-		}
-		if bench.Serving, bench.ServingPhases, err = RunServingBench(); err != nil {
-			lg.Errorf("%v", err)
-			return exitFatal
-		}
-		text, err := experiments.RenderObsBench(bench)
-		if err != nil {
-			lg.Errorf("%v", err)
-			return exitFatal
-		}
-		fmt.Print(text)
-		if werr := writeBenchFile(*out, "BENCH_obs.json", text, lg); werr != nil {
-			return exitFatal
-		}
-	}
-	if *exp == "benchsolve" {
-		bench, err := experiments.RunSolveBench(experiments.SolveBenchMatrix(*seed), *seed, *repeats)
-		if err != nil {
-			lg.Errorf("%v", err)
-			return exitFatal
-		}
-		text, err := experiments.RenderSolveBench(bench)
-		if err != nil {
-			lg.Errorf("%v", err)
-			return exitFatal
-		}
-		fmt.Print(text)
-		if werr := writeBenchFile(*out, "BENCH_solve.json", text, lg); werr != nil {
+		if werr := writeBenchFile(*out, bench.file, text, lg); werr != nil {
 			return exitFatal
 		}
 	}
@@ -506,6 +441,66 @@ func run() (code int) {
 		return exitSomeFailed
 	}
 	return code
+}
+
+// benchExp is one bench experiment: -exp name runs it and prints the
+// document, and -out DIR also writes it to DIR/file.
+type benchExp struct {
+	name, file string
+	run        func(seed int64, scale gen.Scale, repeats int) (any, error)
+}
+
+// benches lists every bench experiment; -exp, its help text and the
+// needStudy test all read it.
+var benches = []benchExp{
+	{"benchreorder", "BENCH_reorder.json", func(seed int64, scale gen.Scale, repeats int) (any, error) {
+		return experiments.RunReorderBench(experiments.ReorderBenchMatrices(seed, scale), benchWorkerCounts(), repeats)
+	}},
+	{"benchingest", "BENCH_ingest.json", func(seed int64, scale gen.Scale, repeats int) (any, error) {
+		return experiments.RunIngestBench(experiments.IngestBenchMatrices(seed, scale), benchWorkerCounts(), repeats)
+	}},
+	{"benchobs", "BENCH_obs.json", func(seed int64, _ gen.Scale, repeats int) (any, error) {
+		b, err := experiments.RunObsBench(seed, repeats)
+		if err != nil {
+			return nil, err
+		}
+		if b.Serving, b.ServingPhases, err = RunServingBench(); err != nil {
+			return nil, err
+		}
+		return b, nil
+	}},
+	{"benchsolve", "BENCH_solve.json", func(seed int64, _ gen.Scale, repeats int) (any, error) {
+		return experiments.RunSolveBench(experiments.SolveBenchMatrix(seed), seed, repeats)
+	}},
+}
+
+// findBench returns the bench experiment named name, or nil.
+func findBench(name string) *benchExp {
+	for i := range benches {
+		if benches[i].name == name {
+			return &benches[i]
+		}
+	}
+	return nil
+}
+
+// benchNames lists the bench experiments for the -exp help text.
+func benchNames() string {
+	names := make([]string, len(benches))
+	for i, b := range benches {
+		names[i] = b.name
+	}
+	return strings.Join(names, ", ")
+}
+
+// benchWorkerCounts are the worker counts the scaling benches measure: the
+// serial baseline, 2 and 4, and GOMAXPROCS when it is none of those.
+func benchWorkerCounts() []int {
+	counts := []int{1, 2, 4}
+	if g := runtime.GOMAXPROCS(0); !slices.Contains(counts, g) {
+		counts = append(counts, g)
+	}
+	return counts
 }
 
 // writeBenchFile writes a benchmark JSON document under -out (no-op when

@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"testing"
 
 	"sparseorder/internal/experiments"
@@ -18,6 +17,7 @@ import (
 	"sparseorder/internal/obs"
 	"sparseorder/internal/server"
 	"sparseorder/internal/sparse"
+	"sparseorder/internal/stats"
 )
 
 // servingBenchRows are the matrix sizes of the serving sweep: the size
@@ -178,8 +178,7 @@ func servingPhases(reg *obs.Registry, n int, serve func() int) (experiments.ObsS
 	}
 	med := make([]float64, len(samples))
 	for j, s := range samples {
-		sort.Float64s(s)
-		med[j] = s[len(s)/2]
+		med[j] = stats.Quantile(s, 0.5)
 	}
 	p := experiments.ObsServingPhases{
 		Rows: n, Requests: phaseRequests,

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"runtime"
+	"slices"
 	"testing"
-	"time"
 
 	"sparseorder/internal/gen"
 	"sparseorder/internal/obs"
@@ -39,9 +37,7 @@ import (
 //     run on the parent commit of a change to the serving path, merged in
 //     by hand as its before/after record; -exp benchobs never writes it.
 type ObsBench struct {
-	HostCPUs      int                `json:"host_cpus"`
-	GoMaxProcs    int                `json:"gomaxprocs"`
-	Repeats       int                `json:"repeats"` // pipeline best-of count
+	BenchHeader
 	Micro         []ObsMicroResult   `json:"micro"`
 	Pipeline      []ObsPipelineRun   `json:"pipeline"`
 	Serving       []ObsMicroResult   `json:"serving,omitempty"`
@@ -91,14 +87,7 @@ type ObsPipelineRun struct {
 // section uses testing.Benchmark and therefore self-calibrates; repeats
 // only controls the pipeline best-of count.
 func RunObsBench(seed int64, repeats int) (*ObsBench, error) {
-	if repeats < 1 {
-		repeats = 1
-	}
-	out := &ObsBench{
-		HostCPUs:   runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Repeats:    repeats,
-	}
+	out := &ObsBench{BenchHeader: newBenchHeader(repeats)}
 
 	// Micro: disabled primitives against a context with no Obs attached
 	// (the plain-run fast path), then the same primitives with a live
@@ -157,16 +146,14 @@ func RunObsBench(seed int64, repeats int) (*ObsBench, error) {
 			{"nosink", bg},
 			{"metrics", obs.NewContext(bg, &obs.Obs{Metrics: obs.NewRegistry()})},
 		} {
-			best := 0.0
-			for it := 0; it < repeats; it++ {
-				start := time.Now()
-				if _, _, _, err := reorder.ApplyTimedCtx(mode.ctx, alg, a, reorder.Options{Seed: seed}); err != nil {
-					return nil, fmt.Errorf("experiments: obs bench %s/%s: %v", alg, mode.name, err)
-				}
-				if el := time.Since(start).Seconds(); best == 0 || el < best {
-					best = el
-				}
+			secs, err := TimeRuns(out.Repeats, func() error {
+				_, _, _, err := reorder.ApplyTimedCtx(mode.ctx, alg, a, reorder.Options{Seed: seed})
+				return err
+			})
+			if err != nil {
+				return nil, fmt.Errorf("experiments: obs bench %s/%s: %v", alg, mode.name, err)
 			}
+			best := slices.Min(secs)
 			r := ObsPipelineRun{Mode: mode.name, Ordering: string(alg), Seconds: best}
 			if mode.name == "nosink" {
 				nosink = best
@@ -177,14 +164,4 @@ func RunObsBench(seed int64, repeats int) (*ObsBench, error) {
 		}
 	}
 	return out, nil
-}
-
-// RenderObsBench formats an ObsBench as the indented JSON document
-// committed as BENCH_obs.json.
-func RenderObsBench(b *ObsBench) (string, error) {
-	buf, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(buf) + "\n", nil
 }

@@ -3,13 +3,11 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"strings"
-	"time"
 
 	"sparseorder/internal/admit"
 	"sparseorder/internal/gen"
@@ -55,13 +53,8 @@ func LoadMatrixFiles(ctx context.Context, cfg Config, paths []string) ([]gen.Mat
 // verifies this on every run, so the numbers double as a determinism
 // check).
 type IngestBench struct {
-	// HostCPUs and GoMaxProcs record the hardware the numbers were taken
-	// on; speedups at worker counts beyond HostCPUs cannot come from
-	// concurrency.
-	HostCPUs   int                 `json:"host_cpus"`
-	GoMaxProcs int                 `json:"gomaxprocs"`
-	Repeats    int                 `json:"repeats"` // best-of wall clock, like the paper
-	Matrices   []IngestBenchMatrix `json:"matrices"`
+	BenchHeader
+	Matrices []IngestBenchMatrix `json:"matrices"`
 }
 
 // IngestBenchMatrix is the measurement set for one matrix, serialized
@@ -87,11 +80,12 @@ type IngestBenchRun struct {
 	Speedup  float64 `json:"speedup"`
 }
 
-// IngestBenchMatrices returns the inputs for RunIngestBench: the same
-// ≥1M-nonzero generated matrices the reordering bench uses at study scale,
-// so the two committed benchmark documents describe the same corpus.
-func IngestBenchMatrices(seed int64) []gen.Matrix {
-	return ReorderBenchMatrices(seed, gen.ScaleStudy)
+// IngestBenchMatrices returns the inputs for RunIngestBench: the matrices
+// the reordering bench uses at the same scale, so the two committed
+// benchmark documents (both taken at study scale) describe the same
+// corpus.
+func IngestBenchMatrices(seed int64, scale gen.Scale) []gen.Matrix {
+	return ReorderBenchMatrices(seed, scale)
 }
 
 // RunIngestBench measures Matrix Market ingestion at each of workerCounts,
@@ -102,14 +96,7 @@ func RunIngestBench(matrices []gen.Matrix, workerCounts []int, repeats int) (*In
 	if len(workerCounts) == 0 || workerCounts[0] != 1 {
 		return nil, fmt.Errorf("experiments: worker counts must start with the baseline 1, got %v", workerCounts)
 	}
-	if repeats < 1 {
-		repeats = 1
-	}
-	out := &IngestBench{
-		HostCPUs:   runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Repeats:    repeats,
-	}
+	out := &IngestBench{BenchHeader: newBenchHeader(repeats)}
 	for _, m := range matrices {
 		var buf bytes.Buffer
 		if err := sparse.WriteMatrixMarket(&buf, m.A); err != nil {
@@ -126,23 +113,26 @@ func RunIngestBench(matrices []gen.Matrix, workerCounts []int, repeats int) (*In
 		var ref *sparse.CSR
 		baseline := 0.0
 		for _, w := range workerCounts {
-			best := 0.0
-			for it := 0; it < repeats; it++ {
-				start := time.Now()
-				a, err := sparse.ReadMatrixMarketWorkers(bytes.NewReader(data), w)
+			secs := make([]float64, 0, out.Repeats)
+			for range out.Repeats {
+				// One run per call, so the check against the baseline
+				// stays off the clock.
+				var a *sparse.CSR
+				sec, err := TimeRuns(1, func() (err error) {
+					a, err = sparse.ReadMatrixMarketWorkers(bytes.NewReader(data), w)
+					return err
+				})
 				if err != nil {
 					return nil, fmt.Errorf("experiments: %s: read (workers=%d): %w", m.Name, w, err)
 				}
-				el := time.Since(start).Seconds()
 				if ref == nil {
 					ref = a
 				} else if !a.Equal(ref) {
 					return nil, fmt.Errorf("experiments: %s: ingest at %d workers diverged from 1 worker", m.Name, w)
 				}
-				if best == 0 || el < best {
-					best = el
-				}
+				secs = append(secs, sec...)
 			}
+			best := slices.Min(secs)
 			if baseline == 0 {
 				baseline = best
 			}
@@ -153,14 +143,4 @@ func RunIngestBench(matrices []gen.Matrix, workerCounts []int, repeats int) (*In
 		out.Matrices = append(out.Matrices, bm)
 	}
 	return out, nil
-}
-
-// RenderIngestBench formats an IngestBench as the indented JSON document
-// committed as BENCH_ingest.json.
-func RenderIngestBench(b *IngestBench) (string, error) {
-	buf, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(buf) + "\n", nil
 }

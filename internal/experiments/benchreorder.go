@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"runtime"
-	"time"
+	"slices"
 
 	"sparseorder/internal/gen"
 	"sparseorder/internal/graph"
@@ -19,13 +18,8 @@ import (
 // backs the Table 5 reordering-time breakdown: the per-path speedups show
 // how much of a reordering's cost the Workers option recovers.
 type ReorderBench struct {
-	// HostCPUs and GoMaxProcs record the hardware the numbers were taken
-	// on; speedups at worker counts beyond HostCPUs can only come from the
-	// leaner parallel code paths, not from concurrency.
-	HostCPUs   int                  `json:"host_cpus"`
-	GoMaxProcs int                  `json:"gomaxprocs"`
-	Repeats    int                  `json:"repeats"` // best-of wall clock, like the paper
-	Matrices   []ReorderBenchMatrix `json:"matrices"`
+	BenchHeader
+	Matrices []ReorderBenchMatrix `json:"matrices"`
 }
 
 // ReorderBenchMatrix is the measurement set for one generated matrix.
@@ -103,14 +97,7 @@ func RunReorderBench(matrices []gen.Matrix, workerCounts []int, repeats int) (*R
 	if len(workerCounts) == 0 || workerCounts[0] != 1 {
 		return nil, fmt.Errorf("experiments: worker counts must start with the serial baseline 1, got %v", workerCounts)
 	}
-	if repeats < 1 {
-		repeats = 1
-	}
-	out := &ReorderBench{
-		HostCPUs:   runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Repeats:    repeats,
-	}
+	out := &ReorderBench{BenchHeader: newBenchHeader(repeats)}
 	for _, m := range matrices {
 		a := m.A
 		p, err := reorder.Compute(reorder.RCM, a, reorder.Options{Workers: 1})
@@ -121,39 +108,8 @@ func RunReorderBench(matrices []gen.Matrix, workerCounts []int, repeats int) (*R
 		serial := map[string]float64{}
 		for _, w := range workerCounts {
 			for _, path := range reorderBenchPaths {
-				reps := repeats
+				reps, best := out.Repeats, 0.0
 				var run func() error
-				if alg, ok := reorderBenchOrderings[path]; ok {
-					// Minimum-degree and dissection on near-dense rows are a
-					// known pathology (production AMD defers dense rows; this
-					// reproduction's does not), so the ordering pipelines are
-					// quoted on the structural matrix only. The dense-row
-					// matrix is here to exercise the A+Aᵀ union path of the
-					// graph/permute/features slices.
-					if m.Kind == "dense-rows" || (w != 1 && w != 4) {
-						continue
-					}
-					reps = 1
-					run = func() error {
-						_, err := reorder.Compute(alg, a, reorder.Options{
-							Seed: reorderBenchSeed, Parts: 8, Workers: w})
-						return err
-					}
-					best, err := timeBest(reps, run)
-					if err != nil {
-						return nil, fmt.Errorf("experiments: %s/%s workers=%d: %v", m.Name, path, w, err)
-					}
-					r := ReorderBenchRun{Path: path, Workers: w, Seconds: best}
-					if w == 1 {
-						serial[path] = best
-						r.Speedup = 1
-					} else if best > 0 {
-						r.Speedup = serial[path] / best
-					}
-					bm.Runs = append(bm.Runs, r)
-					continue
-				}
-				var best float64
 				switch path {
 				case "graph":
 					run = func() error { _, err := graph.FromMatrixSymmetrizedWorkers(a, w); return err }
@@ -173,11 +129,31 @@ func RunReorderBench(matrices []gen.Matrix, workerCounts []int, repeats int) (*R
 						metrics.ComputeWorkers(b, 128, 128, w)
 						return nil
 					}
+				case "rcm":
+					best, err = orderBest(reps, a, w)
+				default:
+					// Minimum-degree and dissection on near-dense rows are a
+					// known pathology (production AMD defers dense rows; this
+					// reproduction's does not), so the ordering pipelines are
+					// quoted on the structural matrix only. The dense-row
+					// matrix is here to exercise the A+Aᵀ union path of the
+					// graph/permute/features slices.
+					if m.Kind == "dense-rows" || (w != 1 && w != 4) {
+						continue
+					}
+					reps = 1
+					alg := reorderBenchOrderings[path]
+					run = func() error {
+						_, err := reorder.Compute(alg, a, reorder.Options{
+							Seed: reorderBenchSeed, Parts: 8, Workers: w})
+						return err
+					}
 				}
-				if path == "rcm" {
-					best, err = orderBest(repeats, a, w)
-				} else {
-					best, err = timeBest(repeats, run)
+				if run != nil {
+					var secs []float64
+					if secs, err = TimeRuns(reps, run); err == nil {
+						best = slices.Min(secs)
+					}
 				}
 				if err != nil {
 					return nil, fmt.Errorf("experiments: %s/%s workers=%d: %v", m.Name, path, w, err)
@@ -197,29 +173,10 @@ func RunReorderBench(matrices []gen.Matrix, workerCounts []int, repeats int) (*R
 	return out, nil
 }
 
-// timeBest runs fn reps times and returns the best wall-clock seconds. A
-// forced GC before each timed run keeps the previous measurement's garbage
-// off this one's bill — the same hygiene testing.B applies between
-// benchmarks, and material here because a 60-second quotient-graph AMD run
-// can otherwise tax the ordering measured after it.
-func timeBest(reps int, fn func() error) (float64, error) {
-	best := 0.0
-	for it := 0; it < reps; it++ {
-		runtime.GC()
-		start := time.Now()
-		if err := fn(); err != nil {
-			return 0, err
-		}
-		if el := time.Since(start).Seconds(); best == 0 || el < best {
-			best = el
-		}
-	}
-	return best, nil
-}
-
-// orderBest is timeBest for the RCM ordering proper: it keeps the best
-// OrderSeconds of reps runs, so the A+Aᵀ graph each run builds first stays
-// off the figure and the time is that of ordering a built graph.
+// orderBest is the best-of for the RCM ordering proper: it keeps the best
+// OrderSeconds of reps runs, each after a forced GC as in TimeRuns, so the
+// A+Aᵀ graph each run builds first stays off the figure and the time is
+// that of ordering a built graph.
 func orderBest(reps int, a *sparse.CSR, workers int) (float64, error) {
 	best := 0.0
 	for it := 0; it < reps; it++ {
@@ -233,14 +190,4 @@ func orderBest(reps int, a *sparse.CSR, workers int) (float64, error) {
 		}
 	}
 	return best, nil
-}
-
-// RenderReorderBench formats a ReorderBench as the indented JSON document
-// committed as BENCH_reorder.json.
-func RenderReorderBench(b *ReorderBench) (string, error) {
-	buf, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(buf) + "\n", nil
 }

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"time"
 
@@ -28,9 +26,7 @@ import (
 // merged in by hand as its before/after record; -exp benchsolve never
 // writes it.
 type SolveBench struct {
-	HostCPUs   int `json:"host_cpus"`
-	GoMaxProcs int `json:"gomaxprocs"`
-	Repeats    int `json:"repeats"`
+	BenchHeader
 	// Seed seeds the orderings; -exp benchsolve also scrambles the mesh
 	// with it.
 	Seed    int64   `json:"seed"`
@@ -84,9 +80,7 @@ func SolveBenchMatrix(seed int64) *sparse.CSR {
 // side is A·x_true with x_true uniform in [-1, 1) from seed 1. Every solve
 // must converge with the same iteration count in every round.
 func RunSolveBench(a *sparse.CSR, seed int64, repeats int) (*SolveBench, error) {
-	if repeats < 1 {
-		repeats = 1
-	}
+	h := newBenchHeader(repeats)
 	rng := rand.New(rand.NewSource(1))
 	xTrue := make([]float64, a.Rows)
 	for i := range xTrue {
@@ -125,7 +119,7 @@ func RunSolveBench(a *sparse.CSR, seed int64, repeats int) (*SolveBench, error) 
 	for i := range x {
 		x[i] = 1 / float64(i+1)
 	}
-	for rep := 0; rep < repeats; rep++ {
+	for rep := 0; rep < h.Repeats; rep++ {
 		for i, r := range runs {
 			alg := solveBenchOrderings[i]
 			start := time.Now()
@@ -153,9 +147,7 @@ func RunSolveBench(a *sparse.CSR, seed int64, repeats int) (*SolveBench, error) 
 	}
 
 	out := &SolveBench{
-		HostCPUs:     runtime.NumCPU(),
-		GoMaxProcs:   runtime.GOMAXPROCS(0),
-		Repeats:      repeats,
+		BenchHeader:  h,
 		Seed:         seed,
 		Rows:         a.Rows,
 		NNZ:          a.NNZ(),
@@ -181,14 +173,4 @@ func RunSolveBench(a *sparse.CSR, seed int64, repeats int) (*SolveBench, error) 
 		})
 	}
 	return out, nil
-}
-
-// RenderSolveBench formats a SolveBench as the indented JSON document
-// committed as BENCH_solve.json.
-func RenderSolveBench(b *SolveBench) (string, error) {
-	buf, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(buf) + "\n", nil
 }

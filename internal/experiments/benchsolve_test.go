@@ -40,7 +40,7 @@ func TestRunSolveBenchSmall(t *testing.T) {
 				o.Ordering, o.SweepSeconds, o.SweepShare, o.MedianSolveSeconds, o.MultiplySeconds)
 		}
 	}
-	text, err := RenderSolveBench(b)
+	text, err := RenderBench(b)
 	if err != nil {
 		t.Fatal(err)
 	}

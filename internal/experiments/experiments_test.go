@@ -394,7 +394,10 @@ func TestArtifactFile(t *testing.T) {
 }
 
 func TestRenderDenseCSRRef(t *testing.T) {
-	out := RenderDenseCSRRef(Config{Scale: gen.ScaleTest, Seed: 1, Repeats: 2})
+	out, err := RenderDenseCSRRef(Config{Scale: gen.ScaleTest, Seed: 1, Repeats: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(out, "Gflop/s") || !strings.Contains(out, "Milan B") {
 		t.Errorf("dense reference output malformed:\n%s", out)
 	}

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"sparseorder/internal/gen"
 	"sparseorder/internal/machine"
@@ -343,16 +343,14 @@ func RunTable5(cfg Config) ([]Table5Row, error) {
 			x[i] = 1
 		}
 		y := make([]float64, m.A.Rows)
-		best := 0.0
-		for it := 0; it < cfg.Repeats; it++ {
-			start := time.Now()
-			spmv.Mul1D(m.A, x, y, cfg.HostThreads)
-			el := time.Since(start).Seconds()
-			hostPh.Observe(el)
-			if best == 0 || el < best {
-				best = el
-			}
+		secs, err := TimeRuns(cfg.Repeats, func() error { return spmv.Mul1D(m.A, x, y, cfg.HostThreads) })
+		if err != nil {
+			return nil, fmt.Errorf("experiments: table 5 %s: %w", m.Name, err)
 		}
+		for _, el := range secs {
+			hostPh.Observe(el)
+		}
+		best := slices.Min(secs)
 		row.SpMVSeconds = best
 		// Break-even (paper §4.7): iterations = reorderTime /
 		// (spmvTime·(1-1/speedup)); only meaningful for speedup > 1.
@@ -433,7 +431,7 @@ func RenderTable5(cfg Config) (string, error) {
 // RenderDenseCSRRef reproduces the §4.2 reference experiment: SpMV on a
 // tall-and-skinny dense matrix in CSR format, reported for the host (wall
 // clock) and the Milan B model.
-func RenderDenseCSRRef(cfg Config) string {
+func RenderDenseCSRRef(cfg Config) (string, error) {
 	cfg = cfg.withDefaults()
 	f := cfg.Scale.Factor()
 	a := gen.TallSkinnyDense(2400*f, 100*f, cfg.Seed)
@@ -442,15 +440,11 @@ func RenderDenseCSRRef(cfg Config) string {
 		x[i] = 1
 	}
 	y := make([]float64, a.Rows)
-	best := 0.0
-	for it := 0; it < cfg.Repeats; it++ {
-		start := time.Now()
-		spmv.Mul1D(a, x, y, cfg.HostThreads)
-		el := time.Since(start).Seconds()
-		if best == 0 || el < best {
-			best = el
-		}
+	secs, err := TimeRuns(cfg.Repeats, func() error { return spmv.Mul1D(a, x, y, cfg.HostThreads) })
+	if err != nil {
+		return "", err
 	}
+	best := slices.Min(secs)
 	milan, _ := machine.ByName("Milan B")
 	est := machine.EstimateSpMV(a, milan, machine.Kernel1D)
 	var b strings.Builder
@@ -458,5 +452,5 @@ func RenderDenseCSRRef(cfg Config) string {
 	fmt.Fprintf(&b, "host (%d threads): %.4gs, %.1f Gflop/s\n", cfg.HostThreads, best, spmv.Gflops(a.NNZ(), best))
 	fmt.Fprintf(&b, "Milan B model:     %.4gs, %.1f Gflop/s (%.0f%% of 12-byte/nnz bandwidth bound)\n",
 		est.Seconds, est.Gflops, 100*est.Gflops/(2*milan.BandwidthGB/12))
-	return b.String()
+	return b.String(), nil
 }

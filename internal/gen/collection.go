@@ -41,6 +41,17 @@ func (s Scale) String() string {
 	return fmt.Sprintf("Scale(%d)", int(s))
 }
 
+// ParseScale is the inverse of Scale.String: it maps "test", "study" and
+// "large" to their scales and rejects any other name.
+func ParseScale(name string) (Scale, error) {
+	for _, s := range []Scale{ScaleTest, ScaleStudy, ScaleLarge} {
+		if name == s.String() {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scale %q (want test, study or large)", name)
+}
+
 // Factor returns the linear size multiplier of the scale; generators scale
 // their dimensions by it.
 func (s Scale) Factor() int { return s.factor() }

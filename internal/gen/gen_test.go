@@ -407,3 +407,18 @@ func TestRandomGeometricMortonLocality(t *testing.T) {
 		t.Errorf("Morton mean distance %.0f not well below scrambled %.0f", da, ds)
 	}
 }
+
+// TestParseScale round-trips every scale through its name and rejects
+// names no command line may use.
+func TestParseScale(t *testing.T) {
+	for _, s := range []Scale{ScaleTest, ScaleStudy, ScaleLarge} {
+		if got, err := ParseScale(s.String()); err != nil || got != s {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	for _, name := range []string{"", "foo", "Study", "Scale(1)"} {
+		if _, err := ParseScale(name); err == nil {
+			t.Errorf("ParseScale(%q) accepted an unknown name", name)
+		}
+	}
+}

@@ -543,10 +543,10 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	// Decode phase: the injected decode fault is part of the phase so an
 	// injected stall is attributed where the real stall would be.
 	t0 := rt.clock()
-	mat, err := decodeUpload(ctx, key, body, s.cfg.IngestWorkers)
+	mat, err := s.decodeUpload(ctx, key, body)
 	rt.phase(phaseDecode, t0)
 	if err != nil {
-		s.writeClassified(w, err, http.StatusBadRequest)
+		s.writeUploadError(w, rt, err)
 		return
 	}
 
@@ -562,11 +562,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	adm, err := s.gov.TryAcquire(key, est)
 	rt.phase(phaseGovernorWait, t0)
 	if err != nil {
-		if errors.Is(err, admit.ErrResourceBudget) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, failure.FailResource, err.Error())
-			return
-		}
-		s.shed(w, rt, err.Error())
+		s.writeUploadError(w, rt, err)
 		return
 	}
 	defer adm.Release()
@@ -605,6 +601,21 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		Ordering: string(alg), Cached: cached, Persisted: persisted,
 		ReorderSeconds: e.reorderSeconds,
 	})
+}
+
+// writeUploadError answers a failed upload step. A governor that cannot
+// admit the step now sheds it (429); a shape over the bound, like a
+// working set over the whole budget, is a permanent 413/resource refusal;
+// any other error is classified, 400 for the client's input.
+func (s *Server) writeUploadError(w http.ResponseWriter, rt *requestTrace, err error) {
+	switch {
+	case errors.Is(err, admit.ErrGovernorSaturated):
+		s.shed(w, rt, err.Error())
+	case errors.Is(err, errShapeBound):
+		s.writeError(w, http.StatusRequestEntityTooLarge, failure.FailResource, err.Error())
+	default:
+		s.writeClassified(w, err, http.StatusBadRequest)
+	}
 }
 
 // persistEntry writes e to the durable store, attributing the time to the
@@ -654,13 +665,42 @@ func readBody(w http.ResponseWriter, r *http.Request, maxBody, presize int64) ([
 	}
 }
 
-// decodeUpload is the upload's decode phase: the injected fault site plus
-// the Matrix Market parse.
-func decodeUpload(ctx context.Context, key string, body []byte, workers int) (*sparse.CSR, error) {
+// decodeUpload is the upload's decode phase: the shape bound and its
+// governor admission (admitShape), held until the parse returns, the
+// injected fault site, and the Matrix Market parse.
+func (s *Server) decodeUpload(ctx context.Context, key string, body []byte) (*sparse.CSR, error) {
+	adm, err := s.admitShape(key, body)
+	if err != nil {
+		return nil, err
+	}
+	defer adm.Release()
 	if err := faultinject.Check(faultinject.ServerDecode, key); err != nil {
 		return nil, err
 	}
-	return sparse.ReadMatrixMarketCtx(ctx, bytes.NewReader(body), workers)
+	return sparse.ReadMatrixMarketCtx(ctx, bytes.NewReader(body), s.cfg.IngestWorkers)
+}
+
+// errShapeBound marks an upload whose size line declares a dimension
+// above MaxBody/2.
+var errShapeBound = errors.New("server: upload shape over the bound")
+
+// admitShape bounds an upload's decode by the shape its size line
+// declares, because ingest sizes its per-row arrays from the declared rows
+// before it reads any entry. A dimension above MaxBody/2, more columns than
+// any SpMV body under the cap can carry x values for, is refused with
+// errShapeBound; the declared shape's ingest working set is then admitted
+// through the governor. A stream whose banner or size line does not parse
+// gets no admission and no error, so the reader reports its own error.
+func (s *Server) admitShape(key string, body []byte) (*admit.Admission, error) {
+	rows, cols, nnz, err := sparse.ReadMatrixMarketShape(bytes.NewReader(body))
+	if err != nil {
+		return nil, nil
+	}
+	if limit := s.cfg.MaxBody / 2; int64(max(rows, cols)) > limit {
+		return nil, fmt.Errorf("%w: declared shape %dx%d exceeds %d, the largest dimension the %d-byte body cap admits",
+			errShapeBound, rows, cols, limit, s.cfg.MaxBody)
+	}
+	return s.gov.TryAcquire(key, admit.EstimateIngestBytes(rows, nnz))
 }
 
 // reorderUpload is the upload's reorder phase: the injected fault site

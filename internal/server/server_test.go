@@ -444,6 +444,46 @@ func TestSpMVLongBodyBounded(t *testing.T) {
 	}
 }
 
+// TestUploadShapeBound: an upload whose size line declares more rows than
+// the daemon may size arrays for is refused with 413/resource before
+// ingest allocates anything from the declared shape. Without a budget the
+// bound is MaxBody/2 per dimension; with one, the declared shape's ingest
+// working set must fit it. Both hold at 1 and 3 ingest workers, and the
+// refusal allocates under 64 KiB, where decoding the 10,000,000-row
+// stream allocated about 200 MB.
+func TestUploadShapeBound(t *testing.T) {
+	const allocBound = 64 << 10
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"nobudget", Config{MaxBody: 1 << 20, MemBudget: -1}},
+		{"budget", Config{MemBudget: 64 << 20}},
+	} {
+		for _, workers := range []int{1, 3} {
+			cfg := c.cfg
+			cfg.Threads, cfg.IngestWorkers = 1, workers
+			h := mustNew(t, cfg).Handler()
+			for _, rows := range []int{10_000_000, math.MaxInt32} {
+				t.Run(fmt.Sprintf("%s/workers=%d/rows=%d", c.name, workers, rows), func(t *testing.T) {
+					body := fmt.Sprintf("%%%%MatrixMarket matrix coordinate real general\n%d %d 0\n", rows, rows)
+					req := httptest.NewRequest(http.MethodPost, "/matrices", strings.NewReader(body))
+					w := httptest.NewRecorder()
+					var m0, m1 runtime.MemStats
+					runtime.GC()
+					runtime.ReadMemStats(&m0)
+					h.ServeHTTP(w, req)
+					runtime.ReadMemStats(&m1)
+					wantClass(t, w.Result(), w.Body.Bytes(), http.StatusRequestEntityTooLarge, failure.FailResource)
+					if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > allocBound {
+						t.Errorf("refusing a %d-byte upload allocated %d bytes", len(body), alloc)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestShedQueueFull: with the only work slot held and no queue, a new
 // request is shed with 429 + Retry-After, and /readyz reports overload
 // once the governor saturates.

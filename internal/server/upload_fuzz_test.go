@@ -1,26 +1,23 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
+	"sparseorder/internal/admit"
 	"sparseorder/internal/failure"
 	"sparseorder/internal/sparse"
 )
 
 // Limits of the daemon FuzzUploadSpMV drives: a body cap small enough that
-// the fuzzer reaches it, and the largest dimension an upload may declare
-// and still be sent (see declaresShapeOver).
+// the fuzzer reaches it, and a memory budget.
 const (
-	fuzzMaxBody = 4096
-	fuzzMaxDim  = 1 << 12
+	fuzzMaxBody   = 4096
+	fuzzMemBudget = 64 << 20
 )
 
 // fuzzIngestWorkers is the daemon's decode parallelism; the harness's own
@@ -29,12 +26,14 @@ const (
 const fuzzIngestWorkers = 3
 
 // FuzzUploadSpMV sends an arbitrary Matrix Market upload and an arbitrary
-// SpMV body through the daemon's Handler, in memory. The upload must be
-// accepted exactly when sparse.ReadMatrixMarketWorkers accepts it (and it
-// fits the body cap), with the reader's shape; a rejection must carry the
-// reader's error message. The SpMV must answer 200 with one y per matrix
-// row, or a classified JSON apiError with a 4xx or 5xx status. Every
-// other response, and any panic, fails. The seed corpus
+// SpMV body through the daemon's Handler, in memory. An upload over the
+// body cap, or one whose size line declares a dimension above half the cap
+// or a shape whose ingest working set exceeds the budget, must be refused
+// with 413/resource. Any other upload must be accepted exactly when
+// sparse.ReadMatrixMarketWorkers accepts it, with the reader's shape; a
+// rejection must carry the reader's error message. The SpMV must answer
+// 200 with one y per matrix row, or a classified JSON apiError with a 4xx
+// or 5xx status. Every other response, and any panic, fails. The seed corpus
 // (testdata/fuzz/FuzzUploadSpMV) holds the ingest edge corpus and the
 // exotic value spellings, each with a matching and a mismatched x.
 func FuzzUploadSpMV(f *testing.F) {
@@ -42,30 +41,29 @@ func FuzzUploadSpMV(f *testing.F) {
 		Threads:       2,
 		IngestWorkers: fuzzIngestWorkers,
 		MaxBody:       fuzzMaxBody,
-		MemBudget:     64 << 20,
+		MemBudget:     fuzzMemBudget,
 		CacheEntries:  8,
 		Deadline:      10 * time.Second,
 	})
 	h := srv.Handler()
 	f.Add([]byte("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.5\n2 2 -3\n"), []byte(`{"x":[1,2]}`))
 	f.Fuzz(func(t *testing.T, upload, spmvBody []byte) {
-		if declaresShapeOver(upload, fuzzMaxDim) {
-			t.Skip("the pipeline sizes its row arrays from the declared shape before reading any entry")
-		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/matrices", bytes.NewReader(upload)))
-		if len(upload) > fuzzMaxBody {
-			if rec.Code != http.StatusRequestEntityTooLarge {
-				t.Fatalf("upload over the cap answered %d, want 413", rec.Code)
+		if len(upload) > fuzzMaxBody || declaresShapeOver(upload) {
+			if e := checkAPIError(t, "upload", rec); rec.Code != http.StatusRequestEntityTooLarge || e.Class != failure.FailResource {
+				t.Fatalf("upload over the cap or the shape bound answered %d %s, want 413 resource", rec.Code, e.Class)
 			}
-			checkAPIError(t, "upload", rec)
 			return
 		}
 		want, werr := sparse.ReadMatrixMarketWorkers(bytes.NewReader(upload), fuzzIngestWorkers)
 		if rec.Code != http.StatusOK {
 			e := checkAPIError(t, "upload", rec)
 			switch {
-			case werr == nil && rec.Code < 500 && rec.Code != http.StatusTooManyRequests:
+			case rec.Code == http.StatusTooManyRequests && e.Class == failure.FailResource:
+				// A shed: the governor could not admit the decode or
+				// the reorder beside the cached entries just now.
+			case werr == nil && rec.Code < 500:
 				t.Fatalf("upload the reader accepts answered %d: %s", rec.Code, e.Error)
 			case werr != nil && (rec.Code != http.StatusBadRequest || e.Error != werr.Error()):
 				t.Fatalf("upload answered %d %q, the reader says %q", rec.Code, e.Error, werr)
@@ -125,26 +123,11 @@ func checkAPIError(t *testing.T, route string, rec *httptest.ResponseRecorder) a
 	return e
 }
 
-// declaresShapeOver reports whether the first line after the banner that
-// is neither blank nor a comment — the size line — holds a number above
-// limit. Fields are split on every Unicode space, a superset of the
-// grammar's separators, so a size line the daemon would accept is never
-// missed.
-func declaresShapeOver(upload []byte, limit int) bool {
-	sc := bufio.NewScanner(bytes.NewReader(upload))
-	sc.Buffer(nil, fuzzMaxBody+1)
-	sc.Scan() // banner
-	for sc.Scan() {
-		f := strings.Fields(sc.Text())
-		if len(f) == 0 || strings.HasPrefix(f[0], "%") {
-			continue
-		}
-		for _, tok := range f {
-			if v, err := strconv.Atoi(tok); err == nil && v > limit {
-				return true
-			}
-		}
-		return false
-	}
-	return false
+// declaresShapeOver reports whether the upload's banner and size line
+// parse and declare a shape the daemon must refuse before decoding: a
+// dimension above fuzzMaxBody/2, or an ingest working set
+// (admit.EstimateIngestBytes) above the budget.
+func declaresShapeOver(upload []byte) bool {
+	rows, cols, nnz, err := sparse.ReadMatrixMarketShape(bytes.NewReader(upload))
+	return err == nil && (max(rows, cols) > fuzzMaxBody/2 || admit.EstimateIngestBytes(rows, nnz) > fuzzMemBudget)
 }

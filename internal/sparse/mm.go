@@ -73,6 +73,19 @@ func readMMSizeLine(br *bufio.Reader) (rows, cols, nnz int, err error) {
 	}
 }
 
+// ReadMatrixMarketShape reads only the banner and the size line of a
+// Matrix Market stream and returns the declared shape, failing with the
+// error ReadMatrixMarketWorkers gives for the same lines. Ingest sizes its
+// per-row arrays from the declared rows before it reads any entry, so a
+// caller holding an untrusted stream bounds that work with this first.
+func ReadMatrixMarketShape(r io.Reader) (rows, cols, nnz int, err error) {
+	br := bufio.NewReader(r)
+	if _, err := readMMBanner(br); err != nil {
+		return 0, 0, 0, err
+	}
+	return readMMSizeLine(br)
+}
+
 // WriteMatrixMarket writes a in coordinate real general format with
 // 1-based indices.
 func WriteMatrixMarket(w io.Writer, a *CSR) error {
