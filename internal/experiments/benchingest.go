@@ -113,24 +113,20 @@ func RunIngestBench(matrices []gen.Matrix, workerCounts []int, repeats int) (*In
 		var ref *sparse.CSR
 		baseline := 0.0
 		for _, w := range workerCounts {
-			secs := make([]float64, 0, out.Repeats)
-			for range out.Repeats {
-				// One run per call, so the check against the baseline
-				// stays off the clock.
-				var a *sparse.CSR
-				sec, err := TimeRuns(1, func() (err error) {
-					a, err = sparse.ReadMatrixMarketWorkers(bytes.NewReader(data), w)
-					return err
-				})
-				if err != nil {
-					return nil, fmt.Errorf("experiments: %s: read (workers=%d): %w", m.Name, w, err)
-				}
-				if ref == nil {
-					ref = a
-				} else if !a.Equal(ref) {
-					return nil, fmt.Errorf("experiments: %s: ingest at %d workers diverged from 1 worker", m.Name, w)
-				}
-				secs = append(secs, sec...)
+			// The check against the baseline stays off the clock: fn keeps
+			// the last run's matrix, and the reader is deterministic.
+			var a *sparse.CSR
+			secs, err := TimeRuns(out.Repeats, func() (err error) {
+				a, err = sparse.ReadMatrixMarketWorkers(bytes.NewReader(data), w)
+				return err
+			})
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s: read (workers=%d): %w", m.Name, w, err)
+			}
+			if ref == nil {
+				ref = a
+			} else if !a.Equal(ref) {
+				return nil, fmt.Errorf("experiments: %s: ingest at %d workers diverged from 1 worker", m.Name, w)
 			}
 			best := slices.Min(secs)
 			if baseline == 0 {

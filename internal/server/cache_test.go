@@ -205,24 +205,16 @@ func TestCacheDuplicateInsert(t *testing.T) {
 // cache it — and the pinned matrix keeps serving afterwards.
 func TestServerPinnedEvictionEndToEnd(t *testing.T) {
 	m1 := gen.Banded(80, 2, 1, 1)
-	// Scrambled, so Predict picks GP, whose reorder transient plus the
-	// entry outweighs the decode's: only then can a budget admit m2's
-	// decode and reorder beside m1 yet not cache both.
-	m2 := gen.Scramble(gen.Banded(300, 2, 1, 2), 3)
+	m2 := gen.Banded(300, 3, 1, 2)
 	e1 := EntryBytes(m1.Rows, m1.NNZ())
 	e2 := EntryBytes(m2.Rows, m2.NNZ())
-	// The transient estimates must match what the upload path will
-	// actually request: the decode's ingest working set, then the
-	// predicted ordering, not a worst case over all of them.
-	i2 := admit.EstimateIngestBytes(m2.Rows, m2.NNZ())
+	// The transient estimate must match what the upload path will actually
+	// request: the predicted ordering, not a worst case over all of them.
 	t2 := admit.EstimateMatrixBytes(m2.Rows, m2.NNZ(),
 		[]reorder.Algorithm{Predict(m2, 1)})
-	// Enough for m1 resident plus either of m2's transients, but not for
-	// both entries resident beside the reorder's.
-	budget := e1 + max(i2, t2)
-	if e1+t2+e2 <= budget {
-		t.Fatalf("fixture: m2's entry (%d B) fits beside its reorder (%d B) within the decode's %d B", e2, t2, i2)
-	}
+	// Enough for m1 resident plus m2's transient reorder, but not for both
+	// entries resident at once.
+	budget := e1 + t2 + e2/2
 
 	srv := mustNew(t, Config{Threads: 1, MemBudget: budget, Obs: newTestObs()})
 	ts := httptest.NewServer(srv.Handler())

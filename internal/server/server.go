@@ -681,26 +681,32 @@ func (s *Server) decodeUpload(ctx context.Context, key string, body []byte) (*sp
 }
 
 // errShapeBound marks an upload whose size line declares a dimension
-// above MaxBody/2.
+// above half the upload's length in bytes.
 var errShapeBound = errors.New("server: upload shape over the bound")
 
 // admitShape bounds an upload's decode by the shape its size line
-// declares, because ingest sizes its per-row arrays from the declared rows
-// before it reads any entry. A dimension above MaxBody/2, more columns than
-// any SpMV body under the cap can carry x values for, is refused with
-// errShapeBound; the declared shape's ingest working set is then admitted
-// through the governor. A stream whose banner or size line does not parse
-// gets no admission and no error, so the reader reports its own error.
+// declares. Ingest assembles per-row arrays from the declared rows (about
+// 20 B a row) whatever entries follow, so a few bytes declaring millions of
+// rows would allocate hundreds of megabytes. A dimension above half the
+// upload's length is refused with errShapeBound: the per-row arrays then
+// cost at most about 10 B per byte sent, less than the entries cost, and
+// every matrix with an entry in each row and column passes, its entry lines
+// taking at least 4 bytes each. The declared nnz is never charged, because
+// ingest allocates for the entries it reads, not for the ones the header
+// promises. With a budget, the rows' share of the ingest working set is
+// then admitted through the governor. A stream whose banner or size line
+// does not parse gets no admission and no error, so the reader reports its
+// own error.
 func (s *Server) admitShape(key string, body []byte) (*admit.Admission, error) {
-	rows, cols, nnz, err := sparse.ReadMatrixMarketShape(bytes.NewReader(body))
+	rows, cols, _, err := sparse.ReadMatrixMarketShape(bytes.NewReader(body))
 	if err != nil {
 		return nil, nil
 	}
-	if limit := s.cfg.MaxBody / 2; int64(max(rows, cols)) > limit {
-		return nil, fmt.Errorf("%w: declared shape %dx%d exceeds %d, the largest dimension the %d-byte body cap admits",
-			errShapeBound, rows, cols, limit, s.cfg.MaxBody)
+	if limit := len(body) / 2; max(rows, cols) > limit {
+		return nil, fmt.Errorf("%w: declared shape %dx%d exceeds %d, half the %d-byte upload",
+			errShapeBound, rows, cols, limit, len(body))
 	}
-	return s.gov.TryAcquire(key, admit.EstimateIngestBytes(rows, nnz))
+	return s.gov.TryAcquire(key, admit.EstimateIngestBytes(rows, 0))
 }
 
 // reorderUpload is the upload's reorder phase: the injected fault site

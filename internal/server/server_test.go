@@ -445,19 +445,18 @@ func TestSpMVLongBodyBounded(t *testing.T) {
 }
 
 // TestUploadShapeBound: an upload whose size line declares more rows than
-// the daemon may size arrays for is refused with 413/resource before
-// ingest allocates anything from the declared shape. Without a budget the
-// bound is MaxBody/2 per dimension; with one, the declared shape's ingest
-// working set must fit it. Both hold at 1 and 3 ingest workers, and the
-// refusal allocates under 64 KiB, where decoding the 10,000,000-row
-// stream allocated about 200 MB.
+// half its length is refused with 413/resource before ingest allocates
+// anything from the declared shape, with or without a budget and at the
+// default body cap. Both hold at 1 and 3 ingest workers, and the refusal
+// allocates under 64 KiB, where decoding the 10,000,000-row stream
+// allocated about 200 MB.
 func TestUploadShapeBound(t *testing.T) {
 	const allocBound = 64 << 10
 	for _, c := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"nobudget", Config{MaxBody: 1 << 20, MemBudget: -1}},
+		{"nobudget", Config{MemBudget: -1}},
 		{"budget", Config{MemBudget: 64 << 20}},
 	} {
 		for _, workers := range []int{1, 3} {

@@ -8,17 +8,13 @@ import (
 	"testing"
 	"time"
 
-	"sparseorder/internal/admit"
 	"sparseorder/internal/failure"
 	"sparseorder/internal/sparse"
 )
 
-// Limits of the daemon FuzzUploadSpMV drives: a body cap small enough that
-// the fuzzer reaches it, and a memory budget.
-const (
-	fuzzMaxBody   = 4096
-	fuzzMemBudget = 64 << 20
-)
+// fuzzMaxBody is the body cap of the daemon FuzzUploadSpMV drives, small
+// enough that the fuzzer reaches it.
+const fuzzMaxBody = 4096
 
 // fuzzIngestWorkers is the daemon's decode parallelism; the harness's own
 // read of each upload uses the same count, so the chunk a decode error
@@ -27,13 +23,13 @@ const fuzzIngestWorkers = 3
 
 // FuzzUploadSpMV sends an arbitrary Matrix Market upload and an arbitrary
 // SpMV body through the daemon's Handler, in memory. An upload over the
-// body cap, or one whose size line declares a dimension above half the cap
-// or a shape whose ingest working set exceeds the budget, must be refused
-// with 413/resource. Any other upload must be accepted exactly when
-// sparse.ReadMatrixMarketWorkers accepts it, with the reader's shape; a
-// rejection must carry the reader's error message. The SpMV must answer
-// 200 with one y per matrix row, or a classified JSON apiError with a 4xx
-// or 5xx status. Every other response, and any panic, fails. The seed corpus
+// body cap, or one whose size line declares a dimension above half the
+// upload's length, must be refused with 413/resource. Any other upload
+// must be accepted exactly when sparse.ReadMatrixMarketWorkers accepts it,
+// with the reader's shape; a rejection must carry the reader's error
+// message. The SpMV must answer 200 with one y per matrix row, or a
+// classified JSON apiError with a 4xx or 5xx status. Every other response,
+// and any panic, fails. The seed corpus
 // (testdata/fuzz/FuzzUploadSpMV) holds the ingest edge corpus and the
 // exotic value spellings, each with a matching and a mismatched x.
 func FuzzUploadSpMV(f *testing.F) {
@@ -41,7 +37,7 @@ func FuzzUploadSpMV(f *testing.F) {
 		Threads:       2,
 		IngestWorkers: fuzzIngestWorkers,
 		MaxBody:       fuzzMaxBody,
-		MemBudget:     fuzzMemBudget,
+		MemBudget:     64 << 20,
 		CacheEntries:  8,
 		Deadline:      10 * time.Second,
 	})
@@ -60,10 +56,7 @@ func FuzzUploadSpMV(f *testing.F) {
 		if rec.Code != http.StatusOK {
 			e := checkAPIError(t, "upload", rec)
 			switch {
-			case rec.Code == http.StatusTooManyRequests && e.Class == failure.FailResource:
-				// A shed: the governor could not admit the decode or
-				// the reorder beside the cached entries just now.
-			case werr == nil && rec.Code < 500:
+			case werr == nil && rec.Code < 500 && rec.Code != http.StatusTooManyRequests:
 				t.Fatalf("upload the reader accepts answered %d: %s", rec.Code, e.Error)
 			case werr != nil && (rec.Code != http.StatusBadRequest || e.Error != werr.Error()):
 				t.Fatalf("upload answered %d %q, the reader says %q", rec.Code, e.Error, werr)
@@ -124,10 +117,9 @@ func checkAPIError(t *testing.T, route string, rec *httptest.ResponseRecorder) a
 }
 
 // declaresShapeOver reports whether the upload's banner and size line
-// parse and declare a shape the daemon must refuse before decoding: a
-// dimension above fuzzMaxBody/2, or an ingest working set
-// (admit.EstimateIngestBytes) above the budget.
+// parse and declare a dimension above half the upload's length, the shape
+// the daemon refuses before decoding.
 func declaresShapeOver(upload []byte) bool {
-	rows, cols, nnz, err := sparse.ReadMatrixMarketShape(bytes.NewReader(upload))
-	return err == nil && (max(rows, cols) > fuzzMaxBody/2 || admit.EstimateIngestBytes(rows, nnz) > fuzzMemBudget)
+	rows, cols, _, err := sparse.ReadMatrixMarketShape(bytes.NewReader(upload))
+	return err == nil && max(rows, cols) > len(upload)/2
 }
