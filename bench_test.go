@@ -341,14 +341,14 @@ func BenchmarkParallelBisection(b *testing.B) {
 	}
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := partition.KWay(g, 32, partition.Options{Seed: 2, Workers: 1}); err != nil {
+			if _, err := partition.KWayMulti(g, []int{32}, partition.Options{Seed: 2, Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := partition.KWay(g, 32, partition.Options{Seed: 2, Workers: 0}); err != nil {
+			if _, err := partition.KWayMulti(g, []int{32}, partition.Options{Seed: 2, Workers: 0}); err != nil {
 				b.Fatal(err)
 			}
 		}

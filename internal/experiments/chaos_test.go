@@ -44,7 +44,7 @@ func armChaos(extra ...faultinject.Rule) {
 func TestChaosSoakJournalFaultResumeByteIdentical(t *testing.T) {
 	ms := smallSet()
 	cfg := journalConfig()
-	t.Cleanup(faultinject.Deactivate)
+	t.Cleanup(func() { faultinject.Activate(nil) })
 	before := runtime.NumGoroutine()
 
 	// Baseline: an uninterrupted run under the reorder fault schedule.
@@ -146,7 +146,7 @@ func TestChaosSoakJournalFaultResumeByteIdentical(t *testing.T) {
 	// No goroutine leaks across the whole soak (AfterFunc watchers, pool
 	// workers, telemetry). Allow the runtime a moment to retire exiting
 	// goroutines.
-	faultinject.Deactivate()
+	faultinject.Activate(nil)
 	deadline := time.Now().Add(3 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -165,7 +165,7 @@ func TestChaosGovernedStudyUnderFaults(t *testing.T) {
 	ms := smallSet()
 	cfg := journalConfig()
 	cfg.MemBudget = 1
-	t.Cleanup(faultinject.Deactivate)
+	t.Cleanup(func() { faultinject.Activate(nil) })
 	armChaos()
 
 	path := filepath.Join(t.TempDir(), "journal.jsonl")

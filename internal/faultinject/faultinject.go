@@ -195,11 +195,9 @@ func NewPlan(seed int64, rules ...Rule) *Plan {
 // and every Check is a nil check.
 var active atomic.Pointer[Plan]
 
-// Activate arms the plan process-wide; Activate(nil) is Deactivate.
+// Activate arms the plan process-wide; Activate(nil) disarms fault
+// injection.
 func Activate(p *Plan) { active.Store(p) }
-
-// Deactivate disarms fault injection.
-func Deactivate() { active.Store(nil) }
 
 // Enabled reports whether a plan is armed. Hot call sites that must build
 // a key guard the key construction behind it so the disabled path stays

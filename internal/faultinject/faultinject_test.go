@@ -20,11 +20,11 @@ import (
 func arm(t *testing.T, p *Plan) {
 	t.Helper()
 	Activate(p)
-	t.Cleanup(Deactivate)
+	t.Cleanup(func() { Activate(nil) })
 }
 
 func TestCheckDisabledReturnsNil(t *testing.T) {
-	Deactivate()
+	Activate(nil)
 	if err := Check(JournalSync, "m1"); err != nil {
 		t.Fatalf("disabled Check = %v", err)
 	}
@@ -36,7 +36,7 @@ func TestCheckDisabledReturnsNil(t *testing.T) {
 // TestCheckDisabledZeroAlloc is the hot-path contract: with no plan armed
 // a hook is a nil check and allocates nothing.
 func TestCheckDisabledZeroAlloc(t *testing.T) {
-	Deactivate()
+	Activate(nil)
 	allocs := testing.AllocsPerRun(1000, func() {
 		if Enabled() {
 			t.Fatal("armed")
@@ -51,7 +51,7 @@ func TestCheckDisabledZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkFaultDisabled(b *testing.B) {
-	Deactivate()
+	Activate(nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if Check(ReorderOrder, "k") != nil {
@@ -239,7 +239,7 @@ func TestParseSpecEmptyAndErrors(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	var buf bytes.Buffer
-	Deactivate()
+	Activate(nil)
 	if err := WritePrometheus(&buf); err != nil || buf.Len() != 0 {
 		t.Fatalf("disabled WritePrometheus = %q, %v", buf.String(), err)
 	}

@@ -65,7 +65,7 @@ func TestWriteFileAtomicFaultPaths(t *testing.T) {
 			}
 
 			faultinject.Activate(faultinject.NewPlan(1, tc.rule))
-			t.Cleanup(faultinject.Deactivate)
+			t.Cleanup(func() { faultinject.Activate(nil) })
 			err := WriteFileAtomic(path, []byte("new content that must never land partially\n"), 0o644)
 			if !errors.Is(err, tc.cause) {
 				t.Fatalf("err = %v, want wrapping %v", err, tc.cause)
@@ -82,7 +82,7 @@ func TestWriteFileAtomicFaultPaths(t *testing.T) {
 			checkDirClean(t, dir, "artifact.txt")
 
 			// The same write succeeds once the fault plan is disarmed.
-			faultinject.Deactivate()
+			faultinject.Activate(nil)
 			next := []byte("new content that must never land partially\n")
 			if err := WriteFileAtomic(path, next, 0o644); err != nil {
 				t.Fatal(err)
@@ -114,7 +114,7 @@ func TestWriteFileAtomicDirSyncFault(t *testing.T) {
 
 	faultinject.Activate(faultinject.NewPlan(1,
 		faultinject.Rule{Point: faultinject.FileDirSync, Mode: faultinject.ModeENOSPC, Rate: 1}))
-	t.Cleanup(faultinject.Deactivate)
+	t.Cleanup(func() { faultinject.Activate(nil) })
 	next := []byte("renamed but possibly not durable\n")
 	err := WriteFileAtomic(path, next, 0o644)
 	if !errors.Is(err, syscall.ENOSPC) {
@@ -133,7 +133,7 @@ func TestWriteFileAtomicDirSyncFault(t *testing.T) {
 	checkDirClean(t, dir, "artifact.txt")
 
 	// Disarmed, the same write succeeds and reports durable.
-	faultinject.Deactivate()
+	faultinject.Activate(nil)
 	if err := WriteFileAtomic(path, next, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestWriteFileAtomicFreshFileFault(t *testing.T) {
 	path := filepath.Join(dir, "fresh.txt")
 	faultinject.Activate(faultinject.NewPlan(1,
 		faultinject.Rule{Point: faultinject.FileWrite, Mode: faultinject.ModeShortWrite, Rate: 1}))
-	t.Cleanup(faultinject.Deactivate)
+	t.Cleanup(func() { faultinject.Activate(nil) })
 	if err := WriteFileAtomic(path, []byte("payload"), 0o644); !errors.Is(err, io.ErrShortWrite) {
 		t.Fatalf("err = %v", err)
 	}
@@ -169,7 +169,7 @@ func TestWriteFileAtomicFreshFileFault(t *testing.T) {
 // hooks themselves: with no plan armed, Enabled() short-circuits before
 // any key is built.
 func TestWriteFileAtomicDisabledZeroAlloc(t *testing.T) {
-	faultinject.Deactivate()
+	faultinject.Activate(nil)
 	allocs := testing.AllocsPerRun(1000, func() {
 		if faultinject.Enabled() {
 			t.Fatal("armed")

@@ -177,17 +177,6 @@ func TestScramblePreservesContent(t *testing.T) {
 	}
 }
 
-func TestScrambleRows(t *testing.T) {
-	a := Grid2D(6, 6)
-	b := ScrambleRows(a, 8)
-	if b.NNZ() != a.NNZ() {
-		t.Fatal("row scramble changed nnz")
-	}
-	if b.Equal(a) {
-		t.Error("row scramble did nothing")
-	}
-}
-
 func TestTallSkinnyDense(t *testing.T) {
 	a := TallSkinnyDense(96, 40, 9)
 	if a.Rows != 96 || a.Cols != 40 || a.NNZ() != 96*40 {

@@ -456,18 +456,6 @@ func Scramble(a *sparse.CSR, seed int64) *sparse.CSR {
 	return b
 }
 
-// ScrambleRows applies a random row permutation only (for unsymmetric
-// matrices).
-func ScrambleRows(a *sparse.CSR, seed int64) *sparse.CSR {
-	rng := rand.New(rand.NewSource(seed))
-	p := sparse.Perm(rng.Perm(a.Rows))
-	b, err := sparse.PermuteRowsWorkers(a, p, 1)
-	if err != nil {
-		panic("gen: ScrambleRows: " + err.Error())
-	}
-	return b
-}
-
 // TallSkinnyDense returns a fully dense rows×cols matrix stored in CSR —
 // the paper's §4.2 bandwidth-ceiling reference (96000×4000 in the paper).
 func TallSkinnyDense(rows, cols int, seed int64) *sparse.CSR {

@@ -7,6 +7,112 @@ import (
 	"sparseorder/internal/sparse"
 )
 
+// CacheSim is a set-associative LRU cache simulator, the oracle for the
+// cost model's closed-form locality estimate (distinct lines + capacity
+// term): the tests below replay the x-vector access stream through it and
+// compare with the terms EstimateSpMV runs. It is deliberately simple —
+// one level, true LRU — because it only needs to rank access streams, not
+// reproduce a real hierarchy.
+type CacheSim struct {
+	sets     int
+	ways     int
+	lineSize int64
+	tags     []int64 // sets × ways, -1 = empty
+	age      []int64 // LRU timestamps aligned with tags
+	clock    int64
+
+	Hits   int64
+	Misses int64
+}
+
+// NewCacheSim builds a simulator with the given capacity in bytes,
+// associativity and line size. Capacity is rounded down to a whole number
+// of sets; a minimum of one set is kept.
+func NewCacheSim(capacityBytes int64, ways int, lineSize int64) *CacheSim {
+	if ways < 1 {
+		ways = 1
+	}
+	if lineSize < 8 {
+		lineSize = 8
+	}
+	sets := int(capacityBytes / (int64(ways) * lineSize))
+	if sets < 1 {
+		sets = 1
+	}
+	c := &CacheSim{
+		sets:     sets,
+		ways:     ways,
+		lineSize: lineSize,
+		tags:     make([]int64, sets*ways),
+		age:      make([]int64, sets*ways),
+	}
+	for i := range c.tags {
+		c.tags[i] = -1
+	}
+	return c
+}
+
+// Access touches the byte address and returns whether it hit.
+func (c *CacheSim) Access(addr int64) bool {
+	c.clock++
+	line := addr / c.lineSize
+	set := int(line % int64(c.sets))
+	base := set * c.ways
+	victim := base
+	oldest := c.age[base]
+	for w := 0; w < c.ways; w++ {
+		i := base + w
+		if c.tags[i] == line {
+			c.age[i] = c.clock
+			c.Hits++
+			return true
+		}
+		if c.age[i] < oldest {
+			oldest = c.age[i]
+			victim = i
+		}
+	}
+	c.tags[victim] = line
+	c.age[victim] = c.clock
+	c.Misses++
+	return false
+}
+
+// Reset clears contents and counters.
+func (c *CacheSim) Reset() {
+	for i := range c.tags {
+		c.tags[i] = -1
+		c.age[i] = 0
+	}
+	c.clock = 0
+	c.Hits = 0
+	c.Misses = 0
+}
+
+// SimulateXMisses replays the x-vector accesses of one thread's nonzero
+// range [kLo, kHi) of matrix a through the cache and returns the miss
+// count. Each nonzero reads x[col], i.e. byte address 8·col.
+func SimulateXMisses(a *sparse.CSR, kLo, kHi int, cache *CacheSim) int64 {
+	cache.Reset()
+	for k := kLo; k < kHi; k++ {
+		cache.Access(int64(a.ColIdx[k]) * 8)
+	}
+	return cache.Misses
+}
+
+// modelXLines is EstimateSpMV's x traffic in cache lines, summed over the
+// thread ranges of kSplit: each range's cold lines plus its capacity term,
+// with the LLC-fit fade off (capScale 1), since the simulation models no
+// shared cache.
+func modelXLines(a *sparse.CSR, kSplit []int, effLines float64) float64 {
+	nnz, _, distinct := threadFootprints(a, kSplit)
+	lines := 0.0
+	for th := range nnz {
+		lines += float64(distinct[th]) + capacityBytes(nnz[th], distinct[th], effLines, 1)/cacheLine
+	}
+	return lines
+}
+
 func TestCacheSimBasics(t *testing.T) {
 	c := NewCacheSim(1024, 4, 64) // 16 lines, 4 sets x 4 ways
 	if c.Access(0) {
@@ -88,13 +194,14 @@ func TestModelAgreesWithSimulationRanking(t *testing.T) {
 	// thread gets its own cold cache, as on a real machine.
 	perThread := func(a *sparse.CSR) (sim int64, mod float64) {
 		const threads = 16
-		for t := 0; t < threads; t++ {
-			lo := a.RowPtr[t*a.Rows/threads]
-			hi := a.RowPtr[(t+1)*a.Rows/threads]
-			sim += SimulateXMisses(a, lo, hi, NewCacheSim(cacheBytes, 8, 64))
-			mod += ModelXBytes(a, lo, hi, effLines)
+		kSplit := make([]int, threads+1)
+		for th := range kSplit {
+			kSplit[th] = a.RowPtr[th*a.Rows/threads]
 		}
-		return sim, mod
+		for th := 0; th < threads; th++ {
+			sim += SimulateXMisses(a, kSplit[th], kSplit[th+1], NewCacheSim(cacheBytes, 8, 64))
+		}
+		return sim, modelXLines(a, kSplit, effLines)
 	}
 	simNat, modNat := perThread(natural)
 	simScr, modScr := perThread(scrambled)
@@ -110,7 +217,7 @@ func TestModelAgreesWithSimulationRanking(t *testing.T) {
 	// only cold misses and the model must agree exactly (capacity term 0).
 	small := gen.Grid2D(12, 12) // 144 columns = 18 lines << 256
 	sim := SimulateXMisses(small, 0, small.NNZ(), NewCacheSim(cacheBytes, 8, 64))
-	mod := ModelXBytes(small, 0, small.NNZ(), effLines)
+	mod := modelXLines(small, []int{0, small.NNZ()}, effLines)
 	if float64(sim) != mod {
 		t.Errorf("cache-fitting stream: simulated %d, model %.1f (should be cold misses only)", sim, mod)
 	}
@@ -126,7 +233,7 @@ func TestModelCapacityTermTracksSimulation(t *testing.T) {
 	var prevMod = 1e18
 	for _, bytes := range sizes {
 		sim := SimulateXMisses(a, 0, a.NNZ(), NewCacheSim(bytes, 8, 64))
-		mod := ModelXBytes(a, 0, a.NNZ(), float64(bytes/64))
+		mod := modelXLines(a, []int{0, a.NNZ()}, float64(bytes/64))
 		if sim > prevSim {
 			t.Errorf("simulation not monotone in cache size at %d bytes", bytes)
 		}

@@ -161,34 +161,7 @@ func EstimateSpMV(a *sparse.CSR, m Machine, kernel Kernel) Estimate {
 		}
 	}
 
-	// Count rows spanned and distinct x-lines per thread in one pass.
-	lineGen := make([]int32, (a.Cols+7)/8+1)
-	for i := range lineGen {
-		lineGen[i] = -1
-	}
-	threadNNZ := make([]int, t)
-	threadRows := make([]int, t)
-	distinct := make([]int, t)
-	row := 0
-	for th := 0; th < t; th++ {
-		lo, hi := kSplit[th], kSplit[th+1]
-		threadNNZ[th] = hi - lo
-		for row < a.Rows && a.RowPtr[row+1] <= lo {
-			row++
-		}
-		startRow := row
-		for k := lo; k < hi; k++ {
-			line := a.ColIdx[k] >> 3
-			if lineGen[line] != int32(th) {
-				lineGen[line] = int32(th)
-				distinct[th]++
-			}
-		}
-		for row < a.Rows && a.RowPtr[row+1] <= hi {
-			row++
-		}
-		threadRows[th] = row - startRow + 1
-	}
+	threadNNZ, threadRows, distinct := threadFootprints(a, kSplit)
 
 	// Warm-cache adjustment: when the full dataset fits in the aggregate
 	// LLC, the "memory" traffic is served from cache at a multiple of the
@@ -212,15 +185,7 @@ func EstimateSpMV(a *sparse.CSR, m Machine, kernel Kernel) Estimate {
 	for th := 0; th < t; th++ {
 		stream := 12*float64(threadNNZ[th]) + 16*float64(threadRows[th])
 		cold := float64(distinct[th]) * cacheLine
-		reuse := float64(threadNNZ[th]) - float64(distinct[th])
-		if reuse < 0 {
-			reuse = 0
-		}
-		capMissRate := 0.0
-		if float64(distinct[th]) > effLines {
-			capMissRate = (float64(distinct[th]) - effLines) / float64(distinct[th])
-		}
-		capBytes := reuse * capMissRate * capScale * cacheLine / 8 // one miss per 8 reuse accesses of an evicted line
+		capBytes := capacityBytes(threadNNZ[th], distinct[th], effLines, capScale)
 		bytes := stream + cold*capScale + capBytes
 		totalBytes += bytes
 		if bytes > maxBytes {
@@ -264,4 +229,57 @@ func EstimateSpMV(a *sparse.CSR, m Machine, kernel Kernel) Estimate {
 		ThreadNNZ: threadNNZ,
 		Imbalance: imb,
 	}
+}
+
+// threadFootprints is the model's one pass over a's nonzeros. For each
+// thread's nonzero range [kSplit[th], kSplit[th+1]) it counts the
+// nonzeros, the rows the range spans and the distinct x cache lines it
+// reads (8 float64 entries per line).
+func threadFootprints(a *sparse.CSR, kSplit []int) (threadNNZ, threadRows, distinct []int) {
+	t := len(kSplit) - 1
+	lineGen := make([]int32, (a.Cols+7)/8+1)
+	for i := range lineGen {
+		lineGen[i] = -1
+	}
+	threadNNZ = make([]int, t)
+	threadRows = make([]int, t)
+	distinct = make([]int, t)
+	row := 0
+	for th := 0; th < t; th++ {
+		lo, hi := kSplit[th], kSplit[th+1]
+		threadNNZ[th] = hi - lo
+		for row < a.Rows && a.RowPtr[row+1] <= lo {
+			row++
+		}
+		startRow := row
+		for k := lo; k < hi; k++ {
+			line := a.ColIdx[k] >> 3
+			if lineGen[line] != int32(th) {
+				lineGen[line] = int32(th)
+				distinct[th]++
+			}
+		}
+		for row < a.Rows && a.RowPtr[row+1] <= hi {
+			row++
+		}
+		threadRows[th] = row - startRow + 1
+	}
+	return threadNNZ, threadRows, distinct
+}
+
+// capacityBytes is the model's capacity-miss term: the x traffic a thread
+// re-fetches because its distinct lines exceed the effLines its cache
+// holds. Its reads beyond the first touch of each line are reuses; the
+// share of lines that does not fit misses once per 8 reuses. capScale
+// fades the term when the data fits in the LLC.
+func capacityBytes(nnz, distinct int, effLines, capScale float64) float64 {
+	reuse := float64(nnz) - float64(distinct)
+	if reuse < 0 {
+		reuse = 0
+	}
+	capMissRate := 0.0
+	if float64(distinct) > effLines {
+		capMissRate = (float64(distinct) - effLines) / float64(distinct)
+	}
+	return reuse * capMissRate * capScale * cacheLine / 8 // one miss per 8 reuse accesses of an evicted line
 }

@@ -1,6 +1,10 @@
 package machine
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"testing"
 
 	"sparseorder/internal/gen"
@@ -136,5 +140,32 @@ func TestARMSlowerPerCore(t *testing.T) {
 func TestKernelString(t *testing.T) {
 	if Kernel1D.String() != "1D" || Kernel2D.String() != "2D" {
 		t.Error("kernel names")
+	}
+}
+
+// TestEstimateDigestScaleTest pins every estimate the study's cost model
+// makes for the ScaleTest collection (seed 42, the study's CacheScale for
+// that scale) on the eight machines under both kernels: a SHA-256 over
+// each Estimate's Seconds bits and ThreadNNZ. A change to the model that
+// means to alter its output updates the digest.
+func TestEstimateDigestScaleTest(t *testing.T) {
+	saved := CacheScale
+	CacheScale = CacheScaleFor(gen.ScaleTest.Factor())
+	t.Cleanup(func() { CacheScale = saved })
+	const want = "cdcf29bab84c4aff3663bc3e606674377b871688e63afa7dd391b6002bba7524"
+	h := sha256.New()
+	for _, m := range gen.Collection(gen.ScaleTest, 42) {
+		for _, mach := range Table2 {
+			for _, k := range []Kernel{Kernel1D, Kernel2D} {
+				est := EstimateSpMV(m.A, mach, k)
+				binary.Write(h, binary.LittleEndian, math.Float64bits(est.Seconds))
+				for _, n := range est.ThreadNNZ {
+					binary.Write(h, binary.LittleEndian, int64(n))
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("digest %s, want %s", got, want)
 	}
 }

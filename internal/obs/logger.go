@@ -98,10 +98,7 @@ func (l *Logger) logf(level Level, force bool, format string, args ...any) {
 	}
 }
 
-// Debugf logs at debug level. All level methods are nil-receiver safe.
-func (l *Logger) Debugf(format string, args ...any) { l.logf(LevelDebug, false, format, args...) }
-
-// Infof logs at info level.
+// Infof logs at info level. All level methods are nil-receiver safe.
 func (l *Logger) Infof(format string, args ...any) { l.logf(LevelInfo, false, format, args...) }
 
 // Warnf logs at warn level.

@@ -14,7 +14,6 @@ import (
 func TestLoggerLevelGating(t *testing.T) {
 	var b strings.Builder
 	lg := NewLogger(&b, LevelWarn, "study: ")
-	lg.Debugf("d")
 	lg.Infof("quiet %d", 1)
 	lg.Warnf("warn %d", 2)
 	lg.Errorf("err %d", 3)
@@ -32,10 +31,10 @@ func TestLoggerLevelGating(t *testing.T) {
 // that it shares the parent's level.
 func TestLoggerWorkerPrefix(t *testing.T) {
 	var b strings.Builder
-	lg := NewLogger(&b, LevelInfo, "study: ")
+	lg := NewLogger(&b, LevelWarn, "study: ")
 	w := lg.Worker(3)
-	w.Infof("evaluating %s", "g0")
-	w.Debugf("hidden")
+	w.Warnf("evaluating %s", "g0")
+	w.Infof("hidden")
 	if got, want := b.String(), "study: [w3] evaluating g0\n"; got != want {
 		t.Errorf("output = %q, want %q", got, want)
 	}
@@ -100,7 +99,6 @@ func TestLoggerSuppressedLineNotMirrored(t *testing.T) {
 // TestNilLogger drives every method through a nil receiver.
 func TestNilLogger(t *testing.T) {
 	var lg *Logger
-	lg.Debugf("a")
 	lg.Infof("b")
 	lg.Warnf("c")
 	lg.Errorf("d")

@@ -88,7 +88,7 @@ func TestParseTextRoundTrip(t *testing.T) {
 		`sparseorder_seed_nan{}`:                            math.NaN(),
 	}
 	cum := uint64(0)
-	for i, c := range h.BucketCounts() {
+	for i, c := range bucketCounts(h) {
 		cum += c
 		le := "+Inf"
 		if i < len(DefBuckets) {

@@ -129,16 +129,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// BucketCounts returns the per-bucket (non-cumulative) counts; the last
-// entry is the +Inf bucket.
-func (h *Histogram) BucketCounts() []uint64 {
-	out := make([]uint64, len(h.counts))
-	for i := range h.counts {
-		out[i] = h.counts[i].Load()
-	}
-	return out
-}
-
 // family fetches or creates the named family, panicking on a kind
 // mismatch — re-registering a name as a different metric type is a
 // programming error no test should let through.

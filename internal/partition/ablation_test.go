@@ -36,7 +36,7 @@ func matchingAblationGraph(tb testing.TB) *graph.Graph {
 func TestMatchingAblationDigests(t *testing.T) {
 	g := matchingAblationGraph(t)
 	for _, tc := range matchingAblation {
-		part, err := KWay(g, 16, Options{Seed: 1, matching: tc.strategy})
+		part, err := kway(g, 16, Options{Seed: 1, matching: tc.strategy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func BenchmarkAblationMatching(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var cut int
 			for i := 0; i < b.N; i++ {
-				part, err := KWay(g, 16, Options{Seed: 1, matching: tc.strategy})
+				part, err := kway(g, 16, Options{Seed: 1, matching: tc.strategy})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -164,7 +164,7 @@ func initialBisection(g *graph.Graph, frac float64, opts Options, rng *rand.Rand
 // the cut, then rolls back to the best prefix observed. Passes repeat
 // until no pass improves the cut, each carrying its gains to the next
 // (see fmPassFast). Every worker count runs the same lean pass; its gains
-// travel in int32 heap entries, which holds because KWay and nested
+// travel in int32 heap entries, which holds because KWayMulti and nested
 // dissection check CheckEdgeWeights once on their input graph and
 // coarsening never raises the total edge weight.
 func fmRefine(g *graph.Graph, side []uint8, frac float64, opts Options, fb *fmBuffers) {
@@ -221,7 +221,7 @@ func (fb *fmBuffers) level(n int) ([]int, []bool, *fmFastState) {
 // CheckEdgeWeights reports whether g's total edge weight fits the int32
 // gains of the FM refinement. Every FM gain is bounded by that total, and
 // coarsening and induced subgraphs never raise it, so one check on the
-// input graph covers every level of the recursion. KWay runs it itself;
+// input graph covers every level of the recursion. KWayMulti runs it itself;
 // callers that drive VertexSeparator or Bisect directly run it once first.
 func CheckEdgeWeights(g *graph.Graph) error {
 	t := int64(len(g.Adj)) // 1 per edge slot when unweighted

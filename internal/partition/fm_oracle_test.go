@@ -376,7 +376,7 @@ func TestFMPassNeverWorsensCut(t *testing.T) {
 }
 
 // TestKWayRejectsOversizedEdgeWeights builds a path whose total edge
-// weight exceeds the int32 range of the FM gains: KWay must refuse it
+// weight exceeds the int32 range of the FM gains: KWayMulti must refuse it
 // with an error rather than refine with overflowing gains.
 func TestKWayRejectsOversizedEdgeWeights(t *testing.T) {
 	g := &graph.Graph{
@@ -388,12 +388,12 @@ func TestKWayRejectsOversizedEdgeWeights(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := KWay(g, 2, Options{Seed: 1}); err == nil {
-		t.Fatal("KWay accepted a graph whose total edge weight exceeds int32")
+	if _, err := kway(g, 2, Options{Seed: 1}); err == nil {
+		t.Fatal("KWayMulti accepted a graph whose total edge weight exceeds int32")
 	}
 	g.EWgt = []int32{1, 1, 1, 1}
-	if _, err := KWay(g, 2, Options{Seed: 1}); err != nil {
-		t.Fatalf("KWay rejected a small graph: %v", err)
+	if _, err := kway(g, 2, Options{Seed: 1}); err != nil {
+		t.Fatalf("KWayMulti rejected a small graph: %v", err)
 	}
 }
 

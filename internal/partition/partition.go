@@ -83,22 +83,13 @@ const (
 	randomMatching
 )
 
-// KWay partitions g into k parts by recursive bisection, minimising edge
-// cut subject to the balance tolerance. It returns the part id of every
-// vertex; EdgeCut measures the result. A graph whose total edge weight
-// fails CheckEdgeWeights is rejected with an error.
-func KWay(g *graph.Graph, k int, opts Options) ([]int32, error) {
-	parts, err := KWayMulti(g, []int{k}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return parts[0], nil
-}
-
-// KWayMulti partitions g once for every part count in ks, returning the
-// part assignments in ks order. Each result is
-// byte-identical to KWay(g, ks[i], opts), but the part counts share the
-// recursion nodes they have in common: a node's bisection depends only on
+// KWayMulti partitions g into k parts for every part count k in ks, by
+// recursive bisection minimising edge cut subject to the balance
+// tolerance, and returns the part id of every vertex for each k in ks
+// order; EdgeCut measures a result. A graph whose total edge weight fails
+// CheckEdgeWeights is rejected with an error. Each result is the one ks =
+// []int{k} alone gives, but the part counts share the recursion nodes
+// they have in common: a node's bisection depends only on
 // its vertex set, its seed and its split fraction, so it runs once for
 // every part count that reaches it with the same fraction (64 and 128
 // parts agree on every node of the 64-part recursion, 48 and 64 parts on

@@ -9,6 +9,15 @@ import (
 	"sparseorder/internal/graph"
 )
 
+// kway partitions g into k parts: KWayMulti for the one part count.
+func kway(g *graph.Graph, k int, opts Options) ([]int32, error) {
+	parts, err := KWayMulti(g, []int{k}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return parts[0], nil
+}
+
 func gridGraph(t *testing.T, nx, ny int) *graph.Graph {
 	t.Helper()
 	g, err := graph.FromMatrixSymmetrizedWorkers(gen.Grid2D(nx, ny), 1)
@@ -94,7 +103,7 @@ func TestBisectTwoCliques(t *testing.T) {
 func TestKWayGridBalanceAndCut(t *testing.T) {
 	g := gridGraph(t, 24, 24)
 	for _, k := range []int{2, 4, 8, 16} {
-		part, err := KWay(g, k, Options{Seed: 7})
+		part, err := kway(g, k, Options{Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +133,7 @@ func TestKWayPartIDsInRange(t *testing.T) {
 	}
 	f := func(seed int64, kRaw uint8) bool {
 		k := int(kRaw%7) + 1
-		part, err := KWay(g, k, Options{Seed: seed})
+		part, err := kway(g, k, Options{Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -142,7 +151,7 @@ func TestKWayPartIDsInRange(t *testing.T) {
 
 func TestKWayK1(t *testing.T) {
 	g := gridGraph(t, 5, 5)
-	part, err := KWay(g, 1, Options{})
+	part, err := kway(g, 1, Options{})
 	if err != nil {
 		t.Fatalf("k=1: %v", err)
 	}
@@ -151,7 +160,7 @@ func TestKWayK1(t *testing.T) {
 			t.Fatal("k=1 must assign everything to part 0")
 		}
 	}
-	if _, err := KWay(g, 0, Options{}); err == nil {
+	if _, err := kway(g, 0, Options{}); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
@@ -312,12 +321,12 @@ func TestHeavyEdgeMatchIsMatching(t *testing.T) {
 
 func TestParallelBisectionMatchesSerial(t *testing.T) {
 	g := gridGraph(t, 90, 90) // above the 4096-vertex parallel threshold
-	serial, err := KWay(g, 8, Options{Seed: 5, Workers: 1})
+	serial, err := kway(g, 8, Options{Seed: 5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 4, 7} {
-		par, err := KWay(g, 8, Options{Seed: 5, Workers: workers})
+		par, err := kway(g, 8, Options{Seed: 5, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +340,7 @@ func TestParallelBisectionMatchesSerial(t *testing.T) {
 
 func TestRandomMatchingStillPartitions(t *testing.T) {
 	g := gridGraph(t, 20, 20)
-	part, err := KWay(g, 4, Options{Seed: 6, matching: randomMatching})
+	part, err := kway(g, 4, Options{Seed: 6, matching: randomMatching})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +368,7 @@ func TestRandomMatchIsMatching(t *testing.T) {
 
 // TestKWayMultiMatchesKWay checks that partitioning for several part
 // counts at once, sharing the bisections they have in common, returns for
-// each part count exactly what KWay returns for it alone, at every worker
+// each part count exactly what partitioning for it alone returns, at every worker
 // count (the grid is above the 4096-vertex fork threshold).
 func TestKWayMultiMatchesKWay(t *testing.T) {
 	g := gridGraph(t, 90, 90)
@@ -372,13 +381,13 @@ func TestKWayMultiMatchesKWay(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, k := range ks {
-			want, err := KWay(g, k, Options{Seed: 6, Workers: 1})
+			want, err := kway(g, k, Options{Seed: 6, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for v := range want {
 				if parts[i][v] != want[v] {
-					t.Fatalf("workers=%d k=%d: part of vertex %d is %d, KWay alone gives %d",
+					t.Fatalf("workers=%d k=%d: part of vertex %d is %d, alone it gives %d",
 						workers, k, v, parts[i][v], want[v])
 				}
 			}

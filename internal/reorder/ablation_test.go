@@ -43,7 +43,7 @@ func graphPartitionOrderWeighted(ctx context.Context, a *sparse.CSR, opts Option
 	for i := 0; i < a.Rows; i++ {
 		g.VWgt[i] = int32(a.RowNNZ(i))
 	}
-	part, err := partition.KWay(g, opts.Parts, partition.Options{
+	parts, err := partition.KWayMulti(g, []int{opts.Parts}, partition.Options{
 		Seed:    opts.Seed,
 		Workers: opts.Workers,
 		Cancel:  ctx.Done(),
@@ -55,7 +55,7 @@ func graphPartitionOrderWeighted(ctx context.Context, a *sparse.CSR, opts Option
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return orderByPart(part), nil
+	return orderByPart(parts[0]), nil
 }
 
 // BenchmarkAblationGPWeighted compares the paper's row-balanced GP against

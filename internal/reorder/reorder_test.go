@@ -452,10 +452,11 @@ func TestGPWeightedBalancesNonzeros(t *testing.T) {
 		g.VWgt[i] = int32(s.RowNNZ(i))
 		totalW += s.RowNNZ(i)
 	}
-	part, err := partition.KWay(g, 8, partition.Options{Seed: opts.Seed})
+	parts, err := partition.KWayMulti(g, []int{8}, partition.Options{Seed: opts.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
+	part := parts[0]
 	w := make([]int, 8)
 	for v, p := range part {
 		w[p] += g.VertexWeight(v)

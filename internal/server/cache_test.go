@@ -225,7 +225,7 @@ func TestServerPinnedEvictionEndToEnd(t *testing.T) {
 		t.Fatalf("m1 upload: %d cached=%v", res1.StatusCode, up1.Cached)
 	}
 	// Pin m1 exactly the way the SpMV handler does mid-request.
-	pinned := srv.Cache().Get(up1.Key)
+	pinned := srv.cache.Get(up1.Key)
 	if pinned == nil {
 		t.Fatal("m1 not resident")
 	}
@@ -237,10 +237,10 @@ func TestServerPinnedEvictionEndToEnd(t *testing.T) {
 	if up2.Cached {
 		t.Error("m2 cached despite the budget being pinned")
 	}
-	if !srv.Cache().Contains(up1.Key) {
+	if !srv.cache.Contains(up1.Key) {
 		t.Fatal("pinned m1 was evicted")
 	}
-	srv.Cache().Unpin(pinned)
+	srv.cache.Unpin(pinned)
 
 	// m1 still answers correctly.
 	x := testVector(m1.Cols, 9)
@@ -248,7 +248,7 @@ func TestServerPinnedEvictionEndToEnd(t *testing.T) {
 	if resS.StatusCode != http.StatusOK {
 		t.Fatalf("m1 spmv after pressure: %d %s", resS.StatusCode, raw)
 	}
-	checkInvariants(t, srv.Cache(), true)
+	checkInvariants(t, srv.cache, true)
 }
 
 // TestCacheUnpinUnderflow: a second Unpin is a programming error, loudly.

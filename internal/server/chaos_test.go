@@ -97,7 +97,7 @@ func TestServerChaosSoak(t *testing.T) {
 		faultinject.Rule{Point: faultinject.ServerCacheInsert, Mode: faultinject.ModeENOSPC, Rate: 0.5},
 		faultinject.Rule{Point: faultinject.ServerSpMV, Mode: faultinject.ModePanic, Rate: 0.2},
 	))
-	defer faultinject.Deactivate()
+	defer faultinject.Activate(nil)
 
 	okStatuses := map[int]bool{
 		http.StatusBadRequest: true, http.StatusNotFound: true,
@@ -210,8 +210,8 @@ func TestServerChaosSoak(t *testing.T) {
 	// No torn cache state: books balance, nothing left pinned, and with
 	// faults disarmed every matrix uploads and serves the exact reference
 	// answer through whatever cache state the chaos left behind.
-	checkInvariants(t, srv.Cache(), true)
-	faultinject.Deactivate()
+	checkInvariants(t, srv.cache, true)
+	faultinject.Activate(nil)
 	for i, m := range mats {
 		if res, _ := postUpload(t, ts, m.body); res.StatusCode != http.StatusOK {
 			t.Fatalf("post-chaos upload %d: %d", i, res.StatusCode)
@@ -224,7 +224,7 @@ func TestServerChaosSoak(t *testing.T) {
 			t.Errorf("post-chaos spmv %d differs from reference", i)
 		}
 	}
-	checkInvariants(t, srv.Cache(), true)
+	checkInvariants(t, srv.cache, true)
 
 	ts.Client().CloseIdleConnections()
 	ts.Close()

@@ -55,7 +55,7 @@ func TestGracefulDrain(t *testing.T) {
 	faultinject.Activate(faultinject.NewPlan(1, faultinject.Rule{
 		Point: faultinject.ServerReorder, Mode: faultinject.ModeDelay, Rate: 1, Param: 700,
 	}))
-	defer faultinject.Deactivate()
+	defer faultinject.Activate(nil)
 
 	type result struct {
 		code int
@@ -130,7 +130,7 @@ func TestGracefulDrain(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("in-flight request did not finish during drain")
 	}
-	if !srv.Cache().Contains(slowKey) {
+	if !srv.cache.Contains(slowKey) {
 		t.Error("in-flight upload's result was not committed to the cache")
 	}
 

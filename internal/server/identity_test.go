@@ -76,7 +76,7 @@ func TestSpMVReplyByteIdentity(t *testing.T) {
 			}
 
 			upload(tsA, filler, "filler upload")
-			if srvA.Cache().Contains(up.Key) {
+			if srvA.cache.Contains(up.Key) {
 				t.Fatal("the filler upload did not evict the matrix")
 			}
 			if again := upload(tsA, body, "re-upload"); again.Deduplicated || !again.Cached {

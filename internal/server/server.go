@@ -207,15 +207,9 @@ func New(cfg Config) (*Server, error) {
 // storeless daemon and after a failed New.
 func (s *Server) Close() error { return s.store.close() }
 
-// Recovering reports whether warm-restart recovery is still running.
-func (s *Server) Recovering() bool { return s.recovering.Load() }
-
 // Governor exposes the admission governor (nil when no budget applies);
 // cmd/serve reports it at startup.
 func (s *Server) Governor() *admit.Governor { return s.gov }
-
-// Cache exposes the plan cache for tests and stats.
-func (s *Server) Cache() *Cache { return s.cache }
 
 // BeginDrain flips the daemon into draining: /readyz goes 503, new API
 // requests are rejected with 503, queued requests waiting for a work slot

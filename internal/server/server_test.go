@@ -308,9 +308,9 @@ func TestClassifiedFailures(t *testing.T) {
 	res4, _ := ts.Client().Post(ts.URL+"/matrices", "text/plain", bytes.NewReader(other))
 	raw4, _ := io.ReadAll(res4.Body)
 	res4.Body.Close()
-	faultinject.Deactivate()
+	faultinject.Activate(nil)
 	wantClass(t, res4, raw4, http.StatusBadRequest, failure.FailError)
-	if srv.Cache().Contains(okey) {
+	if srv.cache.Contains(okey) {
 		t.Error("decode-faulted upload landed in the cache")
 	}
 
@@ -318,7 +318,7 @@ func TestClassifiedFailures(t *testing.T) {
 	faultinject.Activate(faultinject.NewPlan(1,
 		faultinject.Rule{Point: faultinject.ServerSpMV, Mode: faultinject.ModePanic, Rate: 1}))
 	res5, raw5 := postSpMV(t, ts, up.Key, testVector(a.Cols, 1))
-	faultinject.Deactivate()
+	faultinject.Activate(nil)
 	wantClass(t, res5, raw5, http.StatusInternalServerError, failure.FailPanic)
 
 	// Deadline: X-Deadline-Ms of 1ms with a 150ms injected delay before
@@ -336,7 +336,7 @@ func TestClassifiedFailures(t *testing.T) {
 	}
 	raw6, _ := io.ReadAll(res6.Body)
 	res6.Body.Close()
-	faultinject.Deactivate()
+	faultinject.Activate(nil)
 	wantClass(t, res6, raw6, http.StatusGatewayTimeout, failure.FailTimeout)
 
 	// The first upload still serves correctly after all that.

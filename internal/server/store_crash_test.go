@@ -102,7 +102,7 @@ func TestStoreCrashRestartChaos(t *testing.T) {
 
 	for si, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			defer faultinject.Deactivate() // never leak a plan into the next subtest
+			defer faultinject.Activate(nil) // never leak a plan into the next subtest
 			dir := t.TempDir()
 			cfg := Config{Threads: threads, StoreDir: dir, StoreAccessInterval: -1, Obs: newTestObs()}
 
@@ -126,7 +126,7 @@ func TestStoreCrashRestartChaos(t *testing.T) {
 			}
 			vts.Close()
 			requireFired(t, sc.writeRules)
-			faultinject.Deactivate()
+			faultinject.Activate(nil)
 			// No victim.Close(), no drain: its state is whatever hit the disk.
 
 			onDisk := len(entryFiles(t, dir))
@@ -137,7 +137,7 @@ func TestStoreCrashRestartChaos(t *testing.T) {
 			srv := mustNew(t, cfg)
 			st := mustRecover(t, srv)
 			requireFired(t, sc.readRules)
-			faultinject.Deactivate()
+			faultinject.Activate(nil)
 
 			if st.Scanned != onDisk {
 				t.Errorf("scanned %d entries, %d were on disk", st.Scanned, onDisk)
@@ -183,12 +183,12 @@ func TestStoreCrashRestartChaos(t *testing.T) {
 			// returned success, no injected corruption — must have survived.
 			if sc.name != "store-silent-corruption" && sc.name != "everything-at-once" && len(sc.readRules) == 0 {
 				for i, tg := range targets {
-					if persisted[tg.key] && !srv.Cache().Contains(tg.key) {
+					if persisted[tg.key] && !srv.cache.Contains(tg.key) {
 						t.Errorf("key %d reported persisted but did not recover", i)
 					}
 				}
 			}
-			checkInvariants(t, srv.Cache(), true)
+			checkInvariants(t, srv.cache, true)
 			srv.Close()
 		})
 	}

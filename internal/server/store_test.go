@@ -116,7 +116,7 @@ func TestStoreRoundTripRestart(t *testing.T) {
 			t.Errorf("recovered spmv %d: response differs from pre-restart daemon", i)
 		}
 	}
-	checkInvariants(t, srvB.Cache(), true)
+	checkInvariants(t, srvB.cache, true)
 }
 
 // TestStoreReadyzRecovering pins the readiness state machine around
@@ -165,7 +165,7 @@ func TestStoreReadyzRecovering(t *testing.T) {
 	if code, hs := get("/readyz"); code != http.StatusOK || hs.Status != "ready" {
 		t.Errorf("/readyz after recovery = %d %q, want 200 ready", code, hs.Status)
 	}
-	if !srvA.Recovering() == false { // srvA finished long ago; sanity
+	if srvA.recovering.Load() { // srvA finished long ago; sanity
 		t.Error("finished daemon still recovering")
 	}
 }
@@ -279,7 +279,7 @@ func TestStoreQuarantineClassification(t *testing.T) {
 			t.Errorf("quarantined (%s) key served: %d %s", reason, res.StatusCode, raw)
 		}
 	}
-	checkInvariants(t, srvB.Cache(), true)
+	checkInvariants(t, srvB.cache, true)
 }
 
 // TestStoreRecoveryLRUAndOverflow checks the governor-respecting side of
@@ -326,16 +326,16 @@ func TestStoreRecoveryLRUAndOverflow(t *testing.T) {
 	if got := len(entryFiles(t, dir)); got != 3 {
 		t.Errorf("%d entry files after recovery, want all 3 still on disk", got)
 	}
-	if srvB.Cache().Contains(keys[1]) {
+	if srvB.cache.Contains(keys[1]) {
 		t.Error("least recently used key resident; stamps not honored")
 	}
 	for _, i := range []int{0, 2} {
-		if !srvB.Cache().Contains(keys[i]) {
+		if !srvB.cache.Contains(keys[i]) {
 			t.Errorf("recently used key %d not recovered", i)
 		}
 	}
 	// Rebuilt LRU order: front must be the most recently accessed (key0).
-	c := srvB.Cache()
+	c := srvB.cache
 	c.mu.Lock()
 	front := c.lru.Front().Value.(*entry).key
 	c.mu.Unlock()
@@ -374,7 +374,7 @@ func TestStoreRecoveryBudgetOverflow(t *testing.T) {
 	if got := len(entryFiles(t, dir)); got != 3 {
 		t.Errorf("%d entry files after recovery, want 3", got)
 	}
-	checkInvariants(t, srvB.Cache(), true)
+	checkInvariants(t, srvB.cache, true)
 }
 
 // TestStoreWriteFailureDegrades pins the persist-failure contract: with
@@ -390,7 +390,7 @@ func TestStoreWriteFailureDegrades(t *testing.T) {
 
 	faultinject.Activate(faultinject.NewPlan(1,
 		faultinject.Rule{Point: faultinject.StoreWrite, Mode: faultinject.ModeENOSPC, Rate: 1}))
-	defer faultinject.Deactivate()
+	defer faultinject.Activate(nil)
 
 	body := mmBytes(t, gen.Banded(70, 2, 1, 5))
 	res, up := postUpload(t, ts, body)
@@ -405,7 +405,7 @@ func TestStoreWriteFailureDegrades(t *testing.T) {
 	}
 
 	// Fault cleared: the dedupe path re-persists the resident entry.
-	faultinject.Deactivate()
+	faultinject.Activate(nil)
 	res, up = postUpload(t, ts, body)
 	if res.StatusCode != http.StatusOK || !up.Deduplicated {
 		t.Fatalf("dedupe upload: %d (dedup=%v)", res.StatusCode, up.Deduplicated)

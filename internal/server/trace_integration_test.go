@@ -26,7 +26,7 @@ func TestReorderDelayAttributable(t *testing.T) {
 	faultinject.Activate(faultinject.NewPlan(1, faultinject.Rule{
 		Point: faultinject.ServerReorder, Mode: faultinject.ModeDelay, Rate: 1, Param: delayMs,
 	}))
-	defer faultinject.Deactivate()
+	defer faultinject.Activate(nil)
 
 	o := newTestObs()
 	o.Requests = obs.NewTraceRing(16)

@@ -222,7 +222,7 @@ func TestReadersRejectMalformedInputs(t *testing.T) {
 // covering ingest/chunk fails the parallel read with the injected error,
 // and the decision is deterministic across repeated runs.
 func TestIngestChunkFault(t *testing.T) {
-	defer faultinject.Deactivate()
+	defer faultinject.Activate(nil)
 	text := randomMM(rand.New(rand.NewSource(3)), 100, 100, 2000)
 	faultinject.Activate(faultinject.NewPlan(1,
 		faultinject.Rule{Point: faultinject.IngestChunk, Mode: faultinject.ModeError, Rate: 1}))
@@ -232,7 +232,7 @@ func TestIngestChunkFault(t *testing.T) {
 			t.Fatalf("run %d: err = %v, want injected fault", run, err)
 		}
 	}
-	faultinject.Deactivate()
+	faultinject.Activate(nil)
 	a, err := ReadMatrixMarketWorkers(strings.NewReader(text), 4)
 	if err != nil {
 		t.Fatalf("after deactivation: %v", err)
