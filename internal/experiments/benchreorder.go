@@ -63,12 +63,14 @@ var reorderBenchOrderings = map[string]reorder.Algorithm{
 const reorderBenchSeed = 42
 
 // ReorderBenchMatrices returns the generated inputs for RunReorderBench:
-// a scrambled 3D grid (structurally symmetric) and a dense-row-contaminated
-// unsymmetric matrix that exercises the A+Aᵀ union path. At ScaleTest the
+// a scrambled 3D grid (structurally symmetric), a dense-row-contaminated
+// unsymmetric matrix that exercises the A+Aᵀ union path, and an R-MAT
+// power-law graph, on which heavy-edge matching stalls and the
+// partitioners' coarsening rule decides their cost. At ScaleTest the
 // matrices shrink to CI-smoke sizes — still above the ND/GP/HP fork
 // minimums so the smoke exercises the parallel paths, but seconds instead
-// of minutes to measure. Any other scale returns the ≥1M-nonzero pair the
-// committed acceptance numbers are quoted at.
+// of minutes to measure. Any other scale returns the set of 0.8–1.2M
+// nonzeros the committed acceptance numbers are quoted at.
 func ReorderBenchMatrices(seed int64, scale gen.Scale) []gen.Matrix {
 	if scale == gen.ScaleTest {
 		return []gen.Matrix{
@@ -76,6 +78,8 @@ func ReorderBenchMatrices(seed int64, scale gen.Scale) []gen.Matrix {
 				A: gen.Scramble(gen.Grid3D(18, 18, 18), seed+1)},
 			{Name: "cfd_dense_unsym_small", Group: "CFD", Kind: "dense-rows",
 				A: gen.WithDenseRows(gen.Scramble(gen.Grid2D(80, 80), seed+2), 4, 0.1, seed+3)},
+			{Name: "rmat12_small", Group: "graph", Kind: "power-law",
+				A: gen.RMAT(12, 6, seed+4)},
 		}
 	}
 	return []gen.Matrix{
@@ -83,7 +87,26 @@ func ReorderBenchMatrices(seed int64, scale gen.Scale) []gen.Matrix {
 			A: gen.Scramble(gen.Grid3D(56, 56, 56), seed+1)},
 		{Name: "cfd_dense_unsym", Group: "CFD", Kind: "dense-rows",
 			A: gen.WithDenseRows(gen.Scramble(gen.Grid2D(420, 420), seed+2), 12, 0.1, seed+3)},
+		{Name: "rmat16", Group: "graph", Kind: "power-law",
+			A: gen.RMAT(16, 6, seed+4)},
 	}
+}
+
+// benchesOrdering reports whether RunReorderBench measures the ordering
+// path on a matrix of the given kind. Minimum degree and dissection on
+// near-dense rows are a known pathology (production AMD defers dense rows;
+// this reproduction's does not), so the dense-row matrix is here only to
+// exercise the A+Aᵀ union path of the graph/permute/features slices. The
+// power-law matrix's hubs are the same pathology for AMD, and it is here
+// for the partitioners: it runs gp, nd and hp.
+func benchesOrdering(kind, path string) bool {
+	switch kind {
+	case "dense-rows":
+		return false
+	case "power-law":
+		return path != "amd"
+	}
+	return true
 }
 
 // RunReorderBench measures the reordering hot path serial vs parallel.
@@ -132,13 +155,7 @@ func RunReorderBench(matrices []gen.Matrix, workerCounts []int, repeats int) (*R
 				case "rcm":
 					best, err = orderBest(reps, a, w)
 				default:
-					// Minimum-degree and dissection on near-dense rows are a
-					// known pathology (production AMD defers dense rows; this
-					// reproduction's does not), so the ordering pipelines are
-					// quoted on the structural matrix only. The dense-row
-					// matrix is here to exercise the A+Aᵀ union path of the
-					// graph/permute/features slices.
-					if m.Kind == "dense-rows" || (w != 1 && w != 4) {
+					if !benchesOrdering(m.Kind, path) || (w != 1 && w != 4) {
 						continue
 					}
 					reps = 1

@@ -145,8 +145,9 @@ func contract(g *graph.Graph, match []int32, nCoarse int, rows *contractRows, lb
 }
 
 // coarsen builds the multilevel hierarchy until the graph has at most
-// coarseTo vertices or matching stagnates. The levels and their graphs
-// live in sc until its next bisection.
+// coarseTo vertices or matching stagnates: a matching that would keep
+// more than coarsenFraction of the vertices is dropped, not contracted.
+// The levels and their graphs live in sc until its next bisection.
 func coarsen(g *graph.Graph, coarseTo int, opts Options, rng *rand.Rand, sc *Scratch) []level {
 	levels := sc.levels[:0]
 	cur := g
@@ -155,8 +156,8 @@ func coarsen(g *graph.Graph, coarseTo int, opts Options, rng *rand.Rand, sc *Scr
 			break // stop building levels; the caller unwinds at its next check
 		}
 		match, nCoarse := matchVertices(cur, rng, opts.matching, sc)
-		if float64(nCoarse) > 0.95*float64(cur.N) {
-			break // matching stagnated (e.g. star graphs)
+		if float64(nCoarse) > coarsenFraction*float64(cur.N) {
+			break // matching stagnated (e.g. star graphs, power-law hubs)
 		}
 		if len(levels) == 0 {
 			sc.rows.adj = grow(sc.rows.adj, len(g.Adj))

@@ -21,8 +21,12 @@ import (
 // output. The HP digest was re-recorded twice: when HP's initial
 // bisection stopped breaking its balance cap (TestBisectStarStaysBalanced),
 // and when HP's FM pass stopped re-queueing pins whose gain a move left
-// unchanged. The RCM, AMD and Gray digests were recorded before RCM's root
-// search moved to caller-owned buffers.
+// unchanged. The GP and ND digests were re-recorded once, when the
+// partitioner's coarsening began stopping at a level that keeps more than
+// 85% of its vertices (METIS 5's fraction) instead of 95%: GP moved on
+// kron, kron_b, kron_c and kmer, ND on kron, kron_c, kmer and circuit. The
+// RCM, AMD and Gray digests were recorded before RCM's root search moved
+// to caller-owned buffers.
 func TestPermutationDigestsScaleTest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("seconds without -race, minutes with it; CI runs it in its own non-race step")
@@ -33,10 +37,10 @@ func TestPermutationDigestsScaleTest(t *testing.T) {
 		parts int
 		want  string
 	}{
-		{GP, 8, "7c6bd95a6861699f3b6203a70755415320a8f2834c8eb81976e932683351bcc9"},
-		{GP, 64, "89ccebc862c2eeae4b0f20c4c71ccbfac23ea1e624843fdcfe6104c35fe2b215"},
-		{GP, 128, "05813668ee55b5d357d66be7ba6cea25866fefe22ba62a3aca870f2f4b520408"},
-		{ND, 0, "b93d747060c33ed20120e63378c8170dedb6ec29b926b6e4d8ed458e77513dec"},
+		{GP, 8, "ccb17fed1fc88666738c54267c5c282d80c3fb59060e3daee36ef7756af6cd49"},
+		{GP, 64, "db3379b4a2a5ebc7d6a74c1d19a604bdfc962c957fd08dc6f276d8fd8096ec49"},
+		{GP, 128, "cc01627c53fb122c9fe5ae10bf885c7aa7f5a7f4d799df11b14862a291ba0449"},
+		{ND, 0, "168cea67cd9300744cf292deb8ff8187c55d723d2f739f38754528aa7b8255d4"},
 		{HP, 128, "7f06ece3d8771bffbd7390395e06c6c76db80e5ed64f1c9afa215668a10aca2a"},
 		{RCM, 0, "f71ee78c479ebc33fc09c2b3878b8d0049f56ef3cad64675ca6346ac0460dadb"},
 		{AMD, 0, "c3f6e4b56929b968292495e97767016a32ac11f64f6e8c8f3e0f5aefed2b5d96"},
@@ -58,6 +62,37 @@ func TestPermutationDigestsScaleTest(t *testing.T) {
 					}
 				}
 				if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+					t.Errorf("digest %s, want %s", got, c.want)
+				}
+			})
+		}
+	}
+}
+
+// TestPermutationDigestsMeshSolve pins mesh-solve's inputs: the GP (default
+// Parts) and ND permutations of the scrambled 32³ mesh, the matrix and
+// seed the perfbench mesh-solve workload reorders, at 1 and 2 workers.
+// A partitioner change that means to leave meshes alone keeps them.
+func TestPermutationDigestsMeshSolve(t *testing.T) {
+	if raceEnabled {
+		t.Skip("seconds without -race, minutes with it; CI runs it in its own non-race step")
+	}
+	a := gen.Scramble(gen.Grid3D(32, 32, 32), 42)
+	cases := []struct {
+		alg  Algorithm
+		want string
+	}{
+		{GP, "f624de64254c168604285e2db3e9a6f77368e0a457ec1a48ae6cc572a7aa8336"},
+		{ND, "4f28fa4ff13eddf42eb04cbf94139d8af2a4427865d39a43602e7522063a2e1a"},
+	}
+	for _, c := range cases {
+		for _, w := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers%d", c.alg, w), func(t *testing.T) {
+				_, p, err := Apply(c.alg, a, Options{Seed: 42, Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := permDigest(t, p); got != c.want {
 					t.Errorf("digest %s, want %s", got, c.want)
 				}
 			})
