@@ -172,7 +172,6 @@ func run() int {
 		lg.Errorf("%v", err)
 		return exitFatal
 	}
-	defer srv.Close()
 	if g := srv.Governor(); g != nil {
 		lg.Printf("memory governor: %s budget", admit.FormatBytes(g.Budget()))
 	} else {

@@ -47,10 +47,14 @@ type ReorderBenchRun struct {
 var reorderBenchPaths = []string{"graph", "permute", "features", "rcm", "combined", "amd", "nd", "gp", "hp"}
 
 // reorderBenchOrderings maps the ordering bench paths to their algorithms.
-// These pipelines cost tens of seconds each at study scale, so they are
-// measured best-of-1 and only at the serial baseline and the four-worker
-// count the acceptance numbers are quoted at; the run-to-run variance of a
-// tens-of-seconds measurement is small next to the effects measured.
+// At study scale one run costs 0.46–4.65 s (BENCH_reorder.json, 2-vCPU
+// host) and all ordering rows together about 22 s, so the -repeats
+// best-of (10 by default) would stretch them to minutes. They are
+// measured best-of-1 instead, and only at the serial baseline and the
+// four-worker count the acceptance numbers are quoted at: a run that long
+// is not moved by timer resolution or a single GC, and the few-percent
+// run-to-run spread it keeps is small next to the worker speedups and
+// coarsening changes these rows are read for.
 var reorderBenchOrderings = map[string]reorder.Algorithm{
 	"amd": reorder.AMD,
 	"nd":  reorder.ND,

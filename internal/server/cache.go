@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"sparseorder/internal/admit"
 	"sparseorder/internal/obs"
@@ -48,6 +49,10 @@ type entry struct {
 	// storage was released under it. Guarded by the cache mutex.
 	pins int
 	elem *list.Element // position in the LRU list; nil once evicted
+
+	// stamped is the unix-nanosecond time of the entry file's last
+	// access stamp (store.touch), the throttle of those stamps.
+	stamped atomic.Int64
 }
 
 // newEntry builds the cache entry for the reordered matrix mat together
@@ -120,9 +125,9 @@ func NewCache(gov *admit.Governor, maxEntries int, o *obs.Obs) *Cache {
 	if o != nil && o.Metrics != nil {
 		r := o.Metrics
 		c.hitC = r.Counter("sparseorder_server_cache_hits_total",
-			"SpMV or upload requests answered from a cached plan")
+			"SpMV requests that found a cached plan for their key")
 		c.missC = r.Counter("sparseorder_server_cache_misses_total",
-			"requests that found no cached plan for their key")
+			"SpMV requests that found no cached plan for their key")
 		c.evictC = r.Counter("sparseorder_server_cache_evictions_total",
 			"cache entries evicted to admit new ones")
 		c.insertC = r.Counter("sparseorder_server_cache_inserts_total",
@@ -144,8 +149,9 @@ func (c *Cache) setGauges() { // c.mu held
 	}
 }
 
-// Get returns the entry for key pinned against eviction, or nil. The
-// caller must Unpin exactly once when done serving from it.
+// Get is the SpMV lookup: it returns the entry for key pinned against
+// eviction and moved to the LRU front, or nil, counting a hit or a miss.
+// The caller must Unpin exactly once when done serving from it.
 func (c *Cache) Get(key string) *entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -160,6 +166,20 @@ func (c *Cache) Get(key string) *entry {
 	c.lru.MoveToFront(e.elem)
 	if c.hitC != nil {
 		c.hitC.Inc()
+	}
+	return e
+}
+
+// pin returns the entry for key pinned against eviction, or nil, without
+// moving it in the LRU order or counting a hit or a miss: the upload
+// dedupe path, which answers from the entry but is no SpMV lookup. The
+// caller must Unpin a non-nil result exactly once.
+func (c *Cache) pin(key string) *entry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.byKey[key]
+	if e != nil {
+		e.pins++
 	}
 	return e
 }
@@ -186,7 +206,7 @@ type Meta struct {
 
 // Peek returns a cached entry's metadata without pinning it, moving it in
 // the LRU order, or counting a hit/miss — the probe behind GET
-// /matrices/{key} and upload dedupe.
+// /matrices/{key}.
 func (c *Cache) Peek(key string) (Meta, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -86,9 +86,6 @@ func TestSpMVReplyByteIdentity(t *testing.T) {
 				t.Error("recompute after eviction: reply differs")
 			}
 			tsA.Close()
-			if err := srvA.Close(); err != nil {
-				t.Fatal(err)
-			}
 
 			srvB := mustNew(t, storeCfg(dir))
 			if st := mustRecover(t, srvB); st.Recovered != 2 {

@@ -34,9 +34,12 @@ type RecoveryStats struct {
 // The pass runs in three stages. First a serial header scan classifies
 // every entry and quarantines the unrecoverable ones. Then survivors are
 // admitted against the memory governor byte-weighted in LRU order — most
-// recently used first, per the persisted last-access stamps with the
-// header save time as fallback — so when the budget fills, what falls
-// out is exactly what LRU eviction would have dropped. Finally the
+// recently used first, per each entry file's mtime, its last-access
+// stamp, or the header's save time if that is later — so when the budget
+// fills, what falls out is exactly what LRU eviction would have dropped.
+// The mtimes are never synced, so a crash loses at most LRU fidelity; an
+// access.log an older daemon left is ignored; and a copy of the store
+// that did not preserve mtimes recovers in the copy's order. Finally the
 // admitted payloads are read, checksummed and validated in parallel
 // (bounded by RecoverWorkers) and inserted oldest-first, leaving the
 // cache's LRU list in true recency order.
@@ -68,7 +71,6 @@ func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 	}
 	st.Scanned = len(paths)
 	s.recoverRemaining.Store(int64(len(paths)))
-	stamps := s.store.readAccessStamps()
 
 	// Stage 1: serial header scan. Headers are one short read per file;
 	// parallelism only pays for the payload stage.
@@ -85,9 +87,6 @@ func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 			st.Quarantined++
 			s.recoverRemaining.Add(-1)
 			continue
-		}
-		if t := stamps[c.key]; t > c.stamp {
-			c.stamp = t
 		}
 		cands = append(cands, c)
 		liveBytes += c.size
@@ -112,13 +111,10 @@ func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 		adm  *admit.Admission
 	}
 	var granted []admitted
-	keepStamps := map[string]int64{} // access stamps surviving compaction
-	var keepKeys []string
 	for _, c := range cands {
 		if ctx.Err() != nil || len(granted) >= s.cfg.CacheEntries {
 			st.Skipped++
 			s.recoverRemaining.Add(-1)
-			keepStamps[c.key], keepKeys = c.stamp, append(keepKeys, c.key)
 			continue
 		}
 		adm, err := s.gov.TryAcquire("recover:"+c.key, EntryBytes(c.header.Rows, c.header.NNZ))
@@ -126,7 +122,6 @@ func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 			s.store.logf("store: leaving %.12s on disk unloaded: %v", c.key, err)
 			st.Skipped++
 			s.recoverRemaining.Add(-1)
-			keepStamps[c.key], keepKeys = c.stamp, append(keepKeys, c.key)
 			continue
 		}
 		granted = append(granted, admitted{c, adm})
@@ -169,7 +164,6 @@ func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 			}
 			if r.reason == "" { // canceled before its load started
 				st.Skipped++
-				keepStamps[a.cand.key], keepKeys = a.cand.stamp, append(keepKeys, a.cand.key)
 				continue
 			}
 			s.store.quarantine(a.cand.path, r.reason, r.detail)
@@ -184,8 +178,6 @@ func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 		} else {
 			st.Skipped++
 		}
-		keepStamps[a.cand.key], keepKeys = a.cand.stamp, append(keepKeys, a.cand.key)
 	}
-	s.store.compactAccess(keepStamps, keepKeys)
 	return st, ctx.Err()
 }

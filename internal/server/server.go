@@ -68,8 +68,6 @@ type Config struct {
 	// CacheEntries bounds the plan cache's entry count (the only bound
 	// when the governor is off). 0 means 256.
 	CacheEntries int
-	// RetryAfter is the hint sent with 429/503 responses. 0 means 1s.
-	RetryAfter time.Duration
 	// StoreDir, when non-empty, enables the durable plan store: every
 	// admitted upload is persisted under its content-hash key and a
 	// restarted daemon recovers its plans from disk (call Recover after
@@ -78,10 +76,6 @@ type Config struct {
 	// RecoverWorkers bounds the parallel payload loads during
 	// warm-restart recovery. 0 means GOMAXPROCS; negative means serial.
 	RecoverWorkers int
-	// StoreAccessInterval throttles persisted last-access stamps to one
-	// per key per interval (the stamps only restore LRU order across
-	// restarts). 0 means 1s; negative stamps every access.
-	StoreAccessInterval time.Duration
 	// Obs receives request spans and metrics; nil disables telemetry.
 	Obs *obs.Obs
 	// Logf, when set, receives one line per admission anomaly (sheds,
@@ -116,15 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 256
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.StoreAccessInterval == 0 {
-		c.StoreAccessInterval = time.Second
-	}
-	if c.StoreAccessInterval < 0 {
-		c.StoreAccessInterval = 0
 	}
 	return c
 }
@@ -178,7 +163,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.cache = NewCache(s.gov, cfg.CacheEntries, cfg.Obs)
 	if cfg.StoreDir != "" {
-		st, err := openStore(cfg.StoreDir, cfg.Seed, cfg.Threads, cfg.StoreAccessInterval, cfg.Obs, cfg.Logf)
+		st, err := openStore(cfg.StoreDir, cfg.Seed, cfg.Threads, cfg.Obs, cfg.Logf)
 		if err != nil {
 			return nil, err
 		}
@@ -202,10 +187,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Close releases the store's file handles (the access log). Safe on a
-// storeless daemon and after a failed New.
-func (s *Server) Close() error { return s.store.close() }
 
 // Governor exposes the admission governor (nil when no budget applies);
 // cmd/serve reports it at startup.
@@ -278,6 +259,10 @@ type apiError struct {
 // context canceled) before a response was produced.
 const statusClientClosed = 499
 
+// retryAfterSeconds is the Retry-After hint, in seconds, sent with every
+// 429 and 503.
+const retryAfterSeconds = "1"
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -290,8 +275,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, class failure.Fai
 		sw.class, sw.errmsg = class, msg
 	}
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After",
-			strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", retryAfterSeconds)
 	}
 	writeJSON(w, status, apiError{Error: msg, Class: class})
 }
@@ -515,21 +499,20 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	// Content-hash dedupe: a matrix already resident answers immediately —
 	// the amortization the cache exists for. A resident entry missing from
 	// the store (its persist failed, or it was quarantined last restart)
-	// is re-persisted here, so durability self-heals on re-upload.
-	if m, ok := s.cache.Peek(key); ok {
+	// is re-persisted here, so durability self-heals on re-upload. The
+	// lookup is no SpMV: it counts neither a cache hit nor a miss.
+	if e := s.cache.pin(key); e != nil {
 		persisted := s.store.has(key)
 		if s.store != nil && !persisted {
-			if e := s.cache.Get(key); e != nil {
-				persisted = s.persistEntry(rt, e)
-				s.cache.Unpin(e)
-			}
+			persisted = s.persistEntry(rt, e)
 		}
-		s.store.touch(key)
+		s.store.touch(e)
+		s.cache.Unpin(e)
 		writeJSON(w, http.StatusOK, uploadResponse{
-			Key: key, Rows: m.Rows, Cols: m.Cols, NNZ: m.NNZ,
-			Ordering: m.Ordering, Cached: true, Deduplicated: true,
+			Key: key, Rows: e.rows, Cols: e.cols, NNZ: e.nnz,
+			Ordering: string(e.alg), Cached: true, Deduplicated: true,
 			Persisted:      persisted,
-			ReorderSeconds: m.ReorderSeconds,
+			ReorderSeconds: e.reorderSeconds,
 		})
 		return
 	}
@@ -745,7 +728,7 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.cache.Unpin(e)
-	s.store.touch(key) // keep the persisted LRU order fresh
+	s.store.touch(e) // keep the persisted LRU order fresh
 
 	// Decode phase: the body read plus the one-pass parse (wire.go). The
 	// body buffer is presized for e.cols numbers at most, whatever

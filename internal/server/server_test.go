@@ -57,7 +57,6 @@ func mustNew(t testing.TB, cfg Config) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
 	return srv
 }
 
@@ -519,8 +518,8 @@ func TestShedQueueFull(t *testing.T) {
 	raw, _ := io.ReadAll(res.Body)
 	res.Body.Close()
 	wantClass(t, res, raw, http.StatusTooManyRequests, failure.FailResource)
-	if res.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
+	if got := res.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("429 Retry-After = %q, want \"1\"", got)
 	}
 	shed := srv.cfg.Obs.Metrics.Counter("sparseorder_server_shed_total",
 		"requests shed with 429 because the queue or memory governor was saturated").Value()

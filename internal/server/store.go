@@ -6,12 +6,13 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -81,12 +82,9 @@ func payloadLen(rows, nnz int) int64 {
 	return 8*int64(rows+1) + 12*int64(nnz) + 8*int64(rows)
 }
 
-// accessRecord is one line of the store's access log: a best-effort
-// last-access stamp used only to restore LRU order across restarts.
-type accessRecord struct {
-	Key string `json:"key"`
-	T   int64  `json:"t"` // unix nanoseconds
-}
+// storeStampInterval is the least time between two last-access stamps of
+// one entry: a hot entry costs at most one Chtimes a second.
+const storeStampInterval = time.Second
 
 // store is the durable content-addressed plan store behind -store: every
 // admitted upload is persisted as one checksummed, versioned entry file
@@ -95,31 +93,28 @@ type accessRecord struct {
 //
 //	entries/<key>.entry      one file per persisted (matrix, ordering, perm)
 //	quarantine/<name>        entries recovery rejected, plus <name>.reason
-//	access.log               JSONL last-access stamps (best effort, no fsync)
 //
 // Entry files are immutable once written (atomic replace on re-upload),
 // so a crash at any instant leaves each entry either absent, previous, or
-// complete — never torn. The access log is the one deliberately
-// non-durable file: it only orders recovery, so a lost tail merely
-// degrades LRU fidelity, and unparsable lines are skipped, not fatal.
+// complete — never torn. An entry file's mtime is its last-access stamp:
+// the write sets it, and touch moves it forward on use. The stamp only
+// orders recovery, so it is never synced; a crash loses at most LRU
+// fidelity. An access.log left by an older daemon is neither read nor
+// removed. A copy of the store that does not preserve mtimes (cp without
+// -p) stamps every entry with its copy time, and recovery then follows
+// the copy's order; cp -p, rsync -t or tar keep the LRU order.
 //
 // A nil *store no-ops every method, so the storeless daemon pays only a
 // nil check per call site.
 type store struct {
-	root       string
 	entriesDir string
 	quarDir    string
 	seed       int64
 	threads    int
-	interval   time.Duration // min gap between persisted stamps per key
 	logf       func(format string, args ...any)
 
 	bytes   atomic.Int64 // on-disk entry bytes (headers + payloads)
 	entries atomic.Int64 // entry files on disk
-
-	accessMu  sync.Mutex
-	accessF   *os.File
-	lastStamp map[string]int64
 
 	reg          *obs.Registry // for lazily-labelled quarantine counters
 	writesC      *obs.Counter  // sparseorder_server_store_writes_total
@@ -134,16 +129,13 @@ type store struct {
 // openStore creates or reopens the store rooted at dir. Temp debris from
 // writes a crash interrupted (".<name>.tmp-*" files) is removed — the
 // atomic-write contract makes such files meaningless by construction.
-func openStore(dir string, seed int64, threads int, interval time.Duration, o *obs.Obs, logf func(string, ...any)) (*store, error) {
+func openStore(dir string, seed int64, threads int, o *obs.Obs, logf func(string, ...any)) (*store, error) {
 	s := &store{
-		root:       dir,
 		entriesDir: filepath.Join(dir, "entries"),
 		quarDir:    filepath.Join(dir, "quarantine"),
 		seed:       seed,
 		threads:    threads,
-		interval:   interval,
 		logf:       logf,
-		lastStamp:  map[string]int64{},
 	}
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
@@ -161,11 +153,6 @@ func openStore(dir string, seed int64, threads int, interval time.Duration, o *o
 			}
 		}
 	}
-	f, err := os.OpenFile(filepath.Join(dir, "access.log"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("server: store access log: %w", err)
-	}
-	s.accessF = f
 	if o != nil && o.Metrics != nil {
 		r := o.Metrics
 		s.reg = r
@@ -185,21 +172,6 @@ func openStore(dir string, seed int64, threads int, interval time.Duration, o *o
 			"wall time of the last warm-restart recovery")
 	}
 	return s, nil
-}
-
-// close flushes and closes the access log; entry files need no teardown.
-func (s *store) close() error {
-	if s == nil {
-		return nil
-	}
-	s.accessMu.Lock()
-	defer s.accessMu.Unlock()
-	if s.accessF == nil {
-		return nil
-	}
-	err := s.accessF.Close()
-	s.accessF = nil
-	return err
 }
 
 // quarantinedCounter resolves the per-reason quarantine counter; the
@@ -362,89 +334,23 @@ func (s *store) setGauges() {
 	}
 }
 
-// touch appends a last-access stamp for key to the access log, throttled
-// to one persisted stamp per key per interval. Best effort by design: no
-// fsync, errors only logged — losing stamps costs LRU fidelity on the
-// next restart, nothing else.
-func (s *store) touch(key string) {
+// touch stamps e's entry file with the current time as its last access,
+// at most once per storeStampInterval per entry. Best effort by design:
+// no fsync, errors only logged — a lost stamp costs LRU fidelity on the
+// next restart, nothing else. A missing file (its persist failed) is the
+// durability loss already logged at write time, so it logs nothing here.
+func (s *store) touch(e *entry) {
 	if s == nil {
 		return
 	}
-	now := time.Now().UnixNano()
-	s.accessMu.Lock()
-	defer s.accessMu.Unlock()
-	if s.accessF == nil {
+	now := time.Now()
+	last := e.stamped.Load()
+	if now.UnixNano()-last < int64(storeStampInterval) || !e.stamped.CompareAndSwap(last, now.UnixNano()) {
 		return
 	}
-	if last, ok := s.lastStamp[key]; ok && now-last < int64(s.interval) {
-		return
+	if err := os.Chtimes(s.entryPath(e.key), now, now); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		s.logf("store: access stamp for %.12s: %v", e.key, err)
 	}
-	line, err := json.Marshal(accessRecord{Key: key, T: now})
-	if err != nil {
-		return
-	}
-	if _, err := s.accessF.Write(append(line, '\n')); err != nil {
-		s.logf("store: access stamp for %.12s: %v", key, err)
-		return
-	}
-	s.lastStamp[key] = now
-}
-
-// readAccessStamps folds the access log into the freshest stamp per key.
-// The log is best-effort: a torn tail or a garbage line is skipped, never
-// fatal — the worst case is recovering in saved-time order.
-func (s *store) readAccessStamps() map[string]int64 {
-	out := map[string]int64{}
-	data, err := os.ReadFile(filepath.Join(s.root, "access.log"))
-	if err != nil {
-		return out
-	}
-	for _, line := range bytes.Split(data, []byte{'\n'}) {
-		if len(line) == 0 {
-			continue
-		}
-		var rec accessRecord
-		if json.Unmarshal(line, &rec) != nil || rec.Key == "" {
-			continue
-		}
-		if rec.T > out[rec.Key] {
-			out[rec.Key] = rec.T
-		}
-	}
-	return out
-}
-
-// compactAccess atomically rewrites the access log to one line per
-// surviving key and reopens the append handle, so the log cannot grow
-// without bound across restarts.
-func (s *store) compactAccess(stamps map[string]int64, keys []string) {
-	var buf bytes.Buffer
-	for _, k := range keys {
-		if t := stamps[k]; t > 0 {
-			line, err := json.Marshal(accessRecord{Key: k, T: t})
-			if err != nil {
-				continue
-			}
-			buf.Write(line)
-			buf.WriteByte('\n')
-		}
-	}
-	path := filepath.Join(s.root, "access.log")
-	if err := fsutil.WriteFileAtomic(path, buf.Bytes(), 0o644); err != nil {
-		s.logf("store: compact access log: %v", err)
-		return
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		s.logf("store: reopen access log: %v", err)
-		return
-	}
-	s.accessMu.Lock()
-	if s.accessF != nil {
-		s.accessF.Close()
-	}
-	s.accessF = f
-	s.accessMu.Unlock()
 }
 
 // quarantine moves an entry file out of the recovery set into
@@ -482,7 +388,7 @@ type storeCandidate struct {
 	path   string
 	key    string
 	header storeHeader
-	stamp  int64 // max(saved, last access)
+	stamp  int64 // max(saved, mtime): the last access
 	size   int64 // file size on disk
 }
 
@@ -549,7 +455,7 @@ func (s *store) scanEntry(path string) (storeCandidate, string, string) {
 	}
 	c.key = h.Key
 	c.header = h
-	c.stamp = h.SavedUnixNano
+	c.stamp = max(h.SavedUnixNano, fi.ModTime().UnixNano())
 	return c, "", ""
 }
 

@@ -104,7 +104,7 @@ func TestStoreCrashRestartChaos(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			defer faultinject.Activate(nil) // never leak a plan into the next subtest
 			dir := t.TempDir()
-			cfg := Config{Threads: threads, StoreDir: dir, StoreAccessInterval: -1, Obs: newTestObs()}
+			cfg := Config{Threads: threads, StoreDir: dir, Obs: newTestObs()}
 
 			// Populate under fire. The daemon is then abandoned without
 			// drain or close — the in-process stand-in for kill -9.
@@ -127,7 +127,7 @@ func TestStoreCrashRestartChaos(t *testing.T) {
 			vts.Close()
 			requireFired(t, sc.writeRules)
 			faultinject.Activate(nil)
-			// No victim.Close(), no drain: its state is whatever hit the disk.
+			// No drain: its state is whatever hit the disk.
 
 			onDisk := len(entryFiles(t, dir))
 
@@ -189,7 +189,6 @@ func TestStoreCrashRestartChaos(t *testing.T) {
 				}
 			}
 			checkInvariants(t, srv.cache, true)
-			srv.Close()
 		})
 	}
 	waitGoroutines(t, baseline)
@@ -250,7 +249,6 @@ func TestStoreCrashTempDebrisSwept(t *testing.T) {
 		t.Fatalf("upload: %d", res.StatusCode)
 	}
 	tsA.Close()
-	srvA.Close()
 
 	// Plant the debris a SIGKILL mid-CreateTemp/Write leaves behind.
 	debris := filepath.Join(dir, "entries", "."+up.Key+storeEntrySuffix+".tmp-123456")

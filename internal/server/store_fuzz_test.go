@@ -34,11 +34,10 @@ const (
 // future version, a different seed, a mismatched key and a shape whose
 // payload length overflows int64.
 func FuzzStoreEntry(f *testing.F) {
-	s, err := openStore(f.TempDir(), fuzzStoreSeed, fuzzStoreThreads, -1, nil, nil)
+	s, err := openStore(f.TempDir(), fuzzStoreSeed, fuzzStoreThreads, nil, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	defer s.close()
 	f.Add(validStoreEntry(f, s))
 	path := s.entryPath(fuzzEntryKey)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"sparseorder/internal/faultinject"
 	"sparseorder/internal/gen"
@@ -17,14 +18,12 @@ import (
 )
 
 // storeCfg is the daemon configuration the store tests share: a store
-// under dir, unthrottled access stamps (so every SpMV moves the persisted
-// LRU order), and fixed threads so entries bind to one config.
+// under dir and fixed threads so entries bind to one config.
 func storeCfg(dir string) Config {
 	return Config{
-		Threads:             2,
-		StoreDir:            dir,
-		StoreAccessInterval: -1,
-		Obs:                 newTestObs(),
+		Threads:  2,
+		StoreDir: dir,
+		Obs:      newTestObs(),
 	}
 }
 
@@ -61,7 +60,8 @@ func entryFiles(t *testing.T, dir string) []string {
 // TestStoreRoundTripRestart is the durability happy path: upload through a
 // store-backed daemon, restart onto the same directory, and every key
 // serves a byte-identical SpMV response from the recovered plans — no
-// re-upload, no re-reorder.
+// re-upload, no re-reorder — while the store root holds nothing but
+// entries/ and quarantine/.
 func TestStoreRoundTripRestart(t *testing.T) {
 	dir := t.TempDir()
 	srcs := []*sparse.CSR{
@@ -96,9 +96,6 @@ func TestStoreRoundTripRestart(t *testing.T) {
 		targets[i] = target{key: up.Key, x: x, want: raw}
 	}
 	tsA.Close()
-	if err := srvA.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	srvB := mustNew(t, storeCfg(dir))
 	st := mustRecover(t, srvB)
@@ -117,6 +114,21 @@ func TestStoreRoundTripRestart(t *testing.T) {
 		}
 	}
 	checkInvariants(t, srvB.cache, true)
+
+	// The last-access stamps live in the entry files' mtimes, so after
+	// both daemons' uploads and SpMVs the root holds only the two
+	// directories.
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range ents {
+		names = append(names, de.Name())
+	}
+	if got := strings.Join(names, " "); got != "entries quarantine" {
+		t.Errorf("store root holds %q, want exactly \"entries quarantine\"", got)
+	}
 }
 
 // TestStoreReadyzRecovering pins the readiness state machine around
@@ -132,7 +144,6 @@ func TestStoreReadyzRecovering(t *testing.T) {
 		t.Fatalf("upload: %d", res.StatusCode)
 	}
 	tsA.Close()
-	srvA.Close()
 
 	// Restarted daemon, recovery NOT yet run: the window cmd/serve covers
 	// by starting Recover in a goroutine behind the live listener.
@@ -190,7 +201,6 @@ func TestStoreQuarantineClassification(t *testing.T) {
 		keys = append(keys, up.Key)
 	}
 	tsA.Close()
-	srvA.Close()
 
 	path := func(key string) string { return filepath.Join(dir, "entries", key+storeEntrySuffix) }
 	read := func(key string) []byte {
@@ -284,10 +294,11 @@ func TestStoreQuarantineClassification(t *testing.T) {
 
 // TestStoreRecoveryLRUAndOverflow checks the governor-respecting side of
 // recovery: with the restarted cache bounded below the store size, the
-// most recently ACCESSED entries (per the persisted access stamps, not
-// upload order) are recovered, the overflow entry is skipped — left on
-// disk unloaded, not quarantined — and the rebuilt LRU list evicts in
-// true recency order.
+// most recently ACCESSED entries (per the entry files' mtimes, not upload
+// order) are recovered, the overflow entry is skipped — left on disk
+// unloaded, not quarantined — and the rebuilt LRU list evicts in true
+// recency order. A second restart after the test sets the mtimes itself,
+// to an order unlike both upload and access order, follows the mtimes.
 func TestStoreRecoveryLRUAndOverflow(t *testing.T) {
 	dir := t.TempDir()
 	srcs := []*sparse.CSR{
@@ -313,36 +324,99 @@ func TestStoreRecoveryLRUAndOverflow(t *testing.T) {
 		}
 	}
 	tsA.Close()
-	srvA.Close()
 
-	cfg := storeCfg(dir)
-	cfg.CacheEntries = 2
-	srvB := mustNew(t, cfg)
-	st := mustRecover(t, srvB)
-	if st.Recovered != 2 || st.Skipped != 1 || st.Quarantined != 0 {
-		t.Fatalf("recovery = %+v, want 2 recovered / 1 skipped", st)
+	// restart recovers dir into a two-entry cache and checks it against
+	// recency, the key indices from most to least recently used.
+	restart := func(why string, recency [3]int) {
+		t.Helper()
+		cfg := storeCfg(dir)
+		cfg.CacheEntries = 2
+		srv := mustNew(t, cfg)
+		st := mustRecover(t, srv)
+		if st.Recovered != 2 || st.Skipped != 1 || st.Quarantined != 0 {
+			t.Fatalf("%s: recovery = %+v, want 2 recovered / 1 skipped", why, st)
+		}
+		// The skipped entry stays on disk, unloaded.
+		if got := len(entryFiles(t, dir)); got != 3 {
+			t.Errorf("%s: %d entry files after recovery, want all 3 still on disk", why, got)
+		}
+		if srv.cache.Contains(keys[recency[2]]) {
+			t.Errorf("%s: least recently used key %d resident; stamps not honored", why, recency[2])
+		}
+		for _, i := range recency[:2] {
+			if !srv.cache.Contains(keys[i]) {
+				t.Errorf("%s: recently used key %d not recovered", why, i)
+			}
+		}
+		// Rebuilt LRU order: the front is the most recently used.
+		c := srv.cache
+		c.mu.Lock()
+		front := c.lru.Front().Value.(*entry).key
+		c.mu.Unlock()
+		if front != keys[recency[0]] {
+			t.Errorf("%s: LRU front is %.12s, want most recently used %.12s", why, front, keys[recency[0]])
+		}
+		checkInvariants(t, c, true)
 	}
-	// The skipped entry stays on disk, unloaded.
-	if got := len(entryFiles(t, dir)); got != 3 {
-		t.Errorf("%d entry files after recovery, want all 3 still on disk", got)
-	}
-	if srvB.cache.Contains(keys[1]) {
-		t.Error("least recently used key resident; stamps not honored")
-	}
-	for _, i := range []int{0, 2} {
-		if !srvB.cache.Contains(keys[i]) {
-			t.Errorf("recently used key %d not recovered", i)
+	restart("access order", [3]int{0, 2, 1})
+
+	// Stamp the files key1 > key2 > key0. The stamps lie in the future,
+	// because a stamp counts only where it is later than the header's save
+	// time.
+	future := time.Now().Add(time.Hour)
+	for rank, i := range []int{1, 2, 0} {
+		mt := future.Add(-time.Duration(rank) * time.Second)
+		if err := os.Chtimes(filepath.Join(dir, "entries", keys[i]+storeEntrySuffix), mt, mt); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Rebuilt LRU order: front must be the most recently accessed (key0).
-	c := srvB.cache
-	c.mu.Lock()
-	front := c.lru.Front().Value.(*entry).key
-	c.mu.Unlock()
-	if front != keys[0] {
-		t.Errorf("LRU front is %.12s, want most recently accessed %.12s", front, keys[0])
+	restart("mtime order", [3]int{1, 2, 0})
+}
+
+// TestStoreStampThrottled: an SpMV stamps its entry file's mtime, and a
+// second SpMV on the same entry within storeStampInterval leaves the
+// mtime unchanged — a hot entry costs at most one Chtimes an interval.
+func TestStoreStampThrottled(t *testing.T) {
+	dir := t.TempDir()
+	srv := mustNew(t, storeCfg(dir))
+	mustRecover(t, srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	a := gen.Banded(60, 2, 1, 1)
+	res, up := postUpload(t, ts, mmBytes(t, a))
+	if res.StatusCode != http.StatusOK || !up.Persisted {
+		t.Fatalf("upload: %d (persisted %v)", res.StatusCode, up.Persisted)
 	}
-	checkInvariants(t, c, true)
+	path := filepath.Join(dir, "entries", up.Key+storeEntrySuffix)
+	mtime := func() time.Time {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.ModTime()
+	}
+	written := mtime()
+	start := time.Now()
+	spmvOK := func() {
+		t.Helper()
+		if res, raw := postSpMV(t, ts, up.Key, testVector(a.Cols, 1)); res.StatusCode != http.StatusOK {
+			t.Fatalf("spmv: %d %s", res.StatusCode, raw)
+		}
+	}
+	spmvOK()
+	first := mtime()
+	if !first.After(written) {
+		t.Errorf("first SpMV left the mtime at %v, the write time", first)
+	}
+	spmvOK()
+	second := mtime()
+	if time.Since(start) >= storeStampInterval {
+		t.Skip("the two SpMVs took longer than the stamp interval on this host")
+	}
+	if !second.Equal(first) {
+		t.Errorf("second SpMV within the interval moved the mtime %v -> %v", first, second)
+	}
 }
 
 // TestStoreRecoveryBudgetOverflow drives the byte-weighted admission
@@ -362,7 +436,6 @@ func TestStoreRecoveryBudgetOverflow(t *testing.T) {
 		total += EntryBytes(up.Rows, up.NNZ)
 	}
 	tsA.Close()
-	srvA.Close()
 
 	cfg := storeCfg(dir)
 	cfg.MemBudget = total - 1 // not all three fit
@@ -415,5 +488,36 @@ func TestStoreWriteFailureDegrades(t *testing.T) {
 	}
 	if !srv.store.has(up.Key) {
 		t.Error("entry file missing after self-heal")
+	}
+}
+
+// TestDedupeUploadCountsNoCacheLookup: the cache hit and miss counters
+// count SpMV lookups only. A dedupe upload — answered from the resident
+// entry, and on the heal path (entry file deleted) re-persisted from it —
+// moves neither, nor does its last-access stamp.
+func TestDedupeUploadCountsNoCacheLookup(t *testing.T) {
+	dir := t.TempDir()
+	srv := mustNew(t, storeCfg(dir))
+	mustRecover(t, srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	body := mmBytes(t, gen.Banded(70, 2, 1, 6))
+	res, up := postUpload(t, ts, body)
+	if res.StatusCode != http.StatusOK || !up.Persisted {
+		t.Fatalf("upload: %d (persisted %v)", res.StatusCode, up.Persisted)
+	}
+	hits, misses := srv.cache.hitC.Value(), srv.cache.missC.Value()
+
+	if res, up = postUpload(t, ts, body); res.StatusCode != http.StatusOK || !up.Deduplicated {
+		t.Fatalf("dedupe upload: %d (dedup=%v)", res.StatusCode, up.Deduplicated)
+	}
+	if err := os.Remove(filepath.Join(dir, "entries", up.Key+storeEntrySuffix)); err != nil {
+		t.Fatal(err)
+	}
+	if res, up = postUpload(t, ts, body); res.StatusCode != http.StatusOK || !up.Deduplicated || !up.Persisted {
+		t.Fatalf("healing dedupe upload: %d (dedup=%v, persisted=%v)", res.StatusCode, up.Deduplicated, up.Persisted)
+	}
+	if h, m := srv.cache.hitC.Value(), srv.cache.missC.Value(); h != hits || m != misses {
+		t.Errorf("dedupe uploads moved cache hits %d -> %d and misses %d -> %d, want both unchanged", hits, h, misses, m)
 	}
 }
