@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -37,9 +38,12 @@ var interfaceMethods = map[string]bool{
 // included). An export only tests use belongs in a _test.go file, or goes.
 // A package-level name is used when it is selected through its package's
 // import or named inside its own package; a method is used when its name
-// is selected on any value. The scan reads syntax only: it can miss a dead
-// method whose name another method shares, and it cannot see calls the
-// standard library makes through an interface, hence interfaceMethods.
+// is selected on any value, that is on anything but an imported package's
+// name (strings.Contains does not use a Contains method). The scan reads
+// syntax only: it can miss a dead method whose name another type's method
+// or field shares, or one selected on a variable that shadows an import's
+// name, and it cannot see calls the standard library makes through an
+// interface, hence interfaceMethods.
 func TestInternalExportsHaveCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	type file struct {
@@ -122,7 +126,10 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		imports := map[string]string{} // local name -> import path
 		for _, im := range f.ast.Imports {
 			p, _ := strconv.Unquote(im.Path.Value)
-			name := pkgName[p]
+			name, ok := pkgName[p]
+			if !ok { // a standard-library package, named after its path
+				name = path.Base(p)
+			}
 			if im.Name != nil {
 				name = im.Name.Name
 			}
@@ -132,11 +139,12 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		visit = func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				selected[n.Sel.Name] = true
-				if x, ok := n.X.(*ast.Ident); ok {
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
 					if e := exports[imports[x.Name]+"."+n.Sel.Name]; e != nil {
 						e.used = true
 					}
+				} else {
+					selected[n.Sel.Name] = true
 				}
 				ast.Inspect(n.X, visit) // n.Sel names a member, not a package-level identifier
 				return false

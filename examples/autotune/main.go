@@ -1,9 +1,9 @@
 // autotune sketches the paper's future-work direction (§6): predicting the
 // best reordering per matrix from cheap order-sensitive features instead
 // of trying all of them. It scores every ordering of every collection
-// matrix with the machine model, then evaluates a simple feature-based
-// decision rule against the oracle and against always-GP (the study's
-// static recommendation).
+// matrix with the machine model, then evaluates the serving daemon's
+// feature-based decision rule (server.Predict) against the oracle and
+// against always-GP (the study's static recommendation).
 package main
 
 import (
@@ -12,9 +12,8 @@ import (
 
 	"sparseorder/internal/gen"
 	"sparseorder/internal/machine"
-	"sparseorder/internal/metrics"
 	"sparseorder/internal/reorder"
-	"sparseorder/internal/sparse"
+	"sparseorder/internal/server"
 	"sparseorder/internal/stats"
 )
 
@@ -47,7 +46,7 @@ func main() {
 				oracle = alg
 			}
 		}
-		rule := decide(m.A, milan.Cores)
+		rule := server.Predict(m.A, milan.Cores)
 		fmt.Printf("%-18s %8.2f %-8s %7.2fx %-8s %7.2fx\n",
 			m.Name, base.Imbalance, oracle, speedup[oracle], rule, speedup[rule])
 
@@ -59,22 +58,4 @@ func main() {
 	fmt.Printf("\ngeometric means — oracle: %.3f, feature rule: %.3f, always-GP: %.3f\n",
 		stats.GeoMean(oracleSp), stats.GeoMean(ruleSp), stats.GeoMean(gpSp))
 	fmt.Println("the rule should recover most of the oracle's gain over the static choice")
-}
-
-// decide is a hand-written stand-in for the paper's envisioned ML
-// predictor: matrices that are already banded and balanced are left to
-// RCM (cheap, preserves bands); strong imbalance or a huge off-diagonal
-// share favours GP.
-func decide(a *sparse.CSR, threads int) reorder.Algorithm {
-	f := metrics.ComputeWorkers(a, threads, threads, 1)
-	relBandwidth := float64(f.Bandwidth) / float64(a.Rows)
-	offdiagShare := float64(f.OffDiagNNZ) / float64(a.NNZ())
-	switch {
-	case f.Imbalance1D > 1.5 || offdiagShare > 0.5:
-		return reorder.GP
-	case relBandwidth < 0.05:
-		return reorder.RCM
-	default:
-		return reorder.GP
-	}
 }

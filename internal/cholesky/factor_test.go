@@ -3,6 +3,7 @@ package cholesky
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sparseorder/internal/gen"
@@ -49,7 +50,9 @@ func denseOf(a *sparse.CSR) [][]float64 {
 // spdify returns a copy of the symmetric matrix with its diagonal raised
 // to strict diagonal dominance, guaranteeing positive definiteness.
 func spdify(a *sparse.CSR) *sparse.CSR {
-	b := a.Clone()
+	c := *a // shares the pattern; only the values change
+	c.Val = slices.Clone(a.Val)
+	b := &c
 	for i := 0; i < b.Rows; i++ {
 		off := 0.0
 		diagK := -1

@@ -9,6 +9,7 @@ package experiments
 import (
 	"context"
 	"runtime"
+	"slices"
 	"time"
 
 	"sparseorder/internal/gen"
@@ -306,15 +307,14 @@ func evalOneOrdering(ctx context.Context, alg reorder.Algorithm, m gen.Matrix, c
 	res *MatrixResult,
 	evalOrdering func(reorder.Algorithm, *sparse.CSR, []machine.Machine),
 	featuresPh, fillPh obs.Phase) (*MatrixResult, error) {
+	var b *sparse.CSR // the ordering features and fill are measured on
 	switch alg {
 	case reorder.GP:
 		// One GP ordering per distinct machine core count, computed
 		// together so they share the graph and common bisections.
 		var parts []int
-		gpParts := map[int]sparse.Perm{}
 		for _, mc := range cfg.Machines {
-			if _, ok := gpParts[mc.Cores]; !ok {
-				gpParts[mc.Cores] = nil
+			if !slices.Contains(parts, mc.Cores) {
 				parts = append(parts, mc.Cores)
 			}
 		}
@@ -323,46 +323,40 @@ func evalOneOrdering(ctx context.Context, alg reorder.Algorithm, m gen.Matrix, c
 		if err != nil {
 			return nil, &MatrixError{Name: m.Name, Ordering: alg, Err: err}
 		}
+		// Features and fill use the 128-part GP ordering (or the largest
+		// evaluated) to match the HP feature blocks; PermuteSeconds is
+		// that ordering's permutation.
+		largest := largestCores(cfg.Machines)
 		for i, k := range parts {
-			gpParts[k] = perms[i]
-		}
-		for _, mc := range cfg.Machines {
 			if err := ctx.Err(); err != nil {
 				return nil, &MatrixError{Name: m.Name, Ordering: alg, Err: err}
 			}
-			b, err := sparse.PermuteSymmetricWorkers(m.A, gpParts[mc.Cores], cfg.ReorderWorkers)
+			start := time.Now()
+			bk, err := sparse.PermuteSymmetricWorkers(m.A, perms[i], cfg.ReorderWorkers)
 			if err != nil {
 				return nil, &MatrixError{Name: m.Name, Ordering: alg, Err: err}
 			}
-			evalOrdering(alg, b, []machine.Machine{mc})
+			if k == largest {
+				phases.PermuteSeconds = time.Since(start).Seconds()
+				b = bk
+			}
+			var machines []machine.Machine
+			for _, mc := range cfg.Machines {
+				if mc.Cores == k {
+					machines = append(machines, mc)
+				}
+			}
+			evalOrdering(alg, bk, machines)
 		}
 		// ReorderSeconds keeps its historical meaning for GP: the cost
-		// of computing the orderings, excluding the per-machine
-		// permutation applications.
+		// of computing the orderings, excluding the permutation
+		// applications.
 		res.ReorderSeconds[alg] = phases.GraphSeconds + phases.OrderSeconds
-		// Features and fill use the 128-part GP ordering (or the largest
-		// evaluated) to match the HP feature blocks.
-		p := gpParts[largestCores(cfg.Machines)]
-		start := time.Now()
-		b, err := sparse.PermuteSymmetricWorkers(m.A, p, cfg.ReorderWorkers)
-		if err != nil {
-			return nil, &MatrixError{Name: m.Name, Ordering: alg, Err: err}
-		}
-		phases.PermuteSeconds = time.Since(start).Seconds()
 		res.ReorderPhases[alg] = phases
-		tm := featuresPh.Start()
-		res.Features[alg] = metrics.ComputeWorkers(b, featureBlocks, featureBlocks, cfg.ReorderWorkers)
-		tm.Stop()
-		if m.SPD {
-			tm = fillPh.Start()
-			fr, err := fillOf(b)
-			tm.Stop()
-			if err == nil {
-				res.FillRatio[alg] = fr
-			}
-		}
 	default:
-		b, _, ph, err := reorder.ApplyTimedCtx(ctx, alg, m.A,
+		var ph reorder.PhaseTimings
+		var err error
+		b, _, ph, err = reorder.ApplyTimedCtx(ctx, alg, m.A,
 			reorder.Options{Seed: cfg.Seed, Workers: cfg.ReorderWorkers})
 		if err != nil {
 			return nil, &MatrixError{Name: m.Name, Ordering: alg, Err: err}
@@ -370,16 +364,16 @@ func evalOneOrdering(ctx context.Context, alg reorder.Algorithm, m gen.Matrix, c
 		res.ReorderSeconds[alg] = ph.Total()
 		res.ReorderPhases[alg] = ph
 		evalOrdering(alg, b, cfg.Machines)
-		tm := featuresPh.Start()
-		res.Features[alg] = metrics.ComputeWorkers(b, featureBlocks, featureBlocks, cfg.ReorderWorkers)
+	}
+	tm := featuresPh.Start()
+	res.Features[alg] = metrics.ComputeWorkers(b, featureBlocks, featureBlocks, cfg.ReorderWorkers)
+	tm.Stop()
+	if m.SPD && alg.Symmetric() {
+		tm = fillPh.Start()
+		fr, err := fillOf(b)
 		tm.Stop()
-		if m.SPD && alg.Symmetric() {
-			tm = fillPh.Start()
-			fr, err := fillOf(b)
-			tm.Stop()
-			if err == nil {
-				res.FillRatio[alg] = fr
-			}
+		if err == nil {
+			res.FillRatio[alg] = fr
 		}
 	}
 	return res, nil

@@ -9,7 +9,7 @@ import (
 )
 
 // Profiles manages the -cpuprofile/-memprofile/-trace output files shared
-// by cmd/study and cmd/spmvbench. Stop is idempotent and must run on every
+// by cmd/study and cmd/inspect. Stop is idempotent and must run on every
 // exit path — including cancellation and the partial-failure exit codes —
 // so the files are complete and closed whatever code the process exits
 // with; the commands guarantee that by deferring Stop before any study

@@ -184,14 +184,6 @@ func (c *Cache) pin(key string) *entry {
 	return e
 }
 
-// Contains reports whether key is resident without pinning or counting a
-// hit/miss; the upload path uses it to answer duplicate uploads cheaply.
-func (c *Cache) Contains(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.byKey[key] != nil
-}
-
 // Meta is the externally visible description of a cached entry.
 type Meta struct {
 	Key            string  `json:"key"`

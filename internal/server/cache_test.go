@@ -21,6 +21,14 @@ func mkEntry(key string, bytes int64) *entry {
 	}
 }
 
+// Contains reports whether key is resident without pinning or counting a
+// hit/miss.
+func (c *Cache) Contains(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.byKey[key] != nil
+}
+
 // checkInvariants asserts the cache's books balance: the LRU list and the
 // key index agree, resident bytes are the sum of entry weights, every
 // admission belongs to a resident entry, and (when idle) nothing is pinned.

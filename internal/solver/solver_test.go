@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -431,9 +432,10 @@ func TestCGStopsOnNonFinite(t *testing.T) {
 		return a, bb
 	}
 	withA := func(k int) (*sparse.CSR, []float64) {
-		aa := a.Clone()
+		aa := *a // shares the pattern; only the values change
+		aa.Val = slices.Clone(a.Val)
 		aa.Val[k] = math.NaN()
-		return aa, b
+		return &aa, b
 	}
 	// Row 700's first entry is off-diagonal; find its diagonal entry.
 	diag := -1

@@ -36,21 +36,6 @@ func (a *CSR) Row(i int) ([]int32, []float64) {
 	return a.ColIdx[lo:hi], a.Val[lo:hi]
 }
 
-// Clone returns a deep copy of the matrix.
-func (a *CSR) Clone() *CSR {
-	b := &CSR{
-		Rows:   a.Rows,
-		Cols:   a.Cols,
-		RowPtr: make([]int, len(a.RowPtr)),
-		ColIdx: make([]int32, len(a.ColIdx)),
-		Val:    make([]float64, len(a.Val)),
-	}
-	copy(b.RowPtr, a.RowPtr)
-	copy(b.ColIdx, a.ColIdx)
-	copy(b.Val, a.Val)
-	return b
-}
-
 // Validate checks the structural invariants of the CSR representation:
 // monotone row pointers, in-range and strictly ascending column indices,
 // and consistent slice lengths.

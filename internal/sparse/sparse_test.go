@@ -9,6 +9,21 @@ import (
 	"testing/quick"
 )
 
+// Clone returns a deep copy of the matrix.
+func (a *CSR) Clone() *CSR {
+	b := &CSR{
+		Rows:   a.Rows,
+		Cols:   a.Cols,
+		RowPtr: make([]int, len(a.RowPtr)),
+		ColIdx: make([]int32, len(a.ColIdx)),
+		Val:    make([]float64, len(a.Val)),
+	}
+	copy(b.RowPtr, a.RowPtr)
+	copy(b.ColIdx, a.ColIdx)
+	copy(b.Val, a.Val)
+	return b
+}
+
 // small returns the 3x3 matrix
 //
 //	[1 0 2]
